@@ -66,6 +66,8 @@ def _cmd_gen(args, out) -> int:
 
 
 def _cmd_count(args, out) -> int:
+    if args.n_max < 0:
+        raise DomainError(f"--n-max must be >= 0, got {args.n_max}")
     mode = _mode(args.mode)
     rows = []
     mismatch = False

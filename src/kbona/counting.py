@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .words import DomainError, kbonacci_number
+from .words import DomainError, kbonacci_number, require_k
 
 
 class FormulaMode(enum.Enum):
@@ -28,7 +28,7 @@ def _require(cond: bool, msg: str) -> None:
 
 def p_initial(k: int, n: int) -> int:
     """P(n) = 2^(n-1) (n-2) + 1 for 1 <= n <= k-1."""
-    _require(k >= 3, f"k must be >= 3, got {k}")
+    require_k(k, 3)
     _require(1 <= n <= k - 1, f"n={n} outside 1..k-1 for k={k}")
     return 2 ** (n - 1) * (n - 2) + 1
 
@@ -36,7 +36,7 @@ def p_initial(k: int, n: int) -> int:
 def b_count(k: int, n: int, j: int) -> int:
     """Number of bordering palindromes of type j: 2^j - 2^(n-k+1) inside
     the admissible rectangle, 0 everywhere else."""
-    _require(k >= 3, f"k must be >= 3, got {k}")
+    require_k(k, 3)
     if k <= n <= 2 * k - 3 and n - k + 2 <= j <= k - 1:
         return 2**j - 2 ** (n - k + 1)
     return 0
@@ -45,7 +45,7 @@ def b_count(k: int, n: int, j: int) -> int:
 def s_count(k: int, n: int) -> int:
     """Number of straddling palindromes: nonzero only on
     2k-1 <= n <= 3k-2."""
-    _require(k >= 3, f"k must be >= 3, got {k}")
+    require_k(k, 3)
     if 2 * k - 1 <= n < 3 * k - 2:
         return 2 ** (n - 2 * k + 2) - 1
     if n == 3 * k - 2:
@@ -56,7 +56,7 @@ def s_count(k: int, n: int) -> int:
 def border_max_length(k: int, n: int, j: int) -> int:
     """Length of the maximal bordering palindrome of type j:
     2 (|W_j| - |W_{n-k+1}|) + 1."""
-    _require(k >= 3, f"k must be >= 3, got {k}")
+    require_k(k, 3)
     _require(
         k <= n <= 2 * k - 3 and n - k + 2 <= j <= k - 1,
         f"(n={n}, j={j}) outside the bordering range for k={k}",
@@ -68,7 +68,7 @@ def alpha_border_closed(k: int, n: int) -> int:
     """Closed form of the bordering sum on k <= n <= 2k-3:
     2^k - (2k - n) 2^(n-k+1). Equals sum(b_count) there; kept separate so
     the equality is testable rather than assumed."""
-    _require(k >= 3, f"k must be >= 3, got {k}")
+    require_k(k, 3)
     _require(k <= n <= 2 * k - 3, f"n={n} outside k..2k-3 for k={k}")
     return 2**k - (2 * k - n) * 2 ** (n - k + 1)
 
@@ -76,7 +76,7 @@ def alpha_border_closed(k: int, n: int) -> int:
 def alpha(k: int, n: int, mode: FormulaMode = FormulaMode.DERIVED) -> int:
     """The recurrence increment: P(n) = sum of the previous k values of P
     plus alpha(n), for n >= k."""
-    _require(k >= 3, f"k must be >= 3, got {k}")
+    require_k(k, 3)
     _require(n >= k, f"alpha is defined for n >= k, got n={n}")
     if mode is FormulaMode.DERIVED:
         border = sum(b_count(k, n, j) for j in range(n - k + 2, n))
@@ -95,7 +95,7 @@ def alpha(k: int, n: int, mode: FormulaMode = FormulaMode.DERIVED) -> int:
 
 def p_total(k: int, n: int, mode: FormulaMode = FormulaMode.DERIVED) -> int:
     """Total number of palindromic occurrences (length >= 2) in W_n."""
-    _require(k >= 3, f"k must be >= 3, got {k}")
+    require_k(k, 3)
     _require(n >= 0, f"n must be >= 0, got {n}")
     values = _p_values(k, n, mode)
     return values[n]

@@ -10,6 +10,7 @@ decomposition.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .words import DomainError, Word
@@ -107,11 +108,15 @@ def _center_count(max_len: int, min_len: int) -> int:
     return (max_len - lo) // 2 + 1
 
 
+def _require_min_len(min_len: int) -> None:
+    if min_len < 1:
+        raise DomainError(f"min_len must be >= 1, got {min_len}")
+
+
 def count_occurrences(w: Word, min_len: int) -> int:
     """Number of palindromic occurrences (start, length) of length at
     least min_len."""
-    if min_len < 1:
-        raise DomainError(f"min_len must be >= 1, got {min_len}")
+    _require_min_len(min_len)
     profile = maximal_radii(w)
     return sum(_center_count(m, min_len) for m in profile.lengths)
 
@@ -119,27 +124,13 @@ def count_occurrences(w: Word, min_len: int) -> int:
 def enumerate_maximal(w: Word, min_len: int) -> list[Occurrence]:
     """One occurrence per center whose maximal palindrome reaches
     min_len, ordered by doubled center."""
-    if min_len < 1:
-        raise DomainError(f"min_len must be >= 1, got {min_len}")
+    _require_min_len(min_len)
     profile = maximal_radii(w)
     return [
         profile.occurrence_at(c)
         for c, m in enumerate(profile.lengths)
         if m >= min_len
     ]
-
-
-def iter_occurrences(w: Word, min_len: int):
-    """All palindromic occurrences of length >= min_len (not only the
-    maximal ones), center by center."""
-    if min_len < 1:
-        raise DomainError(f"min_len must be >= 1, got {min_len}")
-    profile = maximal_radii(w)
-    for c, m in enumerate(profile.lengths):
-        length = m
-        while length >= min_len:
-            yield Occurrence((c + 1 - length) // 2 + 1, length)
-            length -= 2
 
 
 class _EertreeNode:
@@ -198,8 +189,7 @@ class Eertree:
 
 def distinct_factors(w: Word, min_len: int) -> set[Word]:
     """The set of distinct palindromic factors of length >= min_len."""
-    if min_len < 1:
-        raise DomainError(f"min_len must be >= 1, got {min_len}")
+    _require_min_len(min_len)
     tree = Eertree()
     for d in w:
         tree.add(d)
@@ -260,19 +250,29 @@ class CrossingCounts:
 def classify_crossing(w: Word, cuts: CutSpec, min_len: int) -> CrossingCounts:
     """Assign every palindromic occurrence of length >= min_len to exactly
     one bucket relative to the block decomposition."""
+    _require_min_len(min_len)
     cuts.validate(w)
     counts = CrossingCounts()
     if not cuts.cuts:
         counts.contained = count_occurrences(w, min_len)
         return counts
-    final_cut = cuts.cuts[-1]
-    for occ in iter_occurrences(w, min_len):
-        # Occurrence crosses cut p iff start <= p < end.
-        if occ.start <= final_cut < occ.end:
-            counts.straddling += 1
-        elif any(occ.start <= p < occ.end for p in cuts.cuts):
-            b = cuts.block_of(occ.start)
-            counts.bordering[b] = counts.bordering.get(b, 0) + 1
-        else:
-            counts.contained += 1
+    positions = cuts.cuts
+    final_cut = positions[-1]
+    bordering = counts.bordering
+    for c, m in enumerate(maximal_radii(w).lengths):
+        # The occurrences at centre c have lengths m, m-2, ... >= min_len;
+        # start and end are 1-based and inclusive.
+        for length in range(m, min_len - 1, -2):
+            start = (c + 1 - length) // 2 + 1
+            end = start + length - 1
+            # The occurrence crosses cut p iff start <= p < end. Only the
+            # first cut at or after start can be crossed, and its index b
+            # is the index of the block holding start.
+            b = bisect_left(positions, start)
+            if start <= final_cut < end:
+                counts.straddling += 1
+            elif b < len(positions) and positions[b] < end:
+                bordering[b] = bordering.get(b, 0) + 1
+            else:
+                counts.contained += 1
     return counts

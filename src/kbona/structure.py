@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from . import counting
 from .palindromes import is_palindrome
-from .words import DomainError, Word, shift_add, word
+from .words import DomainError, Word, require_k, shift_add, word
 
 
 class PalFamily(enum.Enum):
@@ -74,11 +74,6 @@ class LengthSet:
     lengths: frozenset[int]
 
 
-def _require_k3(k: int) -> None:
-    if not isinstance(k, int) or k < 3:
-        raise DomainError(f"palindrome structure requires k >= 3, got {k!r}")
-
-
 def _block_product(k: int, hi: int, lo: int) -> Word:
     """W_hi W_{hi-1} ... W_lo (empty when hi < lo)."""
     out = Word()
@@ -90,7 +85,7 @@ def _block_product(k: int, hi: int, lo: int) -> Word:
 def maximal_bordering_word(k: int, n: int, j: int) -> Word:
     """The maximal bordering palindrome of type j:
     (W_{j-1} ... W_{n-k+1})^R j (W_{j-1} ... W_{n-k+1})."""
-    _require_k3(k)
+    require_k(k, 3)
     if not (k <= n <= 2 * k - 3 and n - k + 2 <= j <= k - 1):
         raise DomainError(f"(n={n}, j={j}) outside the bordering range for k={k}")
     tail = _block_product(k, j - 1, n - k + 1)
@@ -101,7 +96,7 @@ def maximal_bordering_word(k: int, n: int, j: int) -> Word:
 def _templates(k: int) -> tuple[tuple[Word, PalClass], ...]:
     """Base (shift 0) templates of all four families; the PalClass carries
     the minimal admissible shift."""
-    _require_k3(k)
+    require_k(k, 3)
     out: list[tuple[Word, PalClass]] = []
     for n in range(2, k):
         out.append((word(k, n).drop_last(), PalClass(PalFamily.P1, 0, n=n)))
@@ -127,7 +122,7 @@ def catalog_elements(
     k: int, family: PalFamily, i_max: int
 ) -> list[tuple[Word, PalClass]]:
     """All elements of the family with shift at most i_max."""
-    _require_k3(k)
+    require_k(k, 3)
     if i_max < 0:
         raise DomainError(f"i_max must be >= 0, got {i_max}")
     out = []
@@ -150,7 +145,7 @@ def catalog_elements(
 def maximal_straddling_words(k: int, n: int) -> list[StraddlingPair]:
     """The maximal straddling palindromes of W_n as (suffix, prefix)
     pairs at the final block boundary; empty outside 2k-1 <= n <= 3k-2."""
-    _require_k3(k)
+    require_k(k, 3)
     if n < 2 * k - 1 or n > 3 * k - 2:
         return []
     if n == 2 * k - 1:
@@ -182,8 +177,7 @@ def _centered_sublengths(w: Word, min_len: int = 2) -> set[int]:
     length = n
     while length >= min_len:
         start = (n - length) // 2
-        sub = Word(w.digits[start : start + length])
-        if is_palindrome(sub):
+        if is_palindrome(w.factor(start + 1, start + length)):
             out.add(length)
         length -= 2
     return out
@@ -204,7 +198,7 @@ def length_set(
 ) -> LengthSet:
     """Admissible palindrome lengths of one family. AS_STATED is the
     printed set; DERIVED recomputes lengths from the actual templates."""
-    _require_k3(k)
+    require_k(k, 3)
     if mode is counting.FormulaMode.AS_STATED:
         lengths = set(range(3, _AS_STATED_MAX[family](k) + 1, 2))
         if family is PalFamily.P4:
@@ -222,7 +216,7 @@ def allowed_lengths(
 ) -> LengthSet:
     """Union of the four family length sets: the palindrome lengths that
     occur (infinitely often) in the infinite word."""
-    _require_k3(k)
+    require_k(k, 3)
     lengths: frozenset[int] = frozenset()
     for family in PalFamily:
         lengths |= length_set(k, family, mode).lengths
@@ -241,7 +235,7 @@ def complexity(
     length: infinite on the admissible set, zero elsewhere. Length 1 is
     rejected: every digit is trivially a palindrome and the dichotomy
     does not apply."""
-    _require_k3(k)
+    require_k(k, 3)
     if length < 2:
         raise DomainError(f"complexity is defined for lengths >= 2, got {length}")
     if length in allowed_lengths(k, mode).lengths:
@@ -252,7 +246,7 @@ def complexity(
 def classify_palindrome(k: int, w: Word) -> set[PalClass]:
     """All catalog memberships of w; empty means w is not a maximal
     palindromic factor of the infinite word."""
-    _require_k3(k)
+    require_k(k, 3)
     if not is_palindrome(w):
         raise DomainError(f"{w!r} is not a palindrome")
     out: set[PalClass] = set()

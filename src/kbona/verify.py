@@ -32,6 +32,8 @@ from .words import (
     apply_morphism,
     classical_word,
     kbonacci_number,
+    reduce_mod_k,
+    require_k,
     shift_add,
     suffix_pair,
     word,
@@ -130,11 +132,6 @@ def _check(
     results.append(CheckResult(check_id, subject, expected, provenance, actual, verdict))
 
 
-def _require_k3(k: int) -> None:
-    if not isinstance(k, int) or k < 3:
-        raise DomainError(f"verification suites require k >= 3, got {k!r}")
-
-
 def default_n_max(k: int, limit: int = 1 << 16) -> int:
     """Largest n with |W_n| within the given digit budget."""
     n = 0
@@ -147,7 +144,7 @@ def verify_counts(k: int, n_max: int | None = None) -> Report:
     """P(n) recurrence vs a palindrome scan of the generated word, in
     both modes, for every n up to n_max."""
     started = time.perf_counter()
-    _require_k3(k)
+    require_k(k, 3)
     if n_max is None:
         n_max = default_n_max(k)
     report = Report("counts", {"k": k, "n_max": n_max})
@@ -208,7 +205,7 @@ def verify_decomposition(k: int, n: int) -> Report:
     """Crossing classification over the block decomposition vs the
     contained/bordering/straddling count formulas."""
     started = time.perf_counter()
-    _require_k3(k)
+    require_k(k, 3)
     if n < k:
         raise DomainError(f"decomposition requires n >= k, got n={n}")
     report = Report("decomposition", {"k": k, "n": n})
@@ -269,7 +266,7 @@ def verify_structure(k: int, n: int) -> Report:
     occur at their cuts, and every catalog element occurs by its
     predicted index."""
     started = time.perf_counter()
-    _require_k3(k)
+    require_k(k, 3)
     report = Report("structure", {"k": k, "n": n})
     w = word(k, n)
 
@@ -332,7 +329,7 @@ def verify_lemmas(k: int, n_max: int) -> Report:
     """The word-core property battery: morphism identities, suffix law,
     forbidden/required digit patterns, sizes, and palindromic prefixes."""
     started = time.perf_counter()
-    _require_k3(k)
+    require_k(k, 3)
     report = Report("lemmas", {"k": k, "n_max": n_max})
     results = report.results
     words = {n: word(k, n) for n in range(n_max + 1)}
@@ -354,7 +351,7 @@ def verify_lemmas(k: int, n_max: int) -> Report:
     _check(results, "size-law", {"k": k, "n_max": n_max}, True, "Oracle", sizes)
 
     mod_ok = all(
-        Word(d % k for d in words[n].digits) == classical_word(k, n)
+        reduce_mod_k(k, words[n]) == classical_word(k, n)
         for n in range(n_max + 1)
     )
     _check(results, "mod-k-reduction", {"k": k, "n_max": n_max}, True, "Oracle", mod_ok)
@@ -448,7 +445,7 @@ def verify_lemmas(k: int, n_max: int) -> Report:
         v = Word((i + 1,)) + words[k + i]
         capped = True
         for length in range(1, len(v) + 1):
-            prefix = Word(v.digits[:length])
+            prefix = v.factor(1, length)
             if is_palindrome(prefix) and max(prefix.digits) > i + 1:
                 capped = False
         _check(results, "palindromic-prefix-cap", {"k": k, "i": i}, True, "Oracle", capped)
@@ -459,7 +456,7 @@ def verify_lengths(k: int, max_len: int | None = None) -> Report:
     """Distinct palindrome lengths observed in W_{3k+2} vs the admissible
     length sets in both modes."""
     started = time.perf_counter()
-    _require_k3(k)
+    require_k(k, 3)
     if k > 6 and max_len is None:
         raise DomainError(
             f"verify_lengths guards at k <= 6 (word too long for k={k}); "

@@ -9,7 +9,6 @@ holds them to that.
 from __future__ import annotations
 
 import enum
-import functools
 from collections.abc import Iterable, Iterator
 
 # Digits are conceptually machine-width; anything past 2**63 - 1 is treated
@@ -54,6 +53,14 @@ class Word:
                 raise DigitOverflowError(f"digit {d} exceeds machine width")
         object.__setattr__(self, "digits", ds)
 
+    @classmethod
+    def _unchecked(cls, digits: tuple[int, ...]) -> "Word":
+        # Skips the per-digit check: only for digits taken from existing
+        # Words, or computed from them under a checked overflow bound.
+        w = object.__new__(cls)
+        object.__setattr__(w, "digits", digits)
+        return w
+
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
 
@@ -90,7 +97,7 @@ class Word:
     def __add__(self, other: "Word") -> "Word":
         if not isinstance(other, Word):
             return NotImplemented
-        return Word(self.digits + other.digits)
+        return Word._unchecked(self.digits + other.digits)
 
     def at(self, j: int) -> int:
         """The j-th digit, 1-based."""
@@ -107,10 +114,10 @@ class Word:
             raise DomainError(
                 f"factor bounds [{j},{jp}] out of range 1..{len(self.digits)}"
             )
-        return Word(self.digits[j - 1 : jp])
+        return Word._unchecked(self.digits[j - 1 : jp])
 
     def reverse(self) -> "Word":
-        return Word(self.digits[::-1])
+        return Word._unchecked(self.digits[::-1])
 
     def shift(self, d: int) -> "Word":
         return shift_add(d, self)
@@ -118,19 +125,16 @@ class Word:
     def alphabet(self) -> set[int]:
         return set(self.digits)
 
-    def is_palindrome(self) -> bool:
-        return self.digits == self.digits[::-1]
-
     def drop_last(self, count: int = 1) -> "Word":
         """Remove the last `count` digits (the paper's suffix-inverse)."""
         if count > len(self.digits):
             raise DomainError("cannot drop more digits than the word has")
-        return Word(self.digits[: len(self.digits) - count])
+        return Word._unchecked(self.digits[: len(self.digits) - count])
 
     def drop_first(self, count: int = 1) -> "Word":
         if count > len(self.digits):
             raise DomainError("cannot drop more digits than the word has")
-        return Word(self.digits[count:])
+        return Word._unchecked(self.digits[count:])
 
     def contains(self, other: "Word") -> bool:
         """Factor test. Uses a bytes fast path when every digit fits."""
@@ -170,89 +174,99 @@ class GenMethod(enum.Enum):
     RECURRENCE = "recurrence"
 
 
-def _require_k(k: int, minimum: int = 2) -> None:
+def require_k(k: int, minimum: int = 2) -> None:
+    """The one k-range check: word generation needs k >= 2, and the
+    palindrome results (counting, structure, verification) need k >= 3."""
     if not isinstance(k, int) or k < minimum:
         raise DomainError(f"k must be an integer >= {minimum}, got {k!r}")
+
+
+def _kbonacci_terms(k: int, n: int) -> Iterator[int]:
+    """f_k, ..., f_n in order, each checked against the machine width."""
+    window = [0] * (k - 1) + [1]
+    for m in range(k, n + 1):
+        nxt = sum(window)
+        if nxt > MAX_DIGIT:
+            raise DigitOverflowError(f"k-bonacci number f_{m} exceeds machine width")
+        window = window[1:] + [nxt]
+        yield nxt
 
 
 def kbonacci_number(k: int, n: int) -> int:
     """The n-th k-bonacci number: k-1 leading zeros, then 1, then each
     term the sum of the previous k."""
-    _require_k(k)
+    require_k(k)
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     if n <= k - 2:
         return 0
     if n == k - 1:
         return 1
-    window = [0] * (k - 1) + [1]
-    for _ in range(n - k + 1):
-        nxt = sum(window)
-        if nxt > MAX_DIGIT:
-            raise DigitOverflowError(f"k-bonacci number f_{n} exceeds machine width")
-        window = window[1:] + [nxt]
-    return window[-1]
-
-
-def morphism_image(k: int, digit: int) -> tuple[int, ...]:
-    """Image of a single digit under the infinite-alphabet morphism:
-    ki+j -> (ki)(ki+j+1) for 0 <= j <= k-2, and ki+(k-1) -> (ki+k)."""
-    _require_k(k)
-    if digit < 0:
-        raise DomainError(f"digit must be >= 0, got {digit}")
-    if digit + 1 > MAX_DIGIT:
-        raise DigitOverflowError("morphism image digit exceeds machine width")
-    i, j = divmod(digit, k)
-    if j <= k - 2:
-        return (k * i, digit + 1)
-    return (digit + 1,)
+    *_, last = _kbonacci_terms(k, n)
+    return last
 
 
 def apply_morphism(k: int, w: Word) -> Word:
+    """Image of w under the infinite-alphabet morphism:
+    ki+j -> (ki)(ki+j+1) for 0 <= j <= k-2, and ki+(k-1) -> (ki+k)."""
+    require_k(k)
+    if w.digits and max(w.digits) + 1 > MAX_DIGIT:
+        raise DigitOverflowError("morphism image digit exceeds machine width")
     out: list[int] = []
-    for d in w:
-        out.extend(morphism_image(k, d))
-    return Word(out)
+    for d in w.digits:
+        j = d % k
+        if j <= k - 2:
+            out.append(d - j)
+        out.append(d + 1)
+    return Word._unchecked(tuple(out))
 
 
 def shift_add(d: int, w: Word) -> Word:
     """Add d to every digit (the paper's d ⊕ W)."""
-    if d < 0:
-        raise DomainError(f"shift must be >= 0, got {d}")
+    if not isinstance(d, int) or d < 0:
+        raise DomainError(f"shift must be a nonnegative integer, got {d!r}")
     if w.digits and max(w.digits) + d > MAX_DIGIT:
         raise DigitOverflowError("shifted digit exceeds machine width")
-    return Word(x + d for x in w.digits)
+    return Word._unchecked(tuple(x + d for x in w.digits))
 
 
 def reduce_mod_k(k: int, w: Word) -> Word:
-    _require_k(k)
-    return Word(x % k for x in w.digits)
+    require_k(k)
+    return Word._unchecked(tuple(x % k for x in w.digits))
 
 
-def _check_guard(k: int, n: int, max_len: int | None) -> None:
+def _check_request(k: int, n: int, max_len: int | None) -> None:
+    """The checks word() and classical_word() make before generating."""
+    require_k(k)
+    if n < 0:
+        raise DomainError(f"n must be >= 0, got {n}")
+    # Stop at the first of f_k, ..., f_{n+k} past the guard: the sequence
+    # never decreases, so |W_n| = f_{n+k} is past it too, and no term that
+    # could overflow is formed while the guard is below the machine width.
     guard = DEFAULT_MAX_LEN if max_len is None else max_len
-    if kbonacci_number(k, n + k) > guard:
-        raise LengthGuardError(
-            f"|W_{n}| = f_{n + k} exceeds the length guard {guard} (k={k})"
-        )
+    for size in _kbonacci_terms(k, n + k):
+        if size > guard:
+            raise LengthGuardError(
+                f"|W_{n}| = f_{n + k} exceeds the length guard {guard} (k={k})"
+            )
 
 
-@functools.lru_cache(maxsize=None)
 def _word_digits(k: int, n: int) -> tuple[int, ...]:
-    # Block recurrence: W_0 = 0; W_n = W_{n-1}...W_0 n for n < k;
-    # W_n = W_{n-1}...W_{n-k+1} (k ⊕ W_{n-k}) for n >= k.
-    if n == 0:
-        return (0,)
-    if n <= k - 1:
-        out: list[int] = []
-        for i in range(n - 1, -1, -1):
-            out.extend(_word_digits(k, i))
-        out.append(n)
-        return tuple(out)
-    out = []
-    for i in range(n - 1, n - k, -1):
-        out.extend(_word_digits(k, i))
-    out.extend(x + k for x in _word_digits(k, n - k))
+    # Block recurrence: W_0 = 0; W_m = W_{m-1}...W_0 m for m < k;
+    # W_m = W_{m-1}...W_{m-k+1} (k ⊕ W_{m-k}) for m >= k. Each W_m begins
+    # with W_{m-1}, so every earlier block is a prefix of the one growing
+    # list, and only the sizes of the last k blocks are kept.
+    out = [0]
+    sizes = [1]  # sizes[-i] = |W_{m-i}| while W_m is built
+    for m in range(1, n + 1):
+        for size in sizes[-2 : -k : -1]:  # W_{m-2}, ... down to W_{m-k+1} or W_0
+            out.extend(out[:size])
+        if m >= k:
+            out.extend([x + k for x in out[: sizes[-k]]])
+        else:
+            out.append(m)
+        sizes.append(len(out))
+        del sizes[:-k]
     return tuple(out)
 
 
@@ -263,48 +277,35 @@ def word(
     max_len: int | None = None,
 ) -> Word:
     """The finite k-bonacci word W_n over the infinite alphabet."""
-    _require_k(k)
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    _check_guard(k, n, max_len)
+    _check_request(k, n, max_len)
     if method is GenMethod.MORPHISM:
         w = Word((0,))
         for _ in range(n):
             w = apply_morphism(k, w)
         return w
-    return Word(_word_digits(k, n))
-
-
-@functools.lru_cache(maxsize=None)
-def _classical_digits(k: int, n: int) -> tuple[int, ...]:
-    # Iterate the finite-alphabet morphism psi_k: i -> 0(i+1) for
-    # i <= k-2, (k-1) -> 0, starting from the single digit 0.
-    w = (0,)
-    for _ in range(n):
-        out: list[int] = []
-        for d in w:
-            if d <= k - 2:
-                out.append(0)
-                out.append(d + 1)
-            else:
-                out.append(0)
-        w = tuple(out)
-    return w
+    return Word._unchecked(_word_digits(k, n))
 
 
 def classical_word(k: int, n: int, max_len: int | None = None) -> Word:
     """The classical k-bonacci word F_n over the alphabet {0, ..., k-1}."""
-    _require_k(k)
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    _check_guard(k, n, max_len)
-    return Word(_classical_digits(k, n))
+    _check_request(k, n, max_len)
+    # Iterate the finite-alphabet morphism psi_k: i -> 0(i+1) for
+    # i <= k-2, (k-1) -> 0, starting from the single digit 0.
+    digits = [0]
+    for _ in range(n):
+        out: list[int] = []
+        for d in digits:
+            out.append(0)
+            if d <= k - 2:
+                out.append(d + 1)
+        digits = out
+    return Word._unchecked(tuple(digits))
 
 
 def suffix_pair(k: int, n: int) -> tuple[int, int]:
     """The last two digits of W_n in closed form: (n-j, n) when
     n ≡ j (mod k) with 1 <= j <= k-1, and (n-k+1, n) when k divides n."""
-    _require_k(k, 3)
+    require_k(k, 3)
     if n < 1:
         raise DomainError(f"n must be >= 1, got {n}")
     j = n % k

@@ -132,10 +132,17 @@ def test_usage_errors(run):
     assert code == 2
     code, _, _ = run("nonsense")
     assert code == 2
+    code, out, err = run("count", "--k", "3", "--n-max", "-1")
+    assert code == 2
+    assert "--n-max" in err and out == ""
 
 
 def test_max_len_env_guard(run):
     code, _, err = run("gen", "--k", "3", "--n", "12", env={"KBONA_MAX_LEN": "100"})
+    assert code == 2
+    assert "guard" in err
+    # Far past the guard, the guard trips before any digit could overflow.
+    code, _, err = run("gen", "--k", "3", "--n", "200")
     assert code == 2
     assert "guard" in err
 

@@ -3,7 +3,10 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from kbona import counting, structure, verify
 from kbona.words import (
+    MAX_DIGIT,
+    DigitOverflowError,
     DomainError,
     GenMethod,
     LengthGuardError,
@@ -218,6 +221,30 @@ def test_domain_errors():
         Word((-1,))
     with pytest.raises(DomainError):
         shift_add(-1, Word.parse("01"))
+    with pytest.raises(DigitOverflowError):
+        Word((2**63,))
+    with pytest.raises(DomainError):
+        Word((1.5,))
+    with pytest.raises(DigitOverflowError):
+        shift_add(1, Word((MAX_DIGIT,)))
+    with pytest.raises(DigitOverflowError):
+        apply_morphism(3, Word((MAX_DIGIT,)))
+    with pytest.raises(DomainError):
+        apply_morphism(1, Word.parse("0"))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda: counting.p_total(2, 3),
+        lambda: structure.allowed_lengths(2),
+        lambda: verify.verify_counts(2, 3),
+    ],
+    ids=["counting.p_total", "structure.allowed_lengths", "verify.verify_counts"],
+)
+def test_k_below_three_rejected_at_entry(entry):
+    with pytest.raises(DomainError):
+        entry()
 
 
 def test_plain_format_refused_when_ambiguous():

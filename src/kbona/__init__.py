@@ -1,101 +1,9 @@
 """k-bonacci words over the infinite alphabet: generation, palindrome
 counting and structure, and executable verification of the counting
-formulas against scan oracles."""
+formulas against scan oracles.
 
-from .counting import (
-    CountTable,
-    FormulaMode,
-    alpha,
-    b_count,
-    border_max_length,
-    p_initial,
-    p_total,
-    s_count,
-)
-from .palindromes import (
-    CrossingCounts,
-    CutSpec,
-    Occurrence,
-    RadiusProfile,
-    classify_crossing,
-    count_occurrences,
-    distinct_factors,
-    enumerate_maximal,
-    is_palindrome,
-    maximal_radii,
-)
-from .structure import (
-    Complexity,
-    LengthSet,
-    PalClass,
-    PalFamily,
-    StraddlingPair,
-    allowed_lengths,
-    catalog_elements,
-    classify_palindrome,
-    complexity,
-    length_set,
-    maximal_bordering_word,
-    maximal_straddling_words,
-)
-from .words import (
-    DigitOverflowError,
-    DomainError,
-    GenMethod,
-    LengthGuardError,
-    Word,
-    apply_morphism,
-    classical_word,
-    kbonacci_number,
-    reduce_mod_k,
-    shift_add,
-    suffix_pair,
-    word,
-)
-
-__all__ = [
-    "Complexity",
-    "CountTable",
-    "CrossingCounts",
-    "CutSpec",
-    "DigitOverflowError",
-    "DomainError",
-    "FormulaMode",
-    "GenMethod",
-    "LengthGuardError",
-    "LengthSet",
-    "Occurrence",
-    "PalClass",
-    "PalFamily",
-    "RadiusProfile",
-    "StraddlingPair",
-    "Word",
-    "allowed_lengths",
-    "alpha",
-    "apply_morphism",
-    "b_count",
-    "border_max_length",
-    "catalog_elements",
-    "classical_word",
-    "classify_crossing",
-    "classify_palindrome",
-    "complexity",
-    "count_occurrences",
-    "distinct_factors",
-    "enumerate_maximal",
-    "is_palindrome",
-    "kbonacci_number",
-    "length_set",
-    "maximal_bordering_word",
-    "maximal_radii",
-    "maximal_straddling_words",
-    "p_initial",
-    "p_total",
-    "reduce_mod_k",
-    "s_count",
-    "shift_add",
-    "suffix_pair",
-    "word",
-]
+Import from the submodules: ``kbona.words``, ``kbona.palindromes``,
+``kbona.counting``, ``kbona.structure``, ``kbona.verify`` and
+``kbona.cli``."""
 
 __version__ = "0.1.0"

@@ -31,6 +31,13 @@ def _mode(value: str) -> FormulaMode:
     return FormulaMode(value)
 
 
+def _non_negative_int(value: str) -> int:
+    n = int(value)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def _max_len() -> int | None:
     raw = os.environ.get("KBONA_MAX_LEN")
     if raw is None:
@@ -66,8 +73,6 @@ def _cmd_gen(args, out) -> int:
 
 
 def _cmd_count(args, out) -> int:
-    if args.n_max < 0:
-        raise DomainError(f"--n-max must be >= 0, got {args.n_max}")
     mode = _mode(args.mode)
     rows = []
     mismatch = False
@@ -186,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="palindrome count table")
     add_common(p, formats=("plain", "json"), default_format="plain")
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=_non_negative_int, required=True)
     p.add_argument("--mode", choices=[m.value for m in FormulaMode],
                    default=FormulaMode.DERIVED.value)
     p.add_argument("--oracle", action="store_true",
@@ -212,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run verification suites")
     add_common(p, formats=("plain", "json"), default_format="plain")
-    p.add_argument("--n-max", type=int, default=None)
+    p.add_argument("--n-max", type=_non_negative_int, default=None)
     p.add_argument("--suite",
                    choices=sorted(verify.SUITES) + ["all"], default="all")
     p.add_argument("--strict-paper", action="store_true",

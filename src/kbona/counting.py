@@ -11,7 +11,6 @@ printed expression verbatim so the difference can be reported.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .words import DomainError, kbonacci_number, require_k
 
@@ -67,7 +66,7 @@ def border_max_length(k: int, n: int, j: int) -> int:
 def alpha_border_closed(k: int, n: int) -> int:
     """Closed form of the bordering sum on k <= n <= 2k-3:
     2^k - (2k - n) 2^(n-k+1). Equals sum(b_count) there; kept separate so
-    the equality is testable rather than assumed."""
+    the counts suite can hold it to the scan rather than assume it."""
     require_k(k, 3)
     _require(k <= n <= 2 * k - 3, f"n={n} outside k..2k-3 for k={k}")
     return 2**k - (2 * k - n) * 2 ** (n - k + 1)
@@ -110,31 +109,3 @@ def _p_values(k: int, n_max: int, mode: FormulaMode) -> list[int]:
             values.append(sum(values[n - k : n]) + alpha(k, n, mode))
     return values
 
-
-@dataclass(frozen=True)
-class CountTable:
-    """P, alpha, S and B values over 0..n_max for one k and mode."""
-
-    k: int
-    mode: FormulaMode
-    n_max: int
-    p: tuple[int, ...]
-    alpha: tuple[int, ...]  # 0 below n = k where alpha is undefined
-    s: tuple[int, ...]
-    b: tuple[tuple[int, ...], ...]  # b[n][j] for 0 <= j <= n_max
-
-    @classmethod
-    def build(
-        cls, k: int, n_max: int, mode: FormulaMode = FormulaMode.DERIVED
-    ) -> "CountTable":
-        _require(n_max >= 0, f"n_max must be >= 0, got {n_max}")
-        p = tuple(_p_values(k, n_max, mode))
-        alphas = tuple(
-            alpha(k, n, mode) if n >= k else 0 for n in range(n_max + 1)
-        )
-        s = tuple(s_count(k, n) for n in range(n_max + 1))
-        b = tuple(
-            tuple(b_count(k, n, j) for j in range(n_max + 1))
-            for n in range(n_max + 1)
-        )
-        return cls(k=k, mode=mode, n_max=n_max, p=p, alpha=alphas, s=s, b=b)

@@ -32,12 +32,6 @@ class Occurrence:
         """1-based inclusive end position."""
         return self.start + self.length - 1
 
-    @property
-    def doubled_center(self) -> int:
-        # Even for odd lengths (center on a digit), odd for even lengths
-        # (center on a gap); doubled_center / 2 is the classical c_p.
-        return 2 * self.start + self.length - 1
-
     def extract(self, w: Word) -> Word:
         return w.factor(self.start, self.end)
 
@@ -51,20 +45,7 @@ class RadiusProfile:
     in 0-based digit coordinates.
     """
 
-    word_length: int
     lengths: tuple[int, ...]
-
-    def __post_init__(self):
-        expected = max(2 * self.word_length - 1, 0)
-        if len(self.lengths) != expected:
-            raise DomainError("radius profile has wrong number of centers")
-
-    def occurrence_at(self, center: int) -> Occurrence:
-        m = self.lengths[center]
-        if m < 1:
-            raise DomainError(f"center {center} holds no palindrome")
-        start0 = (center + 1 - m) // 2
-        return Occurrence(start0 + 1, m)
 
 
 def is_palindrome(w: Word) -> bool:
@@ -76,7 +57,7 @@ def maximal_radii(w: Word) -> RadiusProfile:
     sentinels; linear time, digit-equality only (alphabet unbounded)."""
     n = len(w)
     if n == 0:
-        return RadiusProfile(0, ())
+        return RadiusProfile(())
     # t[i] is None at separators; t has length 2n + 1.
     t: list[int | None] = [None] * (2 * n + 1)
     t[1::2] = list(w.digits)
@@ -96,7 +77,7 @@ def maximal_radii(w: Word) -> RadiusProfile:
             center, right = i, i + p[i]
     # p[i] equals the maximal palindrome length in the original word for
     # the center at augmented index i.
-    return RadiusProfile(n, tuple(p[1 : m - 1]))
+    return RadiusProfile(tuple(p[1 : m - 1]))
 
 
 def _center_count(max_len: int, min_len: int) -> int:
@@ -123,12 +104,11 @@ def count_occurrences(w: Word, min_len: int) -> int:
 
 def enumerate_maximal(w: Word, min_len: int) -> list[Occurrence]:
     """One occurrence per center whose maximal palindrome reaches
-    min_len, ordered by doubled center."""
+    min_len, ordered by center."""
     _require_min_len(min_len)
-    profile = maximal_radii(w)
     return [
-        profile.occurrence_at(c)
-        for c, m in enumerate(profile.lengths)
+        Occurrence((c + 1 - m) // 2 + 1, m)
+        for c, m in enumerate(maximal_radii(w).lengths)
         if m >= min_len
     ]
 
@@ -215,18 +195,6 @@ class CutSpec:
             if not prev < p < len(w):
                 raise DomainError(f"cut positions {self.cuts} invalid for |w|={len(w)}")
             prev = p
-
-    def block_of(self, position: int) -> int:
-        """Index of the block containing the 1-based position."""
-        b = 0
-        for p in self.cuts:
-            if position > p:
-                b += 1
-        return b
-
-    @property
-    def block_count(self) -> int:
-        return len(self.cuts) + 1
 
 
 @dataclass

@@ -223,26 +223,6 @@ def allowed_lengths(
     return LengthSet(k=k, family=None, mode=mode, lengths=lengths)
 
 
-class Complexity(enum.Enum):
-    INFINITE = "infinite"
-    ZERO = "zero"
-
-
-def complexity(
-    k: int, length: int, mode: counting.FormulaMode = counting.FormulaMode.DERIVED
-) -> Complexity:
-    """Palindrome complexity of the infinite word at the given factor
-    length: infinite on the admissible set, zero elsewhere. Length 1 is
-    rejected: every digit is trivially a palindrome and the dichotomy
-    does not apply."""
-    require_k(k, 3)
-    if length < 2:
-        raise DomainError(f"complexity is defined for lengths >= 2, got {length}")
-    if length in allowed_lengths(k, mode).lengths:
-        return Complexity.INFINITE
-    return Complexity.ZERO
-
-
 def classify_palindrome(k: int, w: Word) -> set[PalClass]:
     """All catalog memberships of w; empty means w is not a maximal
     palindromic factor of the infinite word."""

@@ -142,14 +142,17 @@ def default_n_max(k: int, limit: int = 1 << 16) -> int:
 
 def verify_counts(k: int, n_max: int | None = None) -> Report:
     """P(n) recurrence vs a palindrome scan of the generated word, in
-    both modes, for every n up to n_max."""
+    both modes, for every n up to n_max; alpha and its closed form on
+    k..2k-3 vs the scan difference P(n) - P(n-1) - ... - P(n-k)."""
     started = time.perf_counter()
     require_k(k, 3)
     if n_max is None:
         n_max = default_n_max(k)
     report = Report("counts", {"k": k, "n_max": n_max})
+    scans: list[int] = []  # scans[i] = palindromic occurrences in W_i
     for n in range(n_max + 1):
         oracle = count_occurrences(word(k, n), 2)
+        scans.append(oracle)
         _check(
             report.results,
             "p-total",
@@ -168,9 +171,7 @@ def verify_counts(k: int, n_max: int | None = None) -> Report:
         )
         if n >= k:
             derived = counting.alpha(k, n, FormulaMode.DERIVED)
-            oracle_alpha = oracle - sum(
-                count_occurrences(word(k, i), 2) for i in range(n - k, n)
-            )
+            oracle_alpha = oracle - sum(scans[n - k : n])
             _check(
                 report.results,
                 "alpha",
@@ -185,6 +186,16 @@ def verify_counts(k: int, n_max: int | None = None) -> Report:
                 {"k": k, "n": n, "mode": "as-stated"},
                 counting.alpha(k, n, FormulaMode.AS_STATED),
                 "AsStated",
+                oracle_alpha,
+            )
+        if k <= n <= 2 * k - 3:
+            # s_count vanishes here, so alpha is the bordering sum alone.
+            _check(
+                report.results,
+                "alpha-closed",
+                {"k": k, "n": n},
+                counting.alpha_border_closed(k, n),
+                "Derived",
                 oracle_alpha,
             )
     return report.finish(started)
@@ -263,8 +274,8 @@ def _first_word_containing(k: int, target: Word, n_limit: int) -> int | None:
 def verify_structure(k: int, n: int) -> Report:
     """Catalog completeness and realizability on W_n: every maximal
     palindrome classifies into a family, the predicted straddling words
-    occur at their cuts, and every catalog element occurs by its
-    predicted index."""
+    occur at their cuts, the maximal bordering words occur at their
+    centres, and every catalog element occurs by its predicted index."""
     started = time.perf_counter()
     require_k(k, 3)
     report = Report("structure", {"k": k, "n": n})
@@ -298,6 +309,29 @@ def verify_structure(k: int, n: int) -> Report:
                 report.results,
                 "straddling-occurs",
                 {"k": k, "n": n2, "word": cat},
+                True,
+                "Oracle",
+                occurs,
+            )
+
+    # The maximal bordering palindrome of type j is centred on the last
+    # digit of the prefix W_j of W_n2.
+    for n2 in range(k, min(n, 2 * k - 3) + 1):
+        w2 = word(k, n2)
+        for j in range(n2 - k + 2, k):
+            b = structure.maximal_bordering_word(k, n2, j)
+            centre = kbonacci_number(k, j + k)
+            half = (len(b) - 1) // 2
+            occurs = (
+                is_palindrome(b)
+                and len(b) == counting.border_max_length(k, n2, j)
+                and centre + half <= len(w2)
+                and w2.factor(centre - half, centre + half) == b
+            )
+            _check(
+                report.results,
+                "bordering-occurs",
+                {"k": k, "n": n2, "j": j},
                 True,
                 "Oracle",
                 occurs,
@@ -518,6 +552,17 @@ def _decomposition_sweep(k: int, n_max: int | None) -> Report:
     report = Report("decomposition", {"k": k, "n_max": n_max})
     for n in range(k, n_max + 1):
         report.results.extend(verify_decomposition(k, n).results)
+    if n_max < k:
+        report.results.append(
+            CheckResult(
+                "decomposition",
+                {"k": k, "n_max": n_max},
+                "n_max >= k",
+                "Oracle",
+                "no n with k <= n <= n_max",
+                SKIPPED,
+            )
+        )
     return report.finish(started)
 
 

@@ -99,12 +99,6 @@ class Word:
             return NotImplemented
         return Word._unchecked(self.digits + other.digits)
 
-    def at(self, j: int) -> int:
-        """The j-th digit, 1-based."""
-        if not 1 <= j <= len(self.digits):
-            raise DomainError(f"index {j} out of range 1..{len(self.digits)}")
-        return self.digits[j - 1]
-
     def factor(self, j: int, jp: int) -> "Word":
         """The factor W[j, j'] with 1-based inclusive bounds; empty when
         j' < j."""
@@ -118,12 +112,6 @@ class Word:
 
     def reverse(self) -> "Word":
         return Word._unchecked(self.digits[::-1])
-
-    def shift(self, d: int) -> "Word":
-        return shift_add(d, self)
-
-    def alphabet(self) -> set[int]:
-        return set(self.digits)
 
     def drop_last(self, count: int = 1) -> "Word":
         """Remove the last `count` digits (the paper's suffix-inverse)."""
@@ -154,14 +142,17 @@ class Word:
     def to_plain(self) -> str:
         """Contiguous decimal rendering; refused when any digit exceeds 9
         because the result would be ambiguous."""
-        if any(d > 9 for d in self.digits):
+        if max(self.digits, default=0) > 9:
             raise DomainError(
                 "plain format is ambiguous for digits > 9; use spaced or json"
             )
-        return "".join(str(d) for d in self.digits)
+        return "".join(map("0123456789".__getitem__, self.digits))
 
     def to_spaced(self) -> str:
-        return " ".join(str(d) for d in self.digits)
+        # One str per distinct digit, not per position: W_n has only n + 1
+        # distinct digits. Keyed by value, since digits reach MAX_DIGIT.
+        names = {d: str(d) for d in set(self.digits)}
+        return " ".join(map(names.__getitem__, self.digits))
 
     def __repr__(self) -> str:
         if all(d <= 9 for d in self.digits):

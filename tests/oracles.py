@@ -81,7 +81,7 @@ def brute_crossing(w: Word, cuts: CutSpec, min_len: int):
         if final is not None and final in crossed:
             straddling += 1
         elif crossed:
-            b = cuts.block_of(occ.start)
+            b = sum(1 for p in cuts.cuts if p < occ.start)  # block holding start
             bordering[b] = bordering.get(b, 0) + 1
         else:
             contained += 1

@@ -1,8 +1,8 @@
 """CLI behaviour: output formats, exit codes, JSON round-trips."""
 
-import io
 import json
-import sys
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -132,9 +132,10 @@ def test_usage_errors(run):
     assert code == 2
     code, _, _ = run("nonsense")
     assert code == 2
-    code, out, err = run("count", "--k", "3", "--n-max", "-1")
-    assert code == 2
-    assert "--n-max" in err and out == ""
+    for command in ("count", "verify"):
+        code, out, err = run(command, "--k", "3", "--n-max", "-1")
+        assert code == 2
+        assert "--n-max" in err and out == ""
 
 
 def test_max_len_env_guard(run):
@@ -151,3 +152,18 @@ def test_deterministic_output(run):
     a = run("verify", "--k", "3", "--suite", "counts", "--n-max", "6")
     b = run("verify", "--k", "3", "--suite", "counts", "--n-max", "6")
     assert a == b
+
+
+def _readme_cli_lines():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("kbona ")]
+
+
+def test_readme_cli_examples_run(run):
+    lines = _readme_cli_lines()
+    assert len(lines) >= 10
+    for line in lines:
+        argv = shlex.split(line, comments=True)[1:]
+        code, _, err = run(*argv)
+        assert code == (1 if "--strict-paper" in argv else 0), (line, err)

@@ -3,7 +3,6 @@
 import pytest
 
 from kbona.counting import (
-    CountTable,
     FormulaMode,
     alpha,
     alpha_border_closed,
@@ -44,6 +43,7 @@ def test_p_initial_against_brute(k):
 
 def test_b_count_examples():
     assert b_count(4, 4, 3) == 6
+    assert b_count(4, 4, 2) == 2
     assert b_count(3, 3, 2) == 2
     assert b_count(4, 6, 3) == 0
     assert b_count(4, 4, 1) == 0
@@ -110,6 +110,8 @@ P4_EXPECTED = [0, 0, 1, 5, 14, 24, 44, 88, 173, 336, 655]
 def test_p_total_fixed_series():
     assert [p_total(3, n) for n in range(9)] == P3_EXPECTED
     assert [p_total(4, n) for n in range(11)] == P4_EXPECTED
+    for n in range(4, 11):
+        assert P4_EXPECTED[n] == sum(P4_EXPECTED[n - 4 : n]) + alpha(4, n)
     for k in (3, 4, 5, 6):
         assert p_total(k, 2) == 1
         assert p_total(k, 2, FormulaMode.AS_STATED) == 1
@@ -119,16 +121,6 @@ def test_p_total_fixed_series():
 def test_p_total_matches_scan(k):
     for n in range(10):
         assert p_total(k, n) == count_occurrences(word(k, n), 2)
-
-
-def test_count_table():
-    table = CountTable.build(4, 10)
-    assert table.p == tuple(P4_EXPECTED)
-    assert table.s[7] == 1 and table.s[10] == 14
-    assert table.b[4][3] == 6 and table.b[4][2] == 2
-    assert table.alpha[4] == 8
-    for n in range(4, 11):
-        assert table.p[n] == sum(table.p[n - 4 : n]) + table.alpha[n]
 
 
 def test_k_below_three_rejected():

@@ -47,8 +47,6 @@ def test_radii_examples():
 def test_occurrence_geometry():
     occ = Occurrence(2, 5)
     assert occ.end == 6
-    assert occ.doubled_center == 8  # c_p = 4, odd length -> even doubled center
-    assert Occurrence(1, 2).doubled_center == 3  # even length -> odd
 
 
 def test_enumerate_examples():

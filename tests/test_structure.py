@@ -6,12 +6,10 @@ import pytest
 from kbona.counting import FormulaMode, border_max_length
 from kbona.palindromes import distinct_factors, enumerate_maximal, is_palindrome
 from kbona.structure import (
-    Complexity,
     PalFamily,
     allowed_lengths,
     catalog_elements,
     classify_palindrome,
-    complexity,
     length_set,
     maximal_bordering_word,
     maximal_straddling_words,
@@ -184,15 +182,6 @@ def test_allowed_lengths():
 def test_derived_lengths_match_scan(k):
     observed = {len(p) for p in distinct_factors(word(k, 3 * k + 2), 2)}
     assert observed == set(allowed_lengths(k, FormulaMode.DERIVED).lengths)
-
-
-def test_complexity():
-    assert complexity(3, 9) is Complexity.INFINITE
-    assert complexity(3, 4) is Complexity.ZERO
-    assert complexity(3, 11, FormulaMode.AS_STATED) is Complexity.INFINITE
-    assert complexity(3, 11, FormulaMode.DERIVED) is Complexity.ZERO
-    with pytest.raises(DomainError):
-        complexity(3, 1)
 
 
 def test_classify_examples():

@@ -34,6 +34,10 @@ def test_verify_counts_k4_documents_discrepancy():
         if r.check_id == "alpha" and r.verdict == verify.DISCREPANCY
     ]
     assert [(r.subject["n"], r.expected, r.actual) for r in flagged] == [(4, 12, 8)]
+    closed = [r for r in report.results if r.check_id == "alpha-closed"]
+    assert [(r.subject["n"], r.expected, r.actual) for r in closed] == [
+        (4, 8, 8), (5, 4, 4),
+    ]
     # Derived checks never fail
     assert all(
         r.verdict == verify.PASS
@@ -75,6 +79,14 @@ def test_decomposition_sweep(k, n_max):
     assert report.ok and report.strict_ok()
 
 
+def test_empty_decomposition_sweep_is_skipped():
+    report = verify._decomposition_sweep(4, 2)
+    assert report.summary == {
+        verify.PASS: 0, verify.FAIL: 0, verify.DISCREPANCY: 0, verify.SKIPPED: 1,
+    }
+    assert report.results[0].subject == {"k": 4, "n_max": 2}
+
+
 def test_verify_structure():
     report = verify.verify_structure(3, 10)
     assert report.ok
@@ -89,6 +101,11 @@ def test_verify_structure():
     ]
     assert len(straddles) == 2
     assert all(r.verdict == verify.PASS for r in straddles)
+    bordering = [r for r in report.results if r.check_id == "bordering-occurs"]
+    assert sorted((r.subject["n"], r.subject["j"]) for r in bordering) == [
+        (4, 2), (4, 3), (5, 3),
+    ]
+    assert all(r.verdict == verify.PASS for r in bordering)
 
     assert verify.verify_structure(3, 2).ok
 

@@ -194,12 +194,8 @@ def test_concat_length(u, v):
 
 def test_word_slicing_is_one_based():
     w = Word.parse("0102013")
-    assert w.at(1) == 0
-    assert w.at(7) == 3
     assert w.factor(2, 6).to_plain() == "10201"
     assert w.factor(3, 2) == Word()
-    with pytest.raises(DomainError):
-        w.at(0)
     with pytest.raises(DomainError):
         w.factor(0, 3)
 

@@ -1,17 +1,29 @@
 """Alphabet-agnostic palindrome machinery.
 
-Everything here works over arbitrary nonnegative-integer digits: a
-Manacher-style radius scan per center, occurrence counting and maximal
-enumeration derived from it, an eertree (palindromic tree) with dict
-edges for distinct-factor collection, and a cut classifier that buckets
-occurrences as contained / bordering / straddling relative to a block
-decomposition.
+Everything here works over arbitrary nonnegative-integer digits.
+
+- `maximal_radii` is the one scan: the maximal palindrome length at each
+  of the 2|w| - 1 centres. A centre can pass the trivial length (1 at a
+  digit, 0 at a gap) only when its two nearest digits are equal; a
+  C-level pass finds those centres, and only they are expanded in
+  Python, with Manacher's mirror bound so the scan stays linear.
+- `count_occurrences`, `enumerate_maximal` and `classify_crossing` read
+  that profile and visit in Python only the centres that reach min_len.
+- `classify_crossing` buckets occurrences as contained / bordering /
+  straddling relative to a block decomposition, per centre: an
+  occurrence of length L at centre c crosses the cut after position p
+  iff L >= |c - (2p - 1)| + 2, so a centre's bucket counts follow from
+  the thresholds of the few cuts its longest occurrence reaches.
+- An eertree (palindromic tree) with dict edges collects distinct
+  factors.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import compress, count, islice, repeat
+from operator import eq, ge
 
 from .words import DomainError, Word
 
@@ -52,41 +64,74 @@ def is_palindrome(w: Word) -> bool:
     return w.digits == w.digits[::-1]
 
 
+def _expand(ds: tuple[int, ...], lengths: list[int], centres) -> None:
+    """Manacher's scan over the centres of one parity class whose two
+    nearest digits are equal, given in increasing order; every other
+    centre of that class keeps its trivial length in `lengths`.
+
+    (mid, right) is the scanned palindrome that reaches furthest right,
+    ending at digit `right`. A centre c inside it is as long as its
+    mirror 2*mid - c when that mirror ends before `right`, and at least
+    as long as reaches `right` otherwise, so every digit comparison that
+    succeeds moves `right` on and the scan stays linear.
+    """
+    last = len(ds) - 1
+    mid = right = -1
+    for c in centres:
+        if c <= 2 * right:
+            m = lengths[2 * mid - c]
+            bound = 2 * right - c + 1
+            if m < bound:
+                lengths[c] = m
+                continue
+            m = bound
+        else:
+            m = lengths[c] + 2  # the nearest digits are equal
+        # The occurrence of length m at c spans digits a..b, 0-based.
+        a = (c - m + 1) // 2
+        b = a + m - 1
+        while a > 0 and b < last and ds[a - 1] == ds[b + 1]:
+            a -= 1
+            b += 1
+        lengths[c] = b - a + 1
+        if b > right:
+            mid, right = c, b
+
+
 def maximal_radii(w: Word) -> RadiusProfile:
-    """Manacher's algorithm over the augmented sequence with gap
-    sentinels; linear time, digit-equality only (alphabet unbounded)."""
-    n = len(w)
+    """Maximal palindrome length at every centre; linear time,
+    digit-equality only (alphabet unbounded).
+
+    Each digit is a palindrome of length 1 and each gap one of length 0.
+    A centre reaches beyond that only when its two nearest digits are
+    equal; a C-level pass picks out those centres and only they are
+    expanded, with Manacher's mirror bound.
+    """
+    ds = w.digits
+    n = len(ds)
     if n == 0:
         return RadiusProfile(())
-    # t[i] is None at separators; t has length 2n + 1.
-    t: list[int | None] = [None] * (2 * n + 1)
-    t[1::2] = list(w.digits)
-    m = len(t)
-    p = [0] * m
-    center = right = 0
-    for i in range(1, m - 1):
-        if i < right:
-            p[i] = min(right - i, p[2 * center - i])
-        while (
-            i - p[i] - 1 >= 0
-            and i + p[i] + 1 < m
-            and t[i - p[i] - 1] == t[i + p[i] + 1]
-        ):
-            p[i] += 1
-        if i + p[i] > right:
-            center, right = i, i + p[i]
-    # p[i] equals the maximal palindrome length in the original word for
-    # the center at augmented index i.
-    return RadiusProfile(tuple(p[1 : m - 1]))
+    lengths = [1, 0] * n
+    lengths.pop()
+    # Digit i (centre 2i) reaches length 3 iff ds[i-1] == ds[i+1]; the gap
+    # after digit i (centre 2i+1) reaches length 2 iff ds[i] == ds[i+1].
+    _expand(ds, lengths, compress(count(2, 2), map(eq, ds, islice(ds, 2, None))))
+    _expand(ds, lengths, compress(count(1, 2), map(eq, ds, islice(ds, 1, None))))
+    return RadiusProfile(tuple(lengths))
 
 
-def _center_count(max_len: int, min_len: int) -> int:
-    # Lengths available at a center run max_len, max_len - 2, ... down to
-    # 1 or 2; count those >= min_len.
-    if max_len < min_len:
-        return 0
-    lo = min_len if (min_len % 2) == (max_len % 2) else min_len + 1
-    return (max_len - lo) // 2 + 1
+def _reaching(lengths: tuple[int, ...], min_len: int):
+    """Indices of the centres whose maximal length is at least min_len,
+    found without a Python-level step per centre."""
+    return compress(count(), map(ge, lengths, repeat(min_len)))
+
+
+def _count(lengths: tuple[int, ...], min_len: int) -> int:
+    # A centre of maximal length m >= min_len holds the lengths m, m-2, ...
+    # >= min_len: (m - min_len) // 2 + 1 of them.
+    return sum(
+        (m - min_len) // 2 + 1 for m in compress(lengths, map(ge, lengths, repeat(min_len)))
+    )
 
 
 def _require_min_len(min_len: int) -> None:
@@ -98,18 +143,17 @@ def count_occurrences(w: Word, min_len: int) -> int:
     """Number of palindromic occurrences (start, length) of length at
     least min_len."""
     _require_min_len(min_len)
-    profile = maximal_radii(w)
-    return sum(_center_count(m, min_len) for m in profile.lengths)
+    return _count(maximal_radii(w).lengths, min_len)
 
 
 def enumerate_maximal(w: Word, min_len: int) -> list[Occurrence]:
     """One occurrence per center whose maximal palindrome reaches
     min_len, ordered by center."""
     _require_min_len(min_len)
+    lengths = maximal_radii(w).lengths
     return [
-        Occurrence((c + 1 - m) // 2 + 1, m)
-        for c, m in enumerate(maximal_radii(w).lengths)
-        if m >= min_len
+        Occurrence((c + 1 - lengths[c]) // 2 + 1, lengths[c])
+        for c in _reaching(lengths, min_len)
     ]
 
 
@@ -203,12 +247,15 @@ class CrossingCounts:
 
     bordering is keyed by the index of the block containing the
     occurrence's start; straddling takes priority whenever the final cut
-    is crossed.
+    is crossed. occurrences is the plain count of the same occurrences,
+    summed per centre apart from the bucket arithmetic, so that `total`
+    can be checked against it.
     """
 
     contained: int = 0
     bordering: dict[int, int] = field(default_factory=dict)
     straddling: int = 0
+    occurrences: int = 0
 
     @property
     def total(self) -> int:
@@ -217,30 +264,70 @@ class CrossingCounts:
 
 def classify_crossing(w: Word, cuts: CutSpec, min_len: int) -> CrossingCounts:
     """Assign every palindromic occurrence of length >= min_len to exactly
-    one bucket relative to the block decomposition."""
+    one bucket relative to the block decomposition.
+
+    The cut after position p is centre 2p - 1, and an occurrence of
+    length L at centre c crosses it iff L >= |c - (2p - 1)| + 2. Each
+    centre is bucketed by comparing its lengths with the thresholds of
+    the few cuts its longest occurrence reaches.
+    """
     _require_min_len(min_len)
     cuts.validate(w)
-    counts = CrossingCounts()
+    lengths = maximal_radii(w).lengths
+    counts = CrossingCounts(occurrences=_count(lengths, min_len))
     if not cuts.cuts:
-        counts.contained = count_occurrences(w, min_len)
+        counts.contained = counts.occurrences
         return counts
-    positions = cuts.cuts
-    final_cut = positions[-1]
-    bordering = counts.bordering
-    for c, m in enumerate(maximal_radii(w).lengths):
-        # The occurrences at centre c have lengths m, m-2, ... >= min_len;
-        # start and end are 1-based and inclusive.
-        for length in range(m, min_len - 1, -2):
-            start = (c + 1 - length) // 2 + 1
-            end = start + length - 1
-            # The occurrence crosses cut p iff start <= p < end. Only the
-            # first cut at or after start can be crossed, and its index b
-            # is the index of the block holding start.
-            b = bisect_left(positions, start)
-            if start <= final_cut < end:
-                counts.straddling += 1
-            elif b < len(positions) and positions[b] < end:
-                bordering[b] = bordering.get(b, 0) + 1
-            else:
-                counts.contained += 1
+    gaps = [2 * p - 1 for p in cuts.cuts]
+    # Centres come in increasing order; left <= c < right are the nearest
+    # cuts around c. The sentinels -1 and len(lengths) lie beyond the
+    # reach of every occurrence.
+    bounds = [-1, *gaps, len(lengths)]
+    r, left, right = 1, bounds[0], bounds[1]
+    contained = 0
+    for c in _reaching(lengths, min_len):
+        m = lengths[c]
+        while c >= right:
+            r += 1
+            left, right = right, bounds[r]
+        if left < c - m + 2 and c + m - 2 < right:
+            contained += (m - min_len) // 2 + 1
+        else:
+            _bucket_centre(counts, c, m, min_len, gaps)
+    counts.contained += contained
     return counts
+
+
+def _bucket_centre(
+    counts: CrossingCounts, c: int, m: int, min_len: int, gaps: list[int]
+) -> None:
+    """Bucket the occurrences at centre c, of lengths m, m-2, ... >=
+    min_len, whose longest one crosses at least one cut.
+
+    Walking the thresholds upward, each length crosses the cuts whose
+    threshold it reaches; its bucket is set by the leftmost of them, or is
+    straddling once the final cut is among them.
+    """
+    final = len(gaps) - 1
+    # prev is the shortest length not yet bucketed. Every length at c, and
+    # every threshold |c - g| + 2, has the parity of m.
+    prev = min_len + ((m - min_len) & 1)
+    leftmost = None
+    lo = bisect_left(gaps, c - m + 2)
+    hi = bisect_right(gaps, c + m - 2)
+    for t, j in sorted((abs(c - gaps[j]) + 2, j) for j in range(lo, hi)):
+        if t > prev:
+            _add(counts, leftmost, (t - prev) // 2)
+            prev = t
+        if j == final:
+            counts.straddling += (m - prev) // 2 + 1
+            return
+        leftmost = j if leftmost is None else min(leftmost, j)
+    _add(counts, leftmost, (m - prev) // 2 + 1)
+
+
+def _add(counts: CrossingCounts, block: int | None, n: int) -> None:
+    if block is None:
+        counts.contained += n
+    else:
+        counts.bordering[block] = counts.bordering.get(block, 0) + n

@@ -257,7 +257,7 @@ def verify_decomposition(k: int, n: int) -> Report:
         report.results,
         "partition-total",
         {"k": k, "n": n},
-        count_occurrences(w, 2),
+        observed.occurrences,
         "Oracle",
         observed.total,
     )
@@ -275,7 +275,9 @@ def verify_structure(k: int, n: int) -> Report:
     """Catalog completeness and realizability on W_n: every maximal
     palindrome classifies into a family, the predicted straddling words
     occur at their cuts, the maximal bordering words occur at their
-    centres, and every catalog element occurs by its predicted index."""
+    centres, and every catalog element occurs by its predicted index.
+    A catalog element whose predicted index exceeds n, and the straddling
+    range when n < 2k-1, are reported as Skipped rows."""
     started = time.perf_counter()
     require_k(k, 3)
     report = Report("structure", {"k": k, "n": n})
@@ -293,6 +295,17 @@ def verify_structure(k: int, n: int) -> Report:
             bool(classes),
         )
 
+    if n < 2 * k - 1:
+        report.results.append(
+            CheckResult(
+                "straddling-occurs",
+                {"k": k, "n": n},
+                f"n >= {2 * k - 1}",
+                "Oracle",
+                f"no n2 with {2 * k - 1} <= n2 <= n",
+                SKIPPED,
+            )
+        )
     for n2 in range(2 * k - 1, min(n, 3 * k - 2) + 1):
         pairs = structure.maximal_straddling_words(k, n2)
         w2 = word(k, n2)
@@ -341,9 +354,20 @@ def verify_structure(k: int, n: int) -> Report:
     # W_{3k-2+k*i}; report (rather than assume) when the index differs.
     for family in structure.PalFamily:
         for element, cls in structure.catalog_elements(k, family, 1):
-            if n < 3 * k - 2 + k * cls.shift:
-                continue
             predicted = 3 * k - 2 + k * cls.shift
+            if n < predicted:
+                report.results.append(
+                    CheckResult(
+                        "catalog-occurs",
+                        {"k": k, "family": family.value, "class": cls.describe(),
+                         "index": predicted},
+                        predicted,
+                        "Oracle",
+                        f"n={n} below the predicted index",
+                        SKIPPED,
+                    )
+                )
+                continue
             if word(k, predicted).contains(element):
                 actual: int | None = predicted
             else:

@@ -166,21 +166,41 @@ def test_radius_profile_invariants():
 
 
 def _cutspec_for(w, rng):
-    positions = sorted(rng.sample(range(1, len(w)), rng.randint(1, 3)))
+    positions = sorted(rng.sample(range(1, len(w)), rng.randint(1, len(w) - 1)))
     return CutSpec(tuple(positions))
 
 
 def test_classify_crossing_against_oracle():
+    # Alphabets of one or two digits give long palindromes that span
+    # several cuts; up to len(w) - 1 cuts puts one between every digit.
     rng = random.Random(7)
-    for _ in range(60):
-        w = Word(rng.randrange(6) for _ in range(rng.randint(5, 80)))
+    for _ in range(150):
+        sigma = rng.choice((1, 2, 6))
+        w = Word(rng.randrange(sigma) for _ in range(rng.randint(2, 80)))
         cuts = _cutspec_for(w, rng)
-        got = classify_crossing(w, cuts, 2)
-        contained, bordering, straddling = brute_crossing(w, cuts, 2)
-        assert got.contained == contained
-        assert got.bordering == bordering
-        assert got.straddling == straddling
-        assert got.total == count_occurrences(w, 2)
+        for min_len in (1, 2, 3):
+            got = classify_crossing(w, cuts, min_len)
+            contained, bordering, straddling = brute_crossing(w, cuts, min_len)
+            assert got.contained == contained
+            assert got.bordering == bordering
+            assert 0 not in got.bordering.values()
+            assert got.straddling == straddling
+            assert got.occurrences == got.total == brute_count(w, min_len)
+            assert count_occurrences(w, min_len) == got.occurrences
+            assert enumerate_maximal(w, min_len) == brute_maximal(w, min_len)
+
+
+def test_radii_linear_on_periodic_words():
+    # Every centre of 0^n and of (01)^n lies inside a palindrome reaching
+    # the nearer end of the word; a scan without the mirror bound expands
+    # each one again from its centre, quadratic in n.
+    n = 20_000
+    assert maximal_radii(Word((0,) * n)).lengths == tuple(
+        min(c + 1, 2 * n - 1 - c) for c in range(2 * n - 1)
+    )
+    assert maximal_radii(Word((0, 1) * (n // 2))).lengths == tuple(
+        0 if c % 2 else min(c + 1, 2 * n - 1 - c) for c in range(2 * n - 1)
+    )
 
 
 def test_classify_crossing_single_block():

@@ -3,7 +3,7 @@ discrepancies with the printed formulas."""
 
 import pytest
 
-from kbona import verify
+from kbona import palindromes, verify
 from kbona.words import DomainError
 
 
@@ -85,6 +85,57 @@ def test_empty_decomposition_sweep_is_skipped():
         verify.PASS: 0, verify.FAIL: 0, verify.DISCREPANCY: 0, verify.SKIPPED: 1,
     }
     assert report.results[0].subject == {"k": 4, "n_max": 2}
+
+
+def test_decomposition_sweep_scans_each_word_once(monkeypatch):
+    scans = []
+    original = palindromes.maximal_radii
+
+    def counted(w):
+        scans.append(len(w))
+        return original(w)
+
+    monkeypatch.setattr(palindromes, "maximal_radii", counted)
+    report = verify._decomposition_sweep(4, 10)
+    assert report.ok
+    assert len(scans) == 7  # W_4 .. W_10
+    partition = [r for r in report.results if r.check_id == "partition-total"]
+    assert len(partition) == 7 and all(r.verdict == verify.PASS for r in partition)
+
+
+def test_structure_skips_are_reported():
+    # n = 0 is below every range the suite checks: no row runs, and each
+    # catalog element and the straddling range is one Skipped row.
+    report = verify.verify_structure(3, 0)
+    assert report.ok
+    assert report.summary[verify.SKIPPED] == len(report.results) > 0
+    straddling = [r for r in report.results if r.check_id == "straddling-occurs"]
+    assert [r.subject for r in straddling] == [{"k": 3, "n": 0}]
+
+    report = verify.verify_structure(5, 3)
+    catalog = [r for r in report.results if r.check_id == "catalog-occurs"]
+    assert len(catalog) == 27
+    assert all(r.verdict == verify.SKIPPED for r in catalog)
+    assert {r.subject["index"] for r in catalog} == {13, 18}
+    assert [r.verdict for r in report.results if r.check_id == "straddling-occurs"] == [
+        verify.SKIPPED
+    ]
+
+    # k = 3, n = 10: the shift-1 elements are due at index 10 and run; at
+    # n = 9 they are skipped while the shift-0 elements (index 7) run.
+    for n, skipped in ((10, set()), (9, {10})):
+        report = verify.verify_structure(3, n)
+        assert report.ok
+        catalog = [r for r in report.results if r.check_id == "catalog-occurs"]
+        skipped_at = {r.subject["index"] for r in catalog if r.verdict == verify.SKIPPED}
+        assert skipped_at == skipped
+        assert all(
+            r.verdict == verify.PASS for r in catalog if r.verdict != verify.SKIPPED
+        )
+        assert all(
+            r.verdict != verify.SKIPPED
+            for r in report.results if r.check_id == "straddling-occurs"
+        )
 
 
 def test_verify_structure():

@@ -268,62 +268,38 @@ def classify_crossing(w: Word, cuts: CutSpec, min_len: int) -> CrossingCounts:
 
     The cut after position p is centre 2p - 1, and an occurrence of
     length L at centre c crosses it iff L >= |c - (2p - 1)| + 2. Each
-    centre is bucketed by comparing its lengths with the thresholds of
-    the few cuts its longest occurrence reaches.
+    centre's lengths m, m-2, ... >= min_len are bucketed by walking the
+    thresholds of the cuts its longest occurrence reaches, in increasing
+    order: a length crosses the cuts whose threshold it reaches, its
+    bucket is set by the leftmost of them, or is straddling once the
+    final cut is among them, and a length below every threshold is
+    contained.
     """
     _require_min_len(min_len)
     cuts.validate(w)
     lengths = maximal_radii(w).lengths
     counts = CrossingCounts(occurrences=_count(lengths, min_len))
-    if not cuts.cuts:
-        counts.contained = counts.occurrences
-        return counts
     gaps = [2 * p - 1 for p in cuts.cuts]
-    # Centres come in increasing order; left <= c < right are the nearest
-    # cuts around c. The sentinels -1 and len(lengths) lie beyond the
-    # reach of every occurrence.
-    bounds = [-1, *gaps, len(lengths)]
-    r, left, right = 1, bounds[0], bounds[1]
-    contained = 0
+    final = len(gaps) - 1
     for c in _reaching(lengths, min_len):
         m = lengths[c]
-        while c >= right:
-            r += 1
-            left, right = right, bounds[r]
-        if left < c - m + 2 and c + m - 2 < right:
-            contained += (m - min_len) // 2 + 1
+        # prev is the shortest length at c not yet bucketed. Every length
+        # at c, and every threshold |c - g| + 2, has the parity of m.
+        prev = min_len + ((m - min_len) & 1)
+        leftmost = None
+        lo = bisect_left(gaps, c - m + 2)
+        hi = bisect_right(gaps, c + m - 2)
+        for t, j in sorted((abs(c - gaps[j]) + 2, j) for j in range(lo, hi)):
+            if t > prev:
+                _add(counts, leftmost, (t - prev) // 2)
+                prev = t
+            if j == final:
+                counts.straddling += (m - prev) // 2 + 1
+                break
+            leftmost = j if leftmost is None else min(leftmost, j)
         else:
-            _bucket_centre(counts, c, m, min_len, gaps)
-    counts.contained += contained
+            _add(counts, leftmost, (m - prev) // 2 + 1)
     return counts
-
-
-def _bucket_centre(
-    counts: CrossingCounts, c: int, m: int, min_len: int, gaps: list[int]
-) -> None:
-    """Bucket the occurrences at centre c, of lengths m, m-2, ... >=
-    min_len, whose longest one crosses at least one cut.
-
-    Walking the thresholds upward, each length crosses the cuts whose
-    threshold it reaches; its bucket is set by the leftmost of them, or is
-    straddling once the final cut is among them.
-    """
-    final = len(gaps) - 1
-    # prev is the shortest length not yet bucketed. Every length at c, and
-    # every threshold |c - g| + 2, has the parity of m.
-    prev = min_len + ((m - min_len) & 1)
-    leftmost = None
-    lo = bisect_left(gaps, c - m + 2)
-    hi = bisect_right(gaps, c + m - 2)
-    for t, j in sorted((abs(c - gaps[j]) + 2, j) for j in range(lo, hi)):
-        if t > prev:
-            _add(counts, leftmost, (t - prev) // 2)
-            prev = t
-        if j == final:
-            counts.straddling += (m - prev) // 2 + 1
-            return
-        leftmost = j if leftmost is None else min(leftmost, j)
-    _add(counts, leftmost, (m - prev) // 2 + 1)
 
 
 def _add(counts: CrossingCounts, block: int | None, n: int) -> None:

@@ -359,8 +359,7 @@ def verify_structure(k: int, n: int) -> Report:
                 report.results.append(
                     CheckResult(
                         "catalog-occurs",
-                        {"k": k, "family": family.value, "class": cls.describe(),
-                         "index": predicted},
+                        {"k": k, "family": family.value, "class": cls.describe()},
                         predicted,
                         "Oracle",
                         f"n={n} below the predicted index",

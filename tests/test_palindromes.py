@@ -190,17 +190,36 @@ def test_classify_crossing_against_oracle():
             assert enumerate_maximal(w, min_len) == brute_maximal(w, min_len)
 
 
+class _CountedDigits(tuple):
+    """A digit tuple that counts its index reads and fails once they pass
+    a budget, so a quadratic scan stops early instead of running long."""
+
+    def __new__(cls, digits, budget):
+        self = super().__new__(cls, digits)
+        self.reads, self.budget = 0, budget
+        return self
+
+    def __getitem__(self, i):
+        self.reads += 1
+        assert self.reads <= self.budget, "scan reads digits more than linearly"
+        return super().__getitem__(i)
+
+
 def test_radii_linear_on_periodic_words():
     # Every centre of 0^n and of (01)^n lies inside a palindrome reaching
     # the nearer end of the word; a scan without the mirror bound expands
-    # each one again from its centre, quadratic in n.
+    # each one again from its centre and reads about n^2 / 2 digits. With
+    # it, each successful comparison moves the right end of the furthest
+    # palindrome on, so each parity class makes at most n successful and n
+    # failed comparisons: 8n digit reads in all.
     n = 20_000
-    assert maximal_radii(Word((0,) * n)).lengths == tuple(
-        min(c + 1, 2 * n - 1 - c) for c in range(2 * n - 1)
-    )
-    assert maximal_radii(Word((0, 1) * (n // 2))).lengths == tuple(
-        0 if c % 2 else min(c + 1, 2 * n - 1 - c) for c in range(2 * n - 1)
-    )
+    for digits, expected in (
+        ((0,) * n, [min(c + 1, 2 * n - 1 - c) for c in range(2 * n - 1)]),
+        ((0, 1) * (n // 2), [0 if c % 2 else min(c + 1, 2 * n - 1 - c) for c in range(2 * n - 1)]),
+    ):
+        w = Word(digits)
+        object.__setattr__(w, "digits", _CountedDigits(digits, 8 * n))
+        assert maximal_radii(w).lengths == tuple(expected)
 
 
 def test_classify_crossing_single_block():

@@ -116,7 +116,7 @@ def test_structure_skips_are_reported():
     catalog = [r for r in report.results if r.check_id == "catalog-occurs"]
     assert len(catalog) == 27
     assert all(r.verdict == verify.SKIPPED for r in catalog)
-    assert {r.subject["index"] for r in catalog} == {13, 18}
+    assert {r.expected for r in catalog} == {13, 18}
     assert [r.verdict for r in report.results if r.check_id == "straddling-occurs"] == [
         verify.SKIPPED
     ]
@@ -127,8 +127,9 @@ def test_structure_skips_are_reported():
         report = verify.verify_structure(3, n)
         assert report.ok
         catalog = [r for r in report.results if r.check_id == "catalog-occurs"]
-        skipped_at = {r.subject["index"] for r in catalog if r.verdict == verify.SKIPPED}
+        skipped_at = {r.expected for r in catalog if r.verdict == verify.SKIPPED}
         assert skipped_at == skipped
+        assert {frozenset(r.subject) for r in catalog} == {frozenset({"k", "family", "class"})}
         assert all(
             r.verdict == verify.PASS for r in catalog if r.verdict != verify.SKIPPED
         )

@@ -7,23 +7,26 @@ Everything here works over arbitrary nonnegative-integer digits.
   digit, 0 at a gap) only when its two nearest digits are equal; a
   C-level pass finds those centres, and only they are expanded in
   Python, with Manacher's mirror bound so the scan stays linear.
-- `count_occurrences`, `enumerate_maximal` and `classify_crossing` read
-  that profile and visit in Python only the centres that reach min_len.
+- `count_occurrences` and `enumerate_maximal` read that profile and
+  visit in Python only the centres that reach min_len.
 - `classify_crossing` buckets occurrences as contained / bordering /
   straddling relative to a block decomposition, per centre: an
   occurrence of length L at centre c crosses the cut after position p
-  iff L >= |c - (2p - 1)| + 2, so a centre's bucket counts follow from
-  the thresholds of the few cuts its longest occurrence reaches.
-- An eertree (palindromic tree) with dict edges collects distinct
-  factors.
+  iff L >= |c - (2p - 1)| + 2. Only the centres within max(lengths) - 2
+  of a cut can cross one, so it walks only those cut windows and counts
+  the centres between them as contained in bulk.
+- `distinct_factors` builds an eertree (palindromic tree) kept in flat
+  parallel lists, with dict edges keyed by digit.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from itertools import compress, count, islice, repeat
-from operator import eq, ge
+from operator import eq, floordiv, ge, sub
 
 from .words import DomainError, Word
 
@@ -64,7 +67,7 @@ def is_palindrome(w: Word) -> bool:
     return w.digits == w.digits[::-1]
 
 
-def _expand(ds: tuple[int, ...], lengths: list[int], centres) -> None:
+def _expand(ds: tuple[int, ...], lengths: array, centres) -> None:
     """Manacher's scan over the centres of one parity class whose two
     nearest digits are equal, given in increasing order; every other
     centre of that class keeps its trivial length in `lengths`.
@@ -111,7 +114,9 @@ def maximal_radii(w: Word) -> RadiusProfile:
     n = len(ds)
     if n == 0:
         return RadiusProfile(())
-    lengths = [1, 0] * n
+    # A 4-byte array halves the working store next to the tuple it is
+    # copied into; a length overflows it only past 2^31 digits.
+    lengths = array("i", (1, 0)) * n
     lengths.pop()
     # Digit i (centre 2i) reaches length 3 iff ds[i-1] == ds[i+1]; the gap
     # after digit i (centre 2i+1) reaches length 2 iff ds[i] == ds[i+1].
@@ -120,17 +125,12 @@ def maximal_radii(w: Word) -> RadiusProfile:
     return RadiusProfile(tuple(lengths))
 
 
-def _reaching(lengths: tuple[int, ...], min_len: int):
-    """Indices of the centres whose maximal length is at least min_len,
-    found without a Python-level step per centre."""
-    return compress(count(), map(ge, lengths, repeat(min_len)))
-
-
-def _count(lengths: tuple[int, ...], min_len: int) -> int:
-    # A centre of maximal length m >= min_len holds the lengths m, m-2, ...
-    # >= min_len: (m - min_len) // 2 + 1 of them.
+def _count(ms: Iterable[int], min_len: int) -> int:
+    """Occurrences of length >= min_len at centres of maximal lengths ms,
+    in one C-level pass: a centre of maximal length m >= min_len holds
+    the lengths m, m-2, ... >= min_len, (m - min_len + 2) // 2 of them."""
     return sum(
-        (m - min_len) // 2 + 1 for m in compress(lengths, map(ge, lengths, repeat(min_len)))
+        map(floordiv, map(sub, filter(min_len.__le__, ms), repeat(min_len - 2)), repeat(2))
     )
 
 
@@ -153,71 +153,53 @@ def enumerate_maximal(w: Word, min_len: int) -> list[Occurrence]:
     lengths = maximal_radii(w).lengths
     return [
         Occurrence((c + 1 - lengths[c]) // 2 + 1, lengths[c])
-        for c in _reaching(lengths, min_len)
+        for c in compress(count(), map(ge, lengths, repeat(min_len)))
     ]
 
 
-class _EertreeNode:
-    __slots__ = ("length", "link", "edges", "end")
-
-    def __init__(self, length: int, link: int, end: int):
-        self.length = length
-        self.link = link
-        self.edges: dict[int, int] = {}
-        self.end = end  # 0-based index of the last digit of one occurrence
-
-
-class Eertree:
-    """Palindromic tree with per-node dict edges keyed by digit, so the
-    alphabet may be unbounded. One node per distinct palindromic factor."""
-
-    def __init__(self):
-        # Node 0: imaginary root of length -1; node 1: empty-word root.
-        self.nodes = [_EertreeNode(-1, 0, -1), _EertreeNode(0, 0, -1)]
-        self.digits: list[int] = []
-        self.last = 1
-
-    def _extend_link(self, v: int) -> int:
-        pos = len(self.digits) - 1
-        while True:
-            length = self.nodes[v].length
-            if pos - length - 1 >= 0 and self.digits[pos - length - 1] == self.digits[pos]:
-                return v
-            v = self.nodes[v].link
-
-    def add(self, digit: int) -> None:
-        self.digits.append(digit)
-        cur = self._extend_link(self.last)
-        node = self.nodes[cur]
-        nxt = node.edges.get(digit)
-        if nxt is not None:
-            self.last = nxt
-            return
-        new_len = node.length + 2
-        if new_len == 1:
-            link = 1
-        else:
-            link_par = self._extend_link(self.nodes[cur].link)
-            link = self.nodes[link_par].edges[digit]
-        self.nodes.append(_EertreeNode(new_len, link, len(self.digits) - 1))
-        node.edges[digit] = len(self.nodes) - 1
-        self.last = len(self.nodes) - 1
-
-    def factors(self, min_len: int = 1) -> set[Word]:
-        out = set()
-        for node in self.nodes[2:]:
-            if node.length >= min_len:
-                out.add(Word(self.digits[node.end - node.length + 1 : node.end + 1]))
-        return out
-
-
 def distinct_factors(w: Word, min_len: int) -> set[Word]:
-    """The set of distinct palindromic factors of length >= min_len."""
+    """The set of distinct palindromic factors of length >= min_len.
+
+    An eertree (palindromic tree) held in parallel lists, one entry per
+    node: `length`, suffix `link`, the 0-based `end` of one occurrence,
+    and `edges`, a dict keyed by digit so the alphabet may be unbounded.
+    Node 0 is the imaginary root of length -1, node 1 the empty
+    palindrome; every other node is one distinct palindromic factor.
+    """
     _require_min_len(min_len)
-    tree = Eertree()
-    for d in w:
-        tree.add(d)
-    return tree.factors(min_len)
+    ds = w.digits
+    length, link, end, edges = [-1, 0], [0, 0], [-1, -1], [{}, {}]
+    last = 1  # the longest palindromic suffix of the digits read so far
+    for i, d in enumerate(ds):
+        # Walk suffix links to the longest palindromic suffix x with d x d
+        # a suffix too; the root of length -1 always qualifies.
+        v = last
+        while True:
+            j = i - length[v] - 1
+            if j >= 0 and ds[j] == d:
+                break
+            v = link[v]
+        last = edges[v].get(d)
+        if last is None:
+            if v:
+                # The new node's link: the same walk, from below x.
+                u = link[v]
+                while True:
+                    j = i - length[u] - 1
+                    if j >= 0 and ds[j] == d:
+                        break
+                    u = link[u]
+                link.append(edges[u][d])
+            else:
+                link.append(1)  # a single digit links to the empty palindrome
+            last = edges[v][d] = len(length)
+            length.append(length[v] + 2)
+            end.append(i)
+            edges.append({})
+    return {
+        Word._unchecked(ds[e - m + 1 : e + 1])
+        for m, e in zip(length, end) if m >= min_len
+    }
 
 
 @dataclass(frozen=True)
@@ -266,40 +248,55 @@ def classify_crossing(w: Word, cuts: CutSpec, min_len: int) -> CrossingCounts:
     """Assign every palindromic occurrence of length >= min_len to exactly
     one bucket relative to the block decomposition.
 
-    The cut after position p is centre 2p - 1, and an occurrence of
-    length L at centre c crosses it iff L >= |c - (2p - 1)| + 2. Each
-    centre's lengths m, m-2, ... >= min_len are bucketed by walking the
-    thresholds of the cuts its longest occurrence reaches, in increasing
-    order: a length crosses the cuts whose threshold it reaches, its
-    bucket is set by the leftmost of them, or is straddling once the
-    final cut is among them, and a length below every threshold is
-    contained.
+    The cut after position p is centre g = 2p - 1, and an occurrence of
+    length L at centre c crosses it iff L >= |c - g| + 2. So a centre
+    further than reach = max(lengths) - 2 from every cut holds only
+    contained occurrences: those centres are counted in bulk, and only
+    the centres in the merged windows [g - reach, g + reach] are bucketed
+    one at a time, by `_bucket`.
     """
     _require_min_len(min_len)
     cuts.validate(w)
     lengths = maximal_radii(w).lengths
     counts = CrossingCounts(occurrences=_count(lengths, min_len))
     gaps = [2 * p - 1 for p in cuts.cuts]
-    final = len(gaps) - 1
-    for c in _reaching(lengths, min_len):
-        m = lengths[c]
-        # prev is the shortest length at c not yet bucketed. Every length
-        # at c, and every threshold |c - g| + 2, has the parity of m.
-        prev = min_len + ((m - min_len) & 1)
-        leftmost = None
-        lo = bisect_left(gaps, c - m + 2)
-        hi = bisect_right(gaps, c + m - 2)
-        for t, j in sorted((abs(c - gaps[j]) + 2, j) for j in range(lo, hi)):
-            if t > prev:
-                _add(counts, leftmost, (t - prev) // 2)
-                prev = t
-            if j == final:
-                counts.straddling += (m - prev) // 2 + 1
-                break
-            leftmost = j if leftmost is None else min(leftmost, j)
-        else:
-            _add(counts, leftmost, (m - prev) // 2 + 1)
+    reach = max(max(lengths, default=0) - 2, 0)
+    rest = iter(lengths)  # the centres from `done` on
+    done = 0
+    for g in gaps:
+        lo = max(g - reach, done)
+        hi = min(g + reach + 1, len(lengths))
+        counts.contained += _count(islice(rest, lo - done), min_len)
+        for c in compress(count(lo), map(ge, islice(rest, hi - lo), repeat(min_len))):
+            _bucket(counts, gaps, c, lengths[c], min_len)
+        done = hi
+    counts.contained += _count(rest, min_len)
     return counts
+
+
+def _bucket(counts: CrossingCounts, gaps: list[int], c: int, m: int, min_len: int) -> None:
+    """Bucket the lengths m, m-2, ... >= min_len at centre c by walking
+    the thresholds |c - g| + 2 of the cuts its longest occurrence reaches,
+    in increasing order: a length crosses the cuts whose threshold it
+    reaches, its bucket is set by the leftmost of them, or is straddling
+    once the final cut is among them, and a length below every threshold
+    is contained."""
+    # prev is the shortest length at c not yet bucketed. Every length at
+    # c, and every threshold, has the parity of m.
+    prev = min_len + ((m - min_len) & 1)
+    final = len(gaps) - 1
+    leftmost = None
+    lo = bisect_left(gaps, c - m + 2)
+    hi = bisect_right(gaps, c + m - 2)
+    for t, j in sorted((abs(c - gaps[j]) + 2, j) for j in range(lo, hi)):
+        if t > prev:
+            _add(counts, leftmost, (t - prev) // 2)
+            prev = t
+        if j == final:
+            counts.straddling += (m - prev) // 2 + 1
+            return
+        leftmost = j if leftmost is None else min(leftmost, j)
+    _add(counts, leftmost, (m - prev) // 2 + 1)
 
 
 def _add(counts: CrossingCounts, block: int | None, n: int) -> None:

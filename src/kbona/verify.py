@@ -276,8 +276,9 @@ def verify_structure(k: int, n: int) -> Report:
     palindrome classifies into a family, the predicted straddling words
     occur at their cuts, the maximal bordering words occur at their
     centres, and every catalog element occurs by its predicted index.
-    A catalog element whose predicted index exceeds n, and the straddling
-    range when n < 2k-1, are reported as Skipped rows."""
+    A catalog element whose predicted index exceeds n, the straddling
+    range when n < 2k-1 and the bordering range when n < k are reported
+    as Skipped rows."""
     started = time.perf_counter()
     require_k(k, 3)
     report = Report("structure", {"k": k, "n": n})
@@ -327,6 +328,17 @@ def verify_structure(k: int, n: int) -> Report:
                 occurs,
             )
 
+    if n < k:
+        report.results.append(
+            CheckResult(
+                "bordering-occurs",
+                {"k": k, "n": n},
+                f"n >= {k}",
+                "Oracle",
+                f"no n2 with {k} <= n2 <= n",
+                SKIPPED,
+            )
+        )
     # The maximal bordering palindrome of type j is centred on the last
     # digit of the prefix W_j of W_n2.
     for n2 in range(k, min(n, 2 * k - 3) + 1):
@@ -509,16 +521,13 @@ def verify_lemmas(k: int, n_max: int) -> Report:
     return report.finish(started)
 
 
-def verify_lengths(k: int, max_len: int | None = None) -> Report:
+def verify_lengths(k: int, max_len: int = 1 << 23) -> Report:
     """Distinct palindrome lengths observed in W_{3k+2} vs the admissible
-    length sets in both modes."""
+    length sets in both modes. max_len is the suite's digit budget: the
+    default admits W_23 for k=7 (7.8 M digits), and a longer word raises
+    LengthGuardError."""
     started = time.perf_counter()
     require_k(k, 3)
-    if k > 6 and max_len is None:
-        raise DomainError(
-            f"verify_lengths guards at k <= 6 (word too long for k={k}); "
-            "pass an explicit max_len to override"
-        )
     report = Report("lengths", {"k": k, "n": 3 * k + 2})
     w = word(k, 3 * k + 2, max_len=max_len)
     observed = frozenset(len(p) for p in distinct_factors(w, 2))

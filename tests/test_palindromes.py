@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from kbona import palindromes
 from kbona.palindromes import (
     CutSpec,
     Occurrence,
@@ -16,6 +17,7 @@ from kbona.palindromes import (
     is_palindrome,
     maximal_radii,
 )
+from kbona.verify import decomposition_cuts
 from kbona.words import DomainError, Word, shift_add, word
 
 from oracles import (
@@ -67,6 +69,14 @@ def test_distinct_examples():
     assert got == {Word.parse("010"), Word.parse("020"), Word.parse("10201")}
     assert distinct_factors(Word.parse("111"), 2) == {Word.parse("11"), Word.parse("111")}
     assert Word((3, 3)) in distinct_factors(word(3, 5), 2)
+    # The empty word has no factor; a unary word has the longest
+    # suffix-link chains and exactly one palindrome of each length.
+    assert distinct_factors(Word(), 1) == set()
+    n = 5000
+    for min_len in (1, 2):
+        got = distinct_factors(Word((0,) * n), min_len)
+        assert sorted(map(len, got)) == list(range(min_len, n + 1))
+        assert all(p.digits == (0,) * len(p) for p in got)
 
 
 def test_min_len_domain():
@@ -220,6 +230,27 @@ def test_radii_linear_on_periodic_words():
         w = Word(digits)
         object.__setattr__(w, "digits", _CountedDigits(digits, 8 * n))
         assert maximal_radii(w).lengths == tuple(expected)
+
+
+def test_classify_crossing_walks_only_cut_windows(monkeypatch):
+    # Only a centre within reach = max(lengths) - 2 of a cut can cross
+    # it, so at most 2 * reach + 1 centres per cut are bucketed one at a
+    # time; a walk over every reaching centre of W_16 (k = 6) buckets
+    # 28,074.
+    k, n = 6, 16
+    w, cuts = word(k, n), decomposition_cuts(k, n)
+    reach = max(maximal_radii(w).lengths) - 2
+    walked = []
+    original = palindromes._bucket
+
+    def counted(counts, gaps, c, m, min_len):
+        walked.append(c)
+        original(counts, gaps, c, m, min_len)
+
+    monkeypatch.setattr(palindromes, "_bucket", counted)
+    got = classify_crossing(w, cuts, 2)
+    assert 0 < len(walked) <= len(cuts.cuts) * (2 * reach + 1)
+    assert got.total == got.occurrences == count_occurrences(w, 2)
 
 
 def test_classify_crossing_single_block():

@@ -4,7 +4,7 @@ discrepancies with the printed formulas."""
 import pytest
 
 from kbona import palindromes, verify
-from kbona.words import DomainError
+from kbona.words import DomainError, LengthGuardError
 
 
 def verdicts(report, check_id=None):
@@ -109,17 +109,18 @@ def test_structure_skips_are_reported():
     report = verify.verify_structure(3, 0)
     assert report.ok
     assert report.summary[verify.SKIPPED] == len(report.results) > 0
-    straddling = [r for r in report.results if r.check_id == "straddling-occurs"]
-    assert [r.subject for r in straddling] == [{"k": 3, "n": 0}]
+    for check_id in ("straddling-occurs", "bordering-occurs"):
+        rows = [r for r in report.results if r.check_id == check_id]
+        assert [r.subject for r in rows] == [{"k": 3, "n": 0}]
 
     report = verify.verify_structure(5, 3)
     catalog = [r for r in report.results if r.check_id == "catalog-occurs"]
     assert len(catalog) == 27
     assert all(r.verdict == verify.SKIPPED for r in catalog)
     assert {r.expected for r in catalog} == {13, 18}
-    assert [r.verdict for r in report.results if r.check_id == "straddling-occurs"] == [
-        verify.SKIPPED
-    ]
+    for check_id in ("straddling-occurs", "bordering-occurs"):
+        rows = [r for r in report.results if r.check_id == check_id]
+        assert [(r.subject, r.verdict) for r in rows] == [({"k": 5, "n": 3}, verify.SKIPPED)]
 
     # k = 3, n = 10: the shift-1 elements are due at index 10 and run; at
     # n = 9 they are skipped while the shift-0 elements (index 7) run.
@@ -135,7 +136,8 @@ def test_structure_skips_are_reported():
         )
         assert all(
             r.verdict != verify.SKIPPED
-            for r in report.results if r.check_id == "straddling-occurs"
+            for r in report.results
+            if r.check_id in ("straddling-occurs", "bordering-occurs")
         )
 
 
@@ -186,8 +188,14 @@ def test_verify_lengths():
     report = verify.verify_lengths(4)
     assert report.ok
 
-    with pytest.raises(DomainError):
-        verify.verify_lengths(7)
+    # The default digit budget, 2^23, admits W_23 for k = 7 (7,805,695
+    # digits) and refuses W_26 for k = 8 (64,504,063 digits).
+    report = verify.verify_lengths(7)
+    assert report.ok
+    flagged = [r for r in report.results if r.check_id == "length-as-stated-only"]
+    assert [r.subject["length"] for r in flagged] == [191]
+    with pytest.raises(LengthGuardError):
+        verify.verify_lengths(8)
 
 
 def test_reports_deterministic():

@@ -116,16 +116,15 @@ def _cmd_structure(args, out) -> int:
         return 0
     families = (list(structure.PalFamily) if args.family == "all"
                 else [structure.PalFamily(args.family)])
-    rows = []
-    for family in families:
-        for element, cls in structure.catalog_elements(args.k, family, args.i_max):
-            rows.append({"class": cls.describe(), "digits": list(element.digits)})
+    rows = [(cls.describe(), element)
+            for family in families
+            for element, cls in structure.catalog_elements(args.k, family, args.i_max)]
     if args.format == "json":
-        _emit_json(args.k, "structure", rows, out)
+        _emit_json(args.k, "structure",
+                   [{"class": c, "digits": list(e.digits)} for c, e in rows], out)
     else:
-        for row in rows:
-            print(f"{row['class']}\t{' '.join(str(d) for d in row['digits'])}",
-                  file=out)
+        for c, e in rows:
+            print(f"{c}\t{e.to_spaced()}", file=out)
     return 0
 
 

@@ -28,6 +28,7 @@ from .palindromes import (
 from .words import (
     DomainError,
     GenMethod,
+    LengthGuardError,
     Word,
     apply_morphism,
     classical_word,
@@ -599,5 +600,19 @@ def _decomposition_sweep(k: int, n_max: int | None) -> Report:
 
 
 def run_suites(k: int, n_max: int | None = None, suites: list[str] | None = None) -> list[Report]:
-    names = suites if suites else list(SUITES)
-    return [SUITES[name](k, n_max) for name in names]
+    """One report per named suite (all by default). A suite whose word is
+    past its length guard reports a single Skipped row quoting the guard,
+    and the other suites still run."""
+    reports = []
+    for name in suites or SUITES:
+        started = time.perf_counter()
+        try:
+            reports.append(SUITES[name](k, n_max))
+        except LengthGuardError as exc:
+            report = Report(name, {"k": k, "n_max": n_max})
+            report.results.append(
+                CheckResult(name, {"k": k}, "within the length guard", "Oracle",
+                            str(exc), SKIPPED)
+            )
+            reports.append(report.finish(started))
+    return reports

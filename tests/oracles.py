@@ -12,8 +12,8 @@ from kbona.words import Word
 
 
 def brute_is_palindrome(digits) -> bool:
-    ds = tuple(digits)
-    return ds == ds[::-1]
+    """digits: a bytes or tuple digit store, or a slice of one."""
+    return digits == digits[::-1]
 
 
 def brute_radii(w: Word) -> list[int]:
@@ -86,3 +86,46 @@ def brute_crossing(w: Word, cuts: CutSpec, min_len: int):
         else:
             contained += 1
     return contained, bordering, straddling
+
+
+# Per-digit references for the word maps, which the engine runs as
+# C-level bytes operations; each returns a tuple of ints.
+
+
+def ref_apply_morphism(k: int, digits) -> tuple[int, ...]:
+    """phi_k: ki+j -> (ki)(ki+j+1) for j <= k-2, ki+(k-1) -> (ki+k)."""
+    out: list[int] = []
+    for d in digits:
+        i, j = divmod(d, k)
+        if j == k - 1:
+            out.append(k * i + k)
+        else:
+            out.extend((k * i, d + 1))
+    return tuple(out)
+
+
+def ref_classical_word(k: int, n: int) -> tuple[int, ...]:
+    """F_n = psi_k^n(0) with psi_k: i -> 0(i+1) for i <= k-2, k-1 -> 0."""
+    digits: tuple[int, ...] = (0,)
+    for _ in range(n):
+        out: list[int] = []
+        for d in digits:
+            out.append(0)
+            if d < k - 1:
+                out.append(d + 1)
+        digits = tuple(out)
+    return digits
+
+
+def ref_reduce_mod_k(k: int, digits) -> tuple[int, ...]:
+    return tuple(d % k for d in digits)
+
+
+def ref_shift_add(s: int, digits) -> tuple[int, ...]:
+    return tuple(d + s for d in digits)
+
+
+def brute_contains(haystack, needle) -> bool:
+    """Factor test by comparing needle with every window of haystack."""
+    hay, pat = tuple(haystack), tuple(needle)
+    return any(hay[s : s + len(pat)] == pat for s in range(len(hay) - len(pat) + 1))

@@ -1,5 +1,6 @@
 """CLI behaviour: output formats, exit codes, JSON round-trips."""
 
+import hashlib
 import json
 import shlex
 from pathlib import Path
@@ -111,6 +112,12 @@ def test_verify_exit_codes(run):
     assert code == 0
     code, _, _ = run("verify", "--k", "4", "--suite", "counts", "--strict-paper")
     assert code == 1
+    # The lengths suite is past its guard at k = 8: it is reported as
+    # Skipped and the run still succeeds.
+    code, out, err = run("verify", "--k", "8", "--n-max", "8")
+    assert code == 0 and err == ""
+    assert "suite lengths: pass=0 fail=0 discrepancy=0 skipped=1" in out
+    assert out.count("suite ") == 5
 
 
 def test_verify_json_schema(run):
@@ -152,6 +159,19 @@ def test_deterministic_output(run):
     a = run("verify", "--k", "3", "--suite", "counts", "--n-max", "6")
     b = run("verify", "--k", "3", "--suite", "counts", "--n-max", "6")
     assert a == b
+
+
+def test_gen_long_digests_match_benchmark(run):
+    # The benchmark's gen-long commands, with the sha256 of each stdout
+    # recorded in perfbench/expected.json; the file is only read here.
+    expected = json.loads(
+        (Path(__file__).resolve().parent.parent / "perfbench" / "expected.json").read_text()
+    )["gen-long"]
+    assert len(expected) == 3
+    for command, digest in expected.items():
+        code, out, err = run(*shlex.split(command))
+        assert code == 0, (command, err)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
 
 
 def _readme_cli_lines():

@@ -233,3 +233,21 @@ def test_run_suites_all():
         "counts", "decomposition", "structure", "lemmas", "lengths",
     }
     assert all(r.ok for r in reports)
+
+
+def test_run_suites_reports_a_guarded_suite_as_skipped():
+    # W_26 for k = 8 is past the lengths suite's budget; that suite
+    # reports one Skipped row quoting the guard, and the rest still run.
+    reports = verify.run_suites(8, 8)
+    assert [r.suite for r in reports] == list(verify.SUITES)
+    by_suite = {r.suite: r for r in reports}
+    lengths = by_suite.pop("lengths")
+    assert [r.verdict for r in lengths.results] == [verify.SKIPPED]
+    assert lengths.ok and lengths.summary[verify.SKIPPED] == 1
+    with pytest.raises(LengthGuardError) as exc:
+        verify.verify_lengths(8)
+    assert lengths.results[0].actual == str(exc.value)
+    assert "length guard" in lengths.results[0].actual
+    for report in by_suite.values():
+        assert report.ok
+        assert report.summary[verify.PASS] > 0

@@ -1,7 +1,7 @@
 """Word generation: printed fixtures, size laws, morphism identities."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from kbona import counting, structure, verify
 from kbona.words import (
@@ -18,6 +18,14 @@ from kbona.words import (
     shift_add,
     suffix_pair,
     word,
+)
+
+from oracles import (
+    brute_contains,
+    ref_apply_morphism,
+    ref_classical_word,
+    ref_reduce_mod_k,
+    ref_shift_add,
 )
 
 # Printed fixtures: (k, n, W_n, F_n).
@@ -227,6 +235,21 @@ def test_domain_errors():
         apply_morphism(3, Word((MAX_DIGIT,)))
     with pytest.raises(DomainError):
         apply_morphism(1, Word.parse("0"))
+    with pytest.raises(DigitOverflowError):
+        shift_add(MAX_DIGIT, Word((1,)))
+    with pytest.raises(DigitOverflowError):
+        apply_morphism(3, Word((300, MAX_DIGIT)))
+    with pytest.raises(DomainError):
+        shift_add(1.5, Word.parse("01"))
+    with pytest.raises(DomainError):
+        reduce_mod_k(1, Word.parse("01"))
+    with pytest.raises(DomainError):
+        Word.parse("0x1")
+    with pytest.raises(DomainError):
+        Word((3, 300)).to_plain()
+    # At the bound, and on the empty word, nothing overflows.
+    assert shift_add(MAX_DIGIT, Word((0,))) == Word((MAX_DIGIT,))
+    assert shift_add(MAX_DIGIT + 1, Word()) == Word()
 
 
 @pytest.mark.parametrize(
@@ -247,3 +270,127 @@ def test_plain_format_refused_when_ambiguous():
     with pytest.raises(DomainError):
         word(3, 10).to_plain()
     assert Word((10, 3)).to_spaced() == "10 3"
+
+
+# Digits on both sides of the byte boundary; small alphabets make factor
+# matches likely.
+byte_lists = st.lists(st.integers(0, 3) | st.integers(0, 255), max_size=16)
+digit_lists = byte_lists | st.lists(
+    st.integers(0, 3) | st.integers(254, 257) | st.integers(0, 300), max_size=16
+)
+
+
+def _assert_canonical(w, ds):
+    """w holds the digits ds, in the form set by their content alone."""
+    ds = list(ds)
+    assert type(w.digits) is (bytes if all(d < 256 for d in ds) else tuple)
+    assert list(w.digits) == ds
+    assert w == Word(ds) and hash(w) == hash(Word(ds))
+
+
+@given(digit_lists, digit_lists)
+def test_canonical_store(xs, ys):
+    u, v = Word(xs), Word(ys)
+    _assert_canonical(u, xs)
+    # The trailing comma selects separated parsing for one-digit words.
+    _assert_canonical(Word.parse(",".join(map(str, xs)) + ","), xs)
+    uv = u + v
+    _assert_canonical(uv, xs + ys)
+    _assert_canonical(v + u, ys + xs)
+    _assert_canonical(uv.factor(1, len(xs)), xs)
+    _assert_canonical(uv.factor(len(xs) + 1, len(xs) + len(ys)), ys)
+    _assert_canonical(uv.drop_first(len(xs)), ys)
+    _assert_canonical(uv.drop_last(len(ys)), xs)
+    _assert_canonical(u.reverse(), xs[::-1])
+
+
+def test_canonical_store_at_the_byte_boundary():
+    assert Word().digits == b""
+    assert Word.parse("255 0").digits == b"\xff\x00"
+    assert Word.parse("256 0").digits == (256, 0)
+    # A byte factor of a tuple word, and a tuple word reduced or dropped
+    # below 256, take the bytes form.
+    big = Word((256, 1, 2))
+    assert big.factor(2, 3).digits == b"\x01\x02"
+    assert big.drop_first().digits == b"\x01\x02"
+    assert reduce_mod_k(3, big).digits == b"\x01\x01\x02"
+    assert (Word((255,)) + big).digits == (255, 256, 1, 2)
+    # shift_add up to 255 stays a byte word; one past it leaves the form.
+    assert shift_add(1, Word((254, 0))).digits == b"\xff\x01"
+    assert shift_add(2, Word((254, 0))).digits == (256, 2)
+    assert shift_add(256, Word((0,))).digits == (256,)
+    assert shift_add(0, big) == big
+
+
+@given(digit_lists, st.integers(0, 300))
+def test_shift_add_matches_reference(ds, d):
+    _assert_canonical(shift_add(d, Word(ds)), ref_shift_add(d, ds))
+
+
+@given(digit_lists, digit_lists, st.data())
+def test_contains_matches_brute_search(xs, ys, data):
+    i = data.draw(st.integers(0, len(xs)))
+    j = data.draw(st.integers(i, len(xs)))
+    for hay, needle in ((xs, ys), (ys, xs), (xs, xs[i:j]), (ys + xs[i:j], xs[i:j])):
+        assert Word(hay).contains(Word(needle)) == brute_contains(hay, needle)
+
+
+@pytest.mark.parametrize(
+    "hay,needle,found",
+    [
+        ((1, 2, 3), (2, 3), True),  # bytes in bytes
+        ((1, 2, 3), (3, 2), False),
+        ((1, 2), (300,), False),  # tuple in bytes
+        ((1, 300, 2), (300, 2), True),  # tuple in tuple
+        ((1, 300, 2), (2, 300), False),
+        ((1, 300, 2), (1,), True),  # bytes in tuple
+        ((1, 300, 2), (1, 2), False),
+        ((1, 300, 2), (), True),
+        ((), (), True),
+    ],
+)
+def test_contains_across_forms(hay, needle, found):
+    assert Word(hay).contains(Word(needle)) is found
+
+
+# Byte words at and past the last digits whose images stay in a byte.
+BOUNDARY_WORDS = [(253,), (254,), (255,), (252, 253, 254, 255), tuple(range(256)),
+                  (253, 256, 0)]
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_word_maps_match_references_at_the_byte_boundary(k):
+    for ds in BOUNDARY_WORDS:
+        w = Word(ds)
+        _assert_canonical(apply_morphism(k, w), ref_apply_morphism(k, ds))
+        _assert_canonical(reduce_mod_k(k, w), ref_reduce_mod_k(k, ds))
+        for d in {0, 1, 2, k, max(255 - max(ds), 0), max(256 - max(ds), 0)}:
+            _assert_canonical(shift_add(d, w), ref_shift_add(d, ds))
+
+
+@settings(max_examples=30)
+@given(digit_lists)
+@pytest.mark.parametrize("k", range(2, 9))
+def test_word_maps_match_references(k, ds):
+    w = Word(ds)
+    _assert_canonical(apply_morphism(k, w), ref_apply_morphism(k, ds))
+    _assert_canonical(reduce_mod_k(k, w), ref_reduce_mod_k(k, ds))
+
+
+@pytest.mark.parametrize("k", range(2, 9))
+def test_classical_word_matches_reference(k):
+    for n in range(13):
+        _assert_canonical(classical_word(k, n), ref_classical_word(k, n))
+
+
+@pytest.mark.parametrize("top", [9, 99, 255, 300])
+@given(data=st.data())
+def test_renderings_match_str_join(top, data):
+    ds = data.draw(st.lists(st.integers(0, 3) | st.integers(0, top), max_size=24))
+    w = Word(ds)
+    assert w.to_spaced() == " ".join(map(str, ds))
+    if all(d <= 9 for d in ds):
+        assert w.to_plain() == "".join(map(str, ds))
+    else:
+        with pytest.raises(DomainError):
+            w.to_plain()

@@ -7,14 +7,16 @@ Everything here works over arbitrary nonnegative-integer digits.
   digit, 0 at a gap) only when its two nearest digits are equal; a
   C-level pass finds those centres, and only they are expanded in
   Python, with Manacher's mirror bound so the scan stays linear.
-- `count_occurrences` and `enumerate_maximal` read that profile and
-  visit in Python only the centres that reach min_len.
+- `count_occurrences` reads that profile in one C-level pass, and
+  `enumerate_maximal` slices the maximal palindrome of each centre that
+  reaches min_len from the digit store into a set of distinct factors.
 - `classify_crossing` buckets occurrences as contained / bordering /
-  straddling relative to a block decomposition, per centre: an
-  occurrence of length L at centre c crosses the cut after position p
-  iff L >= |c - (2p - 1)| + 2. Only the centres within max(lengths) - 2
-  of a cut can cross one, so it walks only those cut windows and counts
-  the centres between them as contained in bulk.
+  straddling relative to a block decomposition, given as a tuple of
+  cut after-positions, per centre: an occurrence of length L at centre
+  c crosses the cut after position p iff L >= |c - (2p - 1)| + 2. Only
+  the centres within max(lengths) - 2 of a cut can cross one, so it
+  walks only those cut windows and counts the centres between them as
+  contained in bulk.
 - `distinct_factors` builds an eertree (palindromic tree) kept in flat
   parallel lists, with dict edges keyed by digit.
 """
@@ -31,43 +33,24 @@ from operator import eq, floordiv, ge, sub
 from .words import DomainError, Word
 
 
-@dataclass(frozen=True, order=True)
-class Occurrence:
-    """A located palindromic occurrence; start is 1-based."""
-
-    start: int
-    length: int
-
-    def __post_init__(self):
-        if self.start < 1 or self.length < 1:
-            raise DomainError(f"invalid occurrence ({self.start}, {self.length})")
-
-    @property
-    def end(self) -> int:
-        """1-based inclusive end position."""
-        return self.start + self.length - 1
-
-    def extract(self, w: Word) -> Word:
-        return w.factor(self.start, self.end)
-
-
 @dataclass(frozen=True)
 class RadiusProfile:
     """Maximal palindrome length for each of the 2|w| - 1 centers.
 
     Center index c (0-based) is the digit at position c/2 when c is even
     and the gap between positions (c-1)/2 and (c+1)/2 when c is odd, both
-    in 0-based digit coordinates.
+    in 0-based digit coordinates. `lengths` is the scan's own 4-byte
+    `array("i")`, which a length overflows only past 2^31 digits.
     """
 
-    lengths: tuple[int, ...]
+    lengths: array
 
 
 def is_palindrome(w: Word) -> bool:
     return w.digits == w.digits[::-1]
 
 
-def _expand(ds: tuple[int, ...], lengths: array, centres) -> None:
+def _expand(ds: bytes | tuple[int, ...], lengths: array, centres) -> None:
     """Manacher's scan over the centres of one parity class whose two
     nearest digits are equal, given in increasing order; every other
     centre of that class keeps its trivial length in `lengths`.
@@ -111,18 +94,13 @@ def maximal_radii(w: Word) -> RadiusProfile:
     expanded, with Manacher's mirror bound.
     """
     ds = w.digits
-    n = len(ds)
-    if n == 0:
-        return RadiusProfile(())
-    # A 4-byte array halves the working store next to the tuple it is
-    # copied into; a length overflows it only past 2^31 digits.
-    lengths = array("i", (1, 0)) * n
-    lengths.pop()
+    lengths = array("i", (1, 0)) * len(ds)
+    del lengths[-1:]  # no gap after the last digit
     # Digit i (centre 2i) reaches length 3 iff ds[i-1] == ds[i+1]; the gap
     # after digit i (centre 2i+1) reaches length 2 iff ds[i] == ds[i+1].
     _expand(ds, lengths, compress(count(2, 2), map(eq, ds, islice(ds, 2, None))))
     _expand(ds, lengths, compress(count(1, 2), map(eq, ds, islice(ds, 1, None))))
-    return RadiusProfile(tuple(lengths))
+    return RadiusProfile(lengths)
 
 
 def _count(ms: Iterable[int], min_len: int) -> int:
@@ -146,15 +124,18 @@ def count_occurrences(w: Word, min_len: int) -> int:
     return _count(maximal_radii(w).lengths, min_len)
 
 
-def enumerate_maximal(w: Word, min_len: int) -> list[Occurrence]:
-    """One occurrence per center whose maximal palindrome reaches
-    min_len, ordered by center."""
+def enumerate_maximal(w: Word, min_len: int) -> set[Word]:
+    """The distinct factors that are the maximal palindrome at some
+    centre and reach min_len. The maximal palindrome of length m at
+    centre c spans the 0-based digits (c + 1 - m) / 2 .. (c - 1 + m) / 2;
+    the slices are deduplicated before any Word is built."""
     _require_min_len(min_len)
-    lengths = maximal_radii(w).lengths
-    return [
-        Occurrence((c + 1 - lengths[c]) // 2 + 1, lengths[c])
-        for c in compress(count(), map(ge, lengths, repeat(min_len)))
-    ]
+    ds = w.digits
+    slices = {
+        ds[(c + 1 - m) // 2 : (c + 1 + m) // 2]
+        for c, m in enumerate(maximal_radii(w).lengths) if m >= min_len
+    }
+    return set(map(Word._unchecked, slices))
 
 
 def distinct_factors(w: Word, min_len: int) -> set[Word]:
@@ -202,27 +183,6 @@ def distinct_factors(w: Word, min_len: int) -> set[Word]:
     }
 
 
-@dataclass(frozen=True)
-class CutSpec:
-    """Boundary positions partitioning a word into blocks.
-
-    Each cut is an after-position value p (1-based): the cut falls between
-    positions p and p+1. Block b spans (cuts[b-1], cuts[b]]; the block
-    after the last cut is the designated final block.
-    """
-
-    cuts: tuple[int, ...]
-
-    def validate(self, w: Word) -> None:
-        if not self.cuts:
-            return
-        prev = 0
-        for p in self.cuts:
-            if not prev < p < len(w):
-                raise DomainError(f"cut positions {self.cuts} invalid for |w|={len(w)}")
-            prev = p
-
-
 @dataclass
 class CrossingCounts:
     """Occurrence counts partitioned by cut-crossing behaviour.
@@ -244,9 +204,14 @@ class CrossingCounts:
         return self.contained + sum(self.bordering.values()) + self.straddling
 
 
-def classify_crossing(w: Word, cuts: CutSpec, min_len: int) -> CrossingCounts:
+def classify_crossing(w: Word, cuts: tuple[int, ...], min_len: int) -> CrossingCounts:
     """Assign every palindromic occurrence of length >= min_len to exactly
     one bucket relative to the block decomposition.
+
+    Each cut is an after-position p (1-based), strictly increasing with
+    0 < p < |w|: the cut falls between positions p and p+1. Block b spans
+    (cuts[b-1], cuts[b]], and the block after the last cut is the final
+    block. No cuts at all leaves one block.
 
     The cut after position p is centre g = 2p - 1, and an occurrence of
     length L at centre c crosses it iff L >= |c - g| + 2. So a centre
@@ -256,10 +221,14 @@ def classify_crossing(w: Word, cuts: CutSpec, min_len: int) -> CrossingCounts:
     one at a time, by `_bucket`.
     """
     _require_min_len(min_len)
-    cuts.validate(w)
+    prev = 0
+    for p in cuts:
+        if not prev < p < len(w):
+            raise DomainError(f"cut positions {cuts} invalid for |w|={len(w)}")
+        prev = p
     lengths = maximal_radii(w).lengths
     counts = CrossingCounts(occurrences=_count(lengths, min_len))
-    gaps = [2 * p - 1 for p in cuts.cuts]
+    gaps = [2 * p - 1 for p in cuts]
     reach = max(max(lengths, default=0) - 2, 0)
     rest = iter(lengths)  # the centres from `done` on
     done = 0

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import functools
+from collections import deque
 from collections.abc import Iterable, Iterator
 
 # Digits are conceptually machine-width; anything past 2**63 - 1 is treated
@@ -232,13 +233,21 @@ def require_k(k: int, minimum: int = 2) -> None:
 
 
 def _kbonacci_terms(k: int, n: int) -> Iterator[int]:
-    """f_k, ..., f_n in order, each checked against the machine width."""
-    window = [0] * (k - 1) + [1]
+    """f_k, ..., f_n in order, each checked against the machine width.
+
+    f_m is the running sum of the last k terms. The k-1 leading zeros
+    add nothing to it, so only the terms from f_{k-1} = 1 on are kept,
+    at most k of them: memory grows with n - k, not with k."""
+    window = deque([1])
+    total = 1  # f_m: the sum of the kept terms
     for m in range(k, n + 1):
-        nxt = sum(window)
+        nxt = total
         if nxt > MAX_DIGIT:
             raise DigitOverflowError(f"k-bonacci number f_{m} exceeds machine width")
-        window = window[1:] + [nxt]
+        window.append(nxt)
+        total += nxt
+        if len(window) > k:
+            total -= window.popleft()
         yield nxt
 
 

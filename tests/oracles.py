@@ -7,7 +7,6 @@ enumeration.
 
 from __future__ import annotations
 
-from kbona.palindromes import CutSpec, Occurrence
 from kbona.words import Word
 
 
@@ -17,8 +16,9 @@ def brute_is_palindrome(digits) -> bool:
 
 
 def brute_radii(w: Word) -> list[int]:
-    """Maximal palindrome length per center, by expansion; centers
-    indexed as in RadiusProfile."""
+    """Maximal palindrome length per center, by expansion. Center c is
+    digit c/2 (0-based) for even c and the gap after digit (c-1)/2 for
+    odd c."""
     n = len(w)
     d = w.digits
     out = []
@@ -40,48 +40,52 @@ def brute_radii(w: Word) -> list[int]:
     return out
 
 
-def brute_occurrences(w: Word, min_len: int) -> list[Occurrence]:
-    """Every palindromic (start, length) pair, by substring check."""
+def brute_occurrences(w: Word, min_len: int):
+    """Every palindromic (start, length) pair, start 1-based, by
+    substring check."""
     n = len(w)
-    out = []
     for start0 in range(n):
         for end0 in range(start0 + min_len - 1, n):
             if brute_is_palindrome(w.digits[start0 : end0 + 1]):
-                out.append(Occurrence(start0 + 1, end0 - start0 + 1))
-    return out
+                yield start0 + 1, end0 - start0 + 1
 
 
 def brute_count(w: Word, min_len: int) -> int:
-    return len(brute_occurrences(w, min_len))
+    return sum(1 for _ in brute_occurrences(w, min_len))
 
 
-def brute_maximal(w: Word, min_len: int) -> list[Occurrence]:
-    radii = brute_radii(w)
-    out = []
-    for c, m in enumerate(radii):
+def brute_maximal(w: Word, min_len: int) -> set[Word]:
+    """The distinct factors that are the longest palindrome at some
+    center, of length >= min_len, cut out at the expansion radii."""
+    out = set()
+    for c, m in enumerate(brute_radii(w)):
         if m >= min_len:
-            out.append(Occurrence((c + 1 - m) // 2 + 1, m))
+            start0 = (c + 1 - m) // 2
+            out.add(Word(w.digits[start0 : start0 + m]))
     return out
 
 
 def brute_distinct(w: Word, min_len: int) -> set[Word]:
     return {
-        Word(w.digits[occ.start - 1 : occ.end]) for occ in brute_occurrences(w, min_len)
+        Word(w.digits[start - 1 : start - 1 + length])
+        for start, length in brute_occurrences(w, min_len)
     }
 
 
-def brute_crossing(w: Word, cuts: CutSpec, min_len: int):
-    """(contained, bordering dict, straddling) by direct bucketing."""
+def brute_crossing(w: Word, cuts: tuple[int, ...], min_len: int):
+    """(contained, bordering dict, straddling) by direct bucketing; cuts
+    are 1-based after-positions."""
     contained = 0
     bordering: dict[int, int] = {}
     straddling = 0
-    final = cuts.cuts[-1] if cuts.cuts else None
-    for occ in brute_occurrences(w, min_len):
-        crossed = [p for p in cuts.cuts if occ.start <= p < occ.end]
+    final = cuts[-1] if cuts else None
+    for start, length in brute_occurrences(w, min_len):
+        end = start + length - 1
+        crossed = [p for p in cuts if start <= p < end]
         if final is not None and final in crossed:
             straddling += 1
         elif crossed:
-            b = sum(1 for p in cuts.cuts if p < occ.start)  # block holding start
+            b = sum(1 for p in cuts if p < start)  # block holding start
             bordering[b] = bordering.get(b, 0) + 1
         else:
             contained += 1

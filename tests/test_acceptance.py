@@ -124,9 +124,8 @@ def test_criterion_5_structure_completeness():
     started = time.perf_counter()
     ok = True
     for k, n in [(3, 10), (4, 12), (5, 15)]:
-        w = word(k, n)
-        for occ in enumerate_maximal(w, 2):
-            if not classify_palindrome(k, occ.extract(w)):
+        for pal in enumerate_maximal(word(k, n), 2):
+            if not classify_palindrome(k, pal):
                 ok = False
     concats = {p.concatenation.to_plain() for p in maximal_straddling_words(4, 9)}
     ok &= concats == {"4546454", "45464546454"}

@@ -8,8 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from kbona import palindromes
 from kbona.palindromes import (
-    CutSpec,
-    Occurrence,
     classify_crossing,
     count_occurrences,
     distinct_factors,
@@ -39,23 +37,29 @@ def test_is_palindrome_examples():
 
 def test_radii_examples():
     profile = maximal_radii(Word.parse("0102010"))
-    assert profile.lengths[0::2] == (1, 3, 1, 7, 1, 3, 1)
+    assert profile.lengths.typecode == "i"  # the scan's 4-byte array, not a tuple
+    assert list(profile.lengths[0::2]) == [1, 3, 1, 7, 1, 3, 1]
     assert all(v == 0 for v in profile.lengths[1::2])
     profile = maximal_radii(Word.parse("33"))
-    assert profile.lengths == (1, 2, 1)
-    assert maximal_radii(Word()).lengths == ()
-
-
-def test_occurrence_geometry():
-    occ = Occurrence(2, 5)
-    assert occ.end == 6
+    assert list(profile.lengths) == [1, 2, 1]
+    assert list(maximal_radii(Word()).lengths) == []
 
 
 def test_enumerate_examples():
-    occs = enumerate_maximal(Word.parse("0102013"), 2)
-    assert [(o.start, o.length) for o in occs] == [(1, 3), (2, 5)]
-    assert [(o.start, o.length) for o in enumerate_maximal(Word.parse("33"), 2)] == [(1, 2)]
-    assert enumerate_maximal(Word.parse("012"), 2) == []
+    # The maximal palindromes of length >= 2 of 0102013 are 010 at
+    # positions 1..3 and 10201 at 2..6.
+    w = Word.parse("0102013")
+    assert enumerate_maximal(w, 2) == {w.factor(1, 3), w.factor(2, 6)}
+    assert enumerate_maximal(Word.parse("33"), 2) == {Word.parse("33")}
+    assert enumerate_maximal(Word.parse("012"), 2) == set()
+    # A digit past 255 keeps the word in the tuple store; its byte-range
+    # factors come back as canonical byte words, equal to the oracle's.
+    w = Word((300, 1, 300, 2, 300, 1, 300, 7, 7, 1000, 7, 7))
+    assert type(w.digits) is tuple
+    for min_len in (1, 2, 3):
+        assert enumerate_maximal(w, min_len) == brute_maximal(w, min_len)
+    assert Word((300, 1, 300, 2, 300, 1, 300)) in enumerate_maximal(w, 2)
+    assert Word((7, 7)) in enumerate_maximal(w, 2)
 
 
 def test_count_examples():
@@ -157,8 +161,7 @@ def test_count_consistency_with_maximal(digits):
     w = Word(digits)
     for min_len in (1, 2, 3):
         total = 0
-        for occ in enumerate_maximal(w, 1):
-            length = occ.length
+        for length in maximal_radii(w).lengths:
             while length >= min_len:
                 total += 1
                 length -= 2
@@ -175,9 +178,8 @@ def test_radius_profile_invariants():
                 assert m % 2 == 0 and m >= 0
 
 
-def _cutspec_for(w, rng):
-    positions = sorted(rng.sample(range(1, len(w)), rng.randint(1, len(w) - 1)))
-    return CutSpec(tuple(positions))
+def _cuts_for(w, rng):
+    return tuple(sorted(rng.sample(range(1, len(w)), rng.randint(1, len(w) - 1))))
 
 
 def test_classify_crossing_against_oracle():
@@ -187,7 +189,7 @@ def test_classify_crossing_against_oracle():
     for _ in range(150):
         sigma = rng.choice((1, 2, 6))
         w = Word(rng.randrange(sigma) for _ in range(rng.randint(2, 80)))
-        cuts = _cutspec_for(w, rng)
+        cuts = _cuts_for(w, rng)
         for min_len in (1, 2, 3):
             got = classify_crossing(w, cuts, min_len)
             contained, bordering, straddling = brute_crossing(w, cuts, min_len)
@@ -229,7 +231,7 @@ def test_radii_linear_on_periodic_words():
     ):
         w = Word(digits)
         object.__setattr__(w, "digits", _CountedDigits(digits, 8 * n))
-        assert maximal_radii(w).lengths == tuple(expected)
+        assert list(maximal_radii(w).lengths) == expected
 
 
 def test_classify_crossing_walks_only_cut_windows(monkeypatch):
@@ -249,22 +251,24 @@ def test_classify_crossing_walks_only_cut_windows(monkeypatch):
 
     monkeypatch.setattr(palindromes, "_bucket", counted)
     got = classify_crossing(w, cuts, 2)
-    assert 0 < len(walked) <= len(cuts.cuts) * (2 * reach + 1)
+    assert 0 < len(walked) <= len(cuts) * (2 * reach + 1)
     assert got.total == got.occurrences == count_occurrences(w, 2)
 
 
 def test_classify_crossing_single_block():
     w = word(3, 5)
-    got = classify_crossing(w, CutSpec(()), 2)
+    got = classify_crossing(w, (), 2)
     assert got.contained == count_occurrences(w, 2)
     assert got.straddling == 0 and not got.bordering
+    # No cuts is one block on any word, the empty one included.
+    got = classify_crossing(Word(), (), 1)
+    assert got.total == got.occurrences == 0
 
 
 def test_classify_crossing_invalid_cuts():
     w = Word.parse("0102")
+    for cuts in ((0,), (2, 2), (3, 1), (4,)):
+        with pytest.raises(DomainError):
+            classify_crossing(w, cuts, 2)
     with pytest.raises(DomainError):
-        classify_crossing(w, CutSpec((0,)), 2)
-    with pytest.raises(DomainError):
-        classify_crossing(w, CutSpec((2, 2)), 2)
-    with pytest.raises(DomainError):
-        classify_crossing(w, CutSpec((4,)), 2)
+        classify_crossing(Word(), (1,), 1)

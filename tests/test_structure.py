@@ -202,9 +202,7 @@ def test_classify_rejects_non_members():
 
 @pytest.mark.parametrize("k,n", [(3, 10), (4, 10), (5, 9)])
 def test_structure_completeness(k, n):
-    w = word(k, n)
-    for occ in enumerate_maximal(w, 2):
-        pal = occ.extract(w)
+    for pal in enumerate_maximal(word(k, n), 2):
         assert classify_palindrome(k, pal), (k, n, pal)
 
 

@@ -251,3 +251,15 @@ def test_run_suites_reports_a_guarded_suite_as_skipped():
     for report in by_suite.values():
         assert report.ok
         assert report.summary[verify.PASS] > 0
+
+
+def test_run_suites_resolves_the_default_n_max_once():
+    n = verify.default_n_max(3)
+    counts, struct, lemmas = verify.run_suites(3, None, ["counts", "structure", "lemmas"])
+    assert counts.params["n_max"] == struct.params["n"] == lemmas.params["n_max"] == n
+    # A suite past its guard reports the n_max it was given.
+    (lengths,) = verify.run_suites(8, None, ["lengths"])
+    assert lengths.params == {"k": 8, "n_max": None}
+    # k is checked before any default is derived from it.
+    with pytest.raises(DomainError, match=">= 3, got 1"):
+        verify.run_suites(1, None, ["structure"])

@@ -1,5 +1,7 @@
 """Word generation: printed fixtures, size laws, morphism identities."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -74,6 +76,18 @@ def test_kbonacci_basics():
     assert kbonacci_number(3, 8) == 24
     assert kbonacci_number(4, 10) == 56
     assert [kbonacci_number(3, n) for n in range(8)] == [0, 0, 1, 1, 2, 4, 7, 13]
+
+
+def test_kbonacci_memory_does_not_grow_with_k():
+    # f_{k+j} = 2^j for 0 <= j < k. The k-1 leading zeros add nothing to
+    # a sum, so reaching f_{k+20} keeps 21 terms, not a window of k.
+    tracemalloc.start()
+    try:
+        assert kbonacci_number(10**7, 10**7 + 20) == 2**20
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8])

@@ -43,9 +43,12 @@ def _max_len() -> int | None:
     if raw is None:
         return None
     try:
-        return int(raw)
+        max_len = int(raw)
     except ValueError as exc:
         raise DomainError(f"KBONA_MAX_LEN must be an integer, got {raw!r}") from exc
+    if max_len <= 0:
+        raise DomainError(f"KBONA_MAX_LEN must be a positive integer, got {max_len}")
+    return max_len
 
 
 def _emit_json(k: int, subcommand: str, results: list[dict[str, Any]], out) -> None:

@@ -3,32 +3,42 @@
 Everything here works over arbitrary nonnegative-integer digits.
 
 - `maximal_radii` is the one scan: the maximal palindrome length at each
-  of the 2|w| - 1 centres. A centre can pass the trivial length (1 at a
-  digit, 0 at a gap) only when its two nearest digits are equal; a
-  C-level pass finds those centres, and only they are expanded in
-  Python, with Manacher's mirror bound so the scan stays linear.
-- `count_occurrences` reads that profile in one C-level pass, and
-  `enumerate_maximal` slices the maximal palindrome of each centre that
-  reaches min_len from the digit store into a set of distinct factors.
+  of the 2|w| - 1 centres. Most centres end within a few digits, so a
+  lane pass finds their lengths with whole-int operations first. It
+  takes the word in blocks of _BLOCK digits, each with _LAYERS digits of
+  context on either side; a byte block is packed into one int, one byte
+  lane per digit, and layer t tests the digit pairs at distance t from
+  every centre of one parity at once, by XOR and the SWAR zero-lane
+  test. The lengths reached are written into the profile's array, and
+  only the centres alive after the last layer are expanded in Python,
+  from there, with Manacher's mirror bound so the scan stays linear. A
+  tuple store (a digit past 255) takes the same path; only its equal
+  lanes come from a C-level `map(eq, ...)` instead.
+- `count_occurrences` counts from the profile by arithmetic: a centre of
+  maximal length m holds (m - min_len + 2) // 2 occurrences, and since
+  the parity of m is fixed by the centre's, those terms add up to one
+  sum over the lengths (`_span_count`). `enumerate_maximal` slices the
+  maximal palindrome of each centre that reaches min_len from the digit
+  store into a set of distinct factors.
 - `classify_crossing` buckets occurrences as contained / bordering /
   straddling relative to a block decomposition, given as a tuple of
   cut after-positions, per centre: an occurrence of length L at centre
   c crosses the cut after position p iff L >= |c - (2p - 1)| + 2. Only
   the centres within max(lengths) - 2 of a cut can cross one, so it
   walks only those cut windows and counts the centres between them as
-  contained in bulk.
+  contained in bulk, with the same span count.
 - `distinct_factors` builds an eertree (palindromic tree) kept in flat
   parallel lists, with dict edges keyed by digit.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable
 from dataclasses import dataclass, field
-from itertools import compress, count, islice, repeat
-from operator import eq, floordiv, ge, sub
+from itertools import accumulate, chain, compress, count, repeat
+from operator import add, eq, floordiv, ge, sub
 
 from .words import DomainError, Word
 
@@ -51,15 +61,16 @@ def is_palindrome(w: Word) -> bool:
 
 
 def _expand(ds: bytes | tuple[int, ...], lengths: array, centres) -> None:
-    """Manacher's scan over the centres of one parity class whose two
-    nearest digits are equal, given in increasing order; every other
-    centre of that class keeps its trivial length in `lengths`.
+    """Manacher's scan over the centres that outlive the lane pass, given
+    in increasing order; every other centre already holds its maximal
+    length in `lengths`, and an alive one the length the pass reached.
 
     (mid, right) is the scanned palindrome that reaches furthest right,
     ending at digit `right`. A centre c inside it is as long as its
-    mirror 2*mid - c when that mirror ends before `right`, and at least
-    as long as reaches `right` otherwise, so every digit comparison that
-    succeeds moves `right` on and the scan stays linear.
+    mirror 2*mid - c, which has c's parity, when that mirror ends before
+    `right`, and at least as long as reaches `right` otherwise, so every
+    digit comparison that succeeds moves `right` on and the scan stays
+    linear.
     """
     last = len(ds) - 1
     mid = right = -1
@@ -72,7 +83,7 @@ def _expand(ds: bytes | tuple[int, ...], lengths: array, centres) -> None:
                 continue
             m = bound
         else:
-            m = lengths[c] + 2  # the nearest digits are equal
+            m = lengths[c]
         # The occurrence of length m at c spans digits a..b, 0-based.
         a = (c - m + 1) // 2
         b = a + m - 1
@@ -84,32 +95,115 @@ def _expand(ds: bytes | tuple[int, ...], lengths: array, centres) -> None:
             mid, right = c, b
 
 
+# The lane pass works on blocks of _BLOCK digits, each read with _LAYERS
+# digits of context on either side, and stops a block's layers for one
+# parity class once at most 1 in _SPARSE of its centres are alive.
+_BLOCK = 1 << 13
+_LAYERS = 16
+_SPARSE = 32
+
+
+def _equal_lanes(lanes: int | tuple[int, ...], span: int, low7: int, high: int) -> int:
+    """0x80 in byte lane j iff digits j and j + span of a block are
+    equal, and 0 elsewhere. A byte block comes packed into an int: its
+    lanes are XOR-ed with themselves `span` lanes on, and the zero lanes
+    found by the SWAR test of Hacker's Delight, section 6-1. A tuple
+    block is compared digit by digit at C level."""
+    if type(lanes) is int:
+        x = lanes ^ (lanes >> 8 * span)
+        return ((((x & low7) + low7) | x) & high) ^ high
+    return int.from_bytes(bytes(map(eq, lanes, lanes[span:])), "little") << 7
+
+
+def _lane_pass(ds: bytes | tuple[int, ...], lengths: array):
+    """Write into `lengths` the length that the first _LAYERS layers
+    reach at every centre, block by block, and yield for each block an
+    iterator over its centres still alive after them, in increasing
+    order.
+
+    Layer t compares digits i - t and i + t at digit i (parity 0), or
+    i - t + 1 and i + t at the gap after digit i (parity 1), for all the
+    centres of one parity in a block at once. Byte lane m of `alive` is 1
+    while the centre at digit lo + m has passed every layer so far, and
+    `radius` adds it up layer by layer, so the length reached is
+    2 * radius + 1 at a digit and 2 * radius at a gap.
+    """
+    n = len(ds)
+    width = min(n, _BLOCK) + 2 * _LAYERS
+    low7 = int.from_bytes(b"\x7f" * width, "little")
+    high = low7 + int.from_bytes(b"\x01" * width, "little")
+    item = lengths.itemsize
+    low_byte = 0 if sys.byteorder == "little" else item - 1
+    view = memoryview(lengths).cast("B")
+    for lo in range(0, n, _BLOCK):
+        hi = min(lo + _BLOCK, n)
+        start = max(lo - _LAYERS, 0)
+        block = ds[start : hi + _LAYERS]
+        lanes = int.from_bytes(block, "little") if type(block) is bytes else block
+        # Centres 2 * lo .. 2 * hi - 2, and the gap after digit hi - 1
+        # unless it is the last digit of the word.
+        centres = 2 * (hi - lo) - (hi == n)
+        chunk = bytearray(centres * item)
+        survivors = bytearray(centres)
+        for parity in (0, 1):
+            size = (centres + 1 - parity) // 2
+            ones = int.from_bytes(b"\x01" * size, "little")
+            alive, radius = ones, 0
+            for t in range(1, _LAYERS + 1):
+                eq_lanes = _equal_lanes(lanes, 2 * t - parity, low7, high)
+                # Lane lo - start - t + parity of eq_lanes holds layer t
+                # at the first centre; a negative shift is the left edge,
+                # whose centres the zeros shifted in leave dead.
+                shift = 8 * (lo - start - t + parity) + 7
+                alive &= eq_lanes >> shift if shift >= 0 else eq_lanes << -shift
+                # Past the right edge a byte block's lanes compare with
+                # 0; digit n - t is the first whose layer t reads beyond.
+                edge = n - t - lo
+                if 0 <= edge < size:
+                    alive &= ~(1 << 8 * edge)
+                radius += alive
+                if alive.bit_count() * _SPARSE <= size:
+                    break
+            reached = (radius << 1) + (ones if parity == 0 else 0)
+            chunk[parity * item + low_byte :: 2 * item] = reached.to_bytes(size, "little")
+            survivors[parity::2] = alive.to_bytes(size, "little")
+        view[2 * lo * item : 2 * lo * item + len(chunk)] = chunk
+        # The 1 numbered j (from 0) follows j + 1 runs of 0s and j 1s.
+        zeros = map(len, survivors.split(b"\x01")[:-1])
+        yield map(add, accumulate(zeros), count(2 * lo))
+
+
 def maximal_radii(w: Word) -> RadiusProfile:
     """Maximal palindrome length at every centre; linear time,
     digit-equality only (alphabet unbounded).
 
-    Each digit is a palindrome of length 1 and each gap one of length 0.
-    A centre reaches beyond that only when its two nearest digits are
-    equal; a C-level pass picks out those centres and only they are
-    expanded, with Manacher's mirror bound.
+    A lane pass compares the first _LAYERS digit pairs around every
+    centre with whole-int operations, block by block; only the centres
+    it leaves alive are expanded further, with Manacher's mirror bound.
     """
     ds = w.digits
-    lengths = array("i", (1, 0)) * len(ds)
-    del lengths[-1:]  # no gap after the last digit
-    # Digit i (centre 2i) reaches length 3 iff ds[i-1] == ds[i+1]; the gap
-    # after digit i (centre 2i+1) reaches length 2 iff ds[i] == ds[i+1].
-    _expand(ds, lengths, compress(count(2, 2), map(eq, ds, islice(ds, 2, None))))
-    _expand(ds, lengths, compress(count(1, 2), map(eq, ds, islice(ds, 1, None))))
+    lengths = array("i", (0,)) * max(2 * len(ds) - 1, 0)
+    _expand(ds, lengths, chain.from_iterable(_lane_pass(ds, lengths)))
     return RadiusProfile(lengths)
 
 
-def _count(ms: Iterable[int], min_len: int) -> int:
-    """Occurrences of length >= min_len at centres of maximal lengths ms,
-    in one C-level pass: a centre of maximal length m >= min_len holds
-    the lengths m, m-2, ... >= min_len, (m - min_len + 2) // 2 of them."""
-    return sum(
-        map(floordiv, map(sub, filter(min_len.__le__, ms), repeat(min_len - 2)), repeat(2))
-    )
+def _span_count(ms: array | memoryview, first: int, min_len: int) -> int:
+    """Occurrences of length >= min_len at the centres first, first + 1,
+    ... whose maximal lengths are ms. A centre of maximal length m holds
+    the lengths m, m-2, ... >= min_len, (m - min_len + 2) // 2 of them,
+    and m - min_len is odd exactly at the centres of the other parity
+    than min_len's, so the terms add up to one sum over ms. A term below
+    zero, at m < min_len - 2, is put back to zero by a second pass."""
+    low = min_len - 2
+    end = first + len(ms)
+    if min_len % 2:  # the gaps, at odd centres, have even lengths
+        odd = end // 2 - first // 2
+    else:
+        odd = (end + 1) // 2 - (first + 1) // 2
+    total = (sum(ms) - len(ms) * low - odd) // 2
+    if low > 0:
+        total += sum(map(floordiv, map(sub, repeat(low + 1), filter(low.__gt__, ms)), repeat(2)))
+    return total
 
 
 def _require_min_len(min_len: int) -> None:
@@ -121,7 +215,7 @@ def count_occurrences(w: Word, min_len: int) -> int:
     """Number of palindromic occurrences (start, length) of length at
     least min_len."""
     _require_min_len(min_len)
-    return _count(maximal_radii(w).lengths, min_len)
+    return _span_count(maximal_radii(w).lengths, 0, min_len)
 
 
 def enumerate_maximal(w: Word, min_len: int) -> set[Word]:
@@ -227,19 +321,19 @@ def classify_crossing(w: Word, cuts: tuple[int, ...], min_len: int) -> CrossingC
             raise DomainError(f"cut positions {cuts} invalid for |w|={len(w)}")
         prev = p
     lengths = maximal_radii(w).lengths
-    counts = CrossingCounts(occurrences=_count(lengths, min_len))
+    counts = CrossingCounts(occurrences=_span_count(lengths, 0, min_len))
     gaps = [2 * p - 1 for p in cuts]
     reach = max(max(lengths, default=0) - 2, 0)
-    rest = iter(lengths)  # the centres from `done` on
+    view = memoryview(lengths)
     done = 0
     for g in gaps:
         lo = max(g - reach, done)
         hi = min(g + reach + 1, len(lengths))
-        counts.contained += _count(islice(rest, lo - done), min_len)
-        for c in compress(count(lo), map(ge, islice(rest, hi - lo), repeat(min_len))):
+        counts.contained += _span_count(view[done:lo], done, min_len)
+        for c in compress(count(lo), map(ge, view[lo:hi], repeat(min_len))):
             _bucket(counts, gaps, c, lengths[c], min_len)
         done = hi
-    counts.contained += _count(rest, min_len)
+    counts.contained += _span_count(view[done:], done, min_len)
     return counts
 
 

@@ -153,6 +153,11 @@ def test_max_len_env_guard(run):
     code, _, err = run("gen", "--k", "3", "--n", "200")
     assert code == 2
     assert "guard" in err
+    # A guard that is not positive names itself, not the word it refuses.
+    for raw in ("-1", "0"):
+        code, out, err = run("gen", "--k", "3", "--n", "0", env={"KBONA_MAX_LEN": raw})
+        assert code == 2 and out == ""
+        assert f"KBONA_MAX_LEN must be a positive integer, got {raw}" in err
 
 
 def test_deterministic_output(run):

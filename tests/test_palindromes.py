@@ -96,11 +96,43 @@ def test_radii_against_oracle(digits):
     assert list(maximal_radii(w).lengths) == brute_radii(w)
 
 
-@given(random_digits, st.integers(min_value=1, max_value=3))
+@given(random_digits, st.integers(min_value=1, max_value=5))
 @settings(max_examples=300)
 def test_counts_against_oracle(digits, min_len):
     w = Word(digits)
     assert count_occurrences(w, min_len) == brute_count(w, min_len)
+
+
+# Digit alphabets for the lane pass: sizes 1, 2, 3 and 255 in the byte
+# store, the high byte lanes included (0 ^ 128 sets only the top bit of
+# a lane), and digits 256-300, which keep a word in the tuple store.
+LANE_ALPHABETS = (
+    (7,), (0, 1), (0, 128, 255), tuple(range(1, 256)),
+    (256,), (256, 300), (256, 299, 300),
+)
+
+
+@st.composite
+def lane_words(draw):
+    """A word over one of LANE_ALPHABETS around a planted palindrome of
+    up to 25 digits, longer than the lane pass's layers reach."""
+    letter = st.sampled_from(draw(st.sampled_from(LANE_ALPHABETS)))
+    prefix, half, suffix = (draw(st.lists(letter, max_size=12)) for _ in range(3))
+    middle = draw(st.lists(letter, max_size=1))
+    return Word(prefix + half + middle + half[::-1] + suffix)
+
+
+@given(lane_words(), st.integers(1, 7), st.integers(1, 4), st.sampled_from((1, 2, 32)))
+@settings(max_examples=400)
+def test_lane_pass_at_block_edges(w, block, layers, sparse):
+    # Blocks of 1-7 digits and 1-4 layers put block edges, word edges and
+    # the ends of the layers within a few digits of each other, and the
+    # planted palindrome outlives the layers across block edges.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(palindromes, "_BLOCK", block)
+        mp.setattr(palindromes, "_LAYERS", layers)
+        mp.setattr(palindromes, "_SPARSE", sparse)
+        assert list(maximal_radii(w).lengths) == brute_radii(w)
 
 
 @given(random_digits, st.integers(min_value=1, max_value=3))
@@ -128,7 +160,7 @@ def test_random_battery():
     rng = random.Random(20240811)
     for _ in range(120):
         w = _random_word(rng)
-        for min_len in (1, 2, 3):
+        for min_len in (1, 2, 3, 4, 5):
             assert count_occurrences(w, min_len) == brute_count(w, min_len)
         assert list(maximal_radii(w).lengths) == brute_radii(w)
         assert distinct_factors(w, 2) == brute_distinct(w, 2)
@@ -138,7 +170,7 @@ def test_random_battery():
 def test_engine_on_generated_words(k):
     for n in range(9):
         w = word(k, n)
-        for min_len in (1, 2, 3):
+        for min_len in (1, 2, 3, 4, 5):
             assert count_occurrences(w, min_len) == brute_count(w, min_len)
         assert enumerate_maximal(w, 2) == brute_maximal(w, 2)
         assert distinct_factors(w, 2) == brute_distinct(w, 2)
@@ -159,7 +191,7 @@ def test_shift_invariance(digits, d):
 @settings(max_examples=200)
 def test_count_consistency_with_maximal(digits):
     w = Word(digits)
-    for min_len in (1, 2, 3):
+    for min_len in (1, 2, 3, 4, 5):
         total = 0
         for length in maximal_radii(w).lengths:
             while length >= min_len:
@@ -190,7 +222,7 @@ def test_classify_crossing_against_oracle():
         sigma = rng.choice((1, 2, 6))
         w = Word(rng.randrange(sigma) for _ in range(rng.randint(2, 80)))
         cuts = _cuts_for(w, rng)
-        for min_len in (1, 2, 3):
+        for min_len in (1, 2, 3, 4, 5):
             got = classify_crossing(w, cuts, min_len)
             contained, bordering, straddling = brute_crossing(w, cuts, min_len)
             assert got.contained == contained

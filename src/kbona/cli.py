@@ -79,8 +79,8 @@ def _cmd_count(args, out) -> int:
     mode = _mode(args.mode)
     rows = []
     mismatch = False
-    for n in range(args.n_max + 1):
-        row: dict[str, Any] = {"n": n, "p": counting.p_total(args.k, n, mode)}
+    for n, p in enumerate(counting.p_series(args.k, args.n_max, mode)):
+        row: dict[str, Any] = {"n": n, "p": p}
         if args.oracle:
             row["oracle"] = count_occurrences(word(args.k, n, max_len=_max_len()), 2)
             if row["oracle"] != row["p"]:

@@ -94,13 +94,13 @@ def alpha(k: int, n: int, mode: FormulaMode = FormulaMode.DERIVED) -> int:
 
 def p_total(k: int, n: int, mode: FormulaMode = FormulaMode.DERIVED) -> int:
     """Total number of palindromic occurrences (length >= 2) in W_n."""
+    return p_series(k, n, mode)[n]
+
+
+def p_series(k: int, n_max: int, mode: FormulaMode) -> list[int]:
+    """P(0), ..., P(n_max) in one pass of the recurrence."""
     require_k(k, 3)
-    _require(n >= 0, f"n must be >= 0, got {n}")
-    values = _p_values(k, n, mode)
-    return values[n]
-
-
-def _p_values(k: int, n_max: int, mode: FormulaMode) -> list[int]:
+    _require(n_max >= 0, f"n must be >= 0, got {n_max}")
     values = [0]  # P(0) = 0: a single letter has no palindrome of length >= 2
     for n in range(1, n_max + 1):
         if n <= k - 1:

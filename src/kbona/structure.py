@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import counting
 from .palindromes import is_palindrome
@@ -68,9 +68,6 @@ class StraddlingPair:
 
 @dataclass(frozen=True)
 class LengthSet:
-    k: int
-    family: PalFamily | None  # None means the union over all families
-    mode: counting.FormulaMode
     lengths: frozenset[int]
 
 
@@ -130,15 +127,7 @@ def catalog_elements(
         if base.family is not family:
             continue
         for i in range(base.shift, i_max + 1):
-            cls = PalClass(
-                family=base.family,
-                shift=i,
-                n=base.n,
-                j=base.j,
-                m=base.m,
-                variant=base.variant,
-            )
-            out.append((shift_add(k * i, template), cls))
+            out.append((shift_add(k * i, template), replace(base, shift=i)))
     return out
 
 
@@ -208,7 +197,7 @@ def length_set(
         for template, base in _templates(k):
             if base.family is family:
                 lengths |= _centered_sublengths(template)
-    return LengthSet(k=k, family=family, mode=mode, lengths=frozenset(lengths))
+    return LengthSet(frozenset(lengths))
 
 
 def allowed_lengths(
@@ -220,7 +209,7 @@ def allowed_lengths(
     lengths: frozenset[int] = frozenset()
     for family in PalFamily:
         lengths |= length_set(k, family, mode).lengths
-    return LengthSet(k=k, family=None, mode=mode, lengths=lengths)
+    return LengthSet(lengths)
 
 
 def classify_palindrome(k: int, w: Word) -> set[PalClass]:
@@ -242,14 +231,5 @@ def classify_palindrome(k: int, w: Word) -> set[PalClass]:
         if i < base.shift:
             continue
         if all(a == b + diff for a, b in zip(w.digits, template.digits)):
-            out.add(
-                PalClass(
-                    family=base.family,
-                    shift=i,
-                    n=base.n,
-                    j=base.j,
-                    m=base.m,
-                    variant=base.variant,
-                )
-            )
+            out.add(replace(base, shift=i))
     return out

@@ -2,6 +2,7 @@
 
 import pytest
 
+from kbona import cli, counting
 from kbona.counting import (
     FormulaMode,
     alpha,
@@ -9,6 +10,7 @@ from kbona.counting import (
     b_count,
     border_max_length,
     p_initial,
+    p_series,
     p_total,
     s_count,
 )
@@ -121,6 +123,30 @@ def test_p_total_fixed_series():
 def test_p_total_matches_scan(k):
     for n in range(10):
         assert p_total(k, n) == count_occurrences(word(k, n), 2)
+
+
+@pytest.mark.parametrize("mode", list(FormulaMode))
+def test_p_series_matches_p_total(mode):
+    for k in (3, 4, 5, 6):
+        assert p_series(k, 30, mode) == [p_total(k, n, mode) for n in range(31)]
+    with pytest.raises(DomainError):
+        p_series(3, -1, mode)
+
+
+def test_count_builds_the_series_once(monkeypatch, capsys):
+    calls = 0
+    real_alpha = counting.alpha
+
+    def counted_alpha(*args):
+        nonlocal calls
+        calls += 1
+        return real_alpha(*args)
+
+    monkeypatch.setattr(counting, "alpha", counted_alpha)
+    assert cli.main(["count", "--k", "3", "--n-max", "200"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 202 and rows[9] == "8\t66"
+    assert calls <= 201
 
 
 def test_k_below_three_rejected():

@@ -263,3 +263,32 @@ def test_run_suites_resolves_the_default_n_max_once():
     # k is checked before any default is derived from it.
     with pytest.raises(DomainError, match=">= 3, got 1"):
         verify.run_suites(1, None, ["structure"])
+
+
+def test_report_rows_and_verdicts():
+    report = verify.Report("unit", {"k": 3})
+    report.check("b", {"n": 1}, 5, "Derived", 5)
+    report.check("b", {"n": 2}, 5, "AsStated", 4)
+    report.check("b", {"n": 3}, 5, "Derived", 4)
+    report.check("b", {"n": 4}, 5, "Oracle", 4)
+    report.skip("a", {"n": 0}, "n >= 1", "no such n")
+    assert [r.verdict for r in report.results] == [
+        verify.PASS, verify.DISCREPANCY, verify.FAIL, verify.FAIL, verify.SKIPPED,
+    ]
+    skipped = report.results[-1]
+    assert (skipped.provenance, skipped.expected, skipped.actual) == (
+        "Oracle", "n >= 1", "no such n",
+    )
+    assert report.finish() is report
+    assert report.results == sorted(report.results, key=verify.CheckResult.sort_key)
+    assert [r.check_id for r in report.results] == ["a", "b", "b", "b", "b"]
+    assert report.wall_time >= 0
+    assert report.summary == {
+        verify.PASS: 1, verify.FAIL: 2, verify.DISCREPANCY: 1, verify.SKIPPED: 1,
+    }
+    assert not report.ok
+    out = report.to_dict()
+    assert set(out) == {"suite", "params", "results", "summary", "wall_time"}
+    assert set(out["results"][0]) == {
+        "check", "subject", "expected", "provenance", "actual", "verdict",
+    }

@@ -13,7 +13,9 @@ Everything here works over arbitrary nonnegative-integer digits.
   only the centres alive after the last layer are expanded in Python,
   from there, with Manacher's mirror bound so the scan stays linear. A
   tuple store (a digit past 255) takes the same path; only its equal
-  lanes come from a C-level `map(eq, ...)` instead.
+  lanes come from a C-level `map(eq, ...)` instead. The profile carries
+  its longest length, which the scan keeps from each block's deepest
+  live layer and from `_expand`.
 - `count_occurrences` counts from the profile by arithmetic: a centre of
   maximal length m holds (m - min_len + 2) // 2 occurrences, and since
   the parity of m is fixed by the centre's, those terms add up to one
@@ -24,11 +26,19 @@ Everything here works over arbitrary nonnegative-integer digits.
   straddling relative to a block decomposition, given as a tuple of
   cut after-positions, per centre: an occurrence of length L at centre
   c crosses the cut after position p iff L >= |c - (2p - 1)| + 2. Only
-  the centres within max(lengths) - 2 of a cut can cross one, so it
-  walks only those cut windows and counts the centres between them as
-  contained in bulk, with the same span count.
+  the centres within the profile's longest length - 2 of a cut can cross
+  one, so it walks only those cut windows and counts the centres between
+  them as contained in bulk, with the same span count.
 - `distinct_factors` builds an eertree (palindromic tree) kept in flat
-  parallel lists, with dict edges keyed by digit.
+  parallel lists, with dict edges keyed by digit, and skips what it has
+  already read. It takes the word in chunks of O = _CONTEXT digits, and
+  keys each with itself and the O digits before it, which hold every
+  palindrome of length <= O + 1 that ends in the chunk; a chunk whose
+  key was seen is skipped, and the tree restarts after it from the
+  empty palindrome, O digits back. If the tree then holds a palindrome
+  of length >= O, a longer one may have been missed, so O doubles past
+  the longest one it holds and the word is read again into the same
+  tree; otherwise it is complete.
 """
 
 from __future__ import annotations
@@ -50,20 +60,25 @@ class RadiusProfile:
     Center index c (0-based) is the digit at position c/2 when c is even
     and the gap between positions (c-1)/2 and (c+1)/2 when c is odd, both
     in 0-based digit coordinates. `lengths` is the scan's own 4-byte
-    `array("i")`, which a length overflows only past 2^31 digits.
+    `array("i")`, which a length overflows only past 2^31 digits, and
+    `longest` is its maximum (0 for the empty word), which the scan
+    keeps as it writes.
     """
 
     lengths: array
+    longest: int
 
 
 def is_palindrome(w: Word) -> bool:
     return w.digits == w.digits[::-1]
 
 
-def _expand(ds: bytes | tuple[int, ...], lengths: array, centres) -> None:
+def _expand(ds: bytes | tuple[int, ...], lengths: array, centres) -> int:
     """Manacher's scan over the centres that outlive the lane pass, given
     in increasing order; every other centre already holds its maximal
     length in `lengths`, and an alive one the length the pass reached.
+    Returns the longest length it expands to (0 if none); a length it
+    copies from a mirror was written before, by the lane pass or here.
 
     (mid, right) is the scanned palindrome that reaches furthest right,
     ending at digit `right`. A centre c inside it is as long as its
@@ -74,6 +89,7 @@ def _expand(ds: bytes | tuple[int, ...], lengths: array, centres) -> None:
     """
     last = len(ds) - 1
     mid = right = -1
+    longest = 0
     for c in centres:
         if c <= 2 * right:
             m = lengths[2 * mid - c]
@@ -90,9 +106,12 @@ def _expand(ds: bytes | tuple[int, ...], lengths: array, centres) -> None:
         while a > 0 and b < last and ds[a - 1] == ds[b + 1]:
             a -= 1
             b += 1
-        lengths[c] = b - a + 1
+        m = lengths[c] = b - a + 1
+        if m > longest:
+            longest = m
         if b > right:
             mid, right = c, b
+    return longest
 
 
 # The lane pass works on blocks of _BLOCK digits, each read with _LAYERS
@@ -115,11 +134,13 @@ def _equal_lanes(lanes: int | tuple[int, ...], span: int, low7: int, high: int) 
     return int.from_bytes(bytes(map(eq, lanes, lanes[span:])), "little") << 7
 
 
-def _lane_pass(ds: bytes | tuple[int, ...], lengths: array):
+def _lane_pass(ds: bytes | tuple[int, ...], lengths: array, tops: list[int]):
     """Write into `lengths` the length that the first _LAYERS layers
     reach at every centre, block by block, and yield for each block an
     iterator over its centres still alive after them, in increasing
-    order.
+    order. Append to `tops` the longest length each block reaches in
+    each parity class: the deepest layer that leaves a centre alive
+    sets it.
 
     Layer t compares digits i - t and i + t at digit i (parity 0), or
     i - t + 1 and i + t at the gap after digit i (parity 1), for all the
@@ -148,7 +169,7 @@ def _lane_pass(ds: bytes | tuple[int, ...], lengths: array):
         for parity in (0, 1):
             size = (centres + 1 - parity) // 2
             ones = int.from_bytes(b"\x01" * size, "little")
-            alive, radius = ones, 0
+            alive, radius, deepest = ones, 0, 0
             for t in range(1, _LAYERS + 1):
                 eq_lanes = _equal_lanes(lanes, 2 * t - parity, low7, high)
                 # Lane lo - start - t + parity of eq_lanes holds layer t
@@ -161,12 +182,15 @@ def _lane_pass(ds: bytes | tuple[int, ...], lengths: array):
                 edge = n - t - lo
                 if 0 <= edge < size:
                     alive &= ~(1 << 8 * edge)
+                if alive:
+                    deepest = t
                 radius += alive
                 if alive.bit_count() * _SPARSE <= size:
                     break
             reached = (radius << 1) + (ones if parity == 0 else 0)
             chunk[parity * item + low_byte :: 2 * item] = reached.to_bytes(size, "little")
             survivors[parity::2] = alive.to_bytes(size, "little")
+            tops.append(2 * deepest + 1 - parity)
         view[2 * lo * item : 2 * lo * item + len(chunk)] = chunk
         # The 1 numbered j (from 0) follows j + 1 runs of 0s and j 1s.
         zeros = map(len, survivors.split(b"\x01")[:-1])
@@ -183,8 +207,9 @@ def maximal_radii(w: Word) -> RadiusProfile:
     """
     ds = w.digits
     lengths = array("i", (0,)) * max(2 * len(ds) - 1, 0)
-    _expand(ds, lengths, chain.from_iterable(_lane_pass(ds, lengths)))
-    return RadiusProfile(lengths)
+    tops: list[int] = []
+    expanded = _expand(ds, lengths, chain.from_iterable(_lane_pass(ds, lengths, tops)))
+    return RadiusProfile(lengths, max([expanded, *tops]))
 
 
 def _span_count(ms: array | memoryview, first: int, min_len: int) -> int:
@@ -232,6 +257,12 @@ def enumerate_maximal(w: Word, min_len: int) -> set[Word]:
     return set(map(Word._unchecked, slices))
 
 
+# distinct_factors first reads the word in chunks of _CONTEXT digits, each
+# keyed by itself and the _CONTEXT digits before it; the chunks grow only
+# while the tree holds a palindrome as long as one.
+_CONTEXT = 64
+
+
 def distinct_factors(w: Word, min_len: int) -> set[Word]:
     """The set of distinct palindromic factors of length >= min_len.
 
@@ -240,37 +271,77 @@ def distinct_factors(w: Word, min_len: int) -> set[Word]:
     and `edges`, a dict keyed by digit so the alphabet may be unbounded.
     Node 0 is the imaginary root of length -1, node 1 the empty
     palindrome; every other node is one distinct palindromic factor.
+    Nodes, links and edges are facts about palindromes, not positions, so
+    one tree serves any set of stretches of the word.
+
+    The word is read in chunks [a, a + O) of O = _CONTEXT digits, and
+    chunk a is keyed by ds[a - O : a + O]. Every palindrome of length
+    <= O + 1 that ends in a chunk lies inside its key, so a chunk whose
+    key was seen before adds nothing and is skipped. After a skip the
+    tree restarts from the empty palindrome at a - O, and its suffix-link
+    walks stop at that guard, the start of the stretch read since. At the
+    end the tree holds every palindrome of length <= O + 1. A longer one
+    would hold a centred one of length O or O + 1, so if the tree has no
+    palindrome of length >= O it is complete; otherwise O doubles until
+    it passes the longest palindrome in the tree, and the word is read
+    again into the same tree. Once O >= |w| nothing is skipped, and the
+    pass is the plain eertree.
     """
     _require_min_len(min_len)
     ds = w.digits
+    n = len(ds)
     length, link, end, edges = [-1, 0], [0, 0], [-1, -1], [{}, {}]
-    last = 1  # the longest palindromic suffix of the digits read so far
-    for i, d in enumerate(ds):
-        # Walk suffix links to the longest palindromic suffix x with d x d
-        # a suffix too; the root of length -1 always qualifies.
-        v = last
-        while True:
-            j = i - length[v] - 1
-            if j >= 0 and ds[j] == d:
-                break
-            v = link[v]
-        last = edges[v].get(d)
-        if last is None:
-            if v:
-                # The new node's link: the same walk, from below x.
-                u = link[v]
-                while True:
-                    j = i - length[u] - 1
-                    if j >= 0 and ds[j] == d:
-                        break
-                    u = link[u]
-                link.append(edges[u][d])
+    context = _CONTEXT
+    while True:
+        seen = set()
+        skipped = True
+        for a in range(0, n, context):
+            key = ds[max(a - context, 0) : a + context]
+            if key in seen:
+                skipped = True
+                continue
+            seen.add(key)
+            if skipped:
+                # Read from a - context on; last is the longest
+                # palindromic suffix of ds[guard : i].
+                guard = start = max(a - context, 0)
+                last = 1
+                skipped = False
             else:
-                link.append(1)  # a single digit links to the empty palindrome
-            last = edges[v][d] = len(length)
-            length.append(length[v] + 2)
-            end.append(i)
-            edges.append({})
+                start = a
+            for i, d in enumerate(ds[start : a + context], start):
+                # Walk suffix links to the longest palindromic suffix x
+                # with d x d a suffix too; the root of length -1 always
+                # qualifies.
+                v = last
+                while True:
+                    j = i - length[v] - 1
+                    if j >= guard and ds[j] == d:
+                        break
+                    v = link[v]
+                last = edges[v].get(d)
+                if last is None:
+                    if v:
+                        # The new node's link: the same walk, from below x.
+                        u = link[v]
+                        while True:
+                            j = i - length[u] - 1
+                            if j >= guard and ds[j] == d:
+                                break
+                            u = link[u]
+                        link.append(edges[u][d])
+                    else:
+                        link.append(1)  # a single digit links to the empty palindrome
+                    last = edges[v][d] = len(length)
+                    length.append(length[v] + 2)
+                    end.append(i)
+                    edges.append({})
+        longest = max(length)
+        if context >= n or longest < context:
+            break
+        # A pass with context <= longest would end here again.
+        while context <= longest:
+            context *= 2
     return {
         Word._unchecked(ds[e - m + 1 : e + 1])
         for m, e in zip(length, end) if m >= min_len
@@ -309,7 +380,7 @@ def classify_crossing(w: Word, cuts: tuple[int, ...], min_len: int) -> CrossingC
 
     The cut after position p is centre g = 2p - 1, and an occurrence of
     length L at centre c crosses it iff L >= |c - g| + 2. So a centre
-    further than reach = max(lengths) - 2 from every cut holds only
+    further than reach = longest - 2 from every cut holds only
     contained occurrences: those centres are counted in bulk, and only
     the centres in the merged windows [g - reach, g + reach] are bucketed
     one at a time, by `_bucket`.
@@ -320,10 +391,11 @@ def classify_crossing(w: Word, cuts: tuple[int, ...], min_len: int) -> CrossingC
         if not prev < p < len(w):
             raise DomainError(f"cut positions {cuts} invalid for |w|={len(w)}")
         prev = p
-    lengths = maximal_radii(w).lengths
+    profile = maximal_radii(w)
+    lengths = profile.lengths
     counts = CrossingCounts(occurrences=_span_count(lengths, 0, min_len))
     gaps = [2 * p - 1 for p in cuts]
-    reach = max(max(lengths, default=0) - 2, 0)
+    reach = max(profile.longest - 2, 0)
     view = memoryview(lengths)
     done = 0
     for g in gaps:

@@ -4,7 +4,7 @@ consistency laws."""
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kbona import palindromes
 from kbona.palindromes import (
@@ -41,9 +41,12 @@ def test_radii_examples():
     assert profile.lengths.typecode == "i"  # the scan's 4-byte array, not a tuple
     assert list(profile.lengths[0::2]) == [1, 3, 1, 7, 1, 3, 1]
     assert all(v == 0 for v in profile.lengths[1::2])
+    assert profile.longest == 7
     profile = maximal_radii(Word.parse("33"))
     assert list(profile.lengths) == [1, 2, 1]
-    assert list(maximal_radii(Word()).lengths) == []
+    assert profile.longest == 2
+    profile = maximal_radii(Word())
+    assert list(profile.lengths) == [] and profile.longest == 0
 
 
 def test_enumerate_examples():
@@ -94,7 +97,9 @@ def test_min_len_domain():
 @settings(max_examples=300)
 def test_radii_against_oracle(digits):
     w = Word(digits)
-    assert list(maximal_radii(w).lengths) == brute_radii(w)
+    profile, expected = maximal_radii(w), brute_radii(w)
+    assert list(profile.lengths) == expected
+    assert profile.longest == max(expected, default=0)
 
 
 @given(random_digits, st.integers(min_value=1, max_value=5))
@@ -133,7 +138,11 @@ def test_lane_pass_at_block_edges(w, block, layers, sparse):
         mp.setattr(palindromes, "_BLOCK", block)
         mp.setattr(palindromes, "_LAYERS", layers)
         mp.setattr(palindromes, "_SPARSE", sparse)
-        assert list(maximal_radii(w).lengths) == brute_radii(w)
+        profile, expected = maximal_radii(w), brute_radii(w)
+        assert list(profile.lengths) == expected
+        # Each block's longest comes from its deepest layer that leaves a
+        # centre alive, or from the expansion after it.
+        assert profile.longest == max(expected, default=0)
 
 
 @given(random_digits, st.integers(min_value=1, max_value=3))
@@ -150,13 +159,64 @@ def test_distinct_against_oracle(digits, min_len):
     assert distinct_factors(w, min_len) == brute_distinct(w, min_len)
 
 
-def _assert_counts_min_len_1_to_5(w):
-    """count_occurrences against one brute enumeration of w: the
-    occurrences of length >= m are those of length >= 1 that are at least
-    m long."""
-    lengths = [length for _, length in brute_occurrences(w, 1)]
+@st.composite
+def repeating_words(draw):
+    """Words whose chunks repeat at contexts of a few digits: prefixes of
+    k-bonacci words, and periodic words around a planted palindrome of up
+    to 21 digits, longer than the context. Digits 0, 1 and 44, or
+    shifted by 256 to 256, 257 and 300, which keeps a word in the tuple
+    store."""
+    if draw(st.booleans()):
+        digits = list(word(draw(st.integers(2, 5)), draw(st.integers(0, 8))).digits)
+        digits = digits[: draw(st.integers(0, 60))]
+    else:
+        letter = st.sampled_from((0, 1, 44))
+        period = draw(st.lists(letter, min_size=1, max_size=4))
+        half = draw(st.lists(letter, min_size=2, max_size=10))
+        middle = draw(st.lists(letter, max_size=1))
+        before, after = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+        digits = period * before + half + middle + half[::-1] + period * after
+    shift = draw(st.sampled_from((0, 256)))
+    return Word(d + shift for d in digits)
+
+
+@given(repeating_words(), st.integers(1, 4), st.integers(1, 3))
+@example(Word(), 1, 1)
+@example(Word((0,)), 1, 1)
+@example(Word((300,)), 2, 1)
+@settings(max_examples=400)
+def test_skipping_tree_against_oracle(w, context, min_len):
+    # Contexts of 1-4 digits make chunks repeat within a few dozen digits,
+    # and a planted palindrome longer than the context makes it double.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(palindromes, "_CONTEXT", context)
+        assert distinct_factors(w, min_len) == brute_distinct(w, min_len)
+
+
+def test_skipping_tree_agrees_with_plain_tree():
+    # With _CONTEXT >= |w| the word is one chunk, read once: the plain
+    # eertree, on words past the brute oracles' reach.
+    for k, n in ((3, 16), (4, 16), (5, 16), (6, 16), (7, 16), (6, 20)):
+        w = word(k, n)
+        got = distinct_factors(w, 2)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(palindromes, "_CONTEXT", len(w))
+            assert distinct_factors(w, 2) == got
+
+
+def _assert_against_one_enumeration(w):
+    """count_occurrences for min_len 1-5 and distinct_factors(w, 2)
+    against one brute enumeration of w: the occurrences of length >= m
+    are those of length >= 1 that are at least m long, and the distinct
+    factors of length >= 2 are the slices of those at least 2 long."""
+    occurrences = list(brute_occurrences(w, 1))
+    lengths = [length for _, length in occurrences]
     for min_len in (1, 2, 3, 4, 5):
         assert count_occurrences(w, min_len) == sum(1 for x in lengths if x >= min_len)
+    assert distinct_factors(w, 2) == {
+        Word(w.digits[start - 1 : start - 1 + length])
+        for start, length in occurrences if length >= 2
+    }
 
 
 def _random_word(rng):
@@ -170,18 +230,16 @@ def test_random_battery():
     rng = random.Random(20240811)
     for _ in range(120):
         w = _random_word(rng)
-        _assert_counts_min_len_1_to_5(w)
+        _assert_against_one_enumeration(w)
         assert list(maximal_radii(w).lengths) == brute_radii(w)
-        assert distinct_factors(w, 2) == brute_distinct(w, 2)
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])
 def test_engine_on_generated_words(k):
     for n in range(9):
         w = word(k, n)
-        _assert_counts_min_len_1_to_5(w)
+        _assert_against_one_enumeration(w)
         assert enumerate_maximal(w, 2) == brute_maximal(w, 2)
-        assert distinct_factors(w, 2) == brute_distinct(w, 2)
 
 
 @given(random_digits, st.integers(min_value=0, max_value=7))
@@ -272,6 +330,24 @@ def test_radii_linear_on_periodic_words():
         w = Word(digits)
         object.__setattr__(w, "digits", _CountedDigits(digits, 8 * n))
         assert list(maximal_radii(w).lengths) == expected
+
+
+def test_skipping_tree_skips_repeated_chunks(monkeypatch):
+    # W_19 for k = 5 (400,096 digits) repeats its chunks heavily. The
+    # tree reads a digit by index at every step of its suffix-link walks
+    # (a chunk or key slice counts once), so these reads are its work in
+    # Python: 207,027 by default against 696,585 for the plain tree, with
+    # _CONTEXT >= |w|. A tree that skips nothing reads at least as many
+    # as the plain one.
+    digits = word(5, 19).digits
+    reads = []
+    for context in (palindromes._CONTEXT, len(digits)):
+        monkeypatch.setattr(palindromes, "_CONTEXT", context)
+        w = Word(digits)
+        object.__setattr__(w, "digits", _CountedDigits(digits, 4 * len(digits)))
+        distinct_factors(w, 2)
+        reads.append(w.digits.reads)
+    assert 2 * reads[0] <= reads[1]
 
 
 def test_classify_crossing_walks_only_cut_windows(monkeypatch):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Any
 
@@ -38,19 +37,6 @@ def _non_negative_int(value: str) -> int:
     return n
 
 
-def _max_len() -> int | None:
-    raw = os.environ.get("KBONA_MAX_LEN")
-    if raw is None:
-        return None
-    try:
-        max_len = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"KBONA_MAX_LEN must be an integer, got {raw!r}") from exc
-    if max_len <= 0:
-        raise DomainError(f"KBONA_MAX_LEN must be a positive integer, got {max_len}")
-    return max_len
-
-
 def _emit_json(k: int, subcommand: str, results: list[dict[str, Any]], out) -> None:
     print(json.dumps({"k": k, "subcommand": subcommand, "results": results},
                      sort_keys=True), file=out)
@@ -64,7 +50,7 @@ def _format_word(w: Word, fmt: str) -> str:
 
 def _cmd_gen(args, out) -> int:
     method = GenMethod(args.method)
-    w = word(args.k, args.n, method, max_len=_max_len())
+    w = word(args.k, args.n, method)
     if args.mod_k:
         w = reduce_mod_k(args.k, w)
     if args.format == "json":
@@ -82,7 +68,7 @@ def _cmd_count(args, out) -> int:
     for n, p in enumerate(counting.p_series(args.k, args.n_max, mode)):
         row: dict[str, Any] = {"n": n, "p": p}
         if args.oracle:
-            row["oracle"] = count_occurrences(word(args.k, n, max_len=_max_len()), 2)
+            row["oracle"] = count_occurrences(word(args.k, n), 2)
             if row["oracle"] != row["p"]:
                 mismatch = True
         rows.append(row)

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count, repeat
 from operator import add, eq, floordiv, ge, sub
@@ -403,39 +403,34 @@ def classify_crossing(w: Word, cuts: tuple[int, ...], min_len: int) -> CrossingC
         hi = min(g + reach + 1, len(lengths))
         counts.contained += _span_count(view[done:lo], done, min_len)
         for c in compress(count(lo), map(ge, view[lo:hi], repeat(min_len))):
-            _bucket(counts, gaps, c, lengths[c], min_len)
+            _bucket(counts, cuts, c, lengths[c], min_len)
         done = hi
     counts.contained += _span_count(view[done:], done, min_len)
     return counts
 
 
-def _bucket(counts: CrossingCounts, gaps: list[int], c: int, m: int, min_len: int) -> None:
-    """Bucket the lengths m, m-2, ... >= min_len at centre c by walking
-    the thresholds |c - g| + 2 of the cuts its longest occurrence reaches,
-    in increasing order: a length crosses the cuts whose threshold it
-    reaches, its bucket is set by the leftmost of them, or is straddling
-    once the final cut is among them, and a length below every threshold
-    is contained."""
-    # prev is the shortest length at c not yet bucketed. Every length at
-    # c, and every threshold, has the parity of m.
-    prev = min_len + ((m - min_len) & 1)
-    final = len(gaps) - 1
-    leftmost = None
-    lo = bisect_left(gaps, c - m + 2)
-    hi = bisect_right(gaps, c + m - 2)
-    for t, j in sorted((abs(c - gaps[j]) + 2, j) for j in range(lo, hi)):
-        if t > prev:
-            _add(counts, leftmost, (t - prev) // 2)
-            prev = t
-        if j == final:
-            counts.straddling += (m - prev) // 2 + 1
+def _bucket(counts: CrossingCounts, cuts: tuple[int, ...], c: int, m: int, min_len: int) -> None:
+    """Bucket the lengths m, m-2, ... >= min_len at centre c by the blocks
+    of their first and last digits: contained when both are in one block,
+    else straddling when the last is in the final block, else bordering,
+    keyed by the first digit's block. Each step down moves the first
+    digit right and the last one left, so a bucket holds for a run of
+    lengths until one of them leaves its block, and a length held in one
+    block leaves every shorter one at c there too."""
+    final = len(cuts)
+    length = m
+    while length >= min_len:
+        first = (c - length + 1) // 2
+        last = (c + length - 1) // 2
+        run = (length - min_len) // 2 + 1
+        bf = bisect_right(cuts, first)
+        bl = bisect_right(cuts, last)
+        if bf == bl:
+            counts.contained += run
             return
-        leftmost = j if leftmost is None else min(leftmost, j)
-    _add(counts, leftmost, (m - prev) // 2 + 1)
-
-
-def _add(counts: CrossingCounts, block: int | None, n: int) -> None:
-    if block is None:
-        counts.contained += n
-    else:
-        counts.bordering[block] = counts.bordering.get(block, 0) + n
+        run = min(run, cuts[bf] - first, last - cuts[bl - 1] + 1)
+        if bl == final:
+            counts.straddling += run
+        else:
+            counts.bordering[bf] = counts.bordering.get(bf, 0) + run
+        length -= 2 * run

@@ -14,7 +14,7 @@ import functools
 from dataclasses import dataclass, replace
 
 from . import counting
-from .palindromes import is_palindrome
+from .palindromes import is_palindrome, maximal_radii
 from .words import DomainError, Word, require_k, shift_add, word
 
 
@@ -159,17 +159,10 @@ def maximal_straddling_words(k: int, n: int) -> list[StraddlingPair]:
 
 
 def _centered_sublengths(w: Word, min_len: int = 2) -> set[int]:
-    """Lengths of the palindromic centered subwords of w (computed by
-    actual palindrome checks, not assumed)."""
-    out = set()
-    n = len(w)
-    length = n
-    while length >= min_len:
-        start = (n - length) // 2
-        if is_palindrome(w.factor(start + 1, start + length)):
-            out.add(length)
-        length -= 2
-    return out
+    """Lengths of the palindromic centered subwords of a nonempty w (read
+    from the scan, not assumed): every length of the parity of |w| up to
+    the maximal palindrome at w's middle centre."""
+    return set(range(maximal_radii(w).lengths[len(w) - 1], min_len - 1, -2))
 
 
 _AS_STATED_MAX = {

@@ -26,6 +26,7 @@ from .palindromes import (
     distinct_factors,
     enumerate_maximal,
     is_palindrome,
+    maximal_radii,
 )
 from .words import (
     DomainError,
@@ -136,10 +137,12 @@ class Report:
         }
 
 
-def default_n_max(k: int, limit: int = 1 << 16) -> int:
-    """Largest n with |W_n| within the given digit budget."""
+def default_n_max(k: int) -> int:
+    """Largest n with |W_n| within the sweep budget of 2^16 digits, a
+    budget for the per-n suites' run time, well inside the length
+    guard."""
     n = 0
-    while kbonacci_number(k, n + 1 + k) <= limit:
+    while kbonacci_number(k, n + 1 + k) <= 1 << 16:
         n += 1
     return n
 
@@ -198,13 +201,6 @@ def verify_decomposition(k: int, n: int) -> Report:
     report.check("straddling", subject, counting.s_count(k, n), "Derived", observed.straddling)
     report.check("partition-total", subject, observed.occurrences, "Oracle", observed.total)
     return report.finish()
-
-
-def _first_word_containing(k: int, target: Word, n_limit: int) -> int | None:
-    for n in range(n_limit + 1):
-        if word(k, n).contains(target):
-            return n
-    return None
 
 
 def verify_structure(k: int, n: int) -> Report:
@@ -270,10 +266,18 @@ def verify_structure(k: int, n: int) -> Report:
                 report.skip("catalog-occurs", subject, predicted,
                             f"n={n} below the predicted index")
                 continue
-            if word(k, predicted).contains(element):
-                actual: int | None = predicted
-            else:
-                actual = _first_word_containing(k, element, n)
+            # Each W_f with f <= n is a prefix of w, so the element occurs
+            # in W_f iff its first occurrence in w ends within |W_f|; the
+            # row reads the least such f at or past the predicted index. A
+            # tuple element holds a digit past 255, which no generated word
+            # does.
+            ds = element.digits
+            pos = w.digits.find(ds) if type(ds) is bytes else -1
+            actual: int | None = None
+            if pos >= 0:
+                actual = predicted
+                while kbonacci_number(k, actual + k) < pos + len(ds):
+                    actual += 1
             report.check("catalog-occurs", subject, predicted, "Oracle", actual)
     return report.finish()
 
@@ -359,24 +363,27 @@ def verify_lemmas(k: int, n_max: int) -> Report:
         if k + i > n_max:
             report.skip("palindromic-prefix-cap", {"k": k, "i": i}, "range", "degenerate")
             continue
+        # The prefix of length L is a palindrome iff the maximal one at its
+        # centre, L - 1, has length L.
         v = Word((i + 1,)) + words[k + i]
-        capped = True
-        for length in range(1, len(v) + 1):
-            prefix = v.factor(1, length)
-            if is_palindrome(prefix) and max(prefix.digits) > i + 1:
-                capped = False
+        lengths = maximal_radii(v).lengths
+        capped = all(
+            top <= i + 1
+            for length, top in enumerate(itertools.accumulate(v.digits, max), 1)
+            if lengths[length - 1] == length
+        )
         report.check("palindromic-prefix-cap", {"k": k, "i": i}, True, "Oracle", capped)
     return report.finish()
 
 
-def verify_lengths(k: int, max_len: int = 1 << 23) -> Report:
+def verify_lengths(k: int) -> Report:
     """Distinct palindrome lengths observed in W_{3k+2} vs the admissible
-    length sets in both modes. max_len is the suite's digit budget: the
-    default admits W_23 for k=7 (7.8 M digits), and a longer word raises
-    LengthGuardError."""
+    length sets in both modes. W_{3k+2} is held to the length guard of
+    `word`: the default admits W_26 for k=8 (64.5 M digits), and a longer
+    word raises LengthGuardError."""
     require_k(k, 3)
     report = Report("lengths", {"k": k, "n": 3 * k + 2})
-    w = word(k, 3 * k + 2, max_len=max_len)
+    w = word(k, 3 * k + 2)
     observed = frozenset(len(p) for p in distinct_factors(w, 2))
     allowed = {mode: structure.allowed_lengths(k, mode).lengths for mode, _ in MODES}
     for mode, provenance in MODES:
@@ -412,7 +419,7 @@ def _decomposition_sweep(k: int, n_max: int) -> Report:
 
 def run_suites(k: int, n_max: int | None = None, suites: list[str] | None = None) -> list[Report]:
     """One report per named suite (all by default), each run up to n_max,
-    or default_n_max(k) when it is None. A suite whose word is past its
+    or default_n_max(k) when it is None. A suite whose word is past the
     length guard reports a single Skipped row quoting the guard, and the
     other suites still run; its time counts from before the suite was
     called."""

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import os
 from collections import deque
 from collections.abc import Iterable, Iterator
 
@@ -28,8 +29,8 @@ from collections.abc import Iterable, Iterator
 MAX_DIGIT = 2**63 - 1
 
 # Generation guard: |W_n| grows like 2**n, so refuse absurd requests
-# instead of filling memory. Overridable per call (and via KBONA_MAX_LEN in
-# the CLI).
+# instead of filling memory. _check_request alone reads it and its
+# overrides.
 DEFAULT_MAX_LEN = 1 << 26
 
 
@@ -327,14 +328,25 @@ def reduce_mod_k(k: int, w: Word) -> Word:
 
 
 def _check_request(k: int, n: int, max_len: int | None) -> None:
-    """The checks word() and classical_word() make before generating."""
+    """The checks word() and classical_word() make before generating,
+    and the one place that sets how many digits a word may have: max_len
+    when given, else the KBONA_MAX_LEN environment variable (a positive
+    integer) when set, else DEFAULT_MAX_LEN."""
     require_k(k)
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
+    guard = max_len
+    if guard is None:
+        raw = os.environ.get("KBONA_MAX_LEN", DEFAULT_MAX_LEN)
+        try:
+            guard = int(raw)
+        except ValueError as exc:
+            raise DomainError(f"KBONA_MAX_LEN must be an integer, got {raw!r}") from exc
+        if guard <= 0:
+            raise DomainError(f"KBONA_MAX_LEN must be a positive integer, got {guard}")
     # Stop at the first of f_k, ..., f_{n+k} past the guard: the sequence
     # never decreases, so |W_n| = f_{n+k} is past it too, and no term that
     # could overflow is formed while the guard is below the machine width.
-    guard = DEFAULT_MAX_LEN if max_len is None else max_len
     for size in _kbonacci_terms(k, n + k):
         if size > guard:
             raise LengthGuardError(

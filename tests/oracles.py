@@ -72,24 +72,24 @@ def brute_distinct(w: Word, min_len: int) -> set[Word]:
     }
 
 
-def brute_crossing(w: Word, cuts: tuple[int, ...], min_len: int):
-    """(contained, bordering dict, straddling) by direct bucketing; cuts
-    are 1-based after-positions."""
-    contained = 0
-    bordering: dict[int, int] = {}
-    straddling = 0
+def brute_crossing(occurrences, cuts: tuple[int, ...]) -> list:
+    """The bucket of each (start, length) occurrence, such as
+    brute_occurrences lists, by direct check of the cuts it crosses
+    (1-based after-positions): "straddling" when the final cut is among
+    them, else the index of the block holding its start (bordering), and
+    "contained" when it crosses none."""
     final = cuts[-1] if cuts else None
-    for start, length in brute_occurrences(w, min_len):
+    out: list = []
+    for start, length in occurrences:
         end = start + length - 1
         crossed = [p for p in cuts if start <= p < end]
         if final is not None and final in crossed:
-            straddling += 1
+            out.append("straddling")
         elif crossed:
-            b = sum(1 for p in cuts if p < start)  # block holding start
-            bordering[b] = bordering.get(b, 0) + 1
+            out.append(sum(1 for p in cuts if p < start))  # block holding start
         else:
-            contained += 1
-    return contained, bordering, straddling
+            out.append("contained")
+    return out
 
 
 # Per-digit references for the word maps, which the engine runs as

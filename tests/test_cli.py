@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from kbona import structure
 from kbona.cli import main
-from kbona.words import Word, word
+from kbona.words import Word, kbonacci_number, word
 
 
 @pytest.fixture
@@ -112,9 +113,10 @@ def test_verify_exit_codes(run):
     assert code == 0
     code, _, _ = run("verify", "--k", "4", "--suite", "counts", "--strict-paper")
     assert code == 1
-    # The lengths suite is past its guard at k = 8: it is reported as
-    # Skipped and the run still succeeds.
-    code, out, err = run("verify", "--k", "8", "--n-max", "8")
+    # With the guard one digit short of W_26 for k = 8, the lengths suite
+    # is past it: it is reported as Skipped and the run still succeeds.
+    guard = str(kbonacci_number(8, 26 + 8) - 1)
+    code, out, err = run("verify", "--k", "8", "--n-max", "8", env={"KBONA_MAX_LEN": guard})
     assert code == 0 and err == ""
     assert "suite lengths: pass=0 fail=0 discrepancy=0 skipped=1" in out
     assert out.count("suite ") == 5
@@ -158,6 +160,39 @@ def test_max_len_env_guard(run):
         code, out, err = run("gen", "--k", "3", "--n", "0", env={"KBONA_MAX_LEN": raw})
         assert code == 2 and out == ""
         assert f"KBONA_MAX_LEN must be a positive integer, got {raw}" in err
+
+
+def test_max_len_env_guard_holds_for_every_subcommand(run):
+    env = {"KBONA_MAX_LEN": "10"}
+    code, out, err = run("decompose", "--k", "3", "--n", "6", env=env)
+    assert code == 2 and out == ""
+    assert "exceeds the length guard 10" in err
+    # The catalog templates are cached per k; clearing them makes the
+    # structure and lengths runs build their words under the guard.
+    for argv in (("structure", "--k", "5"), ("lengths", "--k", "5")):
+        structure._templates.cache_clear()
+        code, out, err = run(*argv, env={"KBONA_MAX_LEN": "3"})
+        assert code == 2 and out == "", argv
+        assert "exceeds the length guard 3" in err
+    # Every suite builds a word past the guard, and each reports it.
+    code, out, err = run("verify", "--k", "3", "--n-max", "6", env=env)
+    assert code == 0 and err == ""
+    assert out.count("pass=0 fail=0 discrepancy=0 skipped=1") == 5
+    assert out.count("exceeds the length guard 10") == 5
+    # A guard that is not an integer stops every subcommand that builds
+    # a word, with exit 2 and a message naming the variable.
+    for argv in (
+        ("gen", "--k", "3", "--n", "2"),
+        ("count", "--k", "3", "--n-max", "2", "--oracle"),
+        ("decompose", "--k", "3", "--n", "3"),
+        ("structure", "--k", "5"),
+        ("lengths", "--k", "5"),
+        ("verify", "--k", "3", "--n-max", "3"),
+    ):
+        structure._templates.cache_clear()
+        code, out, err = run(*argv, env={"KBONA_MAX_LEN": "abc"})
+        assert code == 2 and out == "", argv
+        assert "KBONA_MAX_LEN must be an integer, got 'abc'" in err, argv
 
 
 def test_deterministic_output(run):

@@ -2,6 +2,7 @@
 consistency laws."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -283,19 +284,23 @@ def _cuts_for(w, rng):
 def test_classify_crossing_against_oracle():
     # Alphabets of one or two digits give long palindromes that span
     # several cuts; up to len(w) - 1 cuts puts one between every digit.
+    # One brute listing per word, bucketed once, serves every min_len:
+    # the occurrences of length >= m are those listed at least m long.
     rng = random.Random(7)
     for _ in range(150):
         sigma = rng.choice((1, 2, 6))
         w = Word(rng.randrange(sigma) for _ in range(rng.randint(2, 80)))
         cuts = _cuts_for(w, rng)
+        occurrences = list(brute_occurrences(w, 1))
+        buckets = brute_crossing(occurrences, cuts)
         for min_len in (1, 2, 3, 4, 5):
+            kept = [b for (_, length), b in zip(occurrences, buckets) if length >= min_len]
             got = classify_crossing(w, cuts, min_len)
-            contained, bordering, straddling = brute_crossing(w, cuts, min_len)
-            assert got.contained == contained
-            assert got.bordering == bordering
+            assert got.contained == kept.count("contained")
+            assert got.bordering == Counter(b for b in kept if type(b) is int)
             assert 0 not in got.bordering.values()
-            assert got.straddling == straddling
-            assert got.occurrences == got.total == brute_count(w, min_len)
+            assert got.straddling == kept.count("straddling")
+            assert got.occurrences == got.total == len(kept)
             assert count_occurrences(w, min_len) == got.occurrences
             assert enumerate_maximal(w, min_len) == brute_maximal(w, min_len)
 

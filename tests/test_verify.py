@@ -4,7 +4,7 @@ discrepancies with the printed formulas."""
 import pytest
 
 from kbona import palindromes, verify
-from kbona.words import DomainError, LengthGuardError
+from kbona.words import DEFAULT_MAX_LEN, DomainError, LengthGuardError, kbonacci_number
 
 
 def verdicts(report, check_id=None):
@@ -179,7 +179,13 @@ def test_verify_lemmas():
     assert report.summary[verify.SKIPPED] > 0
 
 
-def test_verify_lengths():
+def _guard_below_w26_k8(monkeypatch):
+    # One digit short of W_26 for k = 8: of the suites at n_max <= 16,
+    # only lengths, which reads W_{3k+2}, builds a word that long.
+    monkeypatch.setenv("KBONA_MAX_LEN", str(kbonacci_number(8, 26 + 8) - 1))
+
+
+def test_verify_lengths(monkeypatch):
     report = verify.verify_lengths(3)
     assert report.ok and not report.strict_ok()
     flagged = [r for r in report.results if r.check_id == "length-as-stated-only"]
@@ -188,12 +194,15 @@ def test_verify_lengths():
     report = verify.verify_lengths(4)
     assert report.ok
 
-    # The default digit budget, 2^23, admits W_23 for k = 7 (7,805,695
-    # digits) and refuses W_26 for k = 8 (64,504,063 digits).
+    # The default length guard, 2^26, admits W_23 for k = 7 (7,805,695
+    # digits) and W_26 for k = 8 (64,504,063 digits); KBONA_MAX_LEN one
+    # digit short of the latter refuses it.
     report = verify.verify_lengths(7)
     assert report.ok
     flagged = [r for r in report.results if r.check_id == "length-as-stated-only"]
     assert [r.subject["length"] for r in flagged] == [191]
+    assert kbonacci_number(8, 26 + 8) <= DEFAULT_MAX_LEN
+    _guard_below_w26_k8(monkeypatch)
     with pytest.raises(LengthGuardError):
         verify.verify_lengths(8)
 
@@ -221,8 +230,6 @@ def test_no_self_comparison():
 def test_default_n_max():
     for k in (3, 4, 5):
         n = verify.default_n_max(k)
-        from kbona.words import kbonacci_number
-
         assert kbonacci_number(k, n + k) <= 1 << 16
         assert kbonacci_number(k, n + 1 + k) > 1 << 16
 
@@ -235,9 +242,10 @@ def test_run_suites_all():
     assert all(r.ok for r in reports)
 
 
-def test_run_suites_reports_a_guarded_suite_as_skipped():
-    # W_26 for k = 8 is past the lengths suite's budget; that suite
-    # reports one Skipped row quoting the guard, and the rest still run.
+def test_run_suites_reports_a_guarded_suite_as_skipped(monkeypatch):
+    # W_26 for k = 8 is past the guard; the lengths suite reports one
+    # Skipped row quoting it, and the rest still run.
+    _guard_below_w26_k8(monkeypatch)
     reports = verify.run_suites(8, 8)
     assert [r.suite for r in reports] == list(verify.SUITES)
     by_suite = {r.suite: r for r in reports}
@@ -253,11 +261,12 @@ def test_run_suites_reports_a_guarded_suite_as_skipped():
         assert report.summary[verify.PASS] > 0
 
 
-def test_run_suites_resolves_the_default_n_max_once():
+def test_run_suites_resolves_the_default_n_max_once(monkeypatch):
     n = verify.default_n_max(3)
     counts, struct, lemmas = verify.run_suites(3, None, ["counts", "structure", "lemmas"])
     assert counts.params["n_max"] == struct.params["n"] == lemmas.params["n_max"] == n
-    # A suite past its guard reports the n_max it was given.
+    # A suite past the guard reports the n_max it was given.
+    _guard_below_w26_k8(monkeypatch)
     (lengths,) = verify.run_suites(8, None, ["lengths"])
     assert lengths.params == {"k": 8, "n_max": None}
     # k is checked before any default is derived from it.

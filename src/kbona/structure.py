@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 from . import counting
 from .palindromes import is_palindrome, maximal_radii
-from .words import DomainError, Word, require_k, shift_add, word
+from .words import DomainError, Word, _check_request, require_k, shift_add, word
 
 
 class PalFamily(enum.Enum):
@@ -25,7 +25,7 @@ class PalFamily(enum.Enum):
     P4 = "p4"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class PalClass:
     """Membership token: family plus the parameters naming the element."""
 
@@ -89,10 +89,17 @@ def maximal_bordering_word(k: int, n: int, j: int) -> Word:
     return tail.reverse() + Word((j,)) + tail
 
 
-@functools.lru_cache(maxsize=None)
 def _templates(k: int) -> tuple[tuple[Word, PalClass], ...]:
     """Base (shift 0) templates of all four families; the PalClass carries
-    the minimal admissible shift."""
+    the minimal admissible shift. They are built once per k, but held to
+    the length guard on every call: W_{k-1} is the largest word they
+    read, so a guard lowered after the build still refuses them."""
+    _check_request(k, k - 1)
+    return _build_templates(k)
+
+
+@functools.lru_cache(maxsize=None)
+def _build_templates(k: int) -> tuple[tuple[Word, PalClass], ...]:
     require_k(k, 3)
     out: list[tuple[Word, PalClass]] = []
     for n in range(2, k):

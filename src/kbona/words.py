@@ -11,9 +11,10 @@ so equal words have equal stores and hashes. Every generated word takes
 the bytes form: the largest digit of W_n is n (of F_n, at most n), and
 |W_n| = f_{n+k} passes the machine width before n reaches 100, so the
 length checks admit no n near 256. Generation, the morphism, shifts,
-mod-k reduction, rendering and the factor test therefore run as C-level
-`bytes` operations (`translate`, slicing, `in`); the tuple form serves
-only words from outside input and shifts past 255.
+mod-k reduction and rendering therefore run as C-level `bytes`
+operations (`translate`, slicing), as do factor tests on the digits
+(`in`, `find`); the tuple form serves only words from outside input and
+shifts past 255.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ MAX_DIGIT = 2**63 - 1
 
 # Generation guard: |W_n| grows like 2**n, so refuse absurd requests
 # instead of filling memory. _check_request alone reads it and its
-# overrides.
+# override, the KBONA_MAX_LEN environment variable.
 DEFAULT_MAX_LEN = 1 << 26
 
 
@@ -180,16 +181,6 @@ class Word:
             raise DomainError("cannot drop more digits than the word has")
         return Word._unchecked(self.digits[count:])
 
-    def contains(self, other: "Word") -> bool:
-        """Factor test."""
-        a, b = self.digits, other.digits
-        if type(a) is bytes:
-            # A tuple word holds a digit past 255, which no byte word does.
-            return type(b) is bytes and b in a
-        b = tuple(b)
-        m = len(b)
-        return any(a[s : s + m] == b for s in range(len(a) - m + 1))
-
     def to_plain(self) -> str:
         """Contiguous decimal rendering; refused when any digit exceeds 9
         because the result would be ambiguous."""
@@ -327,23 +318,21 @@ def reduce_mod_k(k: int, w: Word) -> Word:
     return Word._unchecked(tuple(x % k for x in ds))
 
 
-def _check_request(k: int, n: int, max_len: int | None) -> None:
+def _check_request(k: int, n: int) -> None:
     """The checks word() and classical_word() make before generating,
-    and the one place that sets how many digits a word may have: max_len
-    when given, else the KBONA_MAX_LEN environment variable (a positive
-    integer) when set, else DEFAULT_MAX_LEN."""
+    and the one place that sets how many digits a word may have: the
+    KBONA_MAX_LEN environment variable (a positive integer) when set,
+    else DEFAULT_MAX_LEN."""
     require_k(k)
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
-    guard = max_len
-    if guard is None:
-        raw = os.environ.get("KBONA_MAX_LEN", DEFAULT_MAX_LEN)
-        try:
-            guard = int(raw)
-        except ValueError as exc:
-            raise DomainError(f"KBONA_MAX_LEN must be an integer, got {raw!r}") from exc
-        if guard <= 0:
-            raise DomainError(f"KBONA_MAX_LEN must be a positive integer, got {guard}")
+    raw = os.environ.get("KBONA_MAX_LEN", DEFAULT_MAX_LEN)
+    try:
+        guard = int(raw)
+    except ValueError as exc:
+        raise DomainError(f"KBONA_MAX_LEN must be an integer, got {raw!r}") from exc
+    if guard <= 0:
+        raise DomainError(f"KBONA_MAX_LEN must be a positive integer, got {guard}")
     # Stop at the first of f_k, ..., f_{n+k} past the guard: the sequence
     # never decreases, so |W_n| = f_{n+k} is past it too, and no term that
     # could overflow is formed while the guard is below the machine width.
@@ -374,14 +363,9 @@ def _word_digits(k: int, n: int) -> bytes:
     return bytes(out)
 
 
-def word(
-    k: int,
-    n: int,
-    method: GenMethod = GenMethod.RECURRENCE,
-    max_len: int | None = None,
-) -> Word:
+def word(k: int, n: int, method: GenMethod = GenMethod.RECURRENCE) -> Word:
     """The finite k-bonacci word W_n over the infinite alphabet."""
-    _check_request(k, n, max_len)
+    _check_request(k, n)
     if method is GenMethod.MORPHISM:
         w = Word((0,))
         for _ in range(n):
@@ -390,9 +374,9 @@ def word(
     return Word._unchecked(_word_digits(k, n))
 
 
-def classical_word(k: int, n: int, max_len: int | None = None) -> Word:
+def classical_word(k: int, n: int) -> Word:
     """The classical k-bonacci word F_n over the alphabet {0, ..., k-1}."""
-    _check_request(k, n, max_len)
+    _check_request(k, n)
     # Iterate the finite-alphabet morphism psi_k: i -> 0(i+1) for
     # i <= k-2, (k-1) -> 0, starting from the single digit 0. The digits
     # of F_n are at most n, which stays below 100, so never reach the pad.

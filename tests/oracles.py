@@ -127,9 +127,3 @@ def ref_reduce_mod_k(k: int, digits) -> tuple[int, ...]:
 
 def ref_shift_add(s: int, digits) -> tuple[int, ...]:
     return tuple(d + s for d in digits)
-
-
-def brute_contains(haystack, needle) -> bool:
-    """Factor test by comparing needle with every window of haystack."""
-    hay, pat = tuple(haystack), tuple(needle)
-    return any(hay[s : s + len(pat)] == pat for s in range(len(hay) - len(pat) + 1))

@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-from kbona import structure
 from kbona.cli import main
 from kbona.words import Word, kbonacci_number, word
 
@@ -163,14 +162,16 @@ def test_max_len_env_guard(run):
 
 
 def test_max_len_env_guard_holds_for_every_subcommand(run):
+    # The catalog templates are cached per k. Building them under the
+    # default guard first shows that a guard lowered later still holds.
+    catalog_runs = (("structure", "--k", "5"), ("lengths", "--k", "5"))
+    for argv in catalog_runs:
+        assert run(*argv)[0] == 0, argv
     env = {"KBONA_MAX_LEN": "10"}
     code, out, err = run("decompose", "--k", "3", "--n", "6", env=env)
     assert code == 2 and out == ""
     assert "exceeds the length guard 10" in err
-    # The catalog templates are cached per k; clearing them makes the
-    # structure and lengths runs build their words under the guard.
-    for argv in (("structure", "--k", "5"), ("lengths", "--k", "5")):
-        structure._templates.cache_clear()
+    for argv in catalog_runs:
         code, out, err = run(*argv, env={"KBONA_MAX_LEN": "3"})
         assert code == 2 and out == "", argv
         assert "exceeds the length guard 3" in err
@@ -189,7 +190,6 @@ def test_max_len_env_guard_holds_for_every_subcommand(run):
         ("lengths", "--k", "5"),
         ("verify", "--k", "3", "--n-max", "3"),
     ):
-        structure._templates.cache_clear()
         code, out, err = run(*argv, env={"KBONA_MAX_LEN": "abc"})
         assert code == 2 and out == "", argv
         assert "KBONA_MAX_LEN must be an integer, got 'abc'" in err, argv

@@ -4,7 +4,14 @@ discrepancies with the printed formulas."""
 import pytest
 
 from kbona import palindromes, verify
-from kbona.words import DEFAULT_MAX_LEN, DomainError, LengthGuardError, kbonacci_number
+from kbona.words import (
+    DEFAULT_MAX_LEN,
+    DomainError,
+    GenMethod,
+    LengthGuardError,
+    Word,
+    kbonacci_number,
+)
 
 
 def verdicts(report, check_id=None):
@@ -177,6 +184,36 @@ def test_verify_lemmas():
     report = verify.verify_lemmas(4, 1)
     assert report.ok
     assert report.summary[verify.SKIPPED] > 0
+
+
+# One fault per lemma row, planted in the level-4 word (k=3) that
+# verify_lemmas reads: W_4 = 0102013010234 from the recurrence route of
+# `word`, or F_4 from `classical_word`.
+LEMMA_FAULTS = [
+    ("method-agreement", "word", lambda ds: ds[:-1]),
+    ("prefix-chain", "word", lambda ds: bytes([1]) + ds[1:]),
+    ("size-law", "word", lambda ds: ds[:-1]),
+    ("mod-k-reduction", "classical_word", lambda ds: bytes([1]) + ds[1:]),
+    ("suffix-pair", "word", lambda ds: ds[:-2] + ds[-1:] + ds[-2:-1]),
+    ("last-digit", "word", lambda ds: ds[:-1] + bytes([5])),
+    ("no-00", "word", lambda ds: ds[:1] + bytes([0]) + ds[2:]),
+    ("adjacency", "word", lambda ds: ds[:2] + bytes([1]) + ds[3:]),
+]
+
+
+@pytest.mark.parametrize("check_id,target,plant", LEMMA_FAULTS,
+                         ids=[fault[0] for fault in LEMMA_FAULTS])
+def test_lemma_rows_fail_under_planted_faults(monkeypatch, check_id, target, plant):
+    original = getattr(verify, target)
+
+    def faulty(k, n, *method):
+        w = original(k, n, *method)
+        return Word(plant(w.digits)) if n == 4 and GenMethod.MORPHISM not in method else w
+
+    monkeypatch.setattr(verify, target, faulty)
+    rows = [r for r in verify.verify_lemmas(3, 6).results
+            if r.check_id == check_id and r.subject.get("n", 4) == 4]
+    assert [r.verdict for r in rows] == [verify.FAIL]
 
 
 def _guard_below_w26_k8(monkeypatch):

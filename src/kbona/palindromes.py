@@ -15,7 +15,9 @@ Everything here works over arbitrary nonnegative-integer digits.
   tuple store (a digit past 255) takes the same path; only its equal
   lanes come from a C-level `map(eq, ...)` instead. The profile carries
   its longest length, which the scan keeps from each block's deepest
-  live layer and from `_expand`.
+  live layer and from `_expand`. The profile is computed once per word
+  and kept on it (`Word._radii`) as a read-only view, at 8 bytes per
+  digit for as long as the word lives, so every caller shares one scan.
 - `count_occurrences` counts from the profile by arithmetic: a centre of
   maximal length m holds (m - min_len + 2) // 2 occurrences, and since
   the parity of m is fixed by the centre's, those terms add up to one
@@ -28,7 +30,9 @@ Everything here works over arbitrary nonnegative-integer digits.
   c crosses the cut after position p iff L >= |c - (2p - 1)| + 2. Only
   the centres within the profile's longest length - 2 of a cut can cross
   one, so it walks only those cut windows and counts the centres between
-  them as contained in bulk, with the same span count.
+  them as contained in bulk, with the same span count. On a scanned
+  word, counting and classification do only their own pass over the
+  lengths.
 - `distinct_factors` builds an eertree (palindromic tree) kept in flat
   parallel lists, with dict edges keyed by digit, and skips what it has
   already read. It takes the word in chunks of O = _CONTEXT digits, and
@@ -59,13 +63,17 @@ class RadiusProfile:
 
     Center index c (0-based) is the digit at position c/2 when c is even
     and the gap between positions (c-1)/2 and (c+1)/2 when c is odd, both
-    in 0-based digit coordinates. `lengths` is the scan's own 4-byte
-    `array("i")`, which a length overflows only past 2^31 digits, and
-    `longest` is its maximum (0 for the empty word), which the scan
-    keeps as it writes.
+    in 0-based digit coordinates. `lengths` is a read-only `memoryview`
+    of the scan's own 4-byte `array("i")`, which a length overflows only
+    past 2^31 digits, and `longest` is its maximum (0 for the empty
+    word), which the scan keeps as it writes.
+
+    `maximal_radii` computes the profile once per word and keeps it on
+    the word, at 8 bytes per digit for as long as the word lives; the
+    view is read-only because every caller shares it.
     """
 
-    lengths: array
+    lengths: memoryview
     longest: int
 
 
@@ -204,15 +212,21 @@ def maximal_radii(w: Word) -> RadiusProfile:
     A lane pass compares the first _LAYERS digit pairs around every
     centre with whole-int operations, block by block; only the centres
     it leaves alive are expanded further, with Manacher's mirror bound.
+    The profile is kept on the word, and a later call returns it.
     """
+    profile = getattr(w, "_radii", None)
+    if profile is not None:
+        return profile
     ds = w.digits
     lengths = array("i", (0,)) * max(2 * len(ds) - 1, 0)
     tops: list[int] = []
     expanded = _expand(ds, lengths, chain.from_iterable(_lane_pass(ds, lengths, tops)))
-    return RadiusProfile(lengths, max([expanded, *tops]))
+    profile = RadiusProfile(memoryview(lengths).toreadonly(), max([expanded, *tops]))
+    object.__setattr__(w, "_radii", profile)
+    return profile
 
 
-def _span_count(ms: array | memoryview, first: int, min_len: int) -> int:
+def _span_count(ms: memoryview, first: int, min_len: int) -> int:
     """Occurrences of length >= min_len at the centres first, first + 1,
     ... whose maximal lengths are ms. A centre of maximal length m holds
     the lengths m, m-2, ... >= min_len, (m - min_len + 2) // 2 of them,
@@ -396,16 +410,15 @@ def classify_crossing(w: Word, cuts: tuple[int, ...], min_len: int) -> CrossingC
     counts = CrossingCounts(occurrences=_span_count(lengths, 0, min_len))
     gaps = [2 * p - 1 for p in cuts]
     reach = max(profile.longest - 2, 0)
-    view = memoryview(lengths)
     done = 0
     for g in gaps:
         lo = max(g - reach, done)
         hi = min(g + reach + 1, len(lengths))
-        counts.contained += _span_count(view[done:lo], done, min_len)
-        for c in compress(count(lo), map(ge, view[lo:hi], repeat(min_len))):
+        counts.contained += _span_count(lengths[done:lo], done, min_len)
+        for c in compress(count(lo), map(ge, lengths[lo:hi], repeat(min_len))):
             _bucket(counts, cuts, c, lengths[c], min_len)
         done = hi
-    counts.contained += _span_count(view[done:], done, min_len)
+    counts.contained += _span_count(lengths[done:], done, min_len)
     return counts
 
 

@@ -88,9 +88,15 @@ class Word:
     usual W[j, j'] convention for factors. `digits` is bytes when every
     digit is below 256 and a tuple of ints otherwise (see the module
     docstring); indexing and iterating either yields ints.
+
+    `_radii` holds the word's radius profile once `maximal_radii` has
+    scanned it, and is unset before: the profile is computed once per
+    word, is read-only, and costs 8 bytes per digit for as long as the
+    word lives. Equality, hashing, pickling and copying see the digits
+    alone, so a copy carries no profile.
     """
 
-    __slots__ = ("digits",)
+    __slots__ = ("digits", "_radii")
 
     digits: bytes | tuple[int, ...]
 
@@ -117,6 +123,9 @@ class Word:
 
     def __setattr__(self, name, value):
         raise AttributeError("Word is immutable")
+
+    def __reduce__(self):
+        return (Word._unchecked, (self.digits,))
 
     @classmethod
     def parse(cls, text: str) -> "Word":

@@ -2,6 +2,7 @@
 consistency laws."""
 
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -17,7 +18,7 @@ from kbona.palindromes import (
     maximal_radii,
 )
 from kbona.verify import decomposition_cuts
-from kbona.words import DomainError, Word, shift_add, word
+from kbona.words import DomainError, Word, reduce_mod_k, shift_add, word
 
 from oracles import (
     brute_count,
@@ -39,7 +40,9 @@ def test_is_palindrome_examples():
 
 def test_radii_examples():
     profile = maximal_radii(Word.parse("0102010"))
-    assert profile.lengths.typecode == "i"  # the scan's 4-byte array, not a tuple
+    # A read-only view of the scan's 4-byte array, not a tuple.
+    lengths = profile.lengths
+    assert lengths.format == "i" and lengths.itemsize == 4 and lengths.readonly
     assert list(profile.lengths[0::2]) == [1, 3, 1, 7, 1, 3, 1]
     assert all(v == 0 for v in profile.lengths[1::2])
     assert profile.longest == 7
@@ -48,6 +51,62 @@ def test_radii_examples():
     assert profile.longest == 2
     profile = maximal_radii(Word())
     assert list(profile.lengths) == [] and profile.longest == 0
+
+
+def test_profile_is_kept_on_the_word(monkeypatch):
+    # One lane pass serves every caller on one word, in scan-long's order.
+    passes = []
+    original = palindromes._lane_pass
+
+    def counted(ds, lengths, tops):
+        passes.append(len(ds))
+        return original(ds, lengths, tops)
+
+    monkeypatch.setattr(palindromes, "_lane_pass", counted)
+    w = word(3, 8)
+    profile = maximal_radii(w)
+    assert maximal_radii(w) is profile
+    assert count_occurrences(w, 2) == brute_count(w, 2)
+    assert classify_crossing(w, decomposition_cuts(3, 8), 2).total == brute_count(w, 2)
+    assert enumerate_maximal(w, 2) == brute_maximal(w, 2)
+    assert passes == [len(w)]
+    # An equal word built apart has its own profile.
+    twin = Word(w.digits)
+    assert twin == w and hash(twin) == hash(w)
+    assert maximal_radii(twin) is not profile
+    assert passes == [len(w)] * 2
+
+
+def test_profile_is_read_only():
+    w = Word.parse("0102010")
+    profile = maximal_radii(w)
+    with pytest.raises(TypeError):
+        profile.lengths[0] = 5
+    with pytest.raises(TypeError):
+        profile.lengths[0:2] = profile.lengths[2:4]
+    assert list(maximal_radii(w).lengths) == brute_radii(w)
+
+
+@pytest.mark.parametrize("text", ["0102013010201", "0 300 0 1 300 0 2"])
+def test_derived_words_are_scanned_afresh(text):
+    w = Word.parse(text)
+    maximal_radii(w)
+    derived = [
+        w.factor(2, len(w) - 1), w.reverse(), w + w.reverse(), w.drop_last(),
+        shift_add(1, w), reduce_mod_k(3, w),
+    ]
+    for v in derived:
+        assert list(maximal_radii(v).lengths) == brute_radii(v)
+    assert list(maximal_radii(w).lengths) == brute_radii(w)
+
+
+def test_profile_lives_as_long_as_its_word():
+    w = word(3, 6)
+    profile = maximal_radii(w)
+    store = weakref.ref(profile.lengths.obj)
+    assert store() is not None
+    del w, profile
+    assert store() is None
 
 
 def test_enumerate_examples():

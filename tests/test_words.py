@@ -1,11 +1,13 @@
 """Word generation: printed fixtures, size laws, morphism identities."""
 
+import copy
+import pickle
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kbona import counting, structure, verify
+from kbona import counting, palindromes, structure, verify
 from kbona.words import (
     MAX_DIGIT,
     DigitOverflowError,
@@ -335,6 +337,23 @@ def test_canonical_store_at_the_byte_boundary():
     assert shift_add(2, Word((254, 0))).digits == (256, 2)
     assert shift_add(256, Word((0,))).digits == (256,)
     assert shift_add(0, big) == big
+
+
+@pytest.mark.parametrize("w", [word(3, 5), Word((0, 300, 0, 1))], ids=["bytes", "tuple"])
+def test_pickle_and_copy_round_trip(w):
+    # Before and after a scan: a copy equals the word, keeps its store,
+    # carries no profile, and scans to the same lengths.
+    for scanned in (False, True):
+        if scanned:
+            lengths = list(palindromes.maximal_radii(w).lengths)
+        for clone in (pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
+            assert clone == w and hash(clone) == hash(w)
+            assert type(clone.digits) is type(w.digits)
+            assert not hasattr(clone, "_radii")
+            if scanned:
+                assert list(palindromes.maximal_radii(clone).lengths) == lengths
+    with pytest.raises(AttributeError):
+        w._radii = None
 
 
 @given(digit_lists, st.integers(0, 300))

@@ -35,14 +35,15 @@ Everything here works over arbitrary nonnegative-integer digits.
   lengths.
 - `distinct_factors` builds an eertree (palindromic tree) kept in flat
   parallel lists, with dict edges keyed by digit, and skips what it has
-  already read. It takes the word in chunks of O = _CONTEXT digits, and
-  keys each with itself and the O digits before it, which hold every
-  palindrome of length <= O + 1 that ends in the chunk; a chunk whose
-  key was seen is skipped, and the tree restarts after it from the
-  empty palindrome, O digits back. If the tree then holds a palindrome
-  of length >= O, a longer one may have been missed, so O doubles past
-  the longest one it holds and the word is read again into the same
-  tree; otherwise it is complete.
+  already read. It takes the word in chunks of a quarter of the context
+  O = _CONTEXT, and keys each with itself and the O digits before it.
+  While the tree holds no palindrome of length >= O, what a chunk adds
+  and the state after it depend on its key alone, so a chunk whose key
+  was read before is skipped and the read resumes from the state
+  memoized with that key, re-reading nothing. Once the tree holds a
+  palindrome of length >= O, O doubles past it, and the keys with it.
+  The tree matches the plain eertree's after every chunk, so one pass
+  reads the word.
 """
 
 from __future__ import annotations
@@ -271,9 +272,11 @@ def enumerate_maximal(w: Word, min_len: int) -> set[Word]:
     return set(map(Word._unchecked, slices))
 
 
-# distinct_factors first reads the word in chunks of _CONTEXT digits, each
-# keyed by itself and the _CONTEXT digits before it; the chunks grow only
-# while the tree holds a palindrome as long as one.
+# distinct_factors first keys each chunk by itself and the _CONTEXT digits
+# before it, and the context grows only once the tree holds a palindrome as
+# long as it. A chunk is a quarter of the context, so the keys of a word
+# whose chunks never repeat take about 5 bytes per digit; chunks of a fixed
+# size would keep |w| / size prefixes of the word at a context of |w|.
 _CONTEXT = 64
 
 
@@ -284,78 +287,79 @@ def distinct_factors(w: Word, min_len: int) -> set[Word]:
     node: `length`, suffix `link`, the 0-based `end` of one occurrence,
     and `edges`, a dict keyed by digit so the alphabet may be unbounded.
     Node 0 is the imaginary root of length -1, node 1 the empty
-    palindrome; every other node is one distinct palindromic factor.
-    Nodes, links and edges are facts about palindromes, not positions, so
-    one tree serves any set of stretches of the word.
+    palindrome; every other node is one distinct palindromic factor. The
+    plain eertree reads every digit, and its state `last` is the longest
+    palindromic suffix of the digits read.
 
-    The word is read in chunks [a, a + O) of O = _CONTEXT digits, and
-    chunk a is keyed by ds[a - O : a + O]. Every palindrome of length
-    <= O + 1 that ends in a chunk lies inside its key, so a chunk whose
-    key was seen before adds nothing and is skipped. After a skip the
-    tree restarts from the empty palindrome at a - O, and its suffix-link
-    walks stop at that guard, the start of the stretch read since. At the
-    end the tree holds every palindrome of length <= O + 1. A longer one
-    would hold a centred one of length O or O + 1, so if the tree has no
-    palindrome of length >= O it is complete; otherwise O doubles until
-    it passes the longest palindrome in the tree, and the word is read
-    again into the same tree. Once O >= |w| nothing is skipped, and the
-    pass is the plain eertree.
+    This one skips chunks. The word is read in chunks [a, a + C) of
+    C = max(O // 4, 1) digits, O = _CONTEXT, and chunk a is keyed by
+    ds[a - O : a + C]. While the tree holds no palindrome of length >= O,
+    none ends before a: the tree holds every palindrome that does, and a
+    palindrome of length >= O holds a centred one of length O or O + 1
+    that ends no later. Nor does one end in a chunk whose key was read
+    before, as that centred one would end before a or lie in the key,
+    and either way be in the tree. So every state in such a chunk is
+    shorter than O, lies in the key, and is the state met where the key
+    was read: the chunk adds nothing and is skipped, and the read resumes
+    from the state after it, to which `seen` maps the key. Once the tree
+    holds a palindrome of length >= O, O doubles past it and `seen`
+    starts afresh, as no key of the old size comes again. The state after
+    every chunk is thus the plain eertree's, the suffix-link walks need
+    no bound but the start of the word, and once O >= |w| every key is a
+    prefix and nothing is skipped.
     """
     _require_min_len(min_len)
     ds = w.digits
     n = len(ds)
     length, link, end, edges = [-1, 0], [0, 0], [-1, -1], [{}, {}]
     context = _CONTEXT
-    while True:
-        seen = set()
-        skipped = True
-        for a in range(0, n, context):
-            key = ds[max(a - context, 0) : a + context]
-            if key in seen:
-                skipped = True
-                continue
-            seen.add(key)
-            if skipped:
-                # Read from a - context on; last is the longest
-                # palindromic suffix of ds[guard : i].
-                guard = start = max(a - context, 0)
-                last = 1
-                skipped = False
-            else:
-                start = a
-            for i, d in enumerate(ds[start : a + context], start):
-                # Walk suffix links to the longest palindromic suffix x
-                # with d x d a suffix too; the root of length -1 always
-                # qualifies.
-                v = last
-                while True:
-                    j = i - length[v] - 1
-                    if j >= guard and ds[j] == d:
-                        break
-                    v = link[v]
-                last = edges[v].get(d)
-                if last is None:
-                    if v:
-                        # The new node's link: the same walk, from below x.
-                        u = link[v]
-                        while True:
-                            j = i - length[u] - 1
-                            if j >= guard and ds[j] == d:
-                                break
-                            u = link[u]
-                        link.append(edges[u][d])
-                    else:
-                        link.append(1)  # a single digit links to the empty palindrome
-                    last = edges[v][d] = len(length)
-                    length.append(length[v] + 2)
-                    end.append(i)
-                    edges.append({})
-        longest = max(length)
-        if context >= n or longest < context:
-            break
-        # A pass with context <= longest would end here again.
-        while context <= longest:
-            context *= 2
+    step = max(context // 4, 1)
+    seen = {}
+    last = 1  # the longest palindromic suffix of ds[:b]
+    longest = 0
+    b = 0
+    while b < n:
+        a, b = b, b + step
+        key = ds[max(a - context, 0) : b]
+        node = seen.get(key)
+        if node is not None:
+            last = node
+            continue
+        for i, d in enumerate(ds[a:b], a):
+            # Walk suffix links to the longest palindromic suffix x with
+            # d x d a suffix too; the root of length -1 always qualifies.
+            v = last
+            while True:
+                j = i - length[v] - 1
+                if j >= 0 and ds[j] == d:
+                    break
+                v = link[v]
+            last = edges[v].get(d)
+            if last is None:
+                if v:
+                    # The new node's link: the same walk from below x,
+                    # which stays inside d x d.
+                    u = link[v]
+                    while ds[i - length[u] - 1] != d:
+                        u = link[u]
+                    link.append(edges[u][d])
+                else:
+                    link.append(1)  # a single digit links to the empty palindrome
+                last = edges[v][d] = len(length)
+                length.append(length[v] + 2)
+                end.append(i)
+                edges.append({})
+                if length[v] + 2 > longest:
+                    longest = length[v] + 2
+        if longest < context:
+            seen[key] = last
+        else:
+            # Keys this short no longer fix the state: lengthen them
+            # past every palindrome in the tree and start a new memo.
+            while context <= longest:
+                context *= 2
+            step = max(context // 4, 1)
+            seen = {}
     return {
         Word._unchecked(ds[e - m + 1 : e + 1])
         for m, e in zip(length, end) if m >= min_len

@@ -2,6 +2,7 @@
 consistency laws."""
 
 import random
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -240,22 +241,35 @@ def repeating_words(draw):
     return Word(d + shift for d in digits)
 
 
-@given(repeating_words(), st.integers(1, 4), st.integers(1, 3))
+@given(repeating_words(), st.integers(1, 8), st.integers(1, 3))
 @example(Word(), 1, 1)
 @example(Word((0,)), 1, 1)
 @example(Word((300,)), 2, 1)
+# A resume from the memo: the chunk ending in the second 9 3 5 4 5 is
+# keyed by 9 3 5 4 5 again and skipped; the state after it is the
+# palindrome 5 4 5, which the next digit extends to 3 5 4 5 3, a factor
+# found nowhere else. A read restarted from the empty palindrome there
+# misses it.
+@example(Word((9, 3, 5, 4, 5, 0, 9, 3, 5, 4, 5, 3)), 4, 3)
+# Switches: 1 2 3 2 1 in the first chunks lengthens the context from 3
+# to 6 digits, and the run of twenty 0s later to 12 and 24. Keys that
+# stayed 4 digits long would skip the run from its fifth 0 on, from the
+# state 0 0 0 0, and miss every longer run.
+@example(Word((1, 2, 3, 2, 1, 4) + (0,) * 20), 3, 2)
 @settings(max_examples=400)
 def test_skipping_tree_against_oracle(w, context, min_len):
-    # Contexts of 1-4 digits make chunks repeat within a few dozen digits,
-    # and a planted palindrome longer than the context makes it double.
+    # Contexts of 1-8 digits make chunks of 1 or 2 digits repeat within a
+    # few dozen digits, and a planted palindrome longer than the context
+    # lengthens the keys.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(palindromes, "_CONTEXT", context)
         assert distinct_factors(w, min_len) == brute_distinct(w, min_len)
 
 
 def test_skipping_tree_agrees_with_plain_tree():
-    # With _CONTEXT >= |w| the word is one chunk, read once: the plain
-    # eertree, on words past the brute oracles' reach.
+    # With _CONTEXT >= |w| every key is a prefix of the word, so no chunk
+    # is skipped: the plain eertree, on words past the brute oracles'
+    # reach.
     for k, n in ((3, 16), (4, 16), (5, 16), (6, 16), (7, 16), (6, 20)):
         w = word(k, n)
         got = distinct_factors(w, 2)
@@ -400,9 +414,10 @@ def test_skipping_tree_skips_repeated_chunks(monkeypatch):
     # W_19 for k = 5 (400,096 digits) repeats its chunks heavily. The
     # tree reads a digit by index at every step of its suffix-link walks
     # (a chunk or key slice counts once), so these reads are its work in
-    # Python: 207,027 by default against 696,585 for the plain tree, with
+    # Python: 63,363 by default against 696,591 for the plain tree, with
     # _CONTEXT >= |w|. A tree that skips nothing reads at least as many
-    # as the plain one.
+    # as the plain one, and one that re-reads the context after each
+    # skipped chunk reads 207,027.
     digits = word(5, 19).digits
     reads = []
     for context in (palindromes._CONTEXT, len(digits)):
@@ -411,7 +426,28 @@ def test_skipping_tree_skips_repeated_chunks(monkeypatch):
         object.__setattr__(w, "digits", _CountedDigits(digits, 4 * len(digits)))
         distinct_factors(w, 2)
         reads.append(w.digits.reads)
-    assert 2 * reads[0] <= reads[1]
+    assert 8 * reads[0] <= reads[1]
+
+
+@pytest.mark.parametrize("context", [64, 100_000])
+def test_skipping_tree_memory_is_linear(monkeypatch, context):
+    # The 80-digit keys of a random word over 10 digits never repeat, so
+    # the memo keeps a key for every chunk: 13 bytes per digit with the
+    # tree and the result at _CONTEXT = 64, and 5 at _CONTEXT = |w|, where
+    # the keys are the word's prefixes at each quarter. Chunks of a fixed
+    # size would keep |w| / size prefixes there, quadratic in |w|.
+    n = 100_000
+    w = Word(random.Random(20240811).choices(range(10), k=n))
+    monkeypatch.setattr(palindromes, "_CONTEXT", context)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        distinct_factors(w, 2)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * n
 
 
 def test_classify_crossing_walks_only_cut_windows(monkeypatch):

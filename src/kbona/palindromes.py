@@ -14,36 +14,41 @@ Everything here works over arbitrary nonnegative-integer digits.
   from there, with Manacher's mirror bound so the scan stays linear. A
   tuple store (a digit past 255) takes the same path; only its equal
   lanes come from a C-level `map(eq, ...)` instead. The profile carries
-  its longest length, which the scan keeps from each block's deepest
-  live layer and from `_expand`. The profile is computed once per word
-  and kept on it (`Word._radii`) as a read-only view, at 8 bytes per
-  digit for as long as the word lives, so every caller shares one scan.
+  its longest length and its total, the sum of the lengths, which the
+  scan keeps as it writes: the lane pass from each block's deepest live
+  layer and from the centres each layer leaves alive, and `_expand`
+  from what it adds to each length it rewrites. The profile is computed
+  once per word and kept on it (`Word._radii`) as a read-only view, at
+  8 bytes per digit for as long as the word lives, so every caller
+  shares one scan.
 - `count_occurrences` counts from the profile by arithmetic: a centre of
   maximal length m holds (m - min_len + 2) // 2 occurrences, and since
   the parity of m is fixed by the centre's, those terms add up to one
-  sum over the lengths (`_span_count`). `enumerate_maximal` slices the
-  maximal palindrome of each centre that reaches min_len from the digit
-  store into a set of distinct factors.
+  sum over the lengths (`_span_count`), which is the profile's total;
+  only a min_len above 2 reads the lengths, to put the negative terms
+  back to zero. `enumerate_maximal` slices the maximal palindrome of
+  each centre that reaches min_len from the digit store into a set of
+  distinct factors.
 - `classify_crossing` buckets occurrences as contained / bordering /
   straddling relative to a block decomposition, given as a tuple of
   cut after-positions, per centre: an occurrence of length L at centre
   c crosses the cut after position p iff L >= |c - (2p - 1)| + 2. Only
   the centres within the profile's longest length - 2 of a cut can cross
-  one, so it walks only those cut windows and counts the centres between
-  them as contained in bulk, with the same span count. On a scanned
-  word, counting and classification do only their own pass over the
-  lengths.
+  one, so it reads only those cut windows: it takes their span count
+  out of the count from the total, which leaves the contained
+  occurrences of every other centre, and buckets them one at a time.
 - `distinct_factors` builds an eertree (palindromic tree) kept in flat
   parallel lists, with dict edges keyed by digit, and skips what it has
   already read. It takes the word in chunks of a quarter of the context
   O = _CONTEXT, and keys each with itself and the O digits before it.
-  While the tree holds no palindrome of length >= O, what a chunk adds
-  and the state after it depend on its key alone, so a chunk whose key
-  was read before is skipped and the read resumes from the state
-  memoized with that key, re-reading nothing. Once the tree holds a
-  palindrome of length >= O, O doubles past it, and the keys with it.
-  The tree matches the plain eertree's after every chunk, so one pass
-  reads the word.
+  While the tree holds no palindrome of length >= O, what a run of
+  chunks adds and the state after it depend on its key alone, so a
+  chunk whose key was read before is skipped, with every whole chunk
+  after it that repeats the chunks after the key's first reading, and
+  the read resumes from the state memoized after the last of those,
+  re-reading nothing. Once the tree holds a palindrome of length >= O,
+  O doubles past it, and the keys with it. The tree matches the plain
+  eertree's after every chunk, so one pass reads the word.
 """
 
 from __future__ import annotations
@@ -66,8 +71,9 @@ class RadiusProfile:
     and the gap between positions (c-1)/2 and (c+1)/2 when c is odd, both
     in 0-based digit coordinates. `lengths` is a read-only `memoryview`
     of the scan's own 4-byte `array("i")`, which a length overflows only
-    past 2^31 digits, and `longest` is its maximum (0 for the empty
-    word), which the scan keeps as it writes.
+    past 2^31 digits. `longest` is its maximum and `total` its sum (both
+    0 for the empty word), which the scan keeps as it writes, so no
+    caller needs a pass over the lengths for either.
 
     `maximal_radii` computes the profile once per word and keeps it on
     the word, at 8 bytes per digit for as long as the word lives; the
@@ -76,17 +82,19 @@ class RadiusProfile:
 
     lengths: memoryview
     longest: int
+    total: int
 
 
 def is_palindrome(w: Word) -> bool:
     return w.digits == w.digits[::-1]
 
 
-def _expand(ds: bytes | tuple[int, ...], lengths: array, centres) -> int:
+def _expand(ds: bytes | tuple[int, ...], lengths: array, centres, tally: list[int]) -> None:
     """Manacher's scan over the centres that outlive the lane pass, given
     in increasing order; every other centre already holds its maximal
     length in `lengths`, and an alive one the length the pass reached.
-    Returns the longest length it expands to (0 if none); a length it
+    Folds into `tally` (see `_lane_pass`) the longest length it expands
+    to and what each length it rewrites adds to the total; a length it
     copies from a mirror was written before, by the lane pass or here.
 
     (mid, right) is the scanned palindrome that reaches furthest right,
@@ -98,17 +106,17 @@ def _expand(ds: bytes | tuple[int, ...], lengths: array, centres) -> int:
     """
     last = len(ds) - 1
     mid = right = -1
-    longest = 0
+    longest = grown = 0
     for c in centres:
+        old = m = lengths[c]
         if c <= 2 * right:
             m = lengths[2 * mid - c]
             bound = 2 * right - c + 1
             if m < bound:
                 lengths[c] = m
+                grown += m - old
                 continue
             m = bound
-        else:
-            m = lengths[c]
         # The occurrence of length m at c spans digits a..b, 0-based.
         a = (c - m + 1) // 2
         b = a + m - 1
@@ -116,11 +124,13 @@ def _expand(ds: bytes | tuple[int, ...], lengths: array, centres) -> int:
             a -= 1
             b += 1
         m = lengths[c] = b - a + 1
+        grown += m - old
         if m > longest:
             longest = m
         if b > right:
             mid, right = c, b
-    return longest
+    tally[0] = max(tally[0], longest)
+    tally[1] += grown
 
 
 # The lane pass works on blocks of _BLOCK digits, each read with _LAYERS
@@ -143,13 +153,14 @@ def _equal_lanes(lanes: int | tuple[int, ...], span: int, low7: int, high: int) 
     return int.from_bytes(bytes(map(eq, lanes, lanes[span:])), "little") << 7
 
 
-def _lane_pass(ds: bytes | tuple[int, ...], lengths: array, tops: list[int]):
+def _lane_pass(ds: bytes | tuple[int, ...], lengths: array, tally: list[int]):
     """Write into `lengths` the length that the first _LAYERS layers
     reach at every centre, block by block, and yield for each block an
     iterator over its centres still alive after them, in increasing
-    order. Append to `tops` the longest length each block reaches in
-    each parity class: the deepest layer that leaves a centre alive
-    sets it.
+    order. `tally` is [longest, total] of the lengths written: the
+    deepest layer that leaves a centre of a block alive sets the
+    longest length there, and each layer adds 2 for each centre it
+    leaves alive to the base of 1 at every digit.
 
     Layer t compares digits i - t and i + t at digit i (parity 0), or
     i - t + 1 and i + t at the gap after digit i (parity 1), for all the
@@ -179,6 +190,7 @@ def _lane_pass(ds: bytes | tuple[int, ...], lengths: array, tops: list[int]):
             size = (centres + 1 - parity) // 2
             ones = int.from_bytes(b"\x01" * size, "little")
             alive, radius, deepest = ones, 0, 0
+            total = size if parity == 0 else 0
             for t in range(1, _LAYERS + 1):
                 eq_lanes = _equal_lanes(lanes, 2 * t - parity, low7, high)
                 # Lane lo - start - t + parity of eq_lanes holds layer t
@@ -191,15 +203,18 @@ def _lane_pass(ds: bytes | tuple[int, ...], lengths: array, tops: list[int]):
                 edge = n - t - lo
                 if 0 <= edge < size:
                     alive &= ~(1 << 8 * edge)
-                if alive:
+                live = alive.bit_count()
+                if live:
                     deepest = t
+                    total += 2 * live
                 radius += alive
-                if alive.bit_count() * _SPARSE <= size:
+                if live * _SPARSE <= size:
                     break
             reached = (radius << 1) + (ones if parity == 0 else 0)
             chunk[parity * item + low_byte :: 2 * item] = reached.to_bytes(size, "little")
             survivors[parity::2] = alive.to_bytes(size, "little")
-            tops.append(2 * deepest + 1 - parity)
+            tally[0] = max(tally[0], 2 * deepest + 1 - parity)
+            tally[1] += total
         view[2 * lo * item : 2 * lo * item + len(chunk)] = chunk
         # The 1 numbered j (from 0) follows j + 1 runs of 0s and j 1s.
         zeros = map(len, survivors.split(b"\x01")[:-1])
@@ -220,27 +235,28 @@ def maximal_radii(w: Word) -> RadiusProfile:
         return profile
     ds = w.digits
     lengths = array("i", (0,)) * max(2 * len(ds) - 1, 0)
-    tops: list[int] = []
-    expanded = _expand(ds, lengths, chain.from_iterable(_lane_pass(ds, lengths, tops)))
-    profile = RadiusProfile(memoryview(lengths).toreadonly(), max([expanded, *tops]))
+    tally = [0, 0]
+    _expand(ds, lengths, chain.from_iterable(_lane_pass(ds, lengths, tally)), tally)
+    profile = RadiusProfile(memoryview(lengths).toreadonly(), *tally)
     object.__setattr__(w, "_radii", profile)
     return profile
 
 
-def _span_count(ms: memoryview, first: int, min_len: int) -> int:
+def _span_count(ms: memoryview, first: int, min_len: int, total: int) -> int:
     """Occurrences of length >= min_len at the centres first, first + 1,
-    ... whose maximal lengths are ms. A centre of maximal length m holds
-    the lengths m, m-2, ... >= min_len, (m - min_len + 2) // 2 of them,
-    and m - min_len is odd exactly at the centres of the other parity
-    than min_len's, so the terms add up to one sum over ms. A term below
-    zero, at m < min_len - 2, is put back to zero by a second pass."""
+    ... whose maximal lengths are ms, of sum total. A centre of maximal
+    length m holds the lengths m, m-2, ... >= min_len,
+    (m - min_len + 2) // 2 of them, and m - min_len is odd exactly at
+    the centres of the other parity than min_len's, so the terms add up
+    to one sum over ms. A term below zero, at m < min_len - 2, is put
+    back to zero by a pass over ms, which only a min_len above 2 needs."""
     low = min_len - 2
     end = first + len(ms)
     if min_len % 2:  # the gaps, at odd centres, have even lengths
         odd = end // 2 - first // 2
     else:
         odd = (end + 1) // 2 - (first + 1) // 2
-    total = (sum(ms) - len(ms) * low - odd) // 2
+    total = (total - len(ms) * low - odd) // 2
     if low > 0:
         total += sum(map(floordiv, map(sub, repeat(low + 1), filter(low.__gt__, ms)), repeat(2)))
     return total
@@ -255,7 +271,8 @@ def count_occurrences(w: Word, min_len: int) -> int:
     """Number of palindromic occurrences (start, length) of length at
     least min_len."""
     _require_min_len(min_len)
-    return _span_count(maximal_radii(w).lengths, 0, min_len)
+    profile = maximal_radii(w)
+    return _span_count(profile.lengths, 0, min_len, profile.total)
 
 
 def enumerate_maximal(w: Word, min_len: int) -> set[Word]:
@@ -296,17 +313,25 @@ def distinct_factors(w: Word, min_len: int) -> set[Word]:
     ds[a - O : a + C]. While the tree holds no palindrome of length >= O,
     none ends before a: the tree holds every palindrome that does, and a
     palindrome of length >= O holds a centred one of length O or O + 1
-    that ends no later. Nor does one end in a chunk whose key was read
-    before, as that centred one would end before a or lie in the key,
-    and either way be in the tree. So every state in such a chunk is
-    shorter than O, lies in the key, and is the state met where the key
-    was read: the chunk adds nothing and is skipped, and the read resumes
-    from the state after it, to which `seen` maps the key. Once the tree
-    holds a palindrome of length >= O, O doubles past it and `seen`
-    starts afresh, as no key of the old size comes again. The state after
-    every chunk is thus the plain eertree's, the suffix-link walks need
-    no bound but the start of the word, and once O >= |w| every key is a
-    prefix and nothing is skipped.
+    that ends no later. Nor does one end in a run of chunks a .. b whose
+    key ds[a - O : b] was read before, as that centred one would end
+    before a or lie in the key, and either way be in the tree. So every
+    state in such a run is shorter than O, lies in the key, and is the
+    state met where the key was read: the run adds nothing and is
+    skipped, and the read resumes from the state after its last chunk.
+
+    `seen` maps the key of each chunk read to its index in `states`, the
+    state after every chunk so far. On a hit at chunk a whose key was
+    read at chunk s, the run is as many whole chunks as repeat those
+    from s on, up to a - s digits so that each of their states is known:
+    the key of the run is the key of s with the digits after s appended,
+    and each chunk of the run has the key of the matching chunk from s
+    on, which was read or skipped before a. Once the tree holds a
+    palindrome of length >= O, O doubles past it and `seen` and
+    `states` start afresh, as no key of the old size comes again. The
+    state after every chunk is thus the plain eertree's, the suffix-link
+    walks need no bound but the start of the word, and once O >= |w|
+    every key is a prefix and nothing is skipped.
     """
     _require_min_len(min_len)
     ds = w.digits
@@ -315,15 +340,20 @@ def distinct_factors(w: Word, min_len: int) -> set[Word]:
     context = _CONTEXT
     step = max(context // 4, 1)
     seen = {}
+    states = array("i")
     last = 1  # the longest palindromic suffix of ds[:b]
     longest = 0
     b = 0
     while b < n:
         a, b = b, b + step
         key = ds[max(a - context, 0) : b]
-        node = seen.get(key)
-        if node is not None:
-            last = node
+        first = seen.get(key)
+        if first is not None:
+            cap = len(states) - first
+            run = _repeated_chunks(ds, a, a - cap * step, step, cap)
+            states += states[first : first + run]
+            last = states[-1]
+            b = a + run * step
             continue
         for i, d in enumerate(ds[a:b], a):
             # Walk suffix links to the longest palindromic suffix x with
@@ -352,7 +382,8 @@ def distinct_factors(w: Word, min_len: int) -> set[Word]:
                 if length[v] + 2 > longest:
                     longest = length[v] + 2
         if longest < context:
-            seen[key] = last
+            seen[key] = len(states)
+            states.append(last)
         else:
             # Keys this short no longer fix the state: lengthen them
             # past every palindrome in the tree and start a new memo.
@@ -360,10 +391,36 @@ def distinct_factors(w: Word, min_len: int) -> set[Word]:
                 context *= 2
             step = max(context // 4, 1)
             seen = {}
+            states = array("i")
     return {
         Word._unchecked(ds[e - m + 1 : e + 1])
         for m, e in zip(length, end) if m >= min_len
     }
+
+
+def _repeated_chunks(ds: bytes | tuple[int, ...], a: int, src: int, step: int, cap: int) -> int:
+    """How many chunks of `step` digits from a on, at least 1 and at most
+    cap, equal those from src on, given that the first does: a gallop
+    over doubling runs, then a binary search, each compare one slice.
+    Chunks from src on that end by a are whole, so a run that reaches
+    the end of the word stops before its last partial chunk, whose
+    slice is shorter."""
+    low = 1
+    while low < cap:
+        high = min(2 * low, cap)
+        if ds[a + low * step : a + high * step] != ds[src + low * step : src + high * step]:
+            break
+        low = high
+    else:
+        return low
+    # The first low chunks repeat, and the first high do not.
+    while high - low > 1:
+        mid = (low + high) // 2
+        if ds[a + low * step : a + mid * step] == ds[src + low * step : src + mid * step]:
+            low = mid
+        else:
+            high = mid
+    return low
 
 
 @dataclass
@@ -373,8 +430,9 @@ class CrossingCounts:
     bordering is keyed by the index of the block containing the
     occurrence's start; straddling takes priority whenever the final cut
     is crossed. occurrences is the plain count of the same occurrences,
-    summed per centre apart from the bucket arithmetic, so that `total`
-    can be checked against it.
+    from the profile's total apart from the bucket arithmetic, and
+    `total` equals it only if the buckets of the centres near the cuts
+    add up to those centres' span count, so it can be checked against it.
     """
 
     contained: int = 0
@@ -399,9 +457,11 @@ def classify_crossing(w: Word, cuts: tuple[int, ...], min_len: int) -> CrossingC
     The cut after position p is centre g = 2p - 1, and an occurrence of
     length L at centre c crosses it iff L >= |c - g| + 2. So a centre
     further than reach = longest - 2 from every cut holds only
-    contained occurrences: those centres are counted in bulk, and only
-    the centres in the merged windows [g - reach, g + reach] are bucketed
-    one at a time, by `_bucket`.
+    contained occurrences. The count of all occurrences comes from the
+    profile's total; the centres in the merged windows
+    [g - reach, g + reach] are taken out of it, each window by one span
+    count, and bucketed one at a time by `_bucket`, so only the windows
+    are read.
     """
     _require_min_len(min_len)
     prev = 0
@@ -411,18 +471,17 @@ def classify_crossing(w: Word, cuts: tuple[int, ...], min_len: int) -> CrossingC
         prev = p
     profile = maximal_radii(w)
     lengths = profile.lengths
-    counts = CrossingCounts(occurrences=_span_count(lengths, 0, min_len))
-    gaps = [2 * p - 1 for p in cuts]
+    occurrences = _span_count(lengths, 0, min_len, profile.total)
+    counts = CrossingCounts(contained=occurrences, occurrences=occurrences)
     reach = max(profile.longest - 2, 0)
     done = 0
-    for g in gaps:
-        lo = max(g - reach, done)
-        hi = min(g + reach + 1, len(lengths))
-        counts.contained += _span_count(lengths[done:lo], done, min_len)
-        for c in compress(count(lo), map(ge, lengths[lo:hi], repeat(min_len))):
+    for p in cuts:
+        lo = max(2 * p - 1 - reach, done)
+        done = min(2 * p + reach, len(lengths))
+        window = lengths[lo:done]
+        counts.contained -= _span_count(window, lo, min_len, sum(window))
+        for c in compress(count(lo), map(ge, window, repeat(min_len))):
             _bucket(counts, cuts, c, lengths[c], min_len)
-        done = hi
-    counts.contained += _span_count(lengths[done:], done, min_len)
     return counts
 
 

@@ -46,12 +46,12 @@ def test_radii_examples():
     assert lengths.format == "i" and lengths.itemsize == 4 and lengths.readonly
     assert list(profile.lengths[0::2]) == [1, 3, 1, 7, 1, 3, 1]
     assert all(v == 0 for v in profile.lengths[1::2])
-    assert profile.longest == 7
+    assert profile.longest == 7 and profile.total == 17
     profile = maximal_radii(Word.parse("33"))
     assert list(profile.lengths) == [1, 2, 1]
-    assert profile.longest == 2
+    assert profile.longest == 2 and profile.total == 4
     profile = maximal_radii(Word())
-    assert list(profile.lengths) == [] and profile.longest == 0
+    assert list(profile.lengths) == [] and profile.longest == profile.total == 0
 
 
 def test_profile_is_kept_on_the_word(monkeypatch):
@@ -59,9 +59,9 @@ def test_profile_is_kept_on_the_word(monkeypatch):
     passes = []
     original = palindromes._lane_pass
 
-    def counted(ds, lengths, tops):
+    def counted(ds, lengths, tally):
         passes.append(len(ds))
-        return original(ds, lengths, tops)
+        return original(ds, lengths, tally)
 
     monkeypatch.setattr(palindromes, "_lane_pass", counted)
     w = word(3, 8)
@@ -161,6 +161,7 @@ def test_radii_against_oracle(digits):
     profile, expected = maximal_radii(w), brute_radii(w)
     assert list(profile.lengths) == expected
     assert profile.longest == max(expected, default=0)
+    assert profile.total == sum(expected)
 
 
 @given(random_digits, st.integers(min_value=1, max_value=5))
@@ -190,6 +191,10 @@ def lane_words(draw):
 
 
 @given(lane_words(), st.integers(1, 7), st.integers(1, 4), st.sampled_from((1, 2, 32)))
+# A mirror copy: the 0 1 0 2 0 1 0 after the 3 lies inside the palindrome
+# centred at the 3 and copies its length 7 from the one before it, which
+# ends short of that palindrome's left end; one layer reached only 3.
+@example(Word.parse("6 5 0 1 0 2 0 1 0 3 0 1 0 2 0 1 0 5 7"), 7, 1, 32)
 @settings(max_examples=400)
 def test_lane_pass_at_block_edges(w, block, layers, sparse):
     # Blocks of 1-7 digits and 1-4 layers put block edges, word edges and
@@ -202,8 +207,11 @@ def test_lane_pass_at_block_edges(w, block, layers, sparse):
         profile, expected = maximal_radii(w), brute_radii(w)
         assert list(profile.lengths) == expected
         # Each block's longest comes from its deepest layer that leaves a
-        # centre alive, or from the expansion after it.
+        # centre alive, or from the expansion after it; the total adds
+        # each layer's live centres, after the right-edge mask, and what
+        # the expansion, a mirror copy included, adds to a length.
         assert profile.longest == max(expected, default=0)
+        assert profile.total == sum(expected)
 
 
 @given(random_digits, st.integers(min_value=1, max_value=3))
@@ -256,6 +264,22 @@ def repeating_words(draw):
 # stayed 4 digits long would skip the run from its fifth 0 on, from the
 # state 0 0 0 0, and miss every longer run.
 @example(Word((1, 2, 3, 2, 1, 4) + (0,) * 20), 3, 2)
+# Runs capped by a - src: at a context of 16 the chunks are 4 digits,
+# one period of 0 0 1 2. The key of chunk 20 was read at chunk 16, so its
+# run is the one chunk 20 .. 23; chunk 24 repeats two chunks from 16 on,
+# and chunk 32 two more, up to digit 40, which stops the run before the
+# last partial chunk 0 0.
+@example(Word((0, 0, 1, 2) * 10), 16, 1)
+@example(Word((0, 0, 1, 2) * 10 + (0, 0)), 16, 1)
+# At a context of 6 the chunks are single digits and the period is 5: the
+# hit at digit 11 repeats the 5 chunks from 6 on, as many as were read;
+# copying more would take states not yet known, and a later run, read
+# against the wrong chunks, would skip the 1 0 1 near the end.
+@example(Word((0, 1, 1, 1, 3) * 5 + (1, 3, 3, 1, 0, 1, 1, 1, 3)), 6, 2)
+# A hit just after a doubling: 2 2 2 2 doubles the context from 4 to 8
+# after digit 3, and the memo starts afresh there; chunk 14 repeats
+# chunk 10, both read in the new chunks of 2 digits.
+@example(Word((2, 2, 2, 2) + (3, 0, 2, 2) * 3 + (3, 0, 2)), 4, 2)
 @settings(max_examples=400)
 def test_skipping_tree_against_oracle(w, context, min_len):
     # Contexts of 1-8 digits make chunks of 1 or 2 digits repeat within a
@@ -407,17 +431,20 @@ def test_radii_linear_on_periodic_words():
     ):
         w = Word(digits)
         object.__setattr__(w, "digits", _CountedDigits(digits, 8 * n))
-        assert list(maximal_radii(w).lengths) == expected
+        profile = maximal_radii(w)
+        assert list(profile.lengths) == expected
+        assert profile.total == sum(expected)
 
 
 def test_skipping_tree_skips_repeated_chunks(monkeypatch):
-    # W_19 for k = 5 (400,096 digits) repeats its chunks heavily. The
-    # tree reads a digit by index at every step of its suffix-link walks
-    # (a chunk or key slice counts once), so these reads are its work in
-    # Python: 63,363 by default against 696,591 for the plain tree, with
-    # _CONTEXT >= |w|. A tree that skips nothing reads at least as many
-    # as the plain one, and one that re-reads the context after each
-    # skipped chunk reads 207,027.
+    # W_19 for k = 5 (400,096 digits) repeats its chunks heavily, in long
+    # runs. The tree reads a digit by index at every step of its
+    # suffix-link walks (a chunk, key or run slice counts once), so these
+    # reads are its work in Python: 44,788 by default against 696,591 for
+    # the plain tree, with _CONTEXT >= |w|. A tree that skips one chunk
+    # per key it has read before reads 63,363, one that also re-reads the
+    # context after each skipped chunk 207,027, and one that skips
+    # nothing at least as many as the plain one.
     digits = word(5, 19).digits
     reads = []
     for context in (palindromes._CONTEXT, len(digits)):
@@ -426,14 +453,15 @@ def test_skipping_tree_skips_repeated_chunks(monkeypatch):
         object.__setattr__(w, "digits", _CountedDigits(digits, 4 * len(digits)))
         distinct_factors(w, 2)
         reads.append(w.digits.reads)
-    assert 8 * reads[0] <= reads[1]
+    assert 14 * reads[0] <= reads[1]
 
 
 @pytest.mark.parametrize("context", [64, 100_000])
 def test_skipping_tree_memory_is_linear(monkeypatch, context):
     # The 80-digit keys of a random word over 10 digits never repeat, so
-    # the memo keeps a key for every chunk: 13 bytes per digit with the
-    # tree and the result at _CONTEXT = 64, and 5 at _CONTEXT = |w|, where
+    # the memo keeps a key, its chunk index and a 4-byte state for every
+    # chunk: 15 bytes per digit with the tree and the result at
+    # _CONTEXT = 64, and 5 at _CONTEXT = |w|, where
     # the keys are the word's prefixes at each quarter. Chunks of a fixed
     # size would keep |w| / size prefixes there, quadratic in |w|.
     n = 100_000

@@ -39,16 +39,18 @@ Everything here works over arbitrary nonnegative-integer digits.
   occurrences of every other centre, and buckets them one at a time.
 - `distinct_factors` builds an eertree (palindromic tree) kept in flat
   parallel lists, with dict edges keyed by digit, and skips what it has
-  already read. It takes the word in chunks of a quarter of the context
-  O = _CONTEXT, and keys each with itself and the O digits before it.
-  While the tree holds no palindrome of length >= O, what a run of
-  chunks adds and the state after it depend on its key alone, so a
-  chunk whose key was read before is skipped, with every whole chunk
-  after it that repeats the chunks after the key's first reading, and
-  the read resumes from the state memoized after the last of those,
-  re-reading nothing. Once the tree holds a palindrome of length >= O,
-  O doubles past it, and the keys with it. The tree matches the plain
-  eertree's after every chunk, so one pass reads the word.
+  already read. It takes the word in chunks of a quarter of _CONTEXT
+  digits on one fixed grid, and memoizes each chunk it reads under the
+  chunk and the _CONTEXT digits before it. The context O starts at
+  _CONTEXT and doubles past every palindrome the tree holds. While the
+  tree holds none of length >= O, what a run of chunks adds and the
+  state after it depend on the run and the O digits before it alone,
+  so a chunk whose key was read before, with the same O digits before
+  both, is skipped, with every whole chunk after it that repeats the
+  chunks after the key's reading, and the read resumes from the state
+  memoized after the last of those, re-reading nothing. The tree
+  matches the plain eertree's after every chunk, so one pass reads the
+  word and one memo serves all of it.
 """
 
 from __future__ import annotations
@@ -134,11 +136,9 @@ def _expand(ds: bytes | tuple[int, ...], lengths: array, centres, tally: list[in
 
 
 # The lane pass works on blocks of _BLOCK digits, each read with _LAYERS
-# digits of context on either side, and stops a block's layers for one
-# parity class once at most 1 in _SPARSE of its centres are alive.
+# digits of context on either side.
 _BLOCK = 1 << 13
 _LAYERS = 16
-_SPARSE = 32
 
 
 def _equal_lanes(lanes: int | tuple[int, ...], span: int, low7: int, high: int) -> int:
@@ -157,10 +157,11 @@ def _lane_pass(ds: bytes | tuple[int, ...], lengths: array, tally: list[int]):
     """Write into `lengths` the length that the first _LAYERS layers
     reach at every centre, block by block, and yield for each block an
     iterator over its centres still alive after them, in increasing
-    order. `tally` is [longest, total] of the lengths written: the
-    deepest layer that leaves a centre of a block alive sets the
-    longest length there, and each layer adds 2 for each centre it
-    leaves alive to the base of 1 at every digit.
+    order; the layers of a parity class stop at the first that leaves
+    none of its centres alive. `tally` is [longest, total] of the
+    lengths written: the deepest layer that leaves a centre of a block
+    alive sets the longest length there, and each layer adds 2 for each
+    centre it leaves alive to the base of 1 at every digit.
 
     Layer t compares digits i - t and i + t at digit i (parity 0), or
     i - t + 1 and i + t at the gap after digit i (parity 1), for all the
@@ -204,12 +205,11 @@ def _lane_pass(ds: bytes | tuple[int, ...], lengths: array, tally: list[int]):
                 if 0 <= edge < size:
                     alive &= ~(1 << 8 * edge)
                 live = alive.bit_count()
-                if live:
-                    deepest = t
-                    total += 2 * live
-                radius += alive
-                if live * _SPARSE <= size:
+                if not live:
                     break
+                deepest = t
+                total += 2 * live
+                radius += alive
             reached = (radius << 1) + (ones if parity == 0 else 0)
             chunk[parity * item + low_byte :: 2 * item] = reached.to_bytes(size, "little")
             survivors[parity::2] = alive.to_bytes(size, "little")
@@ -289,11 +289,10 @@ def enumerate_maximal(w: Word, min_len: int) -> set[Word]:
     return set(map(Word._unchecked, slices))
 
 
-# distinct_factors first keys each chunk by itself and the _CONTEXT digits
-# before it, and the context grows only once the tree holds a palindrome as
-# long as it. A chunk is a quarter of the context, so the keys of a word
-# whose chunks never repeat take about 5 bytes per digit; chunks of a fixed
-# size would keep |w| / size prefixes of the word at a context of |w|.
+# distinct_factors reads chunks of a quarter of _CONTEXT digits and keys
+# each by itself and the _CONTEXT digits before it, however far its
+# context has grown, so the keys of a word whose chunks never repeat hold
+# 5 digits per digit read.
 _CONTEXT = 64
 
 
@@ -309,36 +308,35 @@ def distinct_factors(w: Word, min_len: int) -> set[Word]:
     palindromic suffix of the digits read.
 
     This one skips chunks. The word is read in chunks [a, a + C) of
-    C = max(O // 4, 1) digits, O = _CONTEXT, and chunk a is keyed by
-    ds[a - O : a + C]. While the tree holds no palindrome of length >= O,
-    none ends before a: the tree holds every palindrome that does, and a
-    palindrome of length >= O holds a centred one of length O or O + 1
-    that ends no later. Nor does one end in a run of chunks a .. b whose
-    key ds[a - O : b] was read before, as that centred one would end
-    before a or lie in the key, and either way be in the tree. So every
-    state in such a run is shorter than O, lies in the key, and is the
-    state met where the key was read: the run adds nothing and is
-    skipped, and the read resumes from the state after its last chunk.
+    C = max(_CONTEXT // 4, 1) digits, and the context O starts at
+    _CONTEXT and doubles past every palindrome the tree holds. So at a
+    the tree holds none of length >= O, and none ends before a: the tree
+    holds every palindrome that does, and a palindrome of length >= O
+    holds a centred one of length O or O + 1 that ends no later. Nor
+    does one end in a run of chunks a .. b whose key ds[a - O : b] was
+    read before, as that centred one would end before a or lie in the
+    key, and either way be in the tree. So every state in such a run is
+    shorter than O, lies in the key, and is the state met where the key
+    was read: the run adds nothing and is skipped, and the read resumes
+    from the state after its last chunk.
 
-    `seen` maps the key of each chunk read to its index in `states`, the
-    state after every chunk so far. On a hit at chunk a whose key was
-    read at chunk s, the run is as many whole chunks as repeat those
-    from s on, up to a - s digits so that each of their states is known:
-    the key of the run is the key of s with the digits after s appended,
-    and each chunk of the run has the key of the matching chunk from s
-    on, which was read or skipped before a. Once the tree holds a
-    palindrome of length >= O, O doubles past it and `seen` and
-    `states` start afresh, as no key of the old size comes again. The
-    state after every chunk is thus the plain eertree's, the suffix-link
-    walks need no bound but the start of the word, and once O >= |w|
-    every key is a prefix and nothing is skipped.
+    `seen` maps ds[a - _CONTEXT : a + C] to the index in `states`, the
+    state after every chunk so far, of the last chunk a read under it.
+    A hit from chunk s is taken only if s >= O and
+    ds[a - O : a] == ds[s - O : s], which makes the key of a at the
+    current O that of s, so an entry holds across doublings. The run is
+    as many whole chunks as repeat those from s on, up to a - s digits,
+    so that its key is read before a and each of its states is known.
+    The state after every chunk is thus the plain eertree's, the
+    suffix-link walks need no bound but the start of the word, and once
+    _CONTEXT >= |w| every key is a prefix and nothing is skipped.
     """
     _require_min_len(min_len)
     ds = w.digits
     n = len(ds)
     length, link, end, edges = [-1, 0], [0, 0], [-1, -1], [{}, {}]
     context = _CONTEXT
-    step = max(context // 4, 1)
+    step = max(_CONTEXT // 4, 1)
     seen = {}
     states = array("i")
     last = 1  # the longest palindromic suffix of ds[:b]
@@ -346,15 +344,16 @@ def distinct_factors(w: Word, min_len: int) -> set[Word]:
     b = 0
     while b < n:
         a, b = b, b + step
-        key = ds[max(a - context, 0) : b]
+        key = ds[max(a - _CONTEXT, 0) : b]
         first = seen.get(key)
         if first is not None:
-            cap = len(states) - first
-            run = _repeated_chunks(ds, a, a - cap * step, step, cap)
-            states += states[first : first + run]
-            last = states[-1]
-            b = a + run * step
-            continue
+            src = first * step
+            if src >= context and ds[a - context : a] == ds[src - context : src]:
+                run = _repeated_chunks(ds, a, src, step, len(states) - first)
+                states += states[first : first + run]
+                last = states[-1]
+                b = a + run * step
+                continue
         for i, d in enumerate(ds[a:b], a):
             # Walk suffix links to the longest palindromic suffix x with
             # d x d a suffix too; the root of length -1 always qualifies.
@@ -381,17 +380,10 @@ def distinct_factors(w: Word, min_len: int) -> set[Word]:
                 edges.append({})
                 if length[v] + 2 > longest:
                     longest = length[v] + 2
-        if longest < context:
-            seen[key] = len(states)
-            states.append(last)
-        else:
-            # Keys this short no longer fix the state: lengthen them
-            # past every palindrome in the tree and start a new memo.
-            while context <= longest:
-                context *= 2
-            step = max(context // 4, 1)
-            seen = {}
-            states = array("i")
+        seen[key] = len(states)
+        states.append(last)
+        while context <= longest:
+            context *= 2
     return {
         Word._unchecked(ds[e - m + 1 : e + 1])
         for m, e in zip(length, end) if m >= min_len

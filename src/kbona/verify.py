@@ -231,6 +231,7 @@ def verify_structure(k: int, n: int) -> Report:
             occurs = (
                 is_palindrome(cat)
                 and len(pair.left) <= cut
+                and cut + len(pair.right) <= len(w2)
                 and w2.factor(cut - len(pair.left) + 1, cut) == pair.left
                 and w2.factor(cut + 1, cut + len(pair.right)) == pair.right
             )
@@ -256,8 +257,9 @@ def verify_structure(k: int, n: int) -> Report:
             )
             report.check("bordering-occurs", {"k": k, "n": n2, "j": j}, True, "Oracle", occurs)
 
-    # Realizability: a catalog element at shift i should first fit inside
-    # W_{3k-2+k*i}; report (rather than assume) when the index differs.
+    # Realizability: the row checks that a catalog element at shift i
+    # occurs by W_{3k-2+k*i}; the predicted index bounds from above the
+    # first word that holds it.
     for family in structure.PalFamily:
         for element, cls in structure.catalog_elements(k, family, 1):
             predicted = 3 * k - 2 + k * cls.shift
@@ -268,11 +270,9 @@ def verify_structure(k: int, n: int) -> Report:
                 continue
             # Each W_f with f <= n is a prefix of w, so the element occurs
             # in W_f iff its first occurrence in w ends within |W_f|; the
-            # row reads the least such f at or past the predicted index. A
-            # tuple element holds a digit past 255, which no generated word
-            # does.
+            # row reads the least such f at or past the predicted index.
             ds = element.digits
-            pos = w.digits.find(ds) if type(ds) is bytes else -1
+            pos = w.digits.find(ds)
             actual: int | None = None
             if pos >= 0:
                 actual = predicted
@@ -425,7 +425,7 @@ def run_suites(k: int, n_max: int | None = None, suites: list[str] | None = None
         try:
             reports.append(SUITES[name](k, n))
         except LengthGuardError as exc:
-            report = Report(name, {"k": k, "n_max": n_max}, started=started)
+            report = Report(name, {"k": k, "n_max": n}, started=started)
             report.skip(name, {"k": k}, "within the length guard", str(exc))
             reports.append(report.finish())
     return reports

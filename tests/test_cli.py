@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from kbona.cli import main
+from kbona.verify import default_n_max
 from kbona.words import Word, kbonacci_number, word
 
 
@@ -129,6 +130,16 @@ def test_verify_json_schema(run):
     suite = payload["results"][0]
     assert suite["summary"]["Fail"] == 0
     assert any(r["verdict"] == "Discrepancy-Documented" for r in suite["results"])
+
+
+def test_verify_json_names_the_resolved_n_max_of_a_guarded_suite(run):
+    # Under a guard of 1000 digits only lengths (W_11, 927 digits) runs at
+    # k = 3; the four suites past it still name the default n_max.
+    code, out, _ = run("verify", "--k", "3", "--format", "json", env={"KBONA_MAX_LEN": "1000"})
+    assert code == 0
+    skipped = [r for r in json.loads(out)["results"] if r["summary"]["Skipped"]]
+    assert [r["suite"] for r in skipped] == ["counts", "decomposition", "structure", "lemmas"]
+    assert all(r["params"] == {"k": 3, "n_max": default_n_max(3)} for r in skipped)
 
 
 def test_usage_errors(run):

@@ -190,20 +190,19 @@ def lane_words(draw):
     return Word(prefix + half + middle + half[::-1] + suffix)
 
 
-@given(lane_words(), st.integers(1, 7), st.integers(1, 4), st.sampled_from((1, 2, 32)))
+@given(lane_words(), st.integers(1, 7), st.integers(1, 4))
 # A mirror copy: the 0 1 0 2 0 1 0 after the 3 lies inside the palindrome
 # centred at the 3 and copies its length 7 from the one before it, which
 # ends short of that palindrome's left end; one layer reached only 3.
-@example(Word.parse("6 5 0 1 0 2 0 1 0 3 0 1 0 2 0 1 0 5 7"), 7, 1, 32)
+@example(Word.parse("6 5 0 1 0 2 0 1 0 3 0 1 0 2 0 1 0 5 7"), 7, 1)
 @settings(max_examples=400)
-def test_lane_pass_at_block_edges(w, block, layers, sparse):
+def test_lane_pass_at_block_edges(w, block, layers):
     # Blocks of 1-7 digits and 1-4 layers put block edges, word edges and
     # the ends of the layers within a few digits of each other, and the
     # planted palindrome outlives the layers across block edges.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(palindromes, "_BLOCK", block)
         mp.setattr(palindromes, "_LAYERS", layers)
-        mp.setattr(palindromes, "_SPARSE", sparse)
         profile, expected = maximal_radii(w), brute_radii(w)
         assert list(profile.lengths) == expected
         # Each block's longest comes from its deepest layer that leaves a
@@ -259,10 +258,10 @@ def repeating_words(draw):
 # found nowhere else. A read restarted from the empty palindrome there
 # misses it.
 @example(Word((9, 3, 5, 4, 5, 0, 9, 3, 5, 4, 5, 3)), 4, 3)
-# Switches: 1 2 3 2 1 in the first chunks lengthens the context from 3
-# to 6 digits, and the run of twenty 0s later to 12 and 24. Keys that
-# stayed 4 digits long would skip the run from its fifth 0 on, from the
-# state 0 0 0 0, and miss every longer run.
+# Doublings: 1 2 3 2 1 in the first chunks lengthens the context from 3
+# to 6 digits, and the run of twenty 0s later to 12 and 24. The keys stay
+# 4 digits long, and a hit taken on the key alone would skip the run from
+# its fifth 0 on, from the state 0 0 0 0, and miss every longer run.
 @example(Word((1, 2, 3, 2, 1, 4) + (0,) * 20), 3, 2)
 # Runs capped by a - src: at a context of 16 the chunks are 4 digits,
 # one period of 0 0 1 2. The key of chunk 20 was read at chunk 16, so its
@@ -276,10 +275,14 @@ def repeating_words(draw):
 # copying more would take states not yet known, and a later run, read
 # against the wrong chunks, would skip the 1 0 1 near the end.
 @example(Word((0, 1, 1, 1, 3) * 5 + (1, 3, 3, 1, 0, 1, 1, 1, 3)), 6, 2)
-# A hit just after a doubling: 2 2 2 2 doubles the context from 4 to 8
-# after digit 3, and the memo starts afresh there; chunk 14 repeats
-# chunk 10, both read in the new chunks of 2 digits.
+# A hit after a doubling: 2 2 2 2 doubles the context from 4 to 8 after
+# digit 3; chunk 14 repeats chunk 10 with the same eight digits before.
 @example(Word((2, 2, 2, 2) + (3, 0, 2, 2) * 3 + (3, 0, 2)), 4, 2)
+# A hit after a doubling whose wider context differs: at a context of 2
+# the 0 0 doubles it to 4 after digit 1. Chunk 5 has the key 1 1 1 of
+# chunk 4, but the four digits before them, 0 1 1 1 and 0 0 1 1, differ,
+# and a skip there would miss 1 1 1 1.
+@example(Word((0, 0, 1, 1, 1, 1)), 2, 1)
 @settings(max_examples=400)
 def test_skipping_tree_against_oracle(w, context, min_len):
     # Contexts of 1-8 digits make chunks of 1 or 2 digits repeat within a
@@ -440,7 +443,7 @@ def test_skipping_tree_skips_repeated_chunks(monkeypatch):
     # W_19 for k = 5 (400,096 digits) repeats its chunks heavily, in long
     # runs. The tree reads a digit by index at every step of its
     # suffix-link walks (a chunk, key or run slice counts once), so these
-    # reads are its work in Python: 44,788 by default against 696,591 for
+    # reads are its work in Python: 45,566 by default against 696,591 for
     # the plain tree, with _CONTEXT >= |w|. A tree that skips one chunk
     # per key it has read before reads 63,363, one that also re-reads the
     # context after each skipped chunk 207,027, and one that skips
@@ -454,6 +457,18 @@ def test_skipping_tree_skips_repeated_chunks(monkeypatch):
         distinct_factors(w, 2)
         reads.append(w.digits.reads)
     assert 14 * reads[0] <= reads[1]
+
+
+def test_skipping_tree_keeps_its_memo_across_doublings():
+    # W_20 for k = 7 (987,568 digits) doubles the context from 128 to 256
+    # at digit 491,872, and repeats the chunks before it after it. With
+    # one memo for the word and the wider context compared on a hit, the
+    # tree reads 53,479 digits; one that starts its memo afresh at each
+    # doubling reads 197,373.
+    digits = word(7, 20).digits
+    w = Word(digits)
+    object.__setattr__(w, "digits", _CountedDigits(digits, 100_000))
+    distinct_factors(w, 2)
 
 
 @pytest.mark.parametrize("context", [64, 100_000])

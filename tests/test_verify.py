@@ -3,7 +3,7 @@ discrepancies with the printed formulas."""
 
 import pytest
 
-from kbona import palindromes, verify
+from kbona import palindromes, structure, verify
 from kbona.words import (
     DEFAULT_MAX_LEN,
     DomainError,
@@ -171,6 +171,23 @@ def test_verify_structure():
     assert verify.verify_structure(3, 2).ok
 
 
+def test_straddling_row_fails_when_the_right_part_overruns_the_word(monkeypatch):
+    # A planted palindromic pair whose right part runs 500 digits past
+    # W_{n2}: its row reads Fail instead of raising, and every other
+    # suite still reports.
+    def overrun(k, n):
+        return [structure.StraddlingPair(p.left, Word((0,) * 500) + p.left.reverse())
+                for p in original(k, n)]
+
+    original = structure.maximal_straddling_words
+    monkeypatch.setattr(structure, "maximal_straddling_words", overrun)
+    reports = {r.suite: r for r in verify.run_suites(3, 10)}
+    assert list(reports) == list(verify.SUITES)
+    rows = [r for r in reports.pop("structure").results if r.check_id == "straddling-occurs"]
+    assert rows and all(r.verdict == verify.FAIL for r in rows)
+    assert all(report.ok for report in reports.values())
+
+
 def test_verify_lemmas():
     report = verify.verify_lemmas(3, 10)
     assert report.ok and report.strict_ok()
@@ -302,10 +319,11 @@ def test_run_suites_resolves_the_default_n_max_once(monkeypatch):
     n = verify.default_n_max(3)
     counts, struct, lemmas = verify.run_suites(3, None, ["counts", "structure", "lemmas"])
     assert counts.params["n_max"] == struct.params["n"] == lemmas.params["n_max"] == n
-    # A suite past the guard reports the n_max it was given.
+    # A suite past the guard reports the n_max it resolved, not the None
+    # it was given.
     _guard_below_w26_k8(monkeypatch)
     (lengths,) = verify.run_suites(8, None, ["lengths"])
-    assert lengths.params == {"k": 8, "n_max": None}
+    assert lengths.params == {"k": 8, "n_max": verify.default_n_max(8)}
     # k is checked before any default is derived from it.
     with pytest.raises(DomainError, match=">= 3, got 1"):
         verify.run_suites(1, None, ["structure"])

@@ -2,7 +2,8 @@
 
 Subcommands: gen, count, decompose, structure, lengths, verify.
 Exit codes: 0 success (documented discrepancies included unless
---strict-paper), 1 verification failure, 2 usage or domain error.
+--strict-paper), 1 verification failure, 2 usage or domain error, or a
+verify suite that raised (reported as one row, after the other suites).
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 from typing import Any
 
 from . import counting, structure, verify
@@ -21,7 +23,7 @@ from .words import (
     GenMethod,
     LengthGuardError,
     Word,
-    reduce_mod_k,
+    _pieces,
     word,
 )
 
@@ -42,22 +44,23 @@ def _emit_json(k: int, subcommand: str, results: list[dict[str, Any]], out) -> N
                      sort_keys=True), file=out)
 
 
-def _format_word(w: Word, fmt: str) -> str:
-    if fmt == "plain":
-        return w.to_plain()
-    return w.to_spaced()
-
-
 def _cmd_gen(args, out) -> int:
-    method = GenMethod(args.method)
-    w = word(args.k, args.n, method)
-    if args.mod_k:
-        w = reduce_mod_k(args.k, w)
+    w = word(args.k, args.n, GenMethod(args.method))
+    k = args.k if args.mod_k else 0
+    # The text is written a piece at a time, so no rendering of the whole
+    # word is held; a plain refusal comes before the first piece.
     if args.format == "json":
-        _emit_json(args.k, "gen", [{"n": args.n, "mod_k": bool(args.mod_k),
-                                    "digits": list(w.digits)}], out)
+        # The envelope with an empty digits list, split where the digits go.
+        head, tail = json.dumps(
+            {"k": args.k, "subcommand": "gen",
+             "results": [{"n": args.n, "mod_k": bool(args.mod_k), "digits": []}]},
+            sort_keys=True).split("[]")
+        pieces = chain([head, "["], _pieces(w.digits, ", ", k), ["]", tail, "\n"])
     else:
-        print(_format_word(w, args.format), file=out)
+        sep = "" if args.format == "plain" else " "
+        pieces = chain(_pieces(w.digits, sep, k), ["\n"])
+    for piece in pieces:
+        out.write(piece)
     return 0
 
 
@@ -144,6 +147,8 @@ def _emit_report(args, reports: list[verify.Report], out) -> int:
                     print(f"  [{res.verdict}] {res.check_id} {subject}: "
                           f"expected {res.expected} ({res.provenance}), "
                           f"got {res.actual}", file=out)
+    if any(r.raised for r in reports):
+        return 2
     if any(not r.ok for r in reports):
         return 1
     if strict and any(not r.strict_ok() for r in reports):

@@ -33,6 +33,7 @@ from .words import (
     DomainError,
     LengthGuardError,
     Word,
+    _check_request,
     apply_morphism,
     classical_word,
     kbonacci_number,
@@ -47,6 +48,9 @@ PASS = "Pass"
 FAIL = "Fail"
 DISCREPANCY = "Discrepancy-Documented"
 SKIPPED = "Skipped"
+
+# The check id of the one row that stands for a suite that raised.
+RAISED = "suite-raised"
 
 # The two formula modes, each with the provenance its rows carry.
 MODES = ((FormulaMode.DERIVED, "Derived"), (FormulaMode.AS_STATED, "AsStated"))
@@ -109,6 +113,10 @@ class Report:
 
     def strict_ok(self) -> bool:
         return self.ok and self.summary[DISCREPANCY] == 0
+
+    @property
+    def raised(self) -> bool:
+        return any(r.check_id == RAISED for r in self.results)
 
     def to_dict(self) -> dict[str, Any]:
         def jsonable(v):
@@ -414,18 +422,26 @@ def _decomposition_sweep(k: int, n_max: int) -> Report:
 def run_suites(k: int, n_max: int | None = None, suites: list[str] | None = None) -> list[Report]:
     """One report per named suite (all by default), each run up to n_max,
     or default_n_max(k) when it is None. A suite whose word is past the
-    length guard reports a single Skipped row quoting the guard, and the
-    other suites still run; its time counts from before the suite was
-    called."""
+    length guard reports a single Skipped row quoting the guard; a suite
+    that raises any other exception reports a single Fail row, RAISED,
+    naming it. Either way the other suites still run, and the suite's
+    time counts from before it was called."""
     require_k(k, 3)
+    # A bad KBONA_MAX_LEN is the caller's error, not one suite's: refuse
+    # it here, before any suite runs.
+    _check_request(k, 0)
     n = default_n_max(k) if n_max is None else n_max
     reports = []
     for name in suites or SUITES:
         started = time.perf_counter()
         try:
             reports.append(SUITES[name](k, n))
-        except LengthGuardError as exc:
+        except Exception as exc:
             report = Report(name, {"k": k, "n_max": n}, started=started)
-            report.skip(name, {"k": k}, "within the length guard", str(exc))
+            if isinstance(exc, LengthGuardError):
+                report.skip(name, {"k": k}, "within the length guard", str(exc))
+            else:
+                report.check(RAISED, {"k": k}, "no exception", "Oracle",
+                             f"{type(exc).__name__}: {exc}")
             reports.append(report.finish())
     return reports

@@ -12,9 +12,16 @@ the bytes form: the largest digit of W_n is n (of F_n, at most n), and
 |W_n| = f_{n+k} passes the machine width before n reaches 100, so the
 length checks admit no n near 256. Generation, the morphism, shifts,
 mod-k reduction and rendering therefore run as C-level `bytes`
-operations (`translate`, slicing), as do factor tests on the digits
-(`in`, `find`); the tuple form serves only words from outside input and
-shifts past 255.
+operations (`translate`, slicing, `join`), as do factor tests on the
+digits (`in`, `find`); the tuple form serves only words from outside
+input and shifts past 255.
+
+A long word is held once. Generation builds each level W_m as one
+`b"".join` of views of W_{m-1}, so each digit is copied once per level
+and the peak is about |W_{m-1}| + |W_m| bytes. Text is rendered by one
+renderer, `_pieces`, in pieces of `_PIECE` digits: `to_plain` and
+`to_spaced` join its pieces, and `kbona gen` writes each piece as it is
+made, so no rendering of a whole long word is ever held.
 """
 
 from __future__ import annotations
@@ -53,13 +60,16 @@ class DigitOverflowError(OverflowError):
 _PAD = 255
 # d -> d + 1 for every byte digit below the pad.
 _SUCCESSOR = bytes(range(1, 256)) + bytes([_PAD])
-_PLAIN = bytes(range(ord("0"), ord("0") + 10)) + bytes(246)
 # The decimal columns of a byte digit: hundreds, tens, units. A column
 # left of the digit's leading figure holds the pad byte 0.
 _COLUMNS = tuple(
     bytes(ord("0") + d // p % 10 if d >= p or p == 1 else 0 for d in range(256))
     for p in (100, 10, 1)
 )
+# Digits per rendered piece: the temporaries of a piece stay a few hundred
+# kB however long the word is, and the per-piece Python work is small
+# against the C-level passes over 2^16 digits.
+_PIECE = 1 << 16
 
 
 def _store(ds: tuple[int, ...]) -> bytes | tuple[int, ...]:
@@ -193,32 +203,56 @@ class Word:
     def to_plain(self) -> str:
         """Contiguous decimal rendering; refused when any digit exceeds 9
         because the result would be ambiguous."""
+        return "".join(_pieces(self.digits, ""))
+
+    def to_spaced(self) -> str:
+        return "".join(_pieces(self.digits, " "))
+
+    def __repr__(self) -> str:
         ds = self.digits
-        if type(ds) is not bytes or not _all_below(ds, 10):
+        if type(ds) is bytes and _all_below(ds, 10):
+            return f"Word({self.to_plain()!r})"
+        return f"Word({self.to_spaced()!r})"
+
+
+def _pieces(ds: bytes | tuple[int, ...], sep: str, k: int = 0) -> Iterator[str]:
+    """The decimal text of the digit store ds, digits separated by sep,
+    in pieces of _PIECE digits; every piece but the last ends with sep,
+    so the pieces concatenate to the whole text. With k, each digit is
+    reduced mod k as its piece is rendered. An empty sep is the plain
+    format, refused with DomainError before the first piece when a digit
+    (after reduction) exceeds 9, because the text would be ambiguous."""
+    if k and type(ds) is not bytes:
+        # A tuple store never comes from generation, so it is short.
+        ds, k = reduce_mod_k(k, Word._unchecked(ds)).digits, 0
+    if not sep:
+        below = bytes(x for x in range(256) if x % k < 10) if k else _bytes_below(10)
+        if type(ds) is not bytes or ds.translate(None, below):
             raise DomainError(
                 "plain format is ambiguous for digits > 9; use spaced or json"
             )
-        return ds.translate(_PLAIN).decode("ascii")
-
-    def to_spaced(self) -> str:
-        ds = self.digits
-        if type(ds) is not bytes:
-            # One str per distinct digit, not per position.
-            names = {d: str(d) for d in set(ds)}
-            return " ".join(map(names.__getitem__, ds))
-        # Each digit takes a slot of `width` columns and a space; the pad
-        # bytes left of a narrower digit's leading figure are deleted.
-        width = 3 if not _all_below(ds, 100) else 2 if not _all_below(ds, 10) else 1
-        out = bytearray(b" ") * ((width + 1) * len(ds))
-        for col, table in enumerate(_COLUMNS[3 - width :]):
-            out[col :: width + 1] = ds.translate(table)
-        del out[-1:]  # the space after the last digit
-        return out.translate(None, b"\0").decode("ascii")
-
-    def __repr__(self) -> str:
-        if all(d <= 9 for d in self.digits):
-            return f"Word({self.to_plain()!r})"
-        return f"Word({self.to_spaced()!r})"
+    table = _mod_table(k) if k else None
+    gap = sep.encode("ascii")
+    for start in range(0, len(ds), _PIECE):
+        piece = ds[start : start + _PIECE]
+        last = start + _PIECE >= len(ds)
+        if type(piece) is not bytes:
+            yield sep.join(map(str, piece)) + ("" if last else sep)
+            continue
+        if table:
+            piece = piece.translate(table)
+        # Each digit takes a slot of `width` columns and the separator;
+        # the pad bytes left of a narrower digit's leading figure are
+        # deleted.
+        big = piece.translate(None, _bytes_below(10))
+        width = 1 if not big else 2 if _all_below(big, 100) else 3
+        out = bytearray(bytes(width) + gap) * len(piece)
+        for col, column in enumerate(_COLUMNS[3 - width :]):
+            out[col :: width + len(gap)] = piece.translate(column)
+        if last and gap:
+            del out[-len(gap) :]
+        out = out.translate(None, b"\0")  # frees the padded buffer
+        yield out.decode("ascii")
 
 
 class GenMethod(enum.Enum):
@@ -273,6 +307,12 @@ def _shift_table(d: int) -> bytes:
 
 
 @functools.lru_cache(maxsize=256)
+def _mod_table(k: int) -> bytes:
+    """x -> x mod k for every byte x."""
+    return bytes(x % k for x in range(256))
+
+
+@functools.lru_cache(maxsize=256)
 def _morphism_table(k: int) -> bytes:
     """The first image digit, d - j for j = d mod k <= k-2, and the pad
     for j = k-1, whose image is the single digit d + 1."""
@@ -286,7 +326,8 @@ def _two_slot_image(ds: bytes, first: bytes, second: bytes) -> bytes:
     out = bytearray(2 * len(ds))
     out[0::2] = ds.translate(first)
     out[1::2] = ds.translate(second)
-    return bytes(out.translate(None, bytes([_PAD])))
+    out = out.translate(None, bytes([_PAD]))  # frees the 2|ds| buffer
+    return bytes(out)
 
 
 def apply_morphism(k: int, w: Word) -> Word:
@@ -323,7 +364,7 @@ def reduce_mod_k(k: int, w: Word) -> Word:
     require_k(k)
     ds = w.digits
     if type(ds) is bytes:
-        return Word._unchecked(ds.translate(bytes(x % k for x in range(256))))
+        return Word._unchecked(ds.translate(_mod_table(k)))
     return Word._unchecked(tuple(x % k for x in ds))
 
 
@@ -354,22 +395,26 @@ def _check_request(k: int, n: int) -> None:
 
 def _word_digits(k: int, n: int) -> bytes:
     # Block recurrence: W_0 = 0; W_m = W_{m-1}...W_0 m for m < k;
-    # W_m = W_{m-1}...W_{m-k+1} (k ⊕ W_{m-k}) for m >= k. Each W_m begins
-    # with W_{m-1}, so every earlier block is a prefix of the one growing
-    # buffer, and only the sizes of the last k blocks are kept. The digits
-    # are at most n, far below 256 (see the module docstring).
-    out = bytearray(1)
+    # W_m = W_{m-1}...W_{m-k+1} (k ⊕ W_{m-k}) for m >= k. Each W_i with
+    # i < m is a prefix of W_{m-1}, so W_m is one join of views of W_{m-1}
+    # and the shifted block: every digit is copied once per level, and
+    # only the sizes of the last k blocks are kept. The digits are at
+    # most n, far below 256 (see the module docstring).
+    prev = bytes(1)
     sizes = [1]  # sizes[-i] = |W_{m-i}| while W_m is built
     for m in range(1, n + 1):
-        for size in sizes[-2 : -k : -1]:  # W_{m-2}, ... down to W_{m-k+1} or W_0
-            out += out[:size]
+        view = memoryview(prev)
+        # W_{m-1}, then W_{m-2}, ... down to W_{m-k+1} or W_0
+        parts = [view, *(view[:size] for size in sizes[-2 : -k : -1])]
         if m >= k:
-            out += out[: sizes[-k]].translate(_shift_table(k))
+            parts.append(prev[: sizes[-k]].translate(_shift_table(k)))
         else:
-            out.append(m)
-        sizes.append(len(out))
+            parts.append(bytes((m,)))
+        prev = b"".join(parts)
+        del view, parts  # W_{m-1} is freed here, not during the next level
+        sizes.append(len(prev))
         del sizes[:-k]
-    return bytes(out)
+    return prev
 
 
 def word(k: int, n: int, method: GenMethod = GenMethod.RECURRENCE) -> Word:

@@ -1,15 +1,18 @@
 """CLI behaviour: output formats, exit codes, JSON round-trips."""
 
+import contextlib
 import hashlib
 import json
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from kbona import verify, words
 from kbona.cli import main
 from kbona.verify import default_n_max
-from kbona.words import Word, kbonacci_number, word
+from kbona.words import Word, kbonacci_number, reduce_mod_k, word
 
 
 @pytest.fixture
@@ -30,10 +33,14 @@ def test_gen_plain(run):
     assert out.strip() == "0102013010234"
 
 
-def test_gen_plain_refused_for_big_digits(run):
-    code, out, err = run("gen", "--k", "3", "--n", "10", "--format", "plain")
-    assert code == 2
-    assert "plain" in err
+def test_gen_plain_refused_for_big_digits(run, monkeypatch):
+    for piece in (words._PIECE, 4):
+        # With pieces of 4 digits, the digit 10 at the end of W_10 comes
+        # many pieces in; the refusal still comes before any text.
+        monkeypatch.setattr(words, "_PIECE", piece)
+        code, out, err = run("gen", "--k", "3", "--n", "10", "--format", "plain")
+        assert code == 2 and out == ""
+        assert "plain" in err
 
 
 def test_gen_spaced_default(run):
@@ -54,6 +61,48 @@ def test_gen_json_round_trip(run):
     payload = json.loads(out)
     assert payload["k"] == 4 and payload["subcommand"] == "gen"
     assert Word(payload["results"][0]["digits"]) == word(4, 7)
+
+
+@pytest.mark.parametrize("method", ["recurrence", "morphism"])
+@pytest.mark.parametrize("mod_k", [False, True])
+def test_gen_streams_the_whole_word_rendering(run, method, mod_k):
+    # W_20 for k = 3 has 223,317 digits, four pieces of text.
+    k, n = 3, 20
+    w = word(k, n)
+    assert len(w) > 3 * words._PIECE
+    if mod_k:
+        w = reduce_mod_k(k, w)
+    flags = ["--method", method] + (["--mod-k"] if mod_k else [])
+    texts = {"spaced": w.to_spaced(), "json": json.dumps(
+        {"k": k, "subcommand": "gen",
+         "results": [{"n": n, "mod_k": mod_k, "digits": list(w.digits)}]},
+        sort_keys=True)}
+    assert texts["spaced"] == " ".join(map(str, w.digits))
+    if mod_k:
+        texts["plain"] = w.to_plain()
+        assert texts["plain"] == "".join(map(str, w.digits))
+    for fmt, text in texts.items():
+        code, out, err = run("gen", "--k", str(k), "--n", str(n), "--format", fmt, *flags)
+        assert code == 0 and err == ""
+        assert out == text + "\n", fmt
+
+
+def test_gen_holds_the_word_once():
+    # Generation peaks near |W_21| + |W_22| + |W_19| bytes, and rendering
+    # holds one piece's text at a time beside the digits.
+    class Discard:
+        def write(self, text):
+            return len(text)
+
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(Discard()):
+            code = main(["gen", "--k", "3", "--n", "22"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= 2.5 * kbonacci_number(3, 25)
 
 
 def test_gen_methods(run):
@@ -120,6 +169,28 @@ def test_verify_exit_codes(run):
     assert code == 0 and err == ""
     assert "suite lengths: pass=0 fail=0 discrepancy=0 skipped=1" in out
     assert out.count("suite ") == 5
+
+
+def test_verify_reports_every_suite_when_one_raises(run, monkeypatch):
+    def faulty(k, n_max):
+        raise KeyError("planted")
+
+    monkeypatch.setitem(verify.SUITES, "structure", faulty)
+    reports = verify.run_suites(3, 6)
+    assert [r.suite for r in reports] == list(verify.SUITES)
+    by_suite = {r.suite: r for r in reports}
+    (row,) = by_suite.pop("structure").results
+    assert (row.check_id, row.verdict) == (verify.RAISED, verify.FAIL)
+    assert row.actual == "KeyError: 'planted'"
+    assert all(r.ok and not r.raised and r.results for r in by_suite.values())
+    code, out, err = run("verify", "--k", "3", "--n-max", "6")
+    assert code == 2 and err == ""
+    assert out.count("suite ") == 5
+    assert "[Fail] suite-raised k=3: expected no exception (Oracle), " \
+           "got KeyError: 'planted'" in out
+    code, out, _ = run("verify", "--k", "3", "--n-max", "6", "--format", "json")
+    assert code == 2
+    assert [r["suite"] for r in json.loads(out)["results"]] == list(verify.SUITES)
 
 
 def test_verify_json_schema(run):

@@ -3,11 +3,12 @@
 import copy
 import pickle
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from kbona import counting, palindromes, structure, verify
+from kbona import counting, palindromes, structure, verify, words
 from kbona.words import (
     MAX_DIGIT,
     DigitOverflowError,
@@ -394,11 +395,37 @@ def test_classical_word_matches_reference(k):
 @pytest.mark.parametrize("top", [9, 99, 255, 300])
 @given(data=st.data())
 def test_renderings_match_str_join(top, data):
+    # Digits of one, two and three figures, the tuple store past 255, and
+    # pieces short enough that a word spans several of them.
     ds = data.draw(st.lists(st.integers(0, 3) | st.integers(0, top), max_size=24))
+    k = data.draw(st.integers(2, 12))
     w = Word(ds)
-    assert w.to_spaced() == " ".join(map(str, ds))
-    if all(d <= 9 for d in ds):
-        assert w.to_plain() == "".join(map(str, ds))
-    else:
-        with pytest.raises(DomainError):
-            w.to_plain()
+    reduced = [d % k for d in ds]
+    for piece in (1, 5, words._PIECE):
+        with mock.patch.object(words, "_PIECE", piece):
+            assert w.to_spaced() == " ".join(map(str, ds))
+            if all(d <= 9 for d in ds):
+                assert w.to_plain() == "".join(map(str, ds))
+            else:
+                with pytest.raises(DomainError):
+                    w.to_plain()
+            assert "".join(words._pieces(w.digits, ", ", k)) == ", ".join(map(str, reduced))
+            if all(d <= 9 for d in reduced):
+                assert "".join(words._pieces(w.digits, "", k)) == "".join(map(str, reduced))
+            else:
+                with pytest.raises(DomainError):
+                    next(words._pieces(w.digits, "", k))
+
+
+def test_generation_copies_each_digit_once_per_level():
+    # Each level is one join of views of the level before it, so the peak
+    # is about |W_19| + |W_20| + |W_13| (the shifted block): 1.51 bytes
+    # per digit for k = 7.
+    tracemalloc.start()
+    try:
+        ds = words._word_digits(7, 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(ds) == kbonacci_number(7, 27)
+    assert peak <= 1.6 * len(ds)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 from . import counting
 from .palindromes import is_palindrome, maximal_radii
-from .words import DomainError, Word, _check_request, require_k, shift_add, word
+from .words import DomainError, Word, _check_request, kbonacci_sizes, require_k, shift_add, word
 
 
 class PalFamily(enum.Enum):
@@ -71,21 +71,14 @@ class LengthSet:
     lengths: frozenset[int]
 
 
-def _block_product(k: int, hi: int, lo: int) -> Word:
-    """W_hi W_{hi-1} ... W_lo (empty when hi < lo)."""
-    out = Word()
-    for i in range(hi, lo - 1, -1):
-        out = out + word(k, i)
-    return out
-
-
 def maximal_bordering_word(k: int, n: int, j: int) -> Word:
     """The maximal bordering palindrome of type j:
     (W_{j-1} ... W_{n-k+1})^R j (W_{j-1} ... W_{n-k+1})."""
     require_k(k, 3)
     if not (k <= n <= 2 * k - 3 and n - k + 2 <= j <= k - 1):
         raise DomainError(f"(n={n}, j={j}) outside the bordering range for k={k}")
-    tail = _block_product(k, j - 1, n - k + 1)
+    # W_j = W_{j-1} ... W_0 j for j < k, so the blocks are a prefix of it.
+    tail = word(k, j).factor(1, sum(kbonacci_sizes(k)[n - k + 1 : j]))
     return tail.reverse() + Word((j,)) + tail
 
 
@@ -140,29 +133,21 @@ def catalog_elements(
 
 def maximal_straddling_words(k: int, n: int) -> list[StraddlingPair]:
     """The maximal straddling palindromes of W_n as (suffix, prefix)
-    pairs at the final block boundary; empty outside 2k-1 <= n <= 3k-2."""
+    pairs at the final block boundary; empty outside 2k-1 <= n <= 3k-2.
+    They are the shift-1 P3/P4 elements whose largest digit is n-k+1, the
+    last digit of the block W_{n-k+1} before the cut, each split right
+    after the first occurrence of that digit."""
     require_k(k, 3)
     if n < 2 * k - 1 or n > 3 * k - 2:
         return []
-    if n == 2 * k - 1:
-        return [StraddlingPair(Word((k,)), Word((k,)))]
-    if n < 3 * k - 2:
-        m = n - 2 * k + 1
-        wm = word(k, m)
-        core = wm.drop_last()
-        left = shift_add(k, wm)
-        return [
-            StraddlingPair(left, shift_add(k, core)),
-            StraddlingPair(left, shift_add(k, wm + core)),
-        ]
-    wk1 = word(k, k - 1)
-    return [
-        StraddlingPair(shift_add(k, wk1), shift_add(k, wk1.drop_last())),
-        StraddlingPair(
-            shift_add(k, wk1.drop_first(1)),
-            shift_add(k, (wk1 + wk1).drop_last(2)),
-        ),
-    ]
+    top = n - 2 * k + 1  # the largest digit before the shift by k
+    pairs = []
+    for template, base in _templates(k):
+        if base.family in (PalFamily.P3, PalFamily.P4) and max(template.digits) == top:
+            element = shift_add(k, template)
+            cut = template.digits.index(top) + 1
+            pairs.append(StraddlingPair(element.factor(1, cut), element.drop_first(cut)))
+    return pairs
 
 
 def _centered_sublengths(w: Word, min_len: int = 2) -> set[int]:

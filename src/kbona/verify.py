@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import operator
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -37,6 +38,7 @@ from .words import (
     apply_morphism,
     classical_word,
     kbonacci_number,
+    kbonacci_sizes,
     reduce_mod_k,
     require_k,
     shift_add,
@@ -149,10 +151,7 @@ def default_n_max(k: int) -> int:
     """Largest n with |W_n| within the sweep budget of 2^16 digits, a
     budget for the per-n suites' run time, well inside the length
     guard."""
-    n = 0
-    while kbonacci_number(k, n + 1 + k) <= 1 << 16:
-        n += 1
-    return n
+    return bisect_right(kbonacci_sizes(k), 1 << 16) - 1
 
 
 def verify_counts(k: int, n_max: int) -> Report:
@@ -182,10 +181,8 @@ def verify_counts(k: int, n_max: int) -> Report:
 def decomposition_cuts(k: int, n: int) -> tuple[int, ...]:
     """Cut after-positions of the block decomposition
     W_n = W_{n-1} ... W_{n-k+1} (k ⊕ W_{n-k}): the running sums of
-    |W_{n-1}|, ..., |W_{n-k+1}|."""
-    return tuple(itertools.accumulate(
-        kbonacci_number(k, i + k) for i in range(n - 1, n - k, -1)
-    ))
+    |W_{n-1}|, ..., |W_{n-k+1}|, for n >= k - 1."""
+    return tuple(itertools.accumulate(reversed(kbonacci_sizes(k)[n - k + 1 : n])))
 
 
 def verify_decomposition(k: int, n: int) -> Report:
@@ -222,6 +219,8 @@ def verify_structure(k: int, n: int) -> Report:
     require_k(k, 3)
     report = Report("structure", {"k": k, "n": n})
     w = word(k, n)
+    # Each W_n2 with n2 <= n is the prefix of w of length |W_n2|.
+    sizes = kbonacci_sizes(k)
 
     for pal in enumerate_maximal(w, 2):
         report.check("maximal-classifies", {"k": k, "n": n, "word": pal}, True, "Derived",
@@ -231,17 +230,14 @@ def verify_structure(k: int, n: int) -> Report:
         report.skip("straddling-occurs", {"k": k, "n": n}, f"n >= {2 * k - 1}",
                     f"no n2 with {2 * k - 1} <= n2 <= n")
     for n2 in range(2 * k - 1, min(n, 3 * k - 2) + 1):
-        pairs = structure.maximal_straddling_words(k, n2)
-        w2 = word(k, n2)
-        cut = len(w2) - kbonacci_number(k, n2)  # final block is k ⊕ W_{n2-k}
-        for pair in pairs:
+        w2 = w.digits[: sizes[n2]]
+        cut = sizes[n2] - sizes[n2 - k]  # final block is k ⊕ W_{n2-k}
+        for pair in structure.maximal_straddling_words(k, n2):
             cat = pair.concatenation
             occurs = (
                 is_palindrome(cat)
-                and len(pair.left) <= cut
-                and cut + len(pair.right) <= len(w2)
-                and w2.factor(cut - len(pair.left) + 1, cut) == pair.left
-                and w2.factor(cut + 1, cut + len(pair.right)) == pair.right
+                and w2.endswith(pair.left.digits, 0, cut)
+                and w2.startswith(pair.right.digits, cut)
             )
             report.check("straddling-occurs", {"k": k, "n": n2, "word": cat}, True, "Oracle",
                          occurs)
@@ -249,21 +245,20 @@ def verify_structure(k: int, n: int) -> Report:
     if n < k:
         report.skip("bordering-occurs", {"k": k, "n": n}, f"n >= {k}",
                     f"no n2 with {k} <= n2 <= n")
-    # The maximal bordering palindrome of type j is centred on the last
-    # digit of the prefix W_j of W_n2.
-    for n2 in range(k, min(n, 2 * k - 3) + 1):
-        w2 = word(k, n2)
-        for j in range(n2 - k + 2, k):
-            b = structure.maximal_bordering_word(k, n2, j)
-            centre = kbonacci_number(k, j + k)
-            half = (len(b) - 1) // 2
-            occurs = (
-                is_palindrome(b)
-                and len(b) == counting.border_max_length(k, n2, j)
-                and centre + half <= len(w2)
-                and w2.factor(centre - half, centre + half) == b
-            )
-            report.check("bordering-occurs", {"k": k, "n": n2, "j": j}, True, "Oracle", occurs)
+    # The maximal bordering palindrome of type j is the P2 template (n2, j),
+    # centred on the last digit of the prefix W_j of W_n2.
+    for b, cls in structure.catalog_elements(k, structure.PalFamily.P2, 0):
+        n2, j = cls.n, cls.j
+        if n2 > n:
+            continue
+        start = sizes[j] - 1 - (len(b) - 1) // 2
+        occurs = (
+            is_palindrome(b)
+            and len(b) == counting.border_max_length(k, n2, j)
+            and start >= 0
+            and w.digits[: sizes[n2]].startswith(b.digits, start)
+        )
+        report.check("bordering-occurs", {"k": k, "n": n2, "j": j}, True, "Oracle", occurs)
 
     # Realizability: the row checks that a catalog element at shift i
     # occurs by W_{3k-2+k*i}; the predicted index bounds from above the
@@ -281,11 +276,7 @@ def verify_structure(k: int, n: int) -> Report:
             # row reads the least such f at or past the predicted index.
             ds = element.digits
             pos = w.digits.find(ds)
-            actual: int | None = None
-            if pos >= 0:
-                actual = predicted
-                while kbonacci_number(k, actual + k) < pos + len(ds):
-                    actual += 1
+            actual = None if pos < 0 else bisect_left(sizes, pos + len(ds), predicted)
             report.check("catalog-occurs", subject, predicted, "Oracle", actual)
     return report.finish()
 

@@ -16,6 +16,12 @@ operations (`translate`, slicing, `join`), as do factor tests on the
 digits (`in`, `find`); the tuple form serves only words from outside
 input and shifts past 255.
 
+The sizes |W_0|, |W_1|, ... are one cached table per k,
+`kbonacci_sizes`, which ends at the machine width. Generation cuts its
+views by it, the length guard compares one entry of it, and `verify`
+reads its decomposition cuts, its default sweep bound and each prefix
+W_{n2} of the structure suite's one word from it.
+
 A long word is held once. Generation builds each level W_m as one
 `b"".join` of views of W_{m-1}, so each digit is copied once per level
 and the peak is about |W_{m-1}| + |W_m| bytes. Text is rendered by one
@@ -29,7 +35,6 @@ from __future__ import annotations
 import enum
 import functools
 import os
-from collections import deque
 from collections.abc import Iterable, Iterator
 
 # Digits are conceptually machine-width; anything past 2**63 - 1 is treated
@@ -267,23 +272,19 @@ def require_k(k: int, minimum: int = 2) -> None:
         raise DomainError(f"k must be an integer >= {minimum}, got {k!r}")
 
 
-def _kbonacci_terms(k: int, n: int) -> Iterator[int]:
-    """f_k, ..., f_n in order, each checked against the machine width.
+@functools.lru_cache(maxsize=256)
+def kbonacci_sizes(k: int) -> tuple[int, ...]:
+    """|W_0|, |W_1|, ...: the k-bonacci numbers f_k, f_{k+1}, ..., every
+    one of them within the machine width (fewer than 100 for any k).
 
-    f_m is the running sum of the last k terms. The k-1 leading zeros
-    add nothing to it, so only the terms from f_{k-1} = 1 on are kept,
-    at most k of them: memory grows with n - k, not with k."""
-    window = deque([1])
-    total = 1  # f_m: the sum of the kept terms
-    for m in range(k, n + 1):
-        nxt = total
-        if nxt > MAX_DIGIT:
-            raise DigitOverflowError(f"k-bonacci number f_{m} exceeds machine width")
-        window.append(nxt)
-        total += nxt
-        if len(window) > k:
-            total -= window.popleft()
-        yield nxt
+    f_m is the sum of the k terms before it. The k-1 leading zeros add
+    nothing to it, so the sum reads at most the last k kept terms, from
+    f_{k-1} = 1 on: the table costs the same for k = 10**7 as for k = 64."""
+    require_k(k)
+    terms = [1]
+    while (nxt := sum(terms[-k:])) <= MAX_DIGIT:
+        terms.append(nxt)
+    return tuple(terms[1:])
 
 
 def kbonacci_number(k: int, n: int) -> int:
@@ -296,8 +297,12 @@ def kbonacci_number(k: int, n: int) -> int:
         return 0
     if n == k - 1:
         return 1
-    *_, last = _kbonacci_terms(k, n)
-    return last
+    sizes = kbonacci_sizes(k)
+    if n - k >= len(sizes):
+        raise DigitOverflowError(
+            f"k-bonacci number f_{k + len(sizes)} exceeds machine width"
+        )
+    return sizes[n - k]
 
 
 @functools.lru_cache(maxsize=256)
@@ -383,37 +388,37 @@ def _check_request(k: int, n: int) -> None:
         raise DomainError(f"KBONA_MAX_LEN must be an integer, got {raw!r}") from exc
     if guard <= 0:
         raise DomainError(f"KBONA_MAX_LEN must be a positive integer, got {guard}")
-    # Stop at the first of f_k, ..., f_{n+k} past the guard: the sequence
-    # never decreases, so |W_n| = f_{n+k} is past it too, and no term that
-    # could overflow is formed while the guard is below the machine width.
-    for size in _kbonacci_terms(k, n + k):
-        if size > guard:
-            raise LengthGuardError(
-                f"|W_{n}| = f_{n + k} exceeds the length guard {guard} (k={k})"
-            )
+    # |W_n| = f_{n+k} is a table entry when it fits the machine width.
+    # Past the table, the last entry stands for it: the sizes never
+    # decrease, so the request is past the guard if that entry is, and is
+    # an overflow only when the guard admits every size that fits.
+    sizes = kbonacci_sizes(k)
+    if sizes[min(n, len(sizes) - 1)] > guard:
+        raise LengthGuardError(
+            f"|W_{n}| = f_{n + k} exceeds the length guard {guard} (k={k})"
+        )
+    kbonacci_number(k, n + k)  # raises DigitOverflowError past the table
 
 
 def _word_digits(k: int, n: int) -> bytes:
     # Block recurrence: W_0 = 0; W_m = W_{m-1}...W_0 m for m < k;
     # W_m = W_{m-1}...W_{m-k+1} (k ⊕ W_{m-k}) for m >= k. Each W_i with
     # i < m is a prefix of W_{m-1}, so W_m is one join of views of W_{m-1}
-    # and the shifted block: every digit is copied once per level, and
-    # only the sizes of the last k blocks are kept. The digits are at
-    # most n, far below 256 (see the module docstring).
+    # and the shifted block, each view cut at its size from the table:
+    # every digit is copied once per level. The digits are at most n, far
+    # below 256 (see the module docstring).
+    sizes = kbonacci_sizes(k)
     prev = bytes(1)
-    sizes = [1]  # sizes[-i] = |W_{m-i}| while W_m is built
     for m in range(1, n + 1):
         view = memoryview(prev)
         # W_{m-1}, then W_{m-2}, ... down to W_{m-k+1} or W_0
-        parts = [view, *(view[:size] for size in sizes[-2 : -k : -1])]
+        parts = [view, *(view[: sizes[i]] for i in range(m - 2, max(m - k, -1), -1))]
         if m >= k:
-            parts.append(prev[: sizes[-k]].translate(_shift_table(k)))
+            parts.append(prev[: sizes[m - k]].translate(_shift_table(k)))
         else:
             parts.append(bytes((m,)))
         prev = b"".join(parts)
         del view, parts  # W_{m-1} is freed here, not during the next level
-        sizes.append(len(prev))
-        del sizes[:-k]
     return prev
 
 

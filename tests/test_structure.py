@@ -120,7 +120,7 @@ def test_straddling_examples():
     assert maximal_straddling_words(4, 11) == []
 
 
-@pytest.mark.parametrize("k", [3, 4, 5])
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8])
 def test_straddling_words_occur_at_final_cut(k):
     from kbona.words import kbonacci_number
 

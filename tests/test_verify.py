@@ -1,6 +1,8 @@
 """Verification suites: verdicts, determinism, and the documented
 discrepancies with the printed formulas."""
 
+import itertools
+
 import pytest
 
 from kbona import palindromes, structure, verify
@@ -11,6 +13,7 @@ from kbona.words import (
     LengthGuardError,
     Word,
     kbonacci_number,
+    word,
 )
 
 
@@ -108,6 +111,89 @@ def test_decomposition_sweep_scans_each_word_once(monkeypatch):
     assert len(scans) == 7  # W_4 .. W_10
     partition = [r for r in report.results if r.check_id == "partition-total"]
     assert len(partition) == 7 and all(r.verdict == verify.PASS for r in partition)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_decomposition_cuts_are_running_sums_of_block_lengths(k):
+    for n in range(k, 13):
+        lengths = [len(word(k, i)) for i in range(n - 1, n - k, -1)]
+        assert verify.decomposition_cuts(k, n) == tuple(itertools.accumulate(lengths))
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
+def test_structure_suite_builds_one_word(monkeypatch, k):
+    # Every W_n2 the rows read is a prefix of the suite's W_n, and the
+    # straddling and bordering words are the cached catalog templates.
+    structure._templates(k)
+    calls = {verify: 0, structure: 0}
+
+    def counted(module, original):
+        def wrapped(*args):
+            calls[module] += 1
+            return original(*args)
+        return wrapped
+
+    for module in calls:
+        monkeypatch.setattr(module, "word", counted(module, module.word))
+    assert verify.verify_structure(k, 16).ok
+    assert calls == {verify: 1, structure: 0}
+
+
+def _rows(report, check_id):
+    return [r for r in report.results if r.check_id == check_id]
+
+
+def test_straddling_row_fails_when_the_split_is_one_digit_late(monkeypatch):
+    def late(k, n):
+        return [structure.StraddlingPair(p.left + p.right.factor(1, 1), p.right.drop_first())
+                if len(p.right) > 1 else p for p in original(k, n)]
+
+    original = structure.maximal_straddling_words
+    # A pair with a one-digit right part keeps its split: kk at n = 7 and
+    # the P3 double at n = 8.
+    moved = {p.concatenation for n in range(7, 11) for p in original(4, n) if len(p.right) > 1}
+    monkeypatch.setattr(structure, "maximal_straddling_words", late)
+    rows = _rows(verify.verify_structure(4, 12), "straddling-occurs")
+    assert len(rows) == 7 and len(moved) == 5
+    for r in rows:
+        assert r.verdict == (verify.FAIL if r.subject["word"] in moved else verify.PASS)
+
+
+def test_bordering_row_fails_for_the_neighbouring_template(monkeypatch):
+    # The P2 templates (n=4, j=2) and (n=4, j=3) of k = 4 trade words.
+    def swapped(k, family, i_max):
+        elements = original(k, family, i_max)
+        if family is not structure.PalFamily.P2:
+            return elements
+        by_class = {(c.n, c.j, c.shift): w for w, c in elements}
+        return [(by_class[4, 5 - c.j, c.shift], c) if c.n == 4 else (w, c) for w, c in elements]
+
+    original = structure.catalog_elements
+    monkeypatch.setattr(structure, "catalog_elements", swapped)
+    rows = _rows(verify.verify_structure(4, 12), "bordering-occurs")
+    assert sorted((r.subject["n"], r.subject["j"], r.verdict) for r in rows) == [
+        (4, 2, verify.FAIL), (4, 3, verify.FAIL), (5, 3, verify.PASS),
+    ]
+
+
+def test_catalog_row_reads_the_level_an_element_first_occurs_in(monkeypatch):
+    # For k = 3 the shift-0 elements are due at W_7. Digit 8 first occurs
+    # as the last digit of W_8; the pair (7, 0) first ends one digit past
+    # W_7, where W_8 goes on with W_6. Both first occur in W_8.
+    def planted(k, family, i_max):
+        elements = original(k, family, i_max)
+        if family is structure.PalFamily.P1:
+            elements += [(Word((8,)), structure.PalClass(family, 0, n=90)),
+                         (Word((7, 0)), structure.PalClass(family, 0, n=91))]
+        return elements
+
+    original = structure.catalog_elements
+    monkeypatch.setattr(structure, "catalog_elements", planted)
+    rows = {r.subject["class"]: r for r in _rows(verify.verify_structure(3, 10), "catalog-occurs")}
+    for name in ("(p1, i=0, n=90)", "(p1, i=0, n=91)"):
+        row = rows.pop(name)
+        assert (row.expected, row.actual, row.verdict) == (7, 8, verify.FAIL)
+    assert all(r.verdict == verify.PASS for r in rows.values())
 
 
 def test_structure_skips_are_reported():
@@ -282,6 +368,7 @@ def test_no_self_comparison():
 
 
 def test_default_n_max():
+    assert [verify.default_n_max(k) for k in range(3, 13)] == [17] + [16] * 9
     for k in (3, 4, 5):
         n = verify.default_n_max(k)
         assert kbonacci_number(k, n + k) <= 1 << 16

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import re
 import tracemalloc
 from unittest import mock
 
@@ -82,7 +83,8 @@ def test_kbonacci_basics():
 
 def test_kbonacci_memory_does_not_grow_with_k():
     # f_{k+j} = 2^j for 0 <= j < k. The k-1 leading zeros add nothing to
-    # a sum, so reaching f_{k+20} keeps 21 terms, not a window of k.
+    # a sum, so the size table keeps the 63 terms up to 2^62, not a
+    # window of k.
     tracemalloc.start()
     try:
         assert kbonacci_number(10**7, 10**7 + 20) == 2**20
@@ -90,6 +92,49 @@ def test_kbonacci_memory_does_not_grow_with_k():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# The last k-bonacci number within the machine width, per k.
+F74 = 7015254043203144209  # k = 3
+LAST_SIZES = [
+    (2, 92, 7540113804746346429),
+    (3, 74, F74),
+    (7, 70, 7305882881633980673),
+    (10**7, 10**7 + 62, 2**62),
+]
+
+
+@pytest.mark.parametrize("k,m,f_m", LAST_SIZES, ids=[f"k={k}" for k, _, _ in LAST_SIZES])
+def test_size_table_ends_at_the_machine_width(k, m, f_m):
+    assert kbonacci_number(k, m) == f_m <= MAX_DIGIT
+    assert words.kbonacci_sizes(k)[-1] == f_m
+    assert len(words.kbonacci_sizes(k)) == m - k + 1 < 100
+    with pytest.raises(DigitOverflowError, match=f"f_{m + 1} exceeds"):
+        kbonacci_number(k, m + 1)
+
+
+# word(3, n) against KBONA_MAX_LEN, where f_74 = |W_71| is the last size
+# within the machine width: a request past the table overflows exactly
+# when the guard admits every size in it.
+GUARD_ROWS = [
+    (MAX_DIGIT, [None, DigitOverflowError, DigitOverflowError]),
+    (F74, [None, DigitOverflowError, DigitOverflowError]),
+    (F74 - 1, [LengthGuardError] * 3),
+]
+
+
+@pytest.mark.parametrize("guard,raised", GUARD_ROWS, ids=["max-digit", "f74", "f74-1"])
+def test_length_guard_at_the_machine_width(monkeypatch, guard, raised):
+    monkeypatch.setenv("KBONA_MAX_LEN", str(guard))
+    # Only the checks run: W_71 has f_74 digits.
+    monkeypatch.setattr(words, "_word_digits", lambda k, n: bytes(1))
+    for n, error in zip((71, 72, 500), raised):
+        if error is None:
+            word(3, n)
+            continue
+        message = f"|W_{n}| = f_{n + 3} exceeds" if error is LengthGuardError else "f_75 exceeds"
+        with pytest.raises(error, match=re.escape(message)):
+            word(3, n)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8])

@@ -3,13 +3,16 @@
 Subcommands: gen, count, decompose, structure, lengths, verify.
 Exit codes: 0 success (documented discrepancies included unless
 --strict-paper), 1 verification failure, 2 usage or domain error, or a
-verify suite that raised (reported as one row, after the other suites).
+verify suite that raised (reported as one row, after the other suites),
+141 (128 + SIGPIPE) when the reader closes standard output early, as
+`kbona gen ... | head` does, with no traceback.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from itertools import chain
 from typing import Any
@@ -236,7 +239,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return COMMANDS[args.command](args, sys.stdout)
+        code = COMMANDS[args.command](args, sys.stdout)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone: what is still buffered goes to devnull, so the
+        # interpreter's final flush cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (DomainError, LengthGuardError, DigitOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

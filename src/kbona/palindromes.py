@@ -39,18 +39,13 @@ Everything here works over arbitrary nonnegative-integer digits.
   occurrences of every other centre, and buckets them one at a time.
 - `distinct_factors` builds an eertree (palindromic tree) kept in flat
   parallel lists, with dict edges keyed by digit, and skips what it has
-  already read. It takes the word in chunks of a quarter of _CONTEXT
-  digits on one fixed grid, and memoizes each chunk it reads under the
-  chunk and the _CONTEXT digits before it. The context O starts at
-  _CONTEXT and doubles past every palindrome the tree holds. While the
-  tree holds none of length >= O, what a run of chunks adds and the
-  state after it depend on the run and the O digits before it alone,
-  so a chunk whose key was read before, with the same O digits before
-  both, is skipped, with every whole chunk after it that repeats the
-  chunks after the key's reading, and the read resumes from the state
-  memoized after the last of those, re-reading nothing. The tree
-  matches the plain eertree's after every chunk, so one pass reads the
-  word and one memo serves all of it.
+  already read: it reads the word in chunks of a quarter of _CONTEXT
+  digits, and skips a chunk, with every whole chunk after it that
+  repeats, iff one compare finds it and the digits before it equal to an
+  earlier chunk and as many digits before that: at least _CONTEXT, and
+  more than the tree's longest palindrome. The read resumes from the
+  state memoized after the run, so the tree matches the plain eertree's
+  after every chunk.
 """
 
 from __future__ import annotations
@@ -289,10 +284,8 @@ def enumerate_maximal(w: Word, min_len: int) -> set[Word]:
     return set(map(Word._unchecked, slices))
 
 
-# distinct_factors reads chunks of a quarter of _CONTEXT digits and keys
-# each by itself and the _CONTEXT digits before it, however far its
-# context has grown, so the keys of a word whose chunks never repeat hold
-# 5 digits per digit read.
+# distinct_factors reads chunks of a quarter of _CONTEXT digits, each keyed
+# by the hash of itself and the _CONTEXT digits before it.
 _CONTEXT = 64
 
 
@@ -307,35 +300,31 @@ def distinct_factors(w: Word, min_len: int) -> set[Word]:
     plain eertree reads every digit, and its state `last` is the longest
     palindromic suffix of the digits read.
 
-    This one skips chunks. The word is read in chunks [a, a + C) of
-    C = max(_CONTEXT // 4, 1) digits, and the context O starts at
-    _CONTEXT and doubles past every palindrome the tree holds. So at a
-    the tree holds none of length >= O, and none ends before a: the tree
-    holds every palindrome that does, and a palindrome of length >= O
-    holds a centred one of length O or O + 1 that ends no later. Nor
-    does one end in a run of chunks a .. b whose key ds[a - O : b] was
-    read before, as that centred one would end before a or lie in the
-    key, and either way be in the tree. So every state in such a run is
-    shorter than O, lies in the key, and is the state met where the key
-    was read: the run adds nothing and is skipped, and the read resumes
-    from the state after its last chunk.
+    This one skips chunks. The word is read in chunks [a, b) of
+    C = max(_CONTEXT // 4, 1) digits, and chunk a is skipped from an
+    earlier chunk s iff s >= O and ds[a - O : b] == ds[s - O : s + C],
+    with O = `before` = max(_CONTEXT, longest + 1) for the tree's longest
+    palindrome. The tree holds every palindrome that ends before a, so
+    none of length >= O ends before a. Nor in [a, b): such a palindrome
+    holds a centred one of length O or O + 1 that ends no later, and
+    that one ends before a or lies in ds[a - O : b], whose copy ends by
+    s + C <= a, so the tree would hold it. Every palindrome that ends in
+    either chunk is thus shorter than O and lies in its equal window:
+    chunk a adds nothing, and its states are those of chunk s.
 
-    `seen` maps ds[a - _CONTEXT : a + C] to the index in `states`, the
-    state after every chunk so far, of the last chunk a read under it.
-    A hit from chunk s is taken only if s >= O and
-    ds[a - O : a] == ds[s - O : s], which makes the key of a at the
-    current O that of s, so an entry holds across doublings. The run is
-    as many whole chunks as repeat those from s on, up to a - s digits,
-    so that its key is read before a and each of its states is known.
-    The state after every chunk is thus the plain eertree's, the
-    suffix-link walks need no bound but the start of the word, and once
-    _CONTEXT >= |w| every key is a prefix and nothing is skipped.
+    `seen` maps hash(ds[a - _CONTEXT : b]) to the index in `states`, the
+    state after every chunk so far, of the last chunk read under it; the
+    compare alone decides, so a collision costs only a read. A skip
+    takes as many whole chunks as repeat those from s on, up to a - s
+    digits, each meeting the rule against a chunk read before a. So the
+    state after every chunk is the plain eertree's, the suffix-link
+    walks need no bound but the start of the word, and once
+    _CONTEXT >= |w| no s reaches O and nothing is skipped.
     """
     _require_min_len(min_len)
     ds = w.digits
     n = len(ds)
     length, link, end, edges = [-1, 0], [0, 0], [-1, -1], [{}, {}]
-    context = _CONTEXT
     step = max(_CONTEXT // 4, 1)
     seen = {}
     states = array("i")
@@ -344,11 +333,12 @@ def distinct_factors(w: Word, min_len: int) -> set[Word]:
     b = 0
     while b < n:
         a, b = b, b + step
-        key = ds[max(a - _CONTEXT, 0) : b]
+        key = hash(ds[max(a - _CONTEXT, 0) : b])
         first = seen.get(key)
         if first is not None:
             src = first * step
-            if src >= context and ds[a - context : a] == ds[src - context : src]:
+            before = max(_CONTEXT, longest + 1)
+            if src >= before and ds[a - before : b] == ds[src - before : src + step]:
                 run = _repeated_chunks(ds, a, src, step, len(states) - first)
                 states += states[first : first + run]
                 last = states[-1]
@@ -382,8 +372,6 @@ def distinct_factors(w: Word, min_len: int) -> set[Word]:
                     longest = length[v] + 2
         seen[key] = len(states)
         states.append(last)
-        while context <= longest:
-            context *= 2
     return {
         Word._unchecked(ds[e - m + 1 : e + 1])
         for m, e in zip(length, end) if m >= min_len

@@ -208,6 +208,12 @@ def verify_decomposition(k: int, n: int) -> Report:
     return report.finish()
 
 
+def _occurs_at(w: Word, element: Word, start: int, size: int) -> bool:
+    """Whether element occurs at the 0-based start of the prefix of w of
+    `size` digits: W_n2 is that prefix of W_n for every n2 <= n."""
+    return start >= 0 and w.digits.startswith(element.digits, start, size)
+
+
 def verify_structure(k: int, n: int) -> Report:
     """Catalog completeness and realizability on W_n: every maximal
     palindrome classifies into a family, the predicted straddling words
@@ -219,7 +225,6 @@ def verify_structure(k: int, n: int) -> Report:
     require_k(k, 3)
     report = Report("structure", {"k": k, "n": n})
     w = word(k, n)
-    # Each W_n2 with n2 <= n is the prefix of w of length |W_n2|.
     sizes = kbonacci_sizes(k)
 
     for pal in enumerate_maximal(w, 2):
@@ -230,15 +235,10 @@ def verify_structure(k: int, n: int) -> Report:
         report.skip("straddling-occurs", {"k": k, "n": n}, f"n >= {2 * k - 1}",
                     f"no n2 with {2 * k - 1} <= n2 <= n")
     for n2 in range(2 * k - 1, min(n, 3 * k - 2) + 1):
-        w2 = w.digits[: sizes[n2]]
         cut = sizes[n2] - sizes[n2 - k]  # final block is k ⊕ W_{n2-k}
         for pair in structure.maximal_straddling_words(k, n2):
             cat = pair.concatenation
-            occurs = (
-                is_palindrome(cat)
-                and w2.endswith(pair.left.digits, 0, cut)
-                and w2.startswith(pair.right.digits, cut)
-            )
+            occurs = is_palindrome(cat) and _occurs_at(w, cat, cut - len(pair.left), sizes[n2])
             report.check("straddling-occurs", {"k": k, "n": n2, "word": cat}, True, "Oracle",
                          occurs)
 
@@ -251,12 +251,10 @@ def verify_structure(k: int, n: int) -> Report:
         n2, j = cls.n, cls.j
         if n2 > n:
             continue
-        start = sizes[j] - 1 - (len(b) - 1) // 2
         occurs = (
             is_palindrome(b)
             and len(b) == counting.border_max_length(k, n2, j)
-            and start >= 0
-            and w.digits[: sizes[n2]].startswith(b.digits, start)
+            and _occurs_at(w, b, sizes[j] - 1 - (len(b) - 1) // 2, sizes[n2])
         )
         report.check("bordering-occurs", {"k": k, "n": n2, "j": j}, True, "Oracle", occurs)
 
@@ -311,20 +309,19 @@ def verify_lemmas(k: int, n_max: int) -> Report:
     report.check("mod-k-reduction", sweep, True, "Oracle",
                  all(reduce_mod_k(k, w) == classical_word(k, n) for n, w in enumerate(words)))
 
-    # phi_k(k ⊕ w) = k ⊕ phi_k(w) on small words.
-    shift_comm = all(
-        apply_morphism(k, shift_add(k, Word(ds)))
-        == shift_add(k, apply_morphism(k, Word(ds)))
-        for ds in itertools.product(range(2 * k + 2), repeat=2)
-    )
-    report.check("shift-commutation", {"k": k}, True, "Oracle", shift_comm)
+    # phi_k(k ⊕ w) = k ⊕ phi_k(w), once on a word that holds every
+    # two-digit word over 0..2k+1.
+    pairs = Word(itertools.chain.from_iterable(itertools.product(range(2 * k + 2), repeat=2)))
+    report.check("shift-commutation", {"k": k}, True, "Oracle",
+                 apply_morphism(k, shift_add(k, pairs)) == shift_add(k, apply_morphism(k, pairs)))
 
-    # phi_k^n(ki + j) = phi_k^n(j) ⊕ ki for 1 <= n <= 6, power by power
-    # along one chain from each side.
+    # phi_k^n(ki + j) = phi_k^n(j) ⊕ ki for 1 <= n <= 6 and i, j < 7: one
+    # chain of six powers of 0 1 ... 6, and one of each shift ki of it.
+    base = Word(range(7))
+    powers = _orbit(k, base, 6)[1:]
     power_comm = all(
-        lhs == shift_add(k * i, rhs)
-        for i, j in itertools.product(range(7), repeat=2)
-        for lhs, rhs in zip(_orbit(k, Word((k * i + j,)), 6)[1:], _orbit(k, Word((j,)), 6)[1:])
+        _orbit(k, shift_add(k * i, base), 6)[1:] == [shift_add(k * i, p) for p in powers]
+        for i in range(7)
     )
     report.check("power-commutation", {"k": k}, True, "Oracle", power_comm)
 

@@ -3,7 +3,10 @@
 import contextlib
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -93,6 +96,9 @@ def test_gen_holds_the_word_once():
     class Discard:
         def write(self, text):
             return len(text)
+
+        def flush(self):
+            pass
 
     tracemalloc.start()
     try:
@@ -309,3 +315,21 @@ def test_readme_cli_examples_run(run):
         argv = shlex.split(line, comments=True)[1:]
         code, _, err = run(*argv)
         assert code == (1 if "--strict-paper" in argv else 0), (line, err)
+
+
+def test_gen_into_a_closed_pipe_exits_quietly():
+    # W_22 for k = 3 is 2.8 MB of text, far past a pipe's buffer, so gen
+    # is still writing when the reader closes its end after 20 bytes.
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kbona.cli", "gen", "--k", "3", "--n", "22"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert proc.stdout.read(20) == b"0 1 0 2 0 1 3 0 1 0 "
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in err, err

@@ -258,10 +258,11 @@ def repeating_words(draw):
 # found nowhere else. A read restarted from the empty palindrome there
 # misses it.
 @example(Word((9, 3, 5, 4, 5, 0, 9, 3, 5, 4, 5, 3)), 4, 3)
-# Doublings: 1 2 3 2 1 in the first chunks lengthens the context from 3
-# to 6 digits, and the run of twenty 0s later to 12 and 24. The keys stay
-# 4 digits long, and a hit taken on the key alone would skip the run from
-# its fifth 0 on, from the state 0 0 0 0, and miss every longer run.
+# Long palindromes widen the compare: at a context of 3, 1 2 3 2 1 in
+# the first chunks makes O = 6, and each longer run of 0s among the twenty
+# later makes O one more than the run. The keys stay 4 digits long, and a
+# hit taken on the key alone would skip the run from its fifth 0 on, from
+# the state 0 0 0 0, and miss every longer run.
 @example(Word((1, 2, 3, 2, 1, 4) + (0,) * 20), 3, 2)
 # Runs capped by a - src: at a context of 16 the chunks are 4 digits,
 # one period of 0 0 1 2. The key of chunk 20 was read at chunk 16, so its
@@ -275,21 +276,44 @@ def repeating_words(draw):
 # copying more would take states not yet known, and a later run, read
 # against the wrong chunks, would skip the 1 0 1 near the end.
 @example(Word((0, 1, 1, 1, 3) * 5 + (1, 3, 3, 1, 0, 1, 1, 1, 3)), 6, 2)
-# A hit after a doubling: 2 2 2 2 doubles the context from 4 to 8 after
-# digit 3; chunk 14 repeats chunk 10 with the same eight digits before.
+# A hit past a long palindrome: at a context of 4, 2 2 2 2 makes O = 5
+# from digit 3 on; chunk 14 repeats chunk 10 with the same five digits
+# before.
 @example(Word((2, 2, 2, 2) + (3, 0, 2, 2) * 3 + (3, 0, 2)), 4, 2)
-# A hit after a doubling whose wider context differs: at a context of 2
-# the 0 0 doubles it to 4 after digit 1. Chunk 5 has the key 1 1 1 of
-# chunk 4, but the four digits before them, 0 1 1 1 and 0 0 1 1, differ,
-# and a skip there would miss 1 1 1 1.
+# A key hit whose wider window differs: at a context of 2, chunk 5 has
+# the key 1 1 1 of chunk 4, but 1 1 1 makes O = 4, and the four digits
+# before the two, 0 1 1 1 and 0 0 1 1, differ; a skip there would miss
+# 1 1 1 1.
 @example(Word((0, 0, 1, 1, 1, 1)), 2, 1)
+# A palindrome of length longest + 2 that ends where a chunk starts: at a
+# context of 1, chunk 8 has the key 0 3 of chunk 3 and O = 2, and the
+# digits before the two, 3 and 2, differ. A compare that starts one digit
+# later, or O = longest, skips chunk 8 and misses 3 0 3.
+@example(Word((3, 2, 0, 3, 2, 1, 3, 0, 3)), 1, 1)
 @settings(max_examples=400)
 def test_skipping_tree_against_oracle(w, context, min_len):
     # Contexts of 1-8 digits make chunks of 1 or 2 digits repeat within a
     # few dozen digits, and a planted palindrome longer than the context
-    # lengthens the keys.
+    # widens the window that a skip compares.
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(palindromes, "_CONTEXT", context)
+        assert distinct_factors(w, min_len) == brute_distinct(w, min_len)
+
+
+@given(repeating_words(), st.integers(1, 8), st.integers(1, 3))
+# With keys hashed to their first digit, chunk 5 (the 0) at a context of
+# 1 meets chunk 2 (the 3), whose window 2 1 3 equals 2 1 0 but for the
+# chunk's own digit; a compare that stops one digit short skips it and
+# misses the palindrome 0.
+@example(Word((2, 1, 3, 2, 1, 0)), 1, 1)
+@settings(max_examples=200)
+def test_skipping_tree_decides_by_the_compare_alone(w, context, min_len):
+    # The memo keys by a hash, and only the compare of the chunk and the O
+    # digits before it decides a skip: keys that collide wholesale cost
+    # reads, never a factor.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(palindromes, "_CONTEXT", context)
+        mp.setattr(palindromes, "hash", lambda key: key[0], raising=False)
         assert distinct_factors(w, min_len) == brute_distinct(w, min_len)
 
 
@@ -459,12 +483,13 @@ def test_skipping_tree_skips_repeated_chunks(monkeypatch):
     assert 14 * reads[0] <= reads[1]
 
 
-def test_skipping_tree_keeps_its_memo_across_doublings():
-    # W_20 for k = 7 (987,568 digits) doubles the context from 128 to 256
-    # at digit 491,872, and repeats the chunks before it after it. With
-    # one memo for the word and the wider context compared on a hit, the
-    # tree reads 53,479 digits; one that starts its memo afresh at each
-    # doubling reads 197,373.
+def test_skipping_tree_keeps_its_memo_as_its_window_widens():
+    # W_20 for k = 7 (987,568 digits) first holds palindromes of 127 and
+    # 189 digits near digit 491,900, which widen the compare of a skip
+    # from 126 to 190 digits, and repeats the chunks before them after
+    # them. With one memo for the word and the wider window compared on a
+    # hit, the tree reads 52,258 digits; a memo started afresh where the
+    # window widens reads the chunks after it again.
     digits = word(7, 20).digits
     w = Word(digits)
     object.__setattr__(w, "digits", _CountedDigits(digits, 100_000))
@@ -474,11 +499,10 @@ def test_skipping_tree_keeps_its_memo_across_doublings():
 @pytest.mark.parametrize("context", [64, 100_000])
 def test_skipping_tree_memory_is_linear(monkeypatch, context):
     # The 80-digit keys of a random word over 10 digits never repeat, so
-    # the memo keeps a key, its chunk index and a 4-byte state for every
-    # chunk: 15 bytes per digit with the tree and the result at
-    # _CONTEXT = 64, and 5 at _CONTEXT = |w|, where
-    # the keys are the word's prefixes at each quarter. Chunks of a fixed
-    # size would keep |w| / size prefixes there, quadratic in |w|.
+    # the memo keeps a key's hash, its chunk index and a 4-byte state for
+    # every chunk: 10.4-10.5 bytes per digit with the tree and the result
+    # at _CONTEXT = 64, and 3.3 at _CONTEXT = |w|, where the keys hash the
+    # word's prefixes at each quarter, one slice at a time.
     n = 100_000
     w = Word(random.Random(20240811).choices(range(10), k=n))
     monkeypatch.setattr(palindromes, "_CONTEXT", context)
@@ -490,7 +514,7 @@ def test_skipping_tree_memory_is_linear(monkeypatch, context):
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
-    assert peak < 20 * n
+    assert peak < 12 * n
 
 
 def test_classify_crossing_walks_only_cut_windows(monkeypatch):

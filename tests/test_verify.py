@@ -143,6 +143,22 @@ def _rows(report, check_id):
     return [r for r in report.results if r.check_id == check_id]
 
 
+def test_occurrence_is_tested_at_its_start_within_the_prefix():
+    # W_5 = 0102013010234 01020133435 for k = 3, and W_4 is its first 13
+    # digits: 2 3 4 0 1 starts at 0-based 10 and runs 2 digits past W_4.
+    w = word(3, 5)
+    element = Word((2, 3, 4, 0, 1))
+    assert verify._occurs_at(w, element, 10, 24)
+    assert verify._occurs_at(w, element, 10, 15)
+    assert not verify._occurs_at(w, element, 10, 14)
+    assert not verify._occurs_at(w, element, 10, 13)
+    assert not verify._occurs_at(w, element, 9, 24)
+    assert not verify._occurs_at(w, element, 11, 24)
+    # A start before the word is no occurrence, though the suffix 4 3 5
+    # is 3 digits from the end.
+    assert not verify._occurs_at(w, Word((4, 3, 5)), -3, 24)
+
+
 def test_straddling_row_fails_when_the_split_is_one_digit_late(monkeypatch):
     def late(k, n):
         return [structure.StraddlingPair(p.left + p.right.factor(1, 1), p.right.drop_first())
@@ -317,6 +333,63 @@ def test_lemma_rows_fail_under_planted_faults(monkeypatch, check_id, target, pla
     rows = [r for r in verify.verify_lemmas(3, 6).results
             if r.check_id == check_id and r.subject.get("n", 4) == 4]
     assert [r.verdict for r in rows] == [verify.FAIL]
+
+
+def _commutation_verdicts(k, n_max):
+    return {r.check_id: r.verdict for r in verify.verify_lemmas(k, n_max).results
+            if r.check_id in ("shift-commutation", "power-commutation")}
+
+
+def test_commutation_rows_fail_when_one_digit_maps_wrongly(monkeypatch):
+    # For k = 3 the digit 4 = k + 1 maps to 5 alone instead of 3 5, so
+    # phi_3(3 ⊕ 1) = 5 differs from 3 ⊕ phi_3(1) = 3 5, and so does each
+    # power phi_3^n(3 + 1) from phi_3^n(1) ⊕ 3.
+    def faulty(k, w):
+        return Word(itertools.chain.from_iterable(
+            (d + 1,) if d == k + 1 else original(k, Word((d,))).digits for d in w.digits))
+
+    original = verify.apply_morphism
+    monkeypatch.setattr(verify, "apply_morphism", faulty)
+    assert _commutation_verdicts(3, 6) == {
+        "shift-commutation": verify.FAIL, "power-commutation": verify.FAIL,
+    }
+
+
+def test_power_commutation_fails_for_a_wrong_shift_of_2k_or_more(monkeypatch):
+    # Shift-commutation shifts by k = 3 only, power-commutation by 3i for
+    # i < 7; a shift of 6 or more adds one digit too many.
+    def faulty(d, w):
+        return original(d + 1 if d >= 6 else d, w)
+
+    original = verify.shift_add
+    monkeypatch.setattr(verify, "shift_add", faulty)
+    assert _commutation_verdicts(3, 6) == {
+        "shift-commutation": verify.PASS, "power-commutation": verify.FAIL,
+    }
+
+
+def test_lemma_battery_applies_the_morphism_66_times(monkeypatch):
+    # method-agreement's chain of 16 powers, one phi_k on each side for
+    # shift-commutation, and eight chains of six powers for
+    # power-commutation: 0 1 ... 6 and its seven shifts 7i, i < 7.
+    calls = {"apply_morphism": 0, "Word": 0}
+    morphism, init = verify.apply_morphism, Word.__init__
+
+    def counted_morphism(*args):
+        calls["apply_morphism"] += 1
+        return morphism(*args)
+
+    def counted_init(self, *args):
+        calls["Word"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(verify, "apply_morphism", counted_morphism)
+    monkeypatch.setattr(Word, "__init__", counted_init)
+    assert verify.verify_lemmas(7, 16).ok
+    assert calls["apply_morphism"] <= 66
+    # The two commutation words, the 0 that starts method-agreement's
+    # chain, and the six digits i + 1 of palindromic-prefix-cap.
+    assert calls["Word"] <= 9
 
 
 def _guard_below_w26_k8(monkeypatch):

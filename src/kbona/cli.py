@@ -31,10 +31,6 @@ from .words import (
 )
 
 
-def _mode(value: str) -> FormulaMode:
-    return FormulaMode(value)
-
-
 def _non_negative_int(value: str) -> int:
     n = int(value)
     if n < 0:
@@ -68,7 +64,7 @@ def _cmd_gen(args, out) -> int:
 
 
 def _cmd_count(args, out) -> int:
-    mode = _mode(args.mode)
+    mode = FormulaMode(args.mode)
     rows = []
     mismatch = False
     for n, p in enumerate(counting.p_series(args.k, args.n_max, mode)):
@@ -124,7 +120,7 @@ def _cmd_structure(args, out) -> int:
 
 
 def _cmd_lengths(args, out) -> int:
-    mode = _mode(args.mode)
+    mode = FormulaMode(args.mode)
     ls = structure.allowed_lengths(args.k, mode)
     if args.format == "json":
         _emit_json(args.k, "lengths",

@@ -11,7 +11,7 @@ Everything here works over arbitrary nonnegative-integer digits.
   every centre of one parity at once, by XOR and the SWAR zero-lane
   test. The lengths reached are written into the profile's array, and
   only the centres alive after the last layer are expanded in Python,
-  from there, with Manacher's mirror bound so the scan stays linear. A
+  by Manacher's scan (`_expand`), so the scan stays linear. A
   tuple store (a digit past 255) takes the same path; only its equal
   lanes come from a C-level `map(eq, ...)` instead. The profile carries
   its longest length and its total, the sum of the lengths, which the
@@ -91,15 +91,16 @@ def _expand(ds: bytes | tuple[int, ...], lengths: array, centres, tally: list[in
     in increasing order; every other centre already holds its maximal
     length in `lengths`, and an alive one the length the pass reached.
     Folds into `tally` (see `_lane_pass`) the longest length it expands
-    to and what each length it rewrites adds to the total; a length it
-    copies from a mirror was written before, by the lane pass or here.
+    to and what each length it rewrites adds to the total.
 
     (mid, right) is the scanned palindrome that reaches furthest right,
-    ending at digit `right`. A centre c inside it is as long as its
-    mirror 2*mid - c, which has c's parity, when that mirror ends before
-    `right`, and at least as long as reaches `right` otherwise, so every
-    digit comparison that succeeds moves `right` on and the scan stays
-    linear.
+    ending at digit `right`. A centre c inside it holds the palindrome of
+    length min(mirror, 2*right - c + 1), where mirror is the maximal
+    length at 2*mid - c, which has c's parity: as long as the mirror's,
+    cut off at `right`. The expansion starts from there. When the
+    mirror's palindrome ends inside (mid, right), its first comparison
+    fails, and otherwise every comparison that succeeds moves `right` on,
+    so the scan stays linear.
     """
     last = len(ds) - 1
     mid = right = -1
@@ -107,13 +108,7 @@ def _expand(ds: bytes | tuple[int, ...], lengths: array, centres, tally: list[in
     for c in centres:
         old = m = lengths[c]
         if c <= 2 * right:
-            m = lengths[2 * mid - c]
-            bound = 2 * right - c + 1
-            if m < bound:
-                lengths[c] = m
-                grown += m - old
-                continue
-            m = bound
+            m = min(lengths[2 * mid - c], 2 * right - c + 1)
         # The occurrence of length m at c spans digits a..b, 0-based.
         a = (c - m + 1) // 2
         b = a + m - 1
@@ -222,7 +217,7 @@ def maximal_radii(w: Word) -> RadiusProfile:
 
     A lane pass compares the first _LAYERS digit pairs around every
     centre with whole-int operations, block by block; only the centres
-    it leaves alive are expanded further, with Manacher's mirror bound.
+    it leaves alive are expanded further, by Manacher's scan.
     The profile is kept on the word, and a later call returns it.
     """
     profile = getattr(w, "_radii", None)
@@ -241,16 +236,15 @@ def _span_count(ms: memoryview, first: int, min_len: int, total: int) -> int:
     """Occurrences of length >= min_len at the centres first, first + 1,
     ... whose maximal lengths are ms, of sum total. A centre of maximal
     length m holds the lengths m, m-2, ... >= min_len,
-    (m - min_len + 2) // 2 of them, and m - min_len is odd exactly at
-    the centres of the other parity than min_len's, so the terms add up
-    to one sum over ms. A term below zero, at m < min_len - 2, is put
-    back to zero by a pass over ms, which only a min_len above 2 needs."""
+    (m - min_len + 2) // 2 of them. A digit (even c) has odd lengths and
+    a gap (odd c) even ones, so m - min_len is odd exactly at the centres
+    c of min_len's parity, and the terms add up to one sum over ms. A
+    term below zero, at m < min_len - 2, is put back to zero by a pass
+    over ms, which only a min_len above 2 needs."""
     low = min_len - 2
     end = first + len(ms)
-    if min_len % 2:  # the gaps, at odd centres, have even lengths
-        odd = end // 2 - first // 2
-    else:
-        odd = (end + 1) // 2 - (first + 1) // 2
+    # The c in [first, end) with c - min_len even.
+    odd = (end - min_len + 1) // 2 - (first - min_len + 1) // 2
     total = (total - len(ms) * low - odd) // 2
     if low > 0:
         total += sum(map(floordiv, map(sub, repeat(low + 1), filter(low.__gt__, ms)), repeat(2)))

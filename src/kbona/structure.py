@@ -150,11 +150,11 @@ def maximal_straddling_words(k: int, n: int) -> list[StraddlingPair]:
     return pairs
 
 
-def _centered_sublengths(w: Word, min_len: int = 2) -> set[int]:
-    """Lengths of the palindromic centered subwords of a nonempty w (read
-    from the scan, not assumed): every length of the parity of |w| up to
-    the maximal palindrome at w's middle centre."""
-    return set(range(maximal_radii(w).lengths[len(w) - 1], min_len - 1, -2))
+def _centered_sublengths(w: Word) -> set[int]:
+    """Lengths >= 2 of the palindromic centered subwords of a nonempty w
+    (read from the scan, not assumed): every length of the parity of |w|
+    up to the maximal palindrome at w's middle centre."""
+    return set(range(maximal_radii(w).lengths[len(w) - 1], 1, -2))
 
 
 _AS_STATED_MAX = {
@@ -204,8 +204,6 @@ def classify_palindrome(k: int, w: Word) -> set[PalClass]:
     if not is_palindrome(w):
         raise DomainError(f"{w!r} is not a palindrome")
     out: set[PalClass] = set()
-    if len(w) == 0:
-        return out
     for template, base in _templates(k):
         if len(template) != len(w):
             continue

@@ -210,8 +210,11 @@ def verify_decomposition(k: int, n: int) -> Report:
 
 def _occurs_at(w: Word, element: Word, start: int, size: int) -> bool:
     """Whether element occurs at the 0-based start of the prefix of w of
-    `size` digits: W_n2 is that prefix of W_n for every n2 <= n."""
-    return start >= 0 and w.digits.startswith(element.digits, start, size)
+    `size` digits: W_n2 is that prefix of W_n for every n2 <= n. w is a
+    generated byte word, so an element with a digit past 255 (a tuple
+    store) occurs nowhere in it."""
+    ds = element.digits
+    return start >= 0 and type(ds) is bytes and w.digits.startswith(ds, start, size)
 
 
 def verify_structure(k: int, n: int) -> Report:
@@ -271,9 +274,10 @@ def verify_structure(k: int, n: int) -> Report:
                 continue
             # Each W_f with f <= n is a prefix of w, so the element occurs
             # in W_f iff its first occurrence in w ends within |W_f|; the
-            # row reads the least such f at or past the predicted index.
+            # row reads the least such f at or past the predicted index. An
+            # element with a digit past 255 is absent from the byte word.
             ds = element.digits
-            pos = w.digits.find(ds)
+            pos = w.digits.find(ds) if type(ds) is bytes else -1
             actual = None if pos < 0 else bisect_left(sizes, pos + len(ds), predicted)
             report.check("catalog-occurs", subject, predicted, "Oracle", actual)
     return report.finish()
@@ -332,8 +336,7 @@ def verify_lemmas(k: int, n_max: int) -> Report:
     for n, w in enumerate(words[1:], 1):
         ds = w.digits
         subject = {"k": k, "n": n}
-        if len(ds) >= 2:
-            report.check("suffix-pair", subject, suffix_pair(k, n), "Derived", (ds[-2], ds[-1]))
+        report.check("suffix-pair", subject, suffix_pair(k, n), "Derived", (ds[-2], ds[-1]))
         report.check("last-digit", subject, True, "Oracle",
                      max(ds) == n and ds.count(n) == 1 and ds[-1] == n)
         report.check("no-00", subject, True, "Oracle", bytes(2) not in ds)

@@ -147,8 +147,6 @@ class Word:
         """Parse a word from text: either contiguous single digits
         ("0102013") or whitespace/comma separated integers ("45 46 45")."""
         text = text.strip()
-        if not text:
-            return cls()
         if any(sep in text for sep in (" ", ",", "\t")):
             parts = text.replace(",", " ").split()
         else:
@@ -160,9 +158,6 @@ class Word:
 
     def __len__(self) -> int:
         return len(self.digits)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.digits)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Word):

@@ -12,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from kbona import verify, words
+from kbona import cli, counting, verify, words
 from kbona.cli import main
+from kbona.palindromes import count_occurrences
 from kbona.verify import default_n_max
 from kbona.words import Word, kbonacci_number, reduce_mod_k, word
 
@@ -137,6 +138,9 @@ def test_decompose(run):
     code, out, _ = run("decompose", "--k", "4", "--n", "4")
     assert code == 0
     assert "fail=0" in out
+    code, out, err = run("decompose", "--k", "4", "--n", "3")
+    assert code == 2 and out == ""
+    assert err == "error: decomposition requires n >= k, got n=3\n"
 
 
 def test_structure_listing(run):
@@ -145,6 +149,14 @@ def test_structure_listing(run):
     lines = out.strip().splitlines()
     assert any("1 0 2 0 1" in line for line in lines)
     assert any("4 3 5 3 4" in line for line in lines)
+    # The JSON listing carries the plain rows' classes and digits.
+    code, out, _ = run("structure", "--k", "3", "--class", "p2", "--i-max", "1",
+                       "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["k"], payload["subcommand"]) == (3, "structure")
+    assert [f"{r['class']}\t{' '.join(map(str, r['digits']))}"
+            for r in payload["results"]] == lines
 
 
 def test_structure_classify(run):
@@ -153,6 +165,15 @@ def test_structure_classify(run):
     assert "p1" in out and "p3" in out
     code, out, _ = run("structure", "--k", "3", "--classify", "0102")
     assert code == 2
+    code, out, _ = run("structure", "--k", "3", "--classify", "101")
+    assert code == 0
+    assert out == "(no catalog membership)\n"
+    for text, classes in (("343", ["(p1, i=1, n=2)", "(p3, i=1, m=1, double)"]), ("101", [])):
+        code, out, _ = run("structure", "--k", "3", "--classify", text, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["results"] == [
+            {"word": [int(d) for d in text], "classes": classes}
+        ]
 
 
 def test_lengths(run):
@@ -161,6 +182,11 @@ def test_lengths(run):
     assert out.strip() == "2 3 5 7 9"
     code, out, _ = run("lengths", "--k", "3", "--mode", "as-stated")
     assert out.strip() == "2 3 5 7 9 11"
+    for mode, lengths in (("derived", [2, 3, 5, 7, 9]), ("as-stated", [2, 3, 5, 7, 9, 11])):
+        code, out, _ = run("lengths", "--k", "3", "--mode", mode, "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"k": 3, "subcommand": "lengths",
+                                   "results": [{"mode": mode, "lengths": lengths}]}
 
 
 def test_verify_exit_codes(run):
@@ -175,6 +201,27 @@ def test_verify_exit_codes(run):
     assert code == 0 and err == ""
     assert "suite lengths: pass=0 fail=0 discrepancy=0 skipped=1" in out
     assert out.count("suite ") == 5
+
+
+def test_verify_exits_1_on_a_planted_fail(run, monkeypatch):
+    # A derived closed form one too large fails its row: exit 1, with or
+    # without --strict-paper.
+    closed = counting.alpha_border_closed
+    monkeypatch.setattr(counting, "alpha_border_closed", lambda k, n: closed(k, n) + 1)
+    for strict in ((), ("--strict-paper",)):
+        code, out, err = run("verify", "--k", "4", "--suite", "counts", *strict)
+        assert code == 1 and err == ""
+        assert "[Fail] alpha-closed k=4 n=4: expected 9 (Derived), got 8" in out
+
+
+def test_count_oracle_exits_1_on_a_planted_mismatch(run, monkeypatch):
+    # The scan reads one more at W_4, the 13-digit word for k = 3.
+    monkeypatch.setattr(cli, "count_occurrences",
+                        lambda w, min_len: count_occurrences(w, min_len) + (len(w) == 13))
+    code, out, _ = run("count", "--k", "3", "--n-max", "5", "--oracle")
+    assert code == 1
+    rows = [line.split("\t") for line in out.strip().splitlines()[1:]]
+    assert [r for r in rows if r[1] != r[2]] == [["4", "4", "5"]]
 
 
 def test_verify_reports_every_suite_when_one_raises(run, monkeypatch):

@@ -7,6 +7,7 @@ from kbona.counting import FormulaMode, border_max_length
 from kbona.palindromes import distinct_factors, enumerate_maximal, is_palindrome
 from kbona.structure import (
     PalFamily,
+    StraddlingPair,
     allowed_lengths,
     catalog_elements,
     classify_palindrome,
@@ -198,6 +199,7 @@ def test_classify_rejects_non_members():
     assert classify_palindrome(3, Word.parse("101")) == set()
     # 00 itself needs shift >= 1, so the unshifted word is not in the catalog
     assert classify_palindrome(3, Word.parse("00")) == set()
+    assert classify_palindrome(3, Word()) == set()
 
 
 @pytest.mark.parametrize("k,n", [(3, 10), (4, 10), (5, 9)])
@@ -217,5 +219,10 @@ def test_realizability(k):
 def test_domain_errors():
     with pytest.raises(DomainError):
         catalog_elements(2, PalFamily.P1, 0)
+    with pytest.raises(DomainError, match="i_max must be >= 0, got -1"):
+        catalog_elements(3, PalFamily.P1, -1)
+    for left, right in ((Word(), Word.parse("1")), (Word.parse("1"), Word())):
+        with pytest.raises(DomainError, match="nonempty"):
+            StraddlingPair(left, right)
     with pytest.raises(DomainError):
         allowed_lengths(2)

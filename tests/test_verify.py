@@ -13,6 +13,7 @@ from kbona.words import (
     LengthGuardError,
     Word,
     kbonacci_number,
+    shift_add,
     word,
 )
 
@@ -157,6 +158,10 @@ def test_occurrence_is_tested_at_its_start_within_the_prefix():
     # A start before the word is no occurrence, though the suffix 4 3 5
     # is 3 digits from the end.
     assert not verify._occurs_at(w, Word((4, 3, 5)), -3, 24)
+    # An element with a digit past 255 (a tuple store) occurs nowhere in
+    # a generated byte word.
+    assert not verify._occurs_at(w, Word((300,)), 0, 24)
+    assert not verify._occurs_at(w, Word((0, 300)), 0, 24)
 
 
 def test_straddling_row_fails_when_the_split_is_one_digit_late(monkeypatch):
@@ -210,6 +215,26 @@ def test_catalog_row_reads_the_level_an_element_first_occurs_in(monkeypatch):
         row = rows.pop(name)
         assert (row.expected, row.actual, row.verdict) == (7, 8, verify.FAIL)
     assert all(r.verdict == verify.PASS for r in rows.values())
+
+
+def test_catalog_row_fails_for_an_element_past_the_byte_range(monkeypatch):
+    # The first P1 element at shift 1, shifted by 300, holds only digits
+    # past 255: its row fails, and no other row or suite is touched.
+    def shifted(k, family, i_max):
+        elements = original(k, family, i_max)
+        if family is structure.PalFamily.P1 and i_max == 1:
+            i = next(i for i, (_, c) in enumerate(elements) if c.shift == 1)
+            elements[i] = (shift_add(300, elements[i][0]), elements[i][1])
+        return elements
+
+    original = structure.catalog_elements
+    monkeypatch.setattr(structure, "catalog_elements", shifted)
+    (report,) = verify.run_suites(3, 10, ["structure"])
+    assert not report.raised
+    failed = [r for r in report.results if r.verdict == verify.FAIL]
+    assert [(r.check_id, r.subject["class"], r.expected, r.actual) for r in failed] == [
+        ("catalog-occurs", "(p1, i=1, n=2)", 10, None)
+    ]
 
 
 def test_structure_skips_are_reported():

@@ -269,6 +269,13 @@ def test_word_slicing_is_one_based():
         w.factor(0, 3)
 
 
+def test_word_meets_only_words():
+    assert Word.parse(" \t ") == Word()
+    assert not Word((1,)) == (1,)
+    with pytest.raises(TypeError):
+        Word((1,)) + (1,)
+
+
 def test_length_guard(monkeypatch):
     monkeypatch.setenv("KBONA_MAX_LEN", "50")
     with pytest.raises(LengthGuardError):
@@ -310,6 +317,12 @@ def test_domain_errors():
         Word.parse("0x1")
     with pytest.raises(DomainError):
         Word((3, 300)).to_plain()
+    with pytest.raises(DomainError):
+        kbonacci_number(3, -1)
+    for drop in (Word.drop_last, Word.drop_first):
+        assert drop(Word.parse("012"), 3) == Word()
+        with pytest.raises(DomainError):
+            drop(Word.parse("012"), 4)
     # At the bound, and on the empty word, nothing overflows.
     assert shift_add(MAX_DIGIT, Word((0,))) == Word((MAX_DIGIT,))
     assert shift_add(MAX_DIGIT + 1, Word()) == Word()

@@ -21,6 +21,24 @@ Everything here works over arbitrary nonnegative-integer digits.
   once per word and kept on it (`Word._radii`) as a read-only view, at
   8 bytes per digit for as long as the word lives, so every caller
   shares one scan.
+- A generated word carries its block plan (`Word._plan`): each level
+  appends to the word before it blocks that are prefixes of that word,
+  some shifted. `_planned_pass` lane-passes only the base and builds
+  each level in place, in the one profile array, on four facts. A
+  one-to-one relabelling of digits keeps every palindrome, so a shifted
+  block whose source digits stay below 256 - shift has its source's
+  palindromes. A prefix's profile is the clamp: centre c of the prefix
+  of l digits holds min(m, 2l - 1 - c), m its length in the longer word,
+  so only the centres within the longest length of the block's end
+  differ from the source's. Only the centres at a block edge can
+  change: a palindrome that reaches neither edge of its block has
+  unequal digits either side, inside the block, so only the centres
+  whose palindrome reaches an edge, and the gap at each cut, are
+  expanded, by `_expand`. Totals add: a level's total is its blocks'
+  totals plus what `_expand` adds. Each block's digits are checked
+  against its source first, and a word whose digits fail any check
+  takes the lane pass, so the profile is the lane pass's whatever the
+  plan says.
 - `count_occurrences` counts from the profile by arithmetic: a centre of
   maximal length m holds (m - min_len + 2) // 2 occurrences, and since
   the parity of m is fixed by the centre's, those terms add up to one
@@ -57,7 +75,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, chain, compress, count, repeat
 from operator import add, eq, floordiv, ge, sub
 
-from .words import DomainError, Word
+from .words import DomainError, Word, _all_below, _shift_table
 
 
 @dataclass(frozen=True)
@@ -70,7 +88,9 @@ class RadiusProfile:
     of the scan's own 4-byte `array("i")`, which a length overflows only
     past 2^31 digits. `longest` is its maximum and `total` its sum (both
     0 for the empty word), which the scan keeps as it writes, so no
-    caller needs a pass over the lengths for either.
+    caller needs a pass over the lengths for either. A generated word's
+    profile is built from its block plan, any other word's by the lane
+    pass; both give the same lengths, longest and total.
 
     `maximal_radii` computes the profile once per word and keeps it on
     the word, at 8 bytes per digit for as long as the word lives; the
@@ -87,9 +107,10 @@ def is_palindrome(w: Word) -> bool:
 
 
 def _expand(ds: bytes | tuple[int, ...], lengths: array, centres, tally: list[int]) -> None:
-    """Manacher's scan over the centres that outlive the lane pass, given
-    in increasing order; every other centre already holds its maximal
-    length in `lengths`, and an alive one the length the pass reached.
+    """Manacher's scan over the given centres of ds, in increasing order:
+    the centres that outlive the lane pass, or those at a block edge of
+    a planned level. Every other centre already holds its maximal length
+    in `lengths`, and a given one the length of a palindrome at it.
     Folds into `tally` (see `_lane_pass`) the longest length it expands
     to and what each length it rewrites adds to the total.
 
@@ -215,21 +236,107 @@ def maximal_radii(w: Word) -> RadiusProfile:
     """Maximal palindrome length at every centre; linear time,
     digit-equality only (alphabet unbounded).
 
-    A lane pass compares the first _LAYERS digit pairs around every
-    centre with whole-int operations, block by block; only the centres
-    it leaves alive are expanded further, by Manacher's scan.
-    The profile is kept on the word, and a later call returns it.
+    A word that carries a block plan (`Word._plan`) is built level by
+    level from it by `_planned_pass`; any other word, and one whose
+    digits fail the plan's checks, takes the lane pass, which compares
+    the first _LAYERS digit pairs around every centre with whole-int
+    operations, block by block, and expands only the centres it leaves
+    alive, by Manacher's scan. Both give the same profile. The profile
+    is kept on the word, and a later call returns it.
     """
     profile = getattr(w, "_radii", None)
     if profile is not None:
         return profile
     ds = w.digits
     lengths = array("i", (0,)) * max(2 * len(ds) - 1, 0)
-    tally = [0, 0]
-    _expand(ds, lengths, chain.from_iterable(_lane_pass(ds, lengths, tally)), tally)
+    plan = getattr(w, "_plan", None)
+    tally = None if plan is None else _planned_pass(ds, plan, lengths)
+    if tally is None:
+        tally = [0, 0]
+        _expand(ds, lengths, chain.from_iterable(_lane_pass(ds, lengths, tally)), tally)
     profile = RadiusProfile(memoryview(lengths).toreadonly(), *tally)
     object.__setattr__(w, "_radii", profile)
     return profile
+
+
+def _planned_pass(ds: bytes | tuple[int, ...], plan: tuple, lengths: array) -> list[int] | None:
+    """Write the profile of ds into `lengths` from its block plan
+    (base, levels) and return its [longest, total], or return None when
+    ds does not follow the plan.
+
+    The lane pass scans the base, the first `base` digits. Each level
+    appends to the word built so far blocks (length, shift), each the
+    prefix of that length shifted by that much, and is built in place
+    on the facts in the module docstring. Each block is checked against
+    its source with one `startswith`, and its profile is copied from the
+    source's, view to view, and clamped at its palindromic suffixes
+    (`_suffix_centres`). The centres whose palindrome reaches a block
+    edge, these and the palindromic prefixes, and the gap at each cut
+    are expanded by `_expand`, bounded at the level's end. A level's
+    total is its blocks' totals, kept per prefix length, plus what
+    `_expand` adds.
+    """
+    base, levels = plan
+    if type(ds) is not bytes:
+        return None
+    head = ds[:base]
+    tally = [0, 0]
+    _expand(head, lengths, chain.from_iterable(_lane_pass(head, lengths, tally)), tally)
+    out = memoryview(lengths)
+    view = memoryview(ds)
+    totals = {base: tally[1]}
+    suffixes = {}
+    size = base
+    for level in levels:
+        longest = tally[0]
+        # The centres of the word's palindromic prefixes: each one starts
+        # every block at least as long as it.
+        prefixes = tuple(compress(count(), map(eq, out[: min(longest, 2 * size - 1)], count(1))))
+        # The word built so far: its palindromic suffixes may grow.
+        marks = set(_suffix_centres(out, size, longest, suffixes))
+        start = size
+        for length, shift in level:
+            if not 0 < length <= size:
+                return None
+            if shift:
+                # A one-to-one relabelling keeps every palindrome.
+                source = ds[:length]
+                if not (_all_below(source, 256 - shift)
+                        and ds.startswith(source.translate(_shift_table(shift)), start)):
+                    return None
+            elif not ds.startswith(view[:length], start):
+                return None
+            first, e = 2 * start, 2 * length - 1
+            out[first : first + e] = out[:e]
+            for c in _suffix_centres(out, length, longest, suffixes):
+                out[first + c] = e - c
+                marks.add(first + c)
+            marks.update(first + c for c in prefixes if c < length)
+            marks.add(first - 1)
+            total = totals.get(length)
+            if total is None:
+                total = totals[length] = sum(out[first : first + e])
+            tally[1] += total
+            start += length
+        _expand(view[:start], lengths, sorted(marks), tally)
+        size = start
+        totals[size] = tally[1]
+    return tally if size == len(ds) else None
+
+
+def _suffix_centres(out: memoryview, length: int, longest: int, cache: dict) -> tuple[int, ...]:
+    """The centres of the palindromic suffixes of the prefix of `length`
+    digits, read from `out`, the profile of a word of which it is a
+    prefix and whose longest palindrome is `longest`: centre c of the
+    prefix holds at most e - c, e = 2 * length - 1, and a palindrome
+    that reaches its last digit holds at least that in the word. Only a
+    centre within `longest` of e can; cached by length."""
+    centres = cache.get(length)
+    if centres is None:
+        e = 2 * length - 1
+        lo = max(e - longest, 0)
+        centres = cache[length] = tuple(compress(count(lo), map(ge, out[lo:e], range(e - lo, 0, -1))))
+    return centres
 
 
 def _span_count(ms: memoryview, first: int, min_len: int, total: int) -> int:

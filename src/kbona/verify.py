@@ -1,6 +1,10 @@
 """Verification suites: every formula is paired with an independently
 computed value (a linear-time scan of the actual word, a crossing
-classification, or a direct property execution).
+classification, or a direct property execution). The scan of a
+generated word is built from the block plan it was joined from, and is
+still the radius profile of the actual word: every digit is compared,
+each block with one `startswith` against its source, and a word whose
+digits do not follow the plan takes the lane pass over every digit.
 
 Every row of a report is written by one of two Report methods, which
 also keep the suite's clock. Report.check holds the verdict rule: Pass
@@ -157,7 +161,10 @@ def default_n_max(k: int) -> int:
 def verify_counts(k: int, n_max: int) -> Report:
     """P(n) recurrence vs a palindrome scan of the generated word, in
     both modes, for every n up to n_max; alpha and its closed form on
-    k..2k-3 vs the scan difference P(n) - P(n-1) - ... - P(n-k)."""
+    k..2k-3 vs the scan difference P(n) - P(n-1) - ... - P(n-k). The
+    scan is built from the word's block plan, but it is the profile of
+    the actual word, every digit compared (see the module docstring):
+    the plan tells it where to copy, never what the digits are."""
     report = Report("counts", {"k": k, "n_max": n_max})
     series = {mode: counting.p_series(k, n_max, mode) for mode, _ in MODES}
     scans: list[int] = []  # scans[i] = palindromic occurrences in W_i

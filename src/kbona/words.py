@@ -24,10 +24,13 @@ W_{n2} of the structure suite's one word from it.
 
 A long word is held once. Generation builds each level W_m as one
 `b"".join` of views of W_{m-1}, so each digit is copied once per level
-and the peak is about |W_{m-1}| + |W_m| bytes. Text is rendered by one
-renderer, `_pieces`, in pieces of `_PIECE` digits: `to_plain` and
-`to_spaced` join its pieces, and `kbona gen` writes each piece as it is
-made, so no rendering of a whole long word is ever held.
+and the peak is about |W_{m-1}| + |W_m| bytes. The blocks of each level
+come from one function, `_block_levels`, and `word` keeps them on the
+word as its block plan, from which `palindromes` builds the radius
+profile. Text is rendered by one renderer, `_pieces`, in pieces of
+`_PIECE` digits: `to_plain` and `to_spaced` join its pieces, and
+`kbona gen` writes each piece as it is made, so no rendering of a whole
+long word is ever held.
 """
 
 from __future__ import annotations
@@ -107,11 +110,16 @@ class Word:
     `_radii` holds the word's radius profile once `maximal_radii` has
     scanned it, and is unset before: the profile is computed once per
     word, is read-only, and costs 8 bytes per digit for as long as the
-    word lives. Equality, hashing, pickling and copying see the digits
-    alone, so a copy carries no profile.
+    word lives. `_plan` is set on a word that `word` generates by the
+    recurrence, and unset on every other: it is the block plan the word
+    was joined from, (|W_j|, levels) with j = min(n, k - 1), where level
+    m = k..n lists the blocks W_m appends to W_{m-1}, each as (prefix
+    length, shift), and `maximal_radii` builds the profile from it.
+    Equality, hashing, pickling and copying see the digits alone, so a
+    copy carries neither a profile nor a plan.
     """
 
-    __slots__ = ("digits", "_radii")
+    __slots__ = ("digits", "_radii", "_plan")
 
     digits: bytes | tuple[int, ...]
 
@@ -395,25 +403,37 @@ def _check_request(k: int, n: int) -> None:
     kbonacci_number(k, n + k)  # raises DigitOverflowError past the table
 
 
-def _word_digits(k: int, n: int) -> bytes:
-    # Block recurrence: W_0 = 0; W_m = W_{m-1}...W_0 m for m < k;
-    # W_m = W_{m-1}...W_{m-k+1} (k ⊕ W_{m-k}) for m >= k. Each W_i with
-    # i < m is a prefix of W_{m-1}, so W_m is one join of views of W_{m-1}
-    # and the shifted block, each view cut at its size from the table:
-    # every digit is copied once per level. The digits are at most n, far
-    # below 256 (see the module docstring).
+@functools.lru_cache(maxsize=256)
+def _block_levels(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The blocks that W_m appends to W_{m-1}, for m = 1, 2, ... up to
+    the last W_m in the size table, each as (|W_i|, shift): the prefix
+    of that length shifted by that much. Entry m - 1 is level m, and
+    every word of one k shares these tuples.
+
+    Block recurrence: W_0 = 0; W_m = W_{m-1} ... W_0 m for m < k, where
+    the digit m is m ⊕ W_0; W_m = W_{m-1} ... W_{m-k+1} (k ⊕ W_{m-k}) for
+    m >= k. Each W_i with i < m is a prefix of W_{m-1}."""
     sizes = kbonacci_sizes(k)
+    return tuple(
+        (*((sizes[i], 0) for i in range(m - 2, max(m - k, -1), -1)),
+         (sizes[max(m - k, 0)], min(m, k)))
+        for m in range(1, len(sizes))
+    )
+
+
+def _word_digits(k: int, n: int) -> bytes:
+    # W_m is one join of views of W_{m-1} and the shifted block, each view
+    # cut at its size: every digit is copied once per level. The digits
+    # are at most n, far below 256 (see the module docstring).
     prev = bytes(1)
-    for m in range(1, n + 1):
+    for level in _block_levels(k)[:n]:
         view = memoryview(prev)
-        # W_{m-1}, then W_{m-2}, ... down to W_{m-k+1} or W_0
-        parts = [view, *(view[: sizes[i]] for i in range(m - 2, max(m - k, -1), -1))]
-        if m >= k:
-            parts.append(prev[: sizes[m - k]].translate(_shift_table(k)))
-        else:
-            parts.append(bytes((m,)))
-        prev = b"".join(parts)
-        del view, parts  # W_{m-1} is freed here, not during the next level
+        prev = b"".join([
+            view,
+            *(prev[:size].translate(_shift_table(shift)) if shift else view[:size]
+              for size, shift in level),
+        ])
+        del view  # W_{m-1} is freed here, not during the next level
     return prev
 
 
@@ -425,7 +445,10 @@ def word(k: int, n: int, method: GenMethod = GenMethod.RECURRENCE) -> Word:
         for _ in range(n):
             w = apply_morphism(k, w)
         return w
-    return Word._unchecked(_word_digits(k, n))
+    w = Word._unchecked(_word_digits(k, n))
+    base = kbonacci_sizes(k)[min(n, k - 1)]
+    object.__setattr__(w, "_plan", (base, _block_levels(k)[k - 1 : n]))
+    return w
 
 
 def classical_word(k: int, n: int) -> Word:

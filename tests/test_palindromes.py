@@ -19,7 +19,7 @@ from kbona.palindromes import (
     maximal_radii,
 )
 from kbona.verify import decomposition_cuts
-from kbona.words import DomainError, Word, reduce_mod_k, shift_add, word
+from kbona.words import DomainError, Word, _shift_table, reduce_mod_k, shift_add, word
 
 from oracles import (
     brute_count,
@@ -54,28 +54,37 @@ def test_radii_examples():
     assert list(profile.lengths) == [] and profile.longest == profile.total == 0
 
 
+def _count_calls(monkeypatch, name):
+    """Record the digit count of each call of palindromes.<name>."""
+    calls = []
+    original = getattr(palindromes, name)
+
+    def counted(ds, *args):
+        calls.append(len(ds))
+        return original(ds, *args)
+
+    monkeypatch.setattr(palindromes, name, counted)
+    return calls
+
+
 def test_profile_is_kept_on_the_word(monkeypatch):
-    # One lane pass serves every caller on one word, in scan-long's order.
-    passes = []
-    original = palindromes._lane_pass
-
-    def counted(ds, lengths, tally):
-        passes.append(len(ds))
-        return original(ds, lengths, tally)
-
-    monkeypatch.setattr(palindromes, "_lane_pass", counted)
+    # One profile build serves every caller on one word, in scan-long's
+    # order: a generated word is built once from its plan, whose lane
+    # pass reads only the base W_2, and a parsed word takes one lane pass.
+    builds = _count_calls(monkeypatch, "_planned_pass")
+    passes = _count_calls(monkeypatch, "_lane_pass")
     w = word(3, 8)
     profile = maximal_radii(w)
     assert maximal_radii(w) is profile
     assert count_occurrences(w, 2) == brute_count(w, 2)
     assert classify_crossing(w, decomposition_cuts(3, 8), 2).total == brute_count(w, 2)
     assert enumerate_maximal(w, 2) == brute_maximal(w, 2)
-    assert passes == [len(w)]
+    assert builds == [len(w)] and passes == [4]
     # An equal word built apart has its own profile.
-    twin = Word(w.digits)
+    twin = Word.parse(w.to_plain())
     assert twin == w and hash(twin) == hash(w)
     assert maximal_radii(twin) is not profile
-    assert passes == [len(w)] * 2
+    assert builds == [len(w)] and passes == [4, len(w)]
 
 
 def test_profile_is_read_only():
@@ -146,6 +155,120 @@ def test_distinct_examples():
         got = distinct_factors(Word((0,) * n), min_len)
         assert sorted(map(len, got)) == list(range(min_len, n + 1))
         assert all(p.digits.count(0) == len(p) for p in got)
+
+
+def _lane_profile(w: Word):
+    """The lane pass's profile of w's digits: a word built from them
+    alone carries no plan."""
+    return maximal_radii(Word._unchecked(w.digits))
+
+
+def _same_profile(a, b) -> bool:
+    return (bytes(a.lengths), a.longest, a.total) == (bytes(b.lengths), b.longest, b.total)
+
+
+def _sweep_words():
+    for k in range(3, 9):
+        n = 0
+        while len(w := word(k, n)) <= 1 << 16:
+            yield w
+            n += 1
+
+
+@pytest.mark.parametrize(
+    "words", [_sweep_words, lambda: (word(3, 22), word(6, 20), word(8, 18))],
+    ids=["up-to-2^16", "long"])
+def test_plan_build_equals_lane_pass(monkeypatch, words):
+    # Every W_n of up to 2^16 digits for k = 3..8, and W_22 (k=3), W_20
+    # (k=6) and W_18 (k=8): the lane pass of a generated word reads only
+    # its base, W_{k-1} or the word itself when shorter.
+    passes = _count_calls(monkeypatch, "_lane_pass")
+    for w in words():
+        passes.clear()
+        profile = maximal_radii(w)
+        assert passes == [w._plan[0]]
+        assert _same_profile(profile, _lane_profile(w))
+
+
+def test_plan_build_allocates_only_the_profile():
+    # The blocks' profiles are copied view to view, so the build holds
+    # little besides the profile's 4 bytes per centre: the last shifted
+    # block's digit check takes 2 |W_10| = 1,952 bytes, where a copy
+    # through an `array` slice would take 4 bytes per source centre.
+    w = word(6, 16)
+    tracemalloc.start()
+    try:
+        maximal_radii(w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.2 * len(maximal_radii(w).lengths)
+
+
+@pytest.mark.parametrize("change", [
+    lambda ds: ds[:-3] + bytes([ds[-3] ^ 1]) + ds[-2:],
+    lambda ds: bytes([ds[0] + 1]) + ds[1:],
+    lambda ds: ds[:-1],
+    lambda ds: ds + bytes(1),
+    lambda ds: tuple(ds[:-1]) + (300,),
+], ids=["last-block", "base", "shorter", "longer", "tuple-store"])
+def test_plan_of_changed_digits_takes_the_lane_pass(monkeypatch, change):
+    w = word(4, 12)
+    object.__setattr__(w, "digits", change(w.digits))
+    passes = _count_calls(monkeypatch, "_lane_pass")
+    assert _same_profile(maximal_radii(w), _lane_profile(w))
+    assert passes[-1] == len(w)
+
+
+def _planned(base, levels) -> Word:
+    """The word joined from a block plan: base digits, then per level the
+    blocks (length, shift), each the prefix of that length shifted by
+    that much, a digit past 255 - shift becoming 0, as the plan reads
+    them; the word carries the plan."""
+    ds = bytes(base)
+    for level in levels:
+        ds += b"".join(ds[:length].translate(_shift_table(shift)) for length, shift in level)
+    w = Word._unchecked(ds)
+    object.__setattr__(w, "_plan", (len(base), tuple(map(tuple, levels))))
+    return w
+
+
+@st.composite
+def planned_words(draw):
+    """A random base of digits near 0 or near 255, and up to four levels
+    of up to four blocks, each at most as long as the word before its
+    level, with shifts 0 to 6."""
+    digit = st.one_of(st.integers(0, 3), st.integers(250, 255))
+    base = draw(st.lists(digit, min_size=1, max_size=10))
+    levels, size = [], len(base)
+    for _ in range(draw(st.integers(0, 4))):
+        level = draw(st.lists(st.tuples(st.integers(1, size), st.integers(0, 6)),
+                              min_size=1, max_size=4))
+        levels.append(level)
+        size += sum(length for length, _ in level)
+    return _planned(base, levels)
+
+
+@given(planned_words())
+# A block shorter than the longest palindrome, 0 1 0 1 0: the block 0 1
+# after it holds its source's 0 1 0 at the 1 cut to the 1 alone.
+@example(_planned((0, 1, 0, 1, 0), [[(2, 0)]]))
+# A palindrome over three blocks: 1 0 1 spans the base 0 1, the 0 and
+# the shifted 0.
+@example(_planned((0, 1), [[(1, 0), (1, 1)]]))
+# A shift past 255: 255 254 shifted by 2 is 0 0, a palindrome its source
+# is not, so the plan is refused.
+@example(_planned((0, 255, 254), [[(3, 2)]]))
+@settings(max_examples=300)
+def test_plan_build_on_random_plans(w):
+    base, levels = w._plan
+    one_to_one = all(
+        max(w.digits[:length]) < 256 - shift for level in levels for length, shift in level)
+    with pytest.MonkeyPatch.context() as mp:
+        passes = _count_calls(mp, "_lane_pass")
+        profile = maximal_radii(w)
+    assert _same_profile(profile, _lane_profile(w))
+    assert passes == ([base] if one_to_one else [base, len(w)])
 
 
 def test_min_len_domain():

@@ -1,4 +1,4 @@
-"""`kbona verify --k K` output, pinned by digest for K = 3..7.
+"""`kbona verify --k K` output, pinned by digest for K = 3..8.
 
 tests/verify_digests.json holds, for each K, the SHA-256 of the plain
 output and of the `--format json` output with each suite's `wall_time`
@@ -41,11 +41,11 @@ def verify_digests(k: int) -> dict[str, str]:
 
 def test_verify_output_matches_pinned_digests():
     expected = json.loads(DIGESTS.read_text())
-    assert sorted(expected) == [str(k) for k in range(3, 8)]
+    assert sorted(expected) == [str(k) for k in range(3, 9)]
     for k, digests in expected.items():
         assert verify_digests(int(k)) == digests, f"k={k}"
 
 
 if __name__ == "__main__":
-    json.dump({str(k): verify_digests(k) for k in range(3, 8)}, sys.stdout, indent=2)
+    json.dump({str(k): verify_digests(k) for k in range(3, 9)}, sys.stdout, indent=2)
     print()

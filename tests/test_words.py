@@ -401,14 +401,14 @@ def test_canonical_store_at_the_byte_boundary():
 @pytest.mark.parametrize("w", [word(3, 5), Word((0, 300, 0, 1))], ids=["bytes", "tuple"])
 def test_pickle_and_copy_round_trip(w):
     # Before and after a scan: a copy equals the word, keeps its store,
-    # carries no profile, and scans to the same lengths.
+    # carries no profile and no block plan, and scans to the same lengths.
     for scanned in (False, True):
         if scanned:
             lengths = list(palindromes.maximal_radii(w).lengths)
         for clone in (pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
             assert clone == w and hash(clone) == hash(w)
             assert type(clone.digits) is type(w.digits)
-            assert not hasattr(clone, "_radii")
+            assert not hasattr(clone, "_radii") and not hasattr(clone, "_plan")
             if scanned:
                 assert list(palindromes.maximal_radii(clone).lengths) == lengths
     with pytest.raises(AttributeError):

@@ -2,28 +2,19 @@
 
 Everything here works over arbitrary nonnegative-integer digits.
 
-- `maximal_radii` is the one scan: the maximal palindrome length at each
-  of the 2|w| - 1 centres. Most centres end within a few digits, so a
-  lane pass finds their lengths with whole-int operations first. It
-  takes the word in blocks of _BLOCK digits, each with _LAYERS digits of
-  context on either side; a byte block is packed into one int, one byte
-  lane per digit, and layer t tests the digit pairs at distance t from
-  every centre of one parity at once, by XOR and the SWAR zero-lane
-  test. The lengths reached are written into the profile's array, and
-  only the centres alive after the last layer are expanded in Python,
-  by Manacher's scan (`_expand`), so the scan stays linear. A
-  tuple store (a digit past 255) takes the same path; only its equal
-  lanes come from a C-level `map(eq, ...)` instead. The profile carries
-  its longest length and its total, the sum of the lengths, which the
-  scan keeps as it writes: the lane pass from each block's deepest live
-  layer and from the centres each layer leaves alive, and `_expand`
-  from what it adds to each length it rewrites. The profile is computed
+- `maximal_radii` gives the maximal palindrome length at each of the
+  2|w| - 1 centres. Manacher's scan (`_expand`) is the one scan that
+  compares digits: `_whole_scan` runs it over every centre of a word,
+  in linear time, over a byte or a tuple store alike. The profile
+  carries its longest length and its total, the sum of the lengths,
+  which the scan keeps as it writes: from the 1 at each digit and what
+  `_expand` adds to each length it rewrites. The profile is computed
   once per word and kept on it (`Word._radii`) as a read-only view, at
   8 bytes per digit for as long as the word lives, so every caller
   shares one scan.
 - A generated word carries its block plan (`Word._plan`): each level
   appends to the word before it blocks that are prefixes of that word,
-  some shifted. `_planned_pass` lane-passes only the base and builds
+  some shifted. `_planned_pass` scans only the base whole and builds
   each level in place, in the one profile array, on four facts. A
   one-to-one relabelling of digits keeps every palindrome, so a shifted
   block whose source digits stay below 256 - shift has its source's
@@ -36,9 +27,9 @@ Everything here works over arbitrary nonnegative-integer digits.
   whose palindrome reaches an edge, and the gap at each cut, are
   expanded, by `_expand`. Totals add: a level's total is its blocks'
   totals plus what `_expand` adds. Each block's digits are checked
-  against its source first, and a word whose digits fail any check
-  takes the lane pass, so the profile is the lane pass's whatever the
-  plan says.
+  against its source first, and a word whose digits fail any check is
+  scanned whole, so the profile is the whole scan's whatever the plan
+  says.
 - `count_occurrences` counts from the profile by arithmetic: a centre of
   maximal length m holds (m - min_len + 2) // 2 occurrences, and since
   the parity of m is fixed by the centre's, those terms add up to one
@@ -68,12 +59,11 @@ Everything here works over arbitrary nonnegative-integer digits.
 
 from __future__ import annotations
 
-import sys
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, count, repeat
-from operator import add, eq, floordiv, ge, sub
+from itertools import compress, count, repeat
+from operator import eq, floordiv, ge, sub
 
 from .words import DomainError, Word, _all_below, _shift_table
 
@@ -89,8 +79,9 @@ class RadiusProfile:
     past 2^31 digits. `longest` is its maximum and `total` its sum (both
     0 for the empty word), which the scan keeps as it writes, so no
     caller needs a pass over the lengths for either. A generated word's
-    profile is built from its block plan, any other word's by the lane
-    pass; both give the same lengths, longest and total.
+    profile is built from its block plan, any other word's by
+    Manacher's scan over every centre; both give the same lengths,
+    longest and total.
 
     `maximal_radii` computes the profile once per word and keeps it on
     the word, at 8 bytes per digit for as long as the word lives; the
@@ -108,11 +99,12 @@ def is_palindrome(w: Word) -> bool:
 
 def _expand(ds: bytes | tuple[int, ...], lengths: array, centres, tally: list[int]) -> None:
     """Manacher's scan over the given centres of ds, in increasing order:
-    the centres that outlive the lane pass, or those at a block edge of
-    a planned level. Every other centre already holds its maximal length
-    in `lengths`, and a given one the length of a palindrome at it.
-    Folds into `tally` (see `_lane_pass`) the longest length it expands
-    to and what each length it rewrites adds to the total.
+    every centre of a word scanned whole (`_whole_scan`), or those at a
+    block edge of a planned level. Every other centre already holds its
+    maximal length in `lengths`, and a given one the length of a
+    palindrome at it. Folds into `tally`, [longest, total], the longest
+    length it expands to and what each length it rewrites adds to the
+    total.
 
     (mid, right) is the scanned palindrome that reaches furthest right,
     ending at digit `right`. A centre c inside it holds the palindrome of
@@ -146,90 +138,18 @@ def _expand(ds: bytes | tuple[int, ...], lengths: array, centres, tally: list[in
     tally[1] += grown
 
 
-# The lane pass works on blocks of _BLOCK digits, each read with _LAYERS
-# digits of context on either side.
-_BLOCK = 1 << 13
-_LAYERS = 16
-
-
-def _equal_lanes(lanes: int | tuple[int, ...], span: int, low7: int, high: int) -> int:
-    """0x80 in byte lane j iff digits j and j + span of a block are
-    equal, and 0 elsewhere. A byte block comes packed into an int: its
-    lanes are XOR-ed with themselves `span` lanes on, and the zero lanes
-    found by the SWAR test of Hacker's Delight, section 6-1. A tuple
-    block is compared digit by digit at C level."""
-    if type(lanes) is int:
-        x = lanes ^ (lanes >> 8 * span)
-        return ((((x & low7) + low7) | x) & high) ^ high
-    return int.from_bytes(bytes(map(eq, lanes, lanes[span:])), "little") << 7
-
-
-def _lane_pass(ds: bytes | tuple[int, ...], lengths: array, tally: list[int]):
-    """Write into `lengths` the length that the first _LAYERS layers
-    reach at every centre, block by block, and yield for each block an
-    iterator over its centres still alive after them, in increasing
-    order; the layers of a parity class stop at the first that leaves
-    none of its centres alive. `tally` is [longest, total] of the
-    lengths written: the deepest layer that leaves a centre of a block
-    alive sets the longest length there, and each layer adds 2 for each
-    centre it leaves alive to the base of 1 at every digit.
-
-    Layer t compares digits i - t and i + t at digit i (parity 0), or
-    i - t + 1 and i + t at the gap after digit i (parity 1), for all the
-    centres of one parity in a block at once. Byte lane m of `alive` is 1
-    while the centre at digit lo + m has passed every layer so far, and
-    `radius` adds it up layer by layer, so the length reached is
-    2 * radius + 1 at a digit and 2 * radius at a gap.
-    """
+def _whole_scan(ds: bytes | tuple[int, ...], lengths: array) -> list[int]:
+    """Manacher's scan of every centre of ds into the first 2|ds| - 1
+    entries of `lengths`, and its [longest, total]. Each entry is first
+    set to the palindrome at its centre that takes no comparison, 1 at a
+    digit and 0 at a gap, whatever it held before: a plan refused midway
+    has written into `lengths`."""
     n = len(ds)
-    width = min(n, _BLOCK) + 2 * _LAYERS
-    low7 = int.from_bytes(b"\x7f" * width, "little")
-    high = low7 + int.from_bytes(b"\x01" * width, "little")
-    item = lengths.itemsize
-    low_byte = 0 if sys.byteorder == "little" else item - 1
-    view = memoryview(lengths).cast("B")
-    for lo in range(0, n, _BLOCK):
-        hi = min(lo + _BLOCK, n)
-        start = max(lo - _LAYERS, 0)
-        block = ds[start : hi + _LAYERS]
-        lanes = int.from_bytes(block, "little") if type(block) is bytes else block
-        # Centres 2 * lo .. 2 * hi - 2, and the gap after digit hi - 1
-        # unless it is the last digit of the word.
-        centres = 2 * (hi - lo) - (hi == n)
-        chunk = bytearray(centres * item)
-        survivors = bytearray(centres)
-        for parity in (0, 1):
-            size = (centres + 1 - parity) // 2
-            ones = int.from_bytes(b"\x01" * size, "little")
-            alive, radius, deepest = ones, 0, 0
-            total = size if parity == 0 else 0
-            for t in range(1, _LAYERS + 1):
-                eq_lanes = _equal_lanes(lanes, 2 * t - parity, low7, high)
-                # Lane lo - start - t + parity of eq_lanes holds layer t
-                # at the first centre; a negative shift is the left edge,
-                # whose centres the zeros shifted in leave dead.
-                shift = 8 * (lo - start - t + parity) + 7
-                alive &= eq_lanes >> shift if shift >= 0 else eq_lanes << -shift
-                # Past the right edge a byte block's lanes compare with
-                # 0; digit n - t is the first whose layer t reads beyond.
-                edge = n - t - lo
-                if 0 <= edge < size:
-                    alive &= ~(1 << 8 * edge)
-                live = alive.bit_count()
-                if not live:
-                    break
-                deepest = t
-                total += 2 * live
-                radius += alive
-            reached = (radius << 1) + (ones if parity == 0 else 0)
-            chunk[parity * item + low_byte :: 2 * item] = reached.to_bytes(size, "little")
-            survivors[parity::2] = alive.to_bytes(size, "little")
-            tally[0] = max(tally[0], 2 * deepest + 1 - parity)
-            tally[1] += total
-        view[2 * lo * item : 2 * lo * item + len(chunk)] = chunk
-        # The 1 numbered j (from 0) follows j + 1 runs of 0s and j 1s.
-        zeros = map(len, survivors.split(b"\x01")[:-1])
-        yield map(add, accumulate(zeros), count(2 * lo))
+    lengths[0 : 2 * n - 1 : 2] = array("i", (1,)) * n
+    lengths[1 : 2 * n - 1 : 2] = array("i", (0,)) * (n - 1)
+    tally = [0, n]
+    _expand(ds, lengths, range(2 * n - 1), tally)
+    return tally
 
 
 def maximal_radii(w: Word) -> RadiusProfile:
@@ -238,11 +158,9 @@ def maximal_radii(w: Word) -> RadiusProfile:
 
     A word that carries a block plan (`Word._plan`) is built level by
     level from it by `_planned_pass`; any other word, and one whose
-    digits fail the plan's checks, takes the lane pass, which compares
-    the first _LAYERS digit pairs around every centre with whole-int
-    operations, block by block, and expands only the centres it leaves
-    alive, by Manacher's scan. Both give the same profile. The profile
-    is kept on the word, and a later call returns it.
+    digits fail the plan's checks, is scanned whole by `_whole_scan`,
+    Manacher's scan over every centre. Both give the same profile. The
+    profile is kept on the word, and a later call returns it.
     """
     profile = getattr(w, "_radii", None)
     if profile is not None:
@@ -252,8 +170,7 @@ def maximal_radii(w: Word) -> RadiusProfile:
     plan = getattr(w, "_plan", None)
     tally = None if plan is None else _planned_pass(ds, plan, lengths)
     if tally is None:
-        tally = [0, 0]
-        _expand(ds, lengths, chain.from_iterable(_lane_pass(ds, lengths, tally)), tally)
+        tally = _whole_scan(ds, lengths)
     profile = RadiusProfile(memoryview(lengths).toreadonly(), *tally)
     object.__setattr__(w, "_radii", profile)
     return profile
@@ -264,7 +181,7 @@ def _planned_pass(ds: bytes | tuple[int, ...], plan: tuple, lengths: array) -> l
     (base, levels) and return its [longest, total], or return None when
     ds does not follow the plan.
 
-    The lane pass scans the base, the first `base` digits. Each level
+    `_whole_scan` scans the base, the first `base` digits. Each level
     appends to the word built so far blocks (length, shift), each the
     prefix of that length shifted by that much, and is built in place
     on the facts in the module docstring. Each block is checked against
@@ -279,9 +196,7 @@ def _planned_pass(ds: bytes | tuple[int, ...], plan: tuple, lengths: array) -> l
     base, levels = plan
     if type(ds) is not bytes:
         return None
-    head = ds[:base]
-    tally = [0, 0]
-    _expand(head, lengths, chain.from_iterable(_lane_pass(head, lengths, tally)), tally)
+    tally = _whole_scan(ds[:base], lengths)
     out = memoryview(lengths)
     view = memoryview(ds)
     totals = {base: tally[1]}

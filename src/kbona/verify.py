@@ -4,7 +4,8 @@ classification, or a direct property execution). The scan of a
 generated word is built from the block plan it was joined from, and is
 still the radius profile of the actual word: every digit is compared,
 each block with one `startswith` against its source, and a word whose
-digits do not follow the plan takes the lane pass over every digit.
+digits do not follow the plan is scanned whole, by Manacher's scan over
+every centre.
 
 Every row of a report is written by one of two Report methods, which
 also keep the suite's clock. Report.check holds the verdict rule: Pass
@@ -363,14 +364,17 @@ def verify_lemmas(k: int, n_max: int) -> Report:
         if k + i > n_max:
             report.skip("palindromic-prefix-cap", {"k": k, "i": i}, "range", "degenerate")
             continue
-        # The prefix of length L is a palindrome iff the maximal one at its
-        # centre, L - 1, has length L.
-        v = Word((i + 1,)) + words[k + i]
-        lengths = maximal_radii(v).lengths
+        # Read from the profile of W = W_{k+i} itself: the prefix
+        # (i+1) W[:j+1] is a palindrome iff W[j] = i+1 and u = W[:j] is
+        # one, that is, the maximal palindrome at u's centre, j - 1, has
+        # length j. u is never empty, as W starts with 0, and the digit
+        # i+1 alone is capped, so the cap reads max(u) <= i+1.
+        ds = words[k + i].digits
+        lengths = maximal_radii(words[k + i]).lengths
         capped = all(
             top <= i + 1
-            for length, top in enumerate(itertools.accumulate(v.digits, max), 1)
-            if lengths[length - 1] == length
+            for j, (top, d) in enumerate(zip(itertools.accumulate(ds, max), ds[1:]), 1)
+            if d == i + 1 and lengths[j - 1] == j
         )
         report.check("palindromic-prefix-cap", {"k": k, "i": i}, True, "Oracle", capped)
     return report.finish()

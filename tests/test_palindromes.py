@@ -69,10 +69,11 @@ def _count_calls(monkeypatch, name):
 
 def test_profile_is_kept_on_the_word(monkeypatch):
     # One profile build serves every caller on one word, in scan-long's
-    # order: a generated word is built once from its plan, whose lane
-    # pass reads only the base W_2, and a parsed word takes one lane pass.
+    # order: a generated word is built once from its plan, whose whole
+    # scan reads only the base W_2, and a parsed word is scanned whole
+    # once.
     builds = _count_calls(monkeypatch, "_planned_pass")
-    passes = _count_calls(monkeypatch, "_lane_pass")
+    passes = _count_calls(monkeypatch, "_whole_scan")
     w = word(3, 8)
     profile = maximal_radii(w)
     assert maximal_radii(w) is profile
@@ -157,8 +158,8 @@ def test_distinct_examples():
         assert all(p.digits.count(0) == len(p) for p in got)
 
 
-def _lane_profile(w: Word):
-    """The lane pass's profile of w's digits: a word built from them
+def _whole_profile(w: Word):
+    """The whole scan's profile of w's digits: a word built from them
     alone carries no plan."""
     return maximal_radii(Word._unchecked(w.digits))
 
@@ -180,14 +181,15 @@ def _sweep_words():
     ids=["up-to-2^16", "long"])
 def test_plan_build_equals_lane_pass(monkeypatch, words):
     # Every W_n of up to 2^16 digits for k = 3..8, and W_22 (k=3), W_20
-    # (k=6) and W_18 (k=8): the lane pass of a generated word reads only
-    # its base, W_{k-1} or the word itself when shorter.
-    passes = _count_calls(monkeypatch, "_lane_pass")
+    # (k=6) and W_18 (k=8): the whole scan of a generated word reads only
+    # its base, W_{k-1} or the word itself when shorter. The name, from
+    # the lane pass that the whole scan replaced, keeps the test's id.
+    passes = _count_calls(monkeypatch, "_whole_scan")
     for w in words():
         passes.clear()
         profile = maximal_radii(w)
         assert passes == [w._plan[0]]
-        assert _same_profile(profile, _lane_profile(w))
+        assert _same_profile(profile, _whole_profile(w))
 
 
 def test_plan_build_allocates_only_the_profile():
@@ -214,9 +216,12 @@ def test_plan_build_allocates_only_the_profile():
 ], ids=["last-block", "base", "shorter", "longer", "tuple-store"])
 def test_plan_of_changed_digits_takes_the_lane_pass(monkeypatch, change):
     w = word(4, 12)
+    # A word whose digits no longer follow its plan is scanned whole. The
+    # name, from the lane pass that the whole scan replaced, keeps the
+    # test's id.
     object.__setattr__(w, "digits", change(w.digits))
-    passes = _count_calls(monkeypatch, "_lane_pass")
-    assert _same_profile(maximal_radii(w), _lane_profile(w))
+    passes = _count_calls(monkeypatch, "_whole_scan")
+    assert _same_profile(maximal_radii(w), _whole_profile(w))
     assert passes[-1] == len(w)
 
 
@@ -265,9 +270,9 @@ def test_plan_build_on_random_plans(w):
     one_to_one = all(
         max(w.digits[:length]) < 256 - shift for level in levels for length, shift in level)
     with pytest.MonkeyPatch.context() as mp:
-        passes = _count_calls(mp, "_lane_pass")
+        passes = _count_calls(mp, "_whole_scan")
         profile = maximal_radii(w)
-    assert _same_profile(profile, _lane_profile(w))
+    assert _same_profile(profile, _whole_profile(w))
     assert passes == ([base] if one_to_one else [base, len(w)])
 
 
@@ -294,9 +299,9 @@ def test_counts_against_oracle(digits, min_len):
     assert count_occurrences(w, min_len) == brute_count(w, min_len)
 
 
-# Digit alphabets for the lane pass: sizes 1, 2, 3 and 255 in the byte
-# store, the high byte lanes included (0 ^ 128 sets only the top bit of
-# a lane), and digits 256-300, which keep a word in the tuple store.
+# Digit alphabets: sizes 1, 2, 3 and 255 in the byte store, its top
+# values included, and digits 256-300, which keep a word in the tuple
+# store.
 LANE_ALPHABETS = (
     (7,), (0, 1), (0, 128, 255), tuple(range(1, 256)),
     (256,), (256, 300), (256, 299, 300),
@@ -306,34 +311,31 @@ LANE_ALPHABETS = (
 @st.composite
 def lane_words(draw):
     """A word over one of LANE_ALPHABETS around a planted palindrome of
-    up to 25 digits, longer than the lane pass's layers reach."""
+    up to 25 digits."""
     letter = st.sampled_from(draw(st.sampled_from(LANE_ALPHABETS)))
     prefix, half, suffix = (draw(st.lists(letter, max_size=12)) for _ in range(3))
     middle = draw(st.lists(letter, max_size=1))
     return Word(prefix + half + middle + half[::-1] + suffix)
 
 
-@given(lane_words(), st.integers(1, 7), st.integers(1, 4))
+@given(lane_words())
 # A mirror copy: the 0 1 0 2 0 1 0 after the 3 lies inside the palindrome
-# centred at the 3 and copies its length 7 from the one before it, which
-# ends short of that palindrome's left end; one layer reached only 3.
-@example(Word.parse("6 5 0 1 0 2 0 1 0 3 0 1 0 2 0 1 0 5 7"), 7, 1)
+# centred at the 3 and takes its length 7 from its mirror before the 3,
+# which ends short of that palindrome's left end, so its first
+# comparison fails.
+@example(Word.parse("6 5 0 1 0 2 0 1 0 3 0 1 0 2 0 1 0 5 7"))
 @settings(max_examples=400)
-def test_lane_pass_at_block_edges(w, block, layers):
-    # Blocks of 1-7 digits and 1-4 layers put block edges, word edges and
-    # the ends of the layers within a few digits of each other, and the
-    # planted palindrome outlives the layers across block edges.
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(palindromes, "_BLOCK", block)
-        mp.setattr(palindromes, "_LAYERS", layers)
-        profile, expected = maximal_radii(w), brute_radii(w)
-        assert list(profile.lengths) == expected
-        # Each block's longest comes from its deepest layer that leaves a
-        # centre alive, or from the expansion after it; the total adds
-        # each layer's live centres, after the right-edge mask, and what
-        # the expansion, a mirror copy included, adds to a length.
-        assert profile.longest == max(expected, default=0)
-        assert profile.total == sum(expected)
+def test_lane_pass_at_block_edges(w):
+    # The whole scan, Manacher's over every centre, on small and large
+    # alphabets, with word edges and the planted palindrome's ends within
+    # a few digits of each other. The name, from the lane pass that the
+    # whole scan replaced, keeps the test's id.
+    profile, expected = maximal_radii(w), brute_radii(w)
+    assert list(profile.lengths) == expected
+    # The total adds what the expansion, a mirror copy included, adds to
+    # the 1 at each digit.
+    assert profile.longest == max(expected, default=0)
+    assert profile.total == sum(expected)
 
 
 @given(random_digits, st.integers(min_value=1, max_value=3))

@@ -360,6 +360,18 @@ def test_lemma_rows_fail_under_planted_faults(monkeypatch, check_id, target, pla
     assert [r.verdict for r in rows] == [verify.FAIL]
 
 
+def test_prefix_cap_fails_on_a_palindromic_prefix_over_the_cap(monkeypatch):
+    # W_3 for k = 3 replaced by 2 1: 1 W_3 starts with the palindrome
+    # 1 2 1, whose 2 is above the cap i + 1 = 1. The row reads it from the
+    # profile of W_3 alone, where the palindrome 2 is followed by 1.
+    original = verify.word
+    monkeypatch.setattr(verify, "word",
+                        lambda k, n: Word((2, 1)) if n == k else original(k, n))
+    rows = {r.subject["i"]: r.verdict for r in verify.verify_lemmas(3, 6).results
+            if r.check_id == "palindromic-prefix-cap"}
+    assert rows == {0: verify.FAIL, 1: verify.PASS}
+
+
 def _commutation_verdicts(k, n_max):
     return {r.check_id: r.verdict for r in verify.verify_lemmas(k, n_max).results
             if r.check_id in ("shift-commutation", "power-commutation")}
@@ -412,9 +424,10 @@ def test_lemma_battery_applies_the_morphism_66_times(monkeypatch):
     monkeypatch.setattr(Word, "__init__", counted_init)
     assert verify.verify_lemmas(7, 16).ok
     assert calls["apply_morphism"] <= 66
-    # The two commutation words, the 0 that starts method-agreement's
-    # chain, and the six digits i + 1 of palindromic-prefix-cap.
-    assert calls["Word"] <= 9
+    # The two commutation words and the 0 that starts method-agreement's
+    # chain; palindromic-prefix-cap reads the profiles of W_{k+i} and
+    # builds no word.
+    assert calls["Word"] <= 3
 
 
 def _guard_below_w26_k8(monkeypatch):

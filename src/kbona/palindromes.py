@@ -27,7 +27,8 @@ Everything here works over arbitrary nonnegative-integer digits.
   whose palindrome reaches an edge, and the gap at each cut, are
   expanded, by `_expand`. Totals add: a level's total is its blocks'
   totals plus what `_expand` adds. Each block's digits are checked
-  against its source first, and a word whose digits fail any check is
+  against its source first, by `_checked_levels`, which
+  `distinct_factors` shares, and a word whose digits fail any check is
   scanned whole, so the profile is the whole scan's whatever the plan
   says.
 - `count_occurrences` counts from the profile by arithmetic: a centre of
@@ -46,15 +47,14 @@ Everything here works over arbitrary nonnegative-integer digits.
   one, so it reads only those cut windows: it takes their span count
   out of the count from the total, which leaves the contained
   occurrences of every other centre, and buckets them one at a time.
-- `distinct_factors` builds an eertree (palindromic tree) kept in flat
-  parallel lists, with dict edges keyed by digit, and skips what it has
-  already read: it reads the word in chunks of a quarter of _CONTEXT
-  digits, and skips a chunk, with every whole chunk after it that
-  repeats, iff one compare finds it and the digits before it equal to an
-  earlier chunk and as many digits before that: at least _CONTEXT, and
-  more than the tree's longest palindrome. The read resumes from the
-  state memoized after the run, so the tree matches the plain eertree's
-  after every chunk.
+- `distinct_factors` keeps each distinct palindrome with its first end
+  in one dict, and builds it for a generated word from its block plan:
+  the base's centres walked from its whole scan, each shifted block's
+  copy of what its source holds, and the palindromes that cross a cut,
+  each a palindromic suffix or prefix of a block next to the cut
+  extended outward. No profile but the base's is read. A word with no
+  plan, or whose digits fail a block's check, walks its whole profile,
+  which costs the whole scan and a Python step per centre.
 """
 
 from __future__ import annotations
@@ -142,8 +142,8 @@ def _whole_scan(ds: bytes | tuple[int, ...], lengths: array) -> list[int]:
     """Manacher's scan of every centre of ds into the first 2|ds| - 1
     entries of `lengths`, and its [longest, total]. Each entry is first
     set to the palindrome at its centre that takes no comparison, 1 at a
-    digit and 0 at a gap, whatever it held before: a plan refused midway
-    has written into `lengths`."""
+    digit and 0 at a gap, whatever it held before: a refused plan has
+    written its base's profile into `lengths`."""
     n = len(ds)
     lengths[0 : 2 * n - 1 : 2] = array("i", (1,)) * n
     lengths[1 : 2 * n - 1 : 2] = array("i", (0,)) * (n - 1)
@@ -182,45 +182,30 @@ def _planned_pass(ds: bytes | tuple[int, ...], plan: tuple, lengths: array) -> l
     ds does not follow the plan.
 
     `_whole_scan` scans the base, the first `base` digits. Each level
-    appends to the word built so far blocks (length, shift), each the
-    prefix of that length shifted by that much, and is built in place
-    on the facts in the module docstring. Each block is checked against
-    its source with one `startswith`, and its profile is copied from the
-    source's, view to view, and clamped at its palindromic suffixes
-    (`_suffix_centres`). The centres whose palindrome reaches a block
-    edge, these and the palindromic prefixes, and the gap at each cut
-    are expanded by `_expand`, bounded at the level's end. A level's
-    total is its blocks' totals, kept per prefix length, plus what
-    `_expand` adds.
+    appends to the word built so far the blocks that `_checked_levels`
+    returns, and is built in place on the facts in the module docstring:
+    each block's profile is copied from its source's, view to view, and
+    clamped at its palindromic suffixes (`_suffix_centres`). The centres
+    whose palindrome reaches a block edge, these and the palindromic
+    prefixes, and the gap at each cut are expanded by `_expand`, bounded
+    at the level's end. A level's total is its blocks' totals, kept per
+    prefix length, plus what `_expand` adds.
     """
-    base, levels = plan
-    if type(ds) is not bytes:
+    tally = _whole_scan(ds[: plan[0]], lengths)
+    levels = _checked_levels(ds, plan)
+    if levels is None:
         return None
-    tally = _whole_scan(ds[:base], lengths)
     out = memoryview(lengths)
-    view = memoryview(ds)
-    totals = {base: tally[1]}
+    totals = {plan[0]: tally[1]}
     suffixes = {}
-    size = base
-    for level in levels:
+    for size, blocks, end in levels:
         longest = tally[0]
         # The centres of the word's palindromic prefixes: each one starts
         # every block at least as long as it.
         prefixes = tuple(compress(count(), map(eq, out[: min(longest, 2 * size - 1)], count(1))))
         # The word built so far: its palindromic suffixes may grow.
         marks = set(_suffix_centres(out, size, longest, suffixes))
-        start = size
-        for length, shift in level:
-            if not 0 < length <= size:
-                return None
-            if shift:
-                # A one-to-one relabelling keeps every palindrome.
-                source = ds[:length]
-                if not (_all_below(source, 256 - shift)
-                        and ds.startswith(source.translate(_shift_table(shift)), start)):
-                    return None
-            elif not ds.startswith(view[:length], start):
-                return None
+        for start, length, _ in blocks:
             first, e = 2 * start, 2 * length - 1
             out[first : first + e] = out[:e]
             for c in _suffix_centres(out, length, longest, suffixes):
@@ -232,11 +217,43 @@ def _planned_pass(ds: bytes | tuple[int, ...], plan: tuple, lengths: array) -> l
             if total is None:
                 total = totals[length] = sum(out[first : first + e])
             tally[1] += total
+        _expand(memoryview(ds)[:end], lengths, sorted(marks), tally)
+        totals[end] = tally[1]
+    return tally
+
+
+def _checked_levels(ds: bytes | tuple[int, ...], plan: tuple) -> list[tuple] | None:
+    """The levels of the block plan (base, levels) of ds, each as
+    (size, blocks, end): it appends to the first `size` digits the
+    blocks (start, length, shift), each the prefix of that length
+    shifted by that much, up to digit `end`. Or None when ds does not
+    follow the plan: a store that is not bytes, a block that is not a
+    prefix shifted one to one, below 256 - shift, as one `startswith`
+    finds, or a plan that ends short of ds or past it."""
+    base, levels = plan
+    if type(ds) is not bytes:
+        return None
+    view = memoryview(ds)
+    checked = []
+    size = base
+    for level in levels:
+        blocks = []
+        start = size
+        for length, shift in level:
+            if not 0 < length <= size:
+                return None
+            if shift:
+                source = ds[:length]
+                if not (_all_below(source, 256 - shift)
+                        and ds.startswith(source.translate(_shift_table(shift)), start)):
+                    return None
+            elif not ds.startswith(view[:length], start):
+                return None
+            blocks.append((start, length, shift))
             start += length
-        _expand(view[:start], lengths, sorted(marks), tally)
+        checked.append((size, blocks, start))
         size = start
-        totals[size] = tally[1]
-    return tally if size == len(ds) else None
+    return checked if size == len(ds) else None
 
 
 def _suffix_centres(out: memoryview, length: int, longest: int, cache: dict) -> tuple[int, ...]:
@@ -300,123 +317,101 @@ def enumerate_maximal(w: Word, min_len: int) -> set[Word]:
     return set(map(Word._unchecked, slices))
 
 
-# distinct_factors reads chunks of a quarter of _CONTEXT digits, each keyed
-# by the hash of itself and the _CONTEXT digits before it.
-_CONTEXT = 64
-
-
 def distinct_factors(w: Word, min_len: int) -> set[Word]:
     """The set of distinct palindromic factors of length >= min_len.
 
-    An eertree (palindromic tree) held in parallel lists, one entry per
-    node: `length`, suffix `link`, the 0-based `end` of one occurrence,
-    and `edges`, a dict keyed by digit so the alphabet may be unbounded.
-    Node 0 is the imaginary root of length -1, node 1 the empty
-    palindrome; every other node is one distinct palindromic factor. The
-    plain eertree reads every digit, and its state `last` is the longest
-    palindromic suffix of the digits read.
-
-    This one skips chunks. The word is read in chunks [a, b) of
-    C = max(_CONTEXT // 4, 1) digits, and chunk a is skipped from an
-    earlier chunk s iff s >= O and ds[a - O : b] == ds[s - O : s + C],
-    with O = `before` = max(_CONTEXT, longest + 1) for the tree's longest
-    palindrome. The tree holds every palindrome that ends before a, so
-    none of length >= O ends before a. Nor in [a, b): such a palindrome
-    holds a centred one of length O or O + 1 that ends no later, and
-    that one ends before a or lies in ds[a - O : b], whose copy ends by
-    s + C <= a, so the tree would hold it. Every palindrome that ends in
-    either chunk is thus shorter than O and lies in its equal window:
-    chunk a adds nothing, and its states are those of chunk s.
-
-    `seen` maps hash(ds[a - _CONTEXT : b]) to the index in `states`, the
-    state after every chunk so far, of the last chunk read under it; the
-    compare alone decides, so a collision costs only a read. A skip
-    takes as many whole chunks as repeat those from s on, up to a - s
-    digits, each meeting the rule against a chunk read before a. So the
-    state after every chunk is the plain eertree's, the suffix-link
-    walks need no bound but the start of the word, and once
-    _CONTEXT >= |w| no s reaches O and nothing is skipped.
+    A generated word builds them from its block plan by
+    `_planned_factors`. Any other word, and one whose digits fail a
+    block's check, walks its whole `maximal_radii` profile by
+    `_add_centred`, which costs the whole scan and a Python step per
+    centre: parsed W_17 for k=5 (103,519 digits) takes about 0.21 s on a
+    2-vCPU Xeon VM, where the plan build of the generated word takes
+    1.4 ms.
     """
     _require_min_len(min_len)
     ds = w.digits
-    n = len(ds)
-    length, link, end, edges = [-1, 0], [0, 0], [-1, -1], [{}, {}]
-    step = max(_CONTEXT // 4, 1)
-    seen = {}
-    states = array("i")
-    last = 1  # the longest palindromic suffix of ds[:b]
-    longest = 0
-    b = 0
-    while b < n:
-        a, b = b, b + step
-        key = hash(ds[max(a - _CONTEXT, 0) : b])
-        first = seen.get(key)
-        if first is not None:
-            src = first * step
-            before = max(_CONTEXT, longest + 1)
-            if src >= before and ds[a - before : b] == ds[src - before : src + step]:
-                run = _repeated_chunks(ds, a, src, step, len(states) - first)
-                states += states[first : first + run]
-                last = states[-1]
-                b = a + run * step
-                continue
-        for i, d in enumerate(ds[a:b], a):
-            # Walk suffix links to the longest palindromic suffix x with
-            # d x d a suffix too; the root of length -1 always qualifies.
-            v = last
-            while True:
-                j = i - length[v] - 1
-                if j >= 0 and ds[j] == d:
-                    break
-                v = link[v]
-            last = edges[v].get(d)
-            if last is None:
-                if v:
-                    # The new node's link: the same walk from below x,
-                    # which stays inside d x d.
-                    u = link[v]
-                    while ds[i - length[u] - 1] != d:
-                        u = link[u]
-                    link.append(edges[u][d])
-                else:
-                    link.append(1)  # a single digit links to the empty palindrome
-                last = edges[v][d] = len(length)
-                length.append(length[v] + 2)
-                end.append(i)
-                edges.append({})
-                if length[v] + 2 > longest:
-                    longest = length[v] + 2
-        seen[key] = len(states)
-        states.append(last)
-    return {
-        Word._unchecked(ds[e - m + 1 : e + 1])
-        for m, e in zip(length, end) if m >= min_len
-    }
+    plan = getattr(w, "_plan", None)
+    found = None if plan is None else _planned_factors(ds, plan)
+    if found is None:
+        found = {}
+        _add_centred(ds, maximal_radii(w).lengths, found)
+    return {Word._unchecked(p) for p in found if len(p) >= min_len}
 
 
-def _repeated_chunks(ds: bytes | tuple[int, ...], a: int, src: int, step: int, cap: int) -> int:
-    """How many chunks of `step` digits from a on, at least 1 and at most
-    cap, equal those from src on, given that the first does: a gallop
-    over doubling runs, then a binary search, each compare one slice.
-    Chunks from src on that end by a are whole, so a run that reaches
-    the end of the word stops before its last partial chunk, whose
-    slice is shorter."""
-    low = 1
-    while low < cap:
-        high = min(2 * low, cap)
-        if ds[a + low * step : a + high * step] != ds[src + low * step : src + high * step]:
-            break
-        low = high
-    else:
-        return low
-    # The first low chunks repeat, and the first high do not.
-    while high - low > 1:
-        mid = (low + high) // 2
-        if ds[a + low * step : a + mid * step] == ds[src + low * step : src + mid * step]:
-            low = mid
-        else:
-            high = mid
-    return low
+def _add_centred(ds: bytes | tuple[int, ...], lengths: memoryview | array, found: dict) -> None:
+    """Add to `found` the palindromes, slices of ds, centred at each
+    centre of `lengths`, the profile of ds, each with its first end, the
+    0-based index of the last digit of its first occurrence: the maximal
+    one of length m at c, then m - 2, ..., down to the first one `found`
+    holds. The centres go in increasing order, and a palindrome's first
+    end is its first centre's, so each end is the first. `found` holds
+    every centred factor of each palindrome it holds, so the walk down
+    may stop there."""
+    for c, m in compress(enumerate(lengths), lengths):
+        a = (c - m + 1) // 2
+        b = a + m - 1
+        while a <= b:
+            p = ds[a : b + 1]
+            if p in found:
+                break
+            found[p] = b
+            a += 1
+            b -= 1
+
+
+def _planned_factors(ds: bytes | tuple[int, ...], plan: tuple) -> dict | None:
+    """The palindromes of ds with their first ends, built from its block
+    plan (base, levels), or None when ds does not follow the plan.
+
+    The base's centres are walked by `_add_centred`, from `_whole_scan`
+    of the base alone. Each level appends to the word built so far the
+    blocks that `_checked_levels` returns. An unshifted block is a prefix
+    of that word and adds nothing. A block of `length` digits at `start`
+    shifted by s relabels its source one to one, so it holds p shifted
+    by s, first ending at start + e, for every (p, e) with e < length;
+    where `found` already holds it, the smaller end stays. Every other
+    palindrome of the level crosses a cut between two blocks, the word
+    built so far being the first: centred in a block, nearer its right
+    edge or on the cut, it is a palindromic suffix of the block to the
+    cut's left, the empty one included, extended outward; nearer its
+    left edge, a palindromic prefix of the block to its right. Neither
+    is longer than its block or the longest palindrome so far. Each is
+    extended by digit compares inside the level, and every extension
+    holds both digits at the cut.
+    """
+    levels = _checked_levels(ds, plan)
+    if levels is None:
+        return None
+    head = ds[: plan[0]]
+    lengths = array("i", (0,)) * max(2 * len(head) - 1, 0)
+    longest = _whole_scan(head, lengths)[0]
+    found = {}
+    _add_centred(head, lengths, found)
+    for _, blocks, end in levels:
+        for start, length, shift in blocks:
+            if shift:
+                table = _shift_table(shift)
+                copies = [(p.translate(table), e + start) for p, e in found.items() if e < length]
+                for p, e in copies:
+                    found[p] = min(found.get(p, e), e)
+        edges = (0, *(start for start, _, _ in blocks), end)
+        for left, cut, right in zip(edges, edges[1:], edges[2:]):
+            # Only a palindrome whose next digits out are equal extends.
+            spans = [(cut - m, cut - 1) for m in range(min(cut - left, longest) + 1)
+                     if m < cut and ds[cut - m - 1] == ds[cut]]
+            spans += [(cut, cut + m - 1) for m in range(1, min(right - cut, longest) + 1)
+                      if cut + m < end and ds[cut + m] == ds[cut - 1]]
+            for a, b in spans:
+                p = ds[a : b + 1]
+                if p != p[::-1]:
+                    continue
+                while a > 0 and b < end - 1 and ds[a - 1] == ds[b + 1]:
+                    a -= 1
+                    b += 1
+                    p = ds[a : b + 1]
+                    found[p] = min(found.get(p, b), b)
+                longest = max(longest, b - a + 1)
+    return found
 
 
 @dataclass

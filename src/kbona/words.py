@@ -114,7 +114,8 @@ class Word:
     recurrence, and unset on every other: it is the block plan the word
     was joined from, (|W_j|, levels) with j = min(n, k - 1), where level
     m = k..n lists the blocks W_m appends to W_{m-1}, each as (prefix
-    length, shift), and `maximal_radii` builds the profile from it.
+    length, shift), from which `maximal_radii` builds the profile and
+    `distinct_factors` the set of palindromes.
     Equality, hashing, pickling and copying see the digits alone, so a
     copy carries neither a profile nor a plan.
     """

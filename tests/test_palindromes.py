@@ -148,8 +148,8 @@ def test_distinct_examples():
     assert got == {Word.parse("010"), Word.parse("020"), Word.parse("10201")}
     assert distinct_factors(Word.parse("111"), 2) == {Word.parse("11"), Word.parse("111")}
     assert Word((3, 3)) in distinct_factors(word(3, 5), 2)
-    # The empty word has no factor; a unary word has the longest
-    # suffix-link chains and exactly one palindrome of each length.
+    # The empty word has no factor; a unary word has exactly one
+    # palindrome of each length.
     assert distinct_factors(Word(), 1) == set()
     n = 5000
     for min_len in (1, 2):
@@ -179,11 +179,10 @@ def _sweep_words():
 @pytest.mark.parametrize(
     "words", [_sweep_words, lambda: (word(3, 22), word(6, 20), word(8, 18))],
     ids=["up-to-2^16", "long"])
-def test_plan_build_equals_lane_pass(monkeypatch, words):
+def test_plan_build_equals_whole_scan(monkeypatch, words):
     # Every W_n of up to 2^16 digits for k = 3..8, and W_22 (k=3), W_20
     # (k=6) and W_18 (k=8): the whole scan of a generated word reads only
-    # its base, W_{k-1} or the word itself when shorter. The name, from
-    # the lane pass that the whole scan replaced, keeps the test's id.
+    # its base, W_{k-1} or the word itself when shorter.
     passes = _count_calls(monkeypatch, "_whole_scan")
     for w in words():
         passes.clear()
@@ -207,18 +206,22 @@ def test_plan_build_allocates_only_the_profile():
     assert peak <= 4.2 * len(maximal_radii(w).lengths)
 
 
-@pytest.mark.parametrize("change", [
+# Digits that no longer follow the word's plan: one digit of the last
+# block or of the base changed, one digit fewer or more, or a digit past
+# 255, which puts the word in the tuple store.
+changed_digits = pytest.mark.parametrize("change", [
     lambda ds: ds[:-3] + bytes([ds[-3] ^ 1]) + ds[-2:],
     lambda ds: bytes([ds[0] + 1]) + ds[1:],
     lambda ds: ds[:-1],
     lambda ds: ds + bytes(1),
     lambda ds: tuple(ds[:-1]) + (300,),
 ], ids=["last-block", "base", "shorter", "longer", "tuple-store"])
-def test_plan_of_changed_digits_takes_the_lane_pass(monkeypatch, change):
+
+
+@changed_digits
+def test_plan_of_changed_digits_takes_the_whole_scan(monkeypatch, change):
+    # A word whose digits no longer follow its plan is scanned whole.
     w = word(4, 12)
-    # A word whose digits no longer follow its plan is scanned whole. The
-    # name, from the lane pass that the whole scan replaced, keeps the
-    # test's id.
     object.__setattr__(w, "digits", change(w.digits))
     passes = _count_calls(monkeypatch, "_whole_scan")
     assert _same_profile(maximal_radii(w), _whole_profile(w))
@@ -239,14 +242,17 @@ def _planned(base, levels) -> Word:
 
 
 @st.composite
-def planned_words(draw):
+def planned_words(draw, cap=None):
     """A random base of digits near 0 or near 255, and up to four levels
     of up to four blocks, each at most as long as the word before its
-    level, with shifts 0 to 6."""
+    level, with shifts 0 to 6. With a cap, no level starts once the word
+    has cap digits, which keeps it within the brute oracles' reach."""
     digit = st.one_of(st.integers(0, 3), st.integers(250, 255))
     base = draw(st.lists(digit, min_size=1, max_size=10))
     levels, size = [], len(base)
     for _ in range(draw(st.integers(0, 4))):
+        if cap is not None and size >= cap:
+            break
         level = draw(st.lists(st.tuples(st.integers(1, size), st.integers(0, 6)),
                               min_size=1, max_size=4))
         levels.append(level)
@@ -276,6 +282,89 @@ def test_plan_build_on_random_plans(w):
     assert passes == ([base] if one_to_one else [base, len(w)])
 
 
+def _centred_factors(palindromes, min_len: int) -> set[Word]:
+    """Every palindrome of length >= min_len that shares its centre with
+    one of the given ones and lies inside it."""
+    return {
+        Word(p.digits[i : len(p) - i])
+        for p in palindromes for i in range((len(p) - min_len) // 2 + 1)
+    }
+
+
+def test_distinct_plan_build_equals_whole_walk():
+    # Every W_n of up to 2^16 digits for k = 3..8, built from its plan,
+    # against the walk of the whole profile of a copy with no plan.
+    for w in _sweep_words():
+        assert distinct_factors(w, 1) == distinct_factors(Word._unchecked(w.digits), 1)
+
+
+def test_distinct_on_long_words():
+    # W_22 (k=3), W_20 (k=6) and W_18 (k=8): every palindrome of length
+    # >= 2 lies centred inside the maximal one at its centre, and the
+    # maximal ones come from the profile, not from the plan build's dict.
+    for w in (word(3, 22), word(6, 20), word(8, 18)):
+        assert distinct_factors(w, 2) == _centred_factors(enumerate_maximal(w, 2), 2)
+
+
+@given(planned_words(cap=40), st.integers(1, 3))
+# The empty suffix at a cut: 0 0 is centred on the cut and lies in
+# neither block.
+@example(_planned((0,), [[(1, 0)]]), 1)
+# A crossing palindrome that ends at the level's end: 0 1 0 extends the
+# base's suffix 1 over the cut to the last digit.
+@example(_planned((0, 1), [[(1, 0)]]), 1)
+# Candidates as long as their bound, the longest palindrome so far, 3:
+# 0 1 0 1 0 extends the base's suffix 1 0 1, and 2 0 1 0 2 the block's
+# prefix 0 1 0.
+@example(_planned((0, 1, 0, 1), [[(1, 0)]]), 1)
+@example(_planned((0, 1, 0, 2), [[(4, 0)]]), 1)
+# A shift past 255: 255 254 shifted by 2 is 0 0, a palindrome its source
+# is not, so the plan is refused and the whole profile walked.
+@example(_planned((0, 255, 254), [[(3, 2)]]), 1)
+@settings(max_examples=300)
+def test_distinct_plan_build_on_random_plans(w, min_len):
+    assert distinct_factors(w, min_len) == brute_distinct(w, min_len)
+
+
+@changed_digits
+def test_distinct_of_changed_digits_walks_the_whole_profile(monkeypatch, change):
+    # A word whose digits no longer follow its plan falls back to the
+    # walk of its whole profile, which the whole scan builds.
+    w = word(4, 8)
+    object.__setattr__(w, "digits", change(w.digits))
+    passes = _count_calls(monkeypatch, "_whole_scan")
+    assert distinct_factors(w, 1) == brute_distinct(w, 1)
+    assert passes[-1] == len(w)
+
+
+def test_distinct_plan_build_scans_only_the_base(monkeypatch):
+    # The plan build reads no profile but the base's, W_{k-1}, whether or
+    # not the word's own profile is built.
+    passes = _count_calls(monkeypatch, "_whole_scan")
+    w = word(5, 14)
+    distinct_factors(w, 2)
+    assert passes == [w._plan[0]]
+    maximal_radii(w)
+    passes.clear()
+    distinct_factors(w, 2)
+    assert passes == [w._plan[0]]
+
+
+def test_distinct_plan_build_memory():
+    # W_23 (k=7), 7,805,695 digits: the build holds its dict of 524
+    # palindromes, the base's profile and the shifted blocks' digit
+    # checks, about 0.02 bytes per digit, where a profile of the word
+    # would take 8.
+    w = word(7, 23)
+    tracemalloc.start()
+    try:
+        distinct_factors(w, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * len(w)
+
+
 def test_min_len_domain():
     for fn in (count_occurrences, enumerate_maximal, distinct_factors):
         with pytest.raises(DomainError):
@@ -302,34 +391,33 @@ def test_counts_against_oracle(digits, min_len):
 # Digit alphabets: sizes 1, 2, 3 and 255 in the byte store, its top
 # values included, and digits 256-300, which keep a word in the tuple
 # store.
-LANE_ALPHABETS = (
+ALPHABETS = (
     (7,), (0, 1), (0, 128, 255), tuple(range(1, 256)),
     (256,), (256, 300), (256, 299, 300),
 )
 
 
 @st.composite
-def lane_words(draw):
-    """A word over one of LANE_ALPHABETS around a planted palindrome of
+def planted_words(draw):
+    """A word over one of ALPHABETS around a planted palindrome of
     up to 25 digits."""
-    letter = st.sampled_from(draw(st.sampled_from(LANE_ALPHABETS)))
+    letter = st.sampled_from(draw(st.sampled_from(ALPHABETS)))
     prefix, half, suffix = (draw(st.lists(letter, max_size=12)) for _ in range(3))
     middle = draw(st.lists(letter, max_size=1))
     return Word(prefix + half + middle + half[::-1] + suffix)
 
 
-@given(lane_words())
+@given(planted_words())
 # A mirror copy: the 0 1 0 2 0 1 0 after the 3 lies inside the palindrome
 # centred at the 3 and takes its length 7 from its mirror before the 3,
 # which ends short of that palindrome's left end, so its first
 # comparison fails.
 @example(Word.parse("6 5 0 1 0 2 0 1 0 3 0 1 0 2 0 1 0 5 7"))
 @settings(max_examples=400)
-def test_lane_pass_at_block_edges(w):
+def test_whole_scan_near_word_edges(w):
     # The whole scan, Manacher's over every centre, on small and large
     # alphabets, with word edges and the planted palindrome's ends within
-    # a few digits of each other. The name, from the lane pass that the
-    # whole scan replaced, keeps the test's id.
+    # a few digits of each other.
     profile, expected = maximal_radii(w), brute_radii(w)
     assert list(profile.lengths) == expected
     # The total adds what the expansion, a mirror copy included, adds to
@@ -350,108 +438,6 @@ def test_maximal_against_oracle(digits, min_len):
 def test_distinct_against_oracle(digits, min_len):
     w = Word(digits)
     assert distinct_factors(w, min_len) == brute_distinct(w, min_len)
-
-
-@st.composite
-def repeating_words(draw):
-    """Words whose chunks repeat at contexts of a few digits: prefixes of
-    k-bonacci words, and periodic words around a planted palindrome of up
-    to 21 digits, longer than the context. Digits 0, 1 and 44, or
-    shifted by 256 to 256, 257 and 300, which keeps a word in the tuple
-    store."""
-    if draw(st.booleans()):
-        digits = list(word(draw(st.integers(2, 5)), draw(st.integers(0, 8))).digits)
-        digits = digits[: draw(st.integers(0, 60))]
-    else:
-        letter = st.sampled_from((0, 1, 44))
-        period = draw(st.lists(letter, min_size=1, max_size=4))
-        half = draw(st.lists(letter, min_size=2, max_size=10))
-        middle = draw(st.lists(letter, max_size=1))
-        before, after = draw(st.integers(0, 8)), draw(st.integers(0, 8))
-        digits = period * before + half + middle + half[::-1] + period * after
-    shift = draw(st.sampled_from((0, 256)))
-    return Word(d + shift for d in digits)
-
-
-@given(repeating_words(), st.integers(1, 8), st.integers(1, 3))
-@example(Word(), 1, 1)
-@example(Word((0,)), 1, 1)
-@example(Word((300,)), 2, 1)
-# A resume from the memo: the chunk ending in the second 9 3 5 4 5 is
-# keyed by 9 3 5 4 5 again and skipped; the state after it is the
-# palindrome 5 4 5, which the next digit extends to 3 5 4 5 3, a factor
-# found nowhere else. A read restarted from the empty palindrome there
-# misses it.
-@example(Word((9, 3, 5, 4, 5, 0, 9, 3, 5, 4, 5, 3)), 4, 3)
-# Long palindromes widen the compare: at a context of 3, 1 2 3 2 1 in
-# the first chunks makes O = 6, and each longer run of 0s among the twenty
-# later makes O one more than the run. The keys stay 4 digits long, and a
-# hit taken on the key alone would skip the run from its fifth 0 on, from
-# the state 0 0 0 0, and miss every longer run.
-@example(Word((1, 2, 3, 2, 1, 4) + (0,) * 20), 3, 2)
-# Runs capped by a - src: at a context of 16 the chunks are 4 digits,
-# one period of 0 0 1 2. The key of chunk 20 was read at chunk 16, so its
-# run is the one chunk 20 .. 23; chunk 24 repeats two chunks from 16 on,
-# and chunk 32 two more, up to digit 40, which stops the run before the
-# last partial chunk 0 0.
-@example(Word((0, 0, 1, 2) * 10), 16, 1)
-@example(Word((0, 0, 1, 2) * 10 + (0, 0)), 16, 1)
-# At a context of 6 the chunks are single digits and the period is 5: the
-# hit at digit 11 repeats the 5 chunks from 6 on, as many as were read;
-# copying more would take states not yet known, and a later run, read
-# against the wrong chunks, would skip the 1 0 1 near the end.
-@example(Word((0, 1, 1, 1, 3) * 5 + (1, 3, 3, 1, 0, 1, 1, 1, 3)), 6, 2)
-# A hit past a long palindrome: at a context of 4, 2 2 2 2 makes O = 5
-# from digit 3 on; chunk 14 repeats chunk 10 with the same five digits
-# before.
-@example(Word((2, 2, 2, 2) + (3, 0, 2, 2) * 3 + (3, 0, 2)), 4, 2)
-# A key hit whose wider window differs: at a context of 2, chunk 5 has
-# the key 1 1 1 of chunk 4, but 1 1 1 makes O = 4, and the four digits
-# before the two, 0 1 1 1 and 0 0 1 1, differ; a skip there would miss
-# 1 1 1 1.
-@example(Word((0, 0, 1, 1, 1, 1)), 2, 1)
-# A palindrome of length longest + 2 that ends where a chunk starts: at a
-# context of 1, chunk 8 has the key 0 3 of chunk 3 and O = 2, and the
-# digits before the two, 3 and 2, differ. A compare that starts one digit
-# later, or O = longest, skips chunk 8 and misses 3 0 3.
-@example(Word((3, 2, 0, 3, 2, 1, 3, 0, 3)), 1, 1)
-@settings(max_examples=400)
-def test_skipping_tree_against_oracle(w, context, min_len):
-    # Contexts of 1-8 digits make chunks of 1 or 2 digits repeat within a
-    # few dozen digits, and a planted palindrome longer than the context
-    # widens the window that a skip compares.
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(palindromes, "_CONTEXT", context)
-        assert distinct_factors(w, min_len) == brute_distinct(w, min_len)
-
-
-@given(repeating_words(), st.integers(1, 8), st.integers(1, 3))
-# With keys hashed to their first digit, chunk 5 (the 0) at a context of
-# 1 meets chunk 2 (the 3), whose window 2 1 3 equals 2 1 0 but for the
-# chunk's own digit; a compare that stops one digit short skips it and
-# misses the palindrome 0.
-@example(Word((2, 1, 3, 2, 1, 0)), 1, 1)
-@settings(max_examples=200)
-def test_skipping_tree_decides_by_the_compare_alone(w, context, min_len):
-    # The memo keys by a hash, and only the compare of the chunk and the O
-    # digits before it decides a skip: keys that collide wholesale cost
-    # reads, never a factor.
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(palindromes, "_CONTEXT", context)
-        mp.setattr(palindromes, "hash", lambda key: key[0], raising=False)
-        assert distinct_factors(w, min_len) == brute_distinct(w, min_len)
-
-
-def test_skipping_tree_agrees_with_plain_tree():
-    # With _CONTEXT >= |w| every key is a prefix of the word, so no chunk
-    # is skipped: the plain eertree, on words past the brute oracles'
-    # reach.
-    for k, n in ((3, 16), (4, 16), (5, 16), (6, 16), (7, 16), (6, 20)):
-        w = word(k, n)
-        got = distinct_factors(w, 2)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(palindromes, "_CONTEXT", len(w))
-            assert distinct_factors(w, 2) == got
 
 
 def _assert_against_one_enumeration(w):
@@ -586,60 +572,6 @@ def test_radii_linear_on_periodic_words():
         profile = maximal_radii(w)
         assert list(profile.lengths) == expected
         assert profile.total == sum(expected)
-
-
-def test_skipping_tree_skips_repeated_chunks(monkeypatch):
-    # W_19 for k = 5 (400,096 digits) repeats its chunks heavily, in long
-    # runs. The tree reads a digit by index at every step of its
-    # suffix-link walks (a chunk, key or run slice counts once), so these
-    # reads are its work in Python: 45,566 by default against 696,591 for
-    # the plain tree, with _CONTEXT >= |w|. A tree that skips one chunk
-    # per key it has read before reads 63,363, one that also re-reads the
-    # context after each skipped chunk 207,027, and one that skips
-    # nothing at least as many as the plain one.
-    digits = word(5, 19).digits
-    reads = []
-    for context in (palindromes._CONTEXT, len(digits)):
-        monkeypatch.setattr(palindromes, "_CONTEXT", context)
-        w = Word(digits)
-        object.__setattr__(w, "digits", _CountedDigits(digits, 4 * len(digits)))
-        distinct_factors(w, 2)
-        reads.append(w.digits.reads)
-    assert 14 * reads[0] <= reads[1]
-
-
-def test_skipping_tree_keeps_its_memo_as_its_window_widens():
-    # W_20 for k = 7 (987,568 digits) first holds palindromes of 127 and
-    # 189 digits near digit 491,900, which widen the compare of a skip
-    # from 126 to 190 digits, and repeats the chunks before them after
-    # them. With one memo for the word and the wider window compared on a
-    # hit, the tree reads 52,258 digits; a memo started afresh where the
-    # window widens reads the chunks after it again.
-    digits = word(7, 20).digits
-    w = Word(digits)
-    object.__setattr__(w, "digits", _CountedDigits(digits, 100_000))
-    distinct_factors(w, 2)
-
-
-@pytest.mark.parametrize("context", [64, 100_000])
-def test_skipping_tree_memory_is_linear(monkeypatch, context):
-    # The 80-digit keys of a random word over 10 digits never repeat, so
-    # the memo keeps a key's hash, its chunk index and a 4-byte state for
-    # every chunk: 10.4-10.5 bytes per digit with the tree and the result
-    # at _CONTEXT = 64, and 3.3 at _CONTEXT = |w|, where the keys hash the
-    # word's prefixes at each quarter, one slice at a time.
-    n = 100_000
-    w = Word(random.Random(20240811).choices(range(10), k=n))
-    monkeypatch.setattr(palindromes, "_CONTEXT", context)
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        before = tracemalloc.get_traced_memory()[0]
-        distinct_factors(w, 2)
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-    assert peak < 12 * n
 
 
 def test_classify_crossing_walks_only_cut_windows(monkeypatch):

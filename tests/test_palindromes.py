@@ -179,10 +179,11 @@ def _sweep_words():
 @pytest.mark.parametrize(
     "words", [_sweep_words, lambda: (word(3, 22), word(6, 20), word(8, 18))],
     ids=["up-to-2^16", "long"])
-def test_plan_build_equals_whole_scan(monkeypatch, words):
+def test_plan_build_equals_lane_pass(monkeypatch, words):
     # Every W_n of up to 2^16 digits for k = 3..8, and W_22 (k=3), W_20
     # (k=6) and W_18 (k=8): the whole scan of a generated word reads only
-    # its base, W_{k-1} or the word itself when shorter.
+    # its base, W_{k-1} or the word itself when shorter. The name, from
+    # the lane pass that the whole scan replaced, keeps the test's id.
     passes = _count_calls(monkeypatch, "_whole_scan")
     for w in words():
         passes.clear()
@@ -219,8 +220,10 @@ changed_digits = pytest.mark.parametrize("change", [
 
 
 @changed_digits
-def test_plan_of_changed_digits_takes_the_whole_scan(monkeypatch, change):
-    # A word whose digits no longer follow its plan is scanned whole.
+def test_plan_of_changed_digits_takes_the_lane_pass(monkeypatch, change):
+    # A word whose digits no longer follow its plan is scanned whole. The
+    # name, from the lane pass that the whole scan replaced, keeps the
+    # test's id.
     w = word(4, 12)
     object.__setattr__(w, "digits", change(w.digits))
     passes = _count_calls(monkeypatch, "_whole_scan")
@@ -414,10 +417,11 @@ def planted_words(draw):
 # comparison fails.
 @example(Word.parse("6 5 0 1 0 2 0 1 0 3 0 1 0 2 0 1 0 5 7"))
 @settings(max_examples=400)
-def test_whole_scan_near_word_edges(w):
+def test_lane_pass_at_block_edges(w):
     # The whole scan, Manacher's over every centre, on small and large
     # alphabets, with word edges and the planted palindrome's ends within
-    # a few digits of each other.
+    # a few digits of each other. The name, from the lane pass that the
+    # whole scan replaced, keeps the test's id.
     profile, expected = maximal_radii(w), brute_radii(w)
     assert list(profile.lengths) == expected
     # The total adds what the expansion, a mirror copy included, adds to

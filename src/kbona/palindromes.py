@@ -26,19 +26,26 @@ Everything here works over arbitrary nonnegative-integer digits.
   unequal digits either side, inside the block, so only the centres
   whose palindrome reaches an edge, and the gap at each cut, are
   expanded, by `_expand`. Totals add: a level's total is its blocks'
-  totals plus what `_expand` adds. Each block's digits are checked
-  against its source first, by `_checked_levels`, which
-  `distinct_factors` shares, and a word whose digits fail any check is
-  scanned whole, so the profile is the whole scan's whatever the plan
-  says.
+  totals plus what `_expand` adds, and the profile keeps the total of
+  each prefix the build passes. Each block's digits are checked against
+  its source first, by `_checked_levels`, once per word (`_plan_levels`
+  keeps the result on it for `enumerate_maximal` and `distinct_factors`),
+  and a word whose digits fail any check is scanned whole, so the
+  profile is the whole scan's whatever the plan says.
 - `count_occurrences` counts from the profile by arithmetic: a centre of
   maximal length m holds (m - min_len + 2) // 2 occurrences, and since
   the parity of m is fixed by the centre's, those terms add up to one
   sum over the lengths (`_span_count`), which is the profile's total;
   only a min_len above 2 reads the lengths, to put the negative terms
-  back to zero. `enumerate_maximal` slices the maximal palindrome of
-  each centre that reaches min_len from the digit store into a set of
-  distinct factors.
+  back to zero. `count_prefix_occurrences` counts a prefix the same way,
+  from the total the plan build kept for it or from the clamped profile.
+- `enumerate_maximal` gives the distinct maximal palindromes, one per
+  centre. A generated word counts them per prefix from its block plan:
+  a block's centre holds its source centre's palindrome, shifted,
+  unless that palindrome reaches an edge of the source, so only those
+  centres and the gap at each cut are sliced from the digit store, and
+  the rest of the source's count is copied and shifted. Any other word
+  slices one at every centre.
 - `classify_crossing` buckets occurrences as contained / bordering /
   straddling relative to a block decomposition, given as a tuple of
   cut after-positions, per centre: an occurrence of length L at centre
@@ -61,9 +68,11 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress, count, repeat
 from operator import eq, floordiv, ge, sub
+from types import MappingProxyType
 
 from .words import DomainError, Word, _all_below, _shift_table
 
@@ -83,6 +92,13 @@ class RadiusProfile:
     Manacher's scan over every centre; both give the same lengths,
     longest and total.
 
+    `totals` maps a prefix length l to the total of the prefix's own
+    profile, the word's clamped, centre c < 2l - 1 holding
+    min(m, 2l - 1 - c): for every prefix a plan build passes (the base,
+    each block's source and each level's end, so every W_i with i <= n
+    of a generated W_n with n >= k), and for the whole word alone when
+    it was scanned whole. It is read-only, like the lengths.
+
     `maximal_radii` computes the profile once per word and keeps it on
     the word, at 8 bytes per digit for as long as the word lives; the
     view is read-only because every caller shares it.
@@ -91,6 +107,7 @@ class RadiusProfile:
     lengths: memoryview
     longest: int
     total: int
+    totals: MappingProxyType
 
 
 def is_palindrome(w: Word) -> bool:
@@ -142,8 +159,7 @@ def _whole_scan(ds: bytes | tuple[int, ...], lengths: array) -> list[int]:
     """Manacher's scan of every centre of ds into the first 2|ds| - 1
     entries of `lengths`, and its [longest, total]. Each entry is first
     set to the palindrome at its centre that takes no comparison, 1 at a
-    digit and 0 at a gap, whatever it held before: a refused plan has
-    written its base's profile into `lengths`."""
+    digit and 0 at a gap."""
     n = len(ds)
     lengths[0 : 2 * n - 1 : 2] = array("i", (1,)) * n
     lengths[1 : 2 * n - 1 : 2] = array("i", (0,)) * (n - 1)
@@ -167,23 +183,37 @@ def maximal_radii(w: Word) -> RadiusProfile:
         return profile
     ds = w.digits
     lengths = array("i", (0,)) * max(2 * len(ds) - 1, 0)
-    plan = getattr(w, "_plan", None)
-    tally = None if plan is None else _planned_pass(ds, plan, lengths)
-    if tally is None:
+    levels = _plan_levels(w)
+    if levels is None:
         tally = _whole_scan(ds, lengths)
-    profile = RadiusProfile(memoryview(lengths).toreadonly(), *tally)
+        totals = {len(ds): tally[1]}
+    else:
+        tally, totals = _planned_pass(ds, w._plan[0], levels, lengths)
+    profile = RadiusProfile(memoryview(lengths).toreadonly(), *tally, MappingProxyType(totals))
     object.__setattr__(w, "_radii", profile)
     return profile
 
 
-def _planned_pass(ds: bytes | tuple[int, ...], plan: tuple, lengths: array) -> list[int] | None:
-    """Write the profile of ds into `lengths` from its block plan
-    (base, levels) and return its [longest, total], or return None when
-    ds does not follow the plan.
+def _plan_levels(w: Word) -> list[tuple] | None:
+    """The levels of w's block plan as `_checked_levels` returns them,
+    or None when w has no plan or its digits fail a check. A plan is
+    checked once per word: the result is kept on it (`Word._levels`)."""
+    try:
+        return w._levels
+    except AttributeError:
+        plan = getattr(w, "_plan", None)
+        levels = None if plan is None else _checked_levels(w.digits, plan)
+        object.__setattr__(w, "_levels", levels)
+        return levels
+
+
+def _planned_pass(ds: bytes, base: int, levels: list[tuple], lengths: array) -> tuple:
+    """Write the profile of ds into `lengths` from its checked block
+    plan and return its [longest, total] and its `totals`.
 
     `_whole_scan` scans the base, the first `base` digits. Each level
-    appends to the word built so far the blocks that `_checked_levels`
-    returns, and is built in place on the facts in the module docstring:
+    appends to the word built so far the blocks of `levels`, and is
+    built in place on the facts in the module docstring:
     each block's profile is copied from its source's, view to view, and
     clamped at its palindromic suffixes (`_suffix_centres`). The centres
     whose palindrome reaches a block edge, these and the palindromic
@@ -191,12 +221,9 @@ def _planned_pass(ds: bytes | tuple[int, ...], plan: tuple, lengths: array) -> l
     at the level's end. A level's total is its blocks' totals, kept per
     prefix length, plus what `_expand` adds.
     """
-    tally = _whole_scan(ds[: plan[0]], lengths)
-    levels = _checked_levels(ds, plan)
-    if levels is None:
-        return None
+    tally = _whole_scan(ds[:base], lengths)
     out = memoryview(lengths)
-    totals = {plan[0]: tally[1]}
+    totals = {base: tally[1]}
     suffixes = {}
     for size, blocks, end in levels:
         longest = tally[0]
@@ -219,7 +246,7 @@ def _planned_pass(ds: bytes | tuple[int, ...], plan: tuple, lengths: array) -> l
             tally[1] += total
         _expand(memoryview(ds)[:end], lengths, sorted(marks), tally)
         totals[end] = tally[1]
-    return tally
+    return tally, totals
 
 
 def _checked_levels(ds: bytes | tuple[int, ...], plan: tuple) -> list[tuple] | None:
@@ -303,18 +330,98 @@ def count_occurrences(w: Word, min_len: int) -> int:
     return _span_count(profile.lengths, 0, min_len, profile.total)
 
 
+def count_prefix_occurrences(w: Word, size: int) -> int:
+    """Number of palindromic occurrences of length at least 2 in the
+    prefix of w of `size` digits, from w's profile: the prefix's own
+    profile is w's clamped, centre c < 2 * size - 1 holding
+    min(m, 2 * size - 1 - c), and its total is in `RadiusProfile.totals`
+    for every prefix that the plan build passes, or else summed from the
+    clamp."""
+    if not 0 <= size <= len(w):
+        raise DomainError(f"prefix size must be in 0..{len(w)}, got {size}")
+    profile = maximal_radii(w)
+    e = max(2 * size - 1, 0)
+    total = profile.totals.get(size)
+    if total is None:
+        total = sum(map(min, profile.lengths[:e], range(e, 0, -1)))
+    return _span_count(profile.lengths[:e], 0, 2, total)
+
+
 def enumerate_maximal(w: Word, min_len: int) -> set[Word]:
     """The distinct factors that are the maximal palindrome at some
     centre and reach min_len. The maximal palindrome of length m at
-    centre c spans the 0-based digits (c + 1 - m) / 2 .. (c - 1 + m) / 2;
-    the slices are deduplicated before any Word is built."""
+    centre c spans the 0-based digits (c + 1 - m) / 2 .. (c - 1 + m) / 2.
+    A generated word counts them from its block plan
+    (`_planned_maximal`), slicing only the centres near the block edges;
+    any other word, and one whose digits fail a block's check, slices
+    one at every centre. The slices are deduplicated before any Word is
+    built."""
     _require_min_len(min_len)
     ds = w.digits
-    slices = {
-        ds[(c + 1 - m) // 2 : (c + 1 + m) // 2]
-        for c, m in enumerate(maximal_radii(w).lengths) if m >= min_len
-    }
+    profile = maximal_radii(w)
+    levels = _plan_levels(w)
+    if levels is None:
+        slices = {
+            ds[(c + 1 - m) // 2 : (c + 1 + m) // 2]
+            for c, m in enumerate(profile.lengths) if m >= min_len
+        }
+    else:
+        held = _planned_maximal(ds, w._plan[0], levels, profile)
+        slices = [p for p in held if len(p) >= min_len]
     return set(map(Word._unchecked, slices))
+
+
+def _planned_maximal(ds: bytes, base: int, levels: list[tuple], profile: RadiusProfile) -> Counter:
+    """How many centres of ds, with profile `profile`, hold each maximal
+    palindrome, counted from the checked block plan.
+
+    `held[l]` counts the palindromes at the centres of the prefix of l
+    digits, each maximal in ds, so it may reach past the prefix. A level
+    adds to the count of the word before it each block's centres and the
+    gap at its cut. A block of `length` digits shifted by s relabels its
+    source prefix one to one, so its centre c holds the source's
+    palindrome at c shifted by s, unless that palindrome reaches an edge
+    of the source: inside it, its next digits out are unequal, and they
+    are in the block too. Those centres are the word's palindromic
+    prefixes, c with m = c + 1, and the source's palindromic suffixes in
+    the final profile (`_suffix_centres`). They are sliced from the block,
+    and their source palindromes taken out of the copied count before the
+    shift. A prefix that is no level end, such as one inside the base, is
+    counted from the longest held prefix below it, slicing the centres
+    between.
+    """
+    lengths, longest = profile.lengths, profile.longest
+
+    def factor(c):
+        m = lengths[c]
+        return ds[(c + 1 - m) // 2 : (c + 1 + m) // 2]
+
+    def held_at(size):
+        found = held.get(size)
+        if found is None:
+            below = max(l for l in held if l < size)
+            between = range(max(2 * below - 1, 0), 2 * size - 1)
+            found = held[size] = held[below] + Counter(map(factor, between))
+        return found
+
+    held = {0: Counter()}
+    prefixes = tuple(compress(count(), map(eq, lengths[:longest], count(1))))
+    suffixes = {}
+    for size, blocks, end in levels:
+        level = held_at(size).copy()
+        for start, length, shift in blocks:
+            first, e = 2 * start, 2 * length - 1
+            edges = {c for c in prefixes if c < e}
+            edges.update(_suffix_centres(lengths, length, longest, suffixes))
+            copied = held_at(length) - Counter(map(factor, edges))
+            if shift:
+                table = _shift_table(shift)
+                copied = {p.translate(table): n for p, n in copied.items()}
+            level.update(copied)
+            level.update(factor(first + c) for c in edges)
+            level[factor(first - 1)] += 1
+        held[end] = level
+    return held_at(len(ds))
 
 
 def distinct_factors(w: Word, min_len: int) -> set[Word]:
@@ -330,11 +437,12 @@ def distinct_factors(w: Word, min_len: int) -> set[Word]:
     """
     _require_min_len(min_len)
     ds = w.digits
-    plan = getattr(w, "_plan", None)
-    found = None if plan is None else _planned_factors(ds, plan)
-    if found is None:
+    levels = _plan_levels(w)
+    if levels is None:
         found = {}
         _add_centred(ds, maximal_radii(w).lengths, found)
+    else:
+        found = _planned_factors(ds, w._plan[0], levels)
     return {Word._unchecked(p) for p in found if len(p) >= min_len}
 
 
@@ -359,14 +467,14 @@ def _add_centred(ds: bytes | tuple[int, ...], lengths: memoryview | array, found
             b -= 1
 
 
-def _planned_factors(ds: bytes | tuple[int, ...], plan: tuple) -> dict | None:
-    """The palindromes of ds with their first ends, built from its block
-    plan (base, levels), or None when ds does not follow the plan.
+def _planned_factors(ds: bytes, base: int, levels: list[tuple]) -> dict:
+    """The palindromes of ds with their first ends, built from its
+    checked block plan.
 
     The base's centres are walked by `_add_centred`, from `_whole_scan`
     of the base alone. Each level appends to the word built so far the
-    blocks that `_checked_levels` returns. An unshifted block is a prefix
-    of that word and adds nothing. A block of `length` digits at `start`
+    blocks of `levels`. An unshifted block is a prefix of that word and
+    adds nothing. A block of `length` digits at `start`
     shifted by s relabels its source one to one, so it holds p shifted
     by s, first ending at start + e, for every (p, e) with e < length;
     where `found` already holds it, the smaller end stays. Every other
@@ -379,10 +487,7 @@ def _planned_factors(ds: bytes | tuple[int, ...], plan: tuple) -> dict | None:
     extended by digit compares inside the level, and every extension
     holds both digits at the cut.
     """
-    levels = _checked_levels(ds, plan)
-    if levels is None:
-        return None
-    head = ds[: plan[0]]
+    head = ds[:base]
     lengths = array("i", (0,)) * max(2 * len(head) - 1, 0)
     longest = _whole_scan(head, lengths)[0]
     found = {}

@@ -29,7 +29,7 @@ from . import counting, structure
 from .counting import FormulaMode
 from .palindromes import (
     classify_crossing,
-    count_occurrences,
+    count_prefix_occurrences,
     distinct_factors,
     enumerate_maximal,
     is_palindrome,
@@ -163,15 +163,18 @@ def verify_counts(k: int, n_max: int) -> Report:
     """P(n) recurrence vs a palindrome scan of the generated word, in
     both modes, for every n up to n_max; alpha and its closed form on
     k..2k-3 vs the scan difference P(n) - P(n-1) - ... - P(n-k). The
-    scan is built from the word's block plan, but it is the profile of
-    the actual word, every digit compared (see the module docstring):
-    the plan tells it where to copy, never what the digits are."""
+    oracle is one plan build of W_{n_max}, of which every W_n is a
+    prefix: the build keeps the total of each W_n's own profile, from
+    which P(n) is arithmetic (`count_prefix_occurrences`). It is the
+    profile of the actual word, every digit compared (see the module
+    docstring): the plan tells it where to copy, never what the digits
+    are. Past the length guard, the LengthGuardError names W_{n_max}."""
     report = Report("counts", {"k": k, "n_max": n_max})
     series = {mode: counting.p_series(k, n_max, mode) for mode, _ in MODES}
-    scans: list[int] = []  # scans[i] = palindromic occurrences in W_i
-    for n in range(n_max + 1):
-        oracle = count_occurrences(word(k, n), 2)
-        scans.append(oracle)
+    w = word(k, n_max)
+    # scans[n] = palindromic occurrences in W_n
+    scans = [count_prefix_occurrences(w, size) for size in kbonacci_sizes(k)[: n_max + 1]]
+    for n, oracle in enumerate(scans):
         oracle_alpha = oracle - sum(scans[n - k : n]) if n >= k else None
         for mode, provenance in MODES:
             subject = {"k": k, "n": n, "mode": mode.value}

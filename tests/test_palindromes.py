@@ -13,13 +13,22 @@ from kbona import palindromes
 from kbona.palindromes import (
     classify_crossing,
     count_occurrences,
+    count_prefix_occurrences,
     distinct_factors,
     enumerate_maximal,
     is_palindrome,
     maximal_radii,
 )
 from kbona.verify import decomposition_cuts
-from kbona.words import DomainError, Word, _shift_table, reduce_mod_k, shift_add, word
+from kbona.words import (
+    DomainError,
+    Word,
+    _shift_table,
+    kbonacci_sizes,
+    reduce_mod_k,
+    shift_add,
+    word,
+)
 
 from oracles import (
     brute_count,
@@ -282,7 +291,9 @@ def test_plan_build_on_random_plans(w):
         passes = _count_calls(mp, "_whole_scan")
         profile = maximal_radii(w)
     assert _same_profile(profile, _whole_profile(w))
-    assert passes == ([base] if one_to_one else [base, len(w)])
+    # The plan is checked before its base is scanned, so a refused plan
+    # scans the word whole and nothing else.
+    assert passes == ([base] if one_to_one else [len(w)])
 
 
 def _centred_factors(palindromes, min_len: int) -> set[Word]:
@@ -366,6 +377,100 @@ def test_distinct_plan_build_memory():
     finally:
         tracemalloc.stop()
     assert peak < 0.1 * len(w)
+
+
+def test_maximal_plan_build_equals_comprehension(monkeypatch):
+    # Every W_n of up to 2^16 digits for k = 3..8, counted from its plan,
+    # against one slice per centre of a copy with no plan.
+    builds = _count_calls(monkeypatch, "_planned_maximal")
+    for w in _sweep_words():
+        builds.clear()
+        assert enumerate_maximal(w, 1) == enumerate_maximal(Word._unchecked(w.digits), 1)
+        assert builds == [len(w)]
+
+
+@given(planned_words(cap=40), st.integers(1, 3))
+# 0 0: a palindrome at the gap of a cut alone.
+@example(_planned((0,), [[(1, 0)]]), 1)
+# 0 1 0 holds the block 1 at its centre, whose source 0 is the maximal
+# one at its own centre; the copy 1 is maximal nowhere.
+@example(_planned((0,), [[(1, 1), (1, 0)]]), 1)
+# The block 4 5 is its source 0 1 shifted by 4.
+@example(_planned((0, 1), [[(2, 4)]]), 1)
+# The block 1 6 7 relabels 0 5 6, but its 1 holds 6 1 6, where the 0 at
+# the word's start holds 0 alone.
+@example(_planned((0,), [[(1, 5), (1, 6)], [(3, 1)]]), 1)
+# The last block, 3 0 0, ends in the gap of 0 0, where its source's gap
+# holds 3 0 0 3, which runs past the source; the last centre of the
+# block 3 0 before it holds 3 0 3.
+@example(_planned((3, 0, 0, 3), [[(2, 0), (3, 0)]]), 1)
+# A shift past 255: the plan is refused and every centre sliced.
+@example(_planned((0, 255, 254), [[(3, 2)]]), 1)
+@settings(max_examples=300)
+def test_maximal_plan_build_on_random_plans(w, min_len):
+    assert enumerate_maximal(w, min_len) == brute_maximal(w, min_len)
+
+
+@changed_digits
+def test_maximal_of_changed_digits_slices_every_centre(monkeypatch, change):
+    # A word whose digits no longer follow its plan slices one palindrome
+    # at every centre of its whole profile.
+    w = word(4, 8)
+    object.__setattr__(w, "digits", change(w.digits))
+    builds = _count_calls(monkeypatch, "_planned_maximal")
+    assert enumerate_maximal(w, 1) == brute_maximal(w, 1)
+    assert builds == []
+
+
+def test_plan_is_checked_once(monkeypatch):
+    # The profile, the maximal set and the distinct set of one word read
+    # one check of its plan; a word whose digits fail it keeps the
+    # refusal.
+    checks = _count_calls(monkeypatch, "_checked_levels")
+    w = word(5, 12)
+    maximal_radii(w)
+    enumerate_maximal(w, 2)
+    distinct_factors(w, 2)
+    assert checks == [len(w)]
+    w = word(5, 12)
+    object.__setattr__(w, "digits", w.digits[:-1])
+    checks.clear()
+    assert distinct_factors(w, 2) == _centred_factors(enumerate_maximal(w, 2), 2)
+    assert checks == [len(w)] and w._levels is None
+
+
+def test_profile_keeps_the_total_of_each_prefix():
+    # The plan build of W_n keeps the total of the own profile of every
+    # W_i with i <= n once n >= k; a word scanned whole keeps its own.
+    for k, n in ((3, 9), (5, 5), (7, 12)):
+        w = word(k, n)
+        totals = maximal_radii(w).totals
+        assert set(kbonacci_sizes(k)[: n + 1]) <= set(totals)
+        for i in range(n + 1):
+            assert totals[len(word(k, i))] == sum(brute_radii(word(k, i)))
+    w = Word.parse("0102013")
+    assert dict(maximal_radii(w).totals) == {7: sum(brute_radii(w))}
+    with pytest.raises(TypeError):
+        maximal_radii(w).totals[1] = 0
+
+
+@given(planned_words(cap=40), st.data())
+def test_prefix_counts_against_oracle(w, data):
+    # From the kept totals where the plan build passed the prefix, else
+    # from the clamped profile; a copy with no plan clamps every proper
+    # prefix.
+    size = data.draw(st.integers(0, len(w)))
+    expected = brute_count(Word._unchecked(w.digits[:size]), 2)
+    assert count_prefix_occurrences(w, size) == expected
+    assert count_prefix_occurrences(Word._unchecked(w.digits), size) == expected
+
+
+def test_prefix_counts_domain():
+    w = Word.parse("010")
+    assert count_prefix_occurrences(w, 0) == 0 and count_prefix_occurrences(w, 3) == 1
+    for size in (-1, 4):
+        with pytest.raises(DomainError):
+            count_prefix_occurrences(w, size)
 
 
 def test_min_len_domain():

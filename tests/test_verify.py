@@ -6,6 +6,7 @@ import itertools
 import pytest
 
 from kbona import palindromes, structure, verify
+from kbona.palindromes import count_occurrences
 from kbona.words import (
     DEFAULT_MAX_LEN,
     DomainError,
@@ -138,6 +139,47 @@ def test_structure_suite_builds_one_word(monkeypatch, k):
         monkeypatch.setattr(module, "word", counted(module, module.word))
     assert verify.verify_structure(k, 16).ok
     assert calls == {verify: 1, structure: 0}
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
+def test_counts_suite_builds_one_profile(monkeypatch, k):
+    # Every W_n is a prefix of W_{n_max}, and the plan build of W_{n_max}
+    # keeps the total of each one's own profile.
+    builds = []
+    original = palindromes._planned_pass
+
+    def counted(ds, *args):
+        builds.append(len(ds))
+        return original(ds, *args)
+
+    monkeypatch.setattr(palindromes, "_planned_pass", counted)
+    n = verify.default_n_max(k)
+    (report,) = verify.run_suites(k, n, ["counts"])
+    assert report.ok and report.summary[verify.PASS] > 0
+    assert builds == [kbonacci_number(k, n + k)]
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8])
+def test_counts_rows_equal_a_scan_of_each_word(k):
+    # Below k the plan has no levels, and each W_n is read by clamping the
+    # profile of W_{n_max}.
+    for n_max in sorted({0, 1, k - 2, k - 1, k, verify.default_n_max(k)}):
+        report = verify.verify_counts(k, n_max)
+        scans = {(r.subject["n"], r.subject["mode"]): r.actual
+                 for r in report.results if r.check_id == "p-total"}
+        assert scans == {
+            (n, mode): count_occurrences(word(k, n), 2)
+            for n in range(n_max + 1) for mode in ("derived", "as-stated")
+        }
+
+
+def test_counts_suite_past_the_guard_names_its_one_word(monkeypatch):
+    # The suite builds W_{n_max} alone, so its one Skipped row names that
+    # word, where it named the first W_n past the guard, here W_11.
+    monkeypatch.setenv("KBONA_MAX_LEN", str(kbonacci_number(3, 11 + 3) - 1))
+    (report,) = verify.run_suites(3, 12, ["counts"])
+    assert [r.verdict for r in report.results] == [verify.SKIPPED]
+    assert report.results[0].actual.startswith("|W_12| = f_15 exceeds the length guard")
 
 
 def _rows(report, check_id):

@@ -54,6 +54,10 @@ Everything here works over arbitrary nonnegative-integer digits.
   one, so it reads only those cut windows: it takes their span count
   out of the count from the total, which leaves the contained
   occurrences of every other centre, and buckets them one at a time.
+  `_classify_prefix` does this for any prefix of a word, from the
+  clamped profile and the prefix's kept total, so the decomposition
+  sweep classifies every W_n from one profile of W_{n_max}; the whole
+  word and `count_prefix_occurrences` are its other callers.
 - `distinct_factors` keeps each distinct palindrome with its first end
   in one dict, and builds it for a generated word from its block plan:
   the base's centres walked from its whole scan, each shifted block's
@@ -298,7 +302,7 @@ def _suffix_centres(out: memoryview, length: int, longest: int, cache: dict) -> 
     return centres
 
 
-def _span_count(ms: memoryview, first: int, min_len: int, total: int) -> int:
+def _span_count(ms: memoryview | array | list[int], first: int, min_len: int, total: int) -> int:
     """Occurrences of length >= min_len at the centres first, first + 1,
     ... whose maximal lengths are ms, of sum total. A centre of maximal
     length m holds the lengths m, m-2, ... >= min_len,
@@ -332,19 +336,13 @@ def count_occurrences(w: Word, min_len: int) -> int:
 
 def count_prefix_occurrences(w: Word, size: int) -> int:
     """Number of palindromic occurrences of length at least 2 in the
-    prefix of w of `size` digits, from w's profile: the prefix's own
-    profile is w's clamped, centre c < 2 * size - 1 holding
-    min(m, 2 * size - 1 - c), and its total is in `RadiusProfile.totals`
-    for every prefix that the plan build passes, or else summed from the
-    clamp."""
+    prefix of w of `size` digits, from w's profile by `_classify_prefix`
+    with no cuts: the prefix's own profile is w's clamped, and its total
+    is in `RadiusProfile.totals` for every prefix that the plan build
+    passes, or else summed from the clamp."""
     if not 0 <= size <= len(w):
         raise DomainError(f"prefix size must be in 0..{len(w)}, got {size}")
-    profile = maximal_radii(w)
-    e = max(2 * size - 1, 0)
-    total = profile.totals.get(size)
-    if total is None:
-        total = sum(map(min, profile.lengths[:e], range(e, 0, -1)))
-    return _span_count(profile.lengths[:e], 0, 2, total)
+    return _classify_prefix(maximal_radii(w), size, (), 2).occurrences
 
 
 def enumerate_maximal(w: Word, min_len: int) -> set[Word]:
@@ -550,14 +548,7 @@ def classify_crossing(w: Word, cuts: tuple[int, ...], min_len: int) -> CrossingC
     (cuts[b-1], cuts[b]], and the block after the last cut is the final
     block. No cuts at all leaves one block.
 
-    The cut after position p is centre g = 2p - 1, and an occurrence of
-    length L at centre c crosses it iff L >= |c - g| + 2. So a centre
-    further than reach = longest - 2 from every cut holds only
-    contained occurrences. The count of all occurrences comes from the
-    profile's total; the centres in the merged windows
-    [g - reach, g + reach] are taken out of it, each window by one span
-    count, and bucketed one at a time by `_bucket`, so only the windows
-    are read.
+    The word is classified as its own whole prefix, by `_classify_prefix`.
     """
     _require_min_len(min_len)
     prev = 0
@@ -565,19 +556,49 @@ def classify_crossing(w: Word, cuts: tuple[int, ...], min_len: int) -> CrossingC
         if not prev < p < len(w):
             raise DomainError(f"cut positions {cuts} invalid for |w|={len(w)}")
         prev = p
-    profile = maximal_radii(w)
+    return _classify_prefix(maximal_radii(w), len(w), cuts, min_len)
+
+
+def _classify_prefix(profile: RadiusProfile, size: int, cuts: tuple[int, ...],
+                     min_len: int) -> CrossingCounts:
+    """`classify_crossing` of the prefix of `size` digits of the word
+    whose profile is `profile`, for valid cuts of the prefix.
+
+    The prefix's own profile is the clamp: centre c < e = 2 size - 1
+    holds min(m, e - c), which is m except at the centres within the
+    word's longest length of e, the tail. The count of all occurrences
+    is the span count of the rest, from the prefix's total in
+    `RadiusProfile.totals` (or summed when it is not kept) less the
+    tail's, plus the tail's. The cut after position p is centre
+    g = 2p - 1, and an occurrence of length L at centre c crosses it iff
+    L >= |c - g| + 2. So a centre further than reach = longest - 2 from
+    every cut holds only contained occurrences. The centres in the merged
+    windows [g - reach, g + reach] are taken out of the count, each
+    window by one span count of its lengths, clamped where it reaches
+    the tail, and bucketed one at a time by `_bucket`, so only the
+    windows and the tail are read.
+    """
     lengths = profile.lengths
-    occurrences = _span_count(lengths, 0, min_len, profile.total)
+    e = max(2 * size - 1, 0)
+    head = max(e - profile.longest, 0)
+    tail = array("i", map(min, lengths[head:e], range(e - head, 0, -1)))
+    tail_total = sum(tail)
+    total = profile.totals.get(size)
+    head_total = sum(lengths[:head]) if total is None else total - tail_total
+    occurrences = (_span_count(lengths[:head], 0, min_len, head_total)
+                   + _span_count(tail, head, min_len, tail_total))
     counts = CrossingCounts(contained=occurrences, occurrences=occurrences)
     reach = max(profile.longest - 2, 0)
     done = 0
     for p in cuts:
         lo = max(2 * p - 1 - reach, done)
-        done = min(2 * p + reach, len(lengths))
+        done = min(2 * p + reach, e)
         window = lengths[lo:done]
+        if done > head:
+            window = list(map(min, window, range(e - lo, e - done, -1)))
         counts.contained -= _span_count(window, lo, min_len, sum(window))
         for c in compress(count(lo), map(ge, window, repeat(min_len))):
-            _bucket(counts, cuts, c, lengths[c], min_len)
+            _bucket(counts, cuts, c, window[c - lo], min_len)
     return counts
 
 

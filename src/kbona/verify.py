@@ -7,6 +7,13 @@ each block with one `startswith` against its source, and a word whose
 digits do not follow the plan is scanned whole, by Manacher's scan over
 every centre.
 
+Each suite builds one word. W^(k) is the fixed point of phi_k, so every
+W_n with n <= n_max is the prefix of |W_n| digits of W_{n_max}: the
+counts, decomposition and lemma suites build W_{n_max} once and read
+each W_n as that prefix, its profile as the clamp of W_{n_max}'s one
+profile (`palindromes._classify_prefix`); the structure suite reads
+each W_n2 as a prefix of its W_n, and the lengths suite reads W_{3k+2}.
+
 Every row of a report is written by one of two Report methods, which
 also keep the suite's clock. Report.check holds the verdict rule: Pass
 when the expected value matches the observed one, Discrepancy-Documented
@@ -19,7 +26,6 @@ check needed and why it did not run.
 from __future__ import annotations
 
 import itertools
-import operator
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
@@ -28,7 +34,8 @@ from typing import Any
 from . import counting, structure
 from .counting import FormulaMode
 from .palindromes import (
-    classify_crossing,
+    RadiusProfile,
+    _classify_prefix,
     count_prefix_occurrences,
     distinct_factors,
     enumerate_maximal,
@@ -39,9 +46,10 @@ from .words import (
     DomainError,
     LengthGuardError,
     Word,
+    _all_below,
     _check_request,
+    _classical_chain,
     apply_morphism,
-    classical_word,
     kbonacci_number,
     kbonacci_sizes,
     reduce_mod_k,
@@ -203,9 +211,14 @@ def verify_decomposition(k: int, n: int) -> Report:
     if n < k:
         raise DomainError(f"decomposition requires n >= k, got n={n}")
     report = Report("decomposition", {"k": k, "n": n})
-    w = word(k, n)
-    cuts = decomposition_cuts(k, n)
-    observed = classify_crossing(w, cuts, 2)
+    _decomposition_rows(report, k, n, maximal_radii(word(k, n)))
+    return report.finish()
+
+
+def _decomposition_rows(report: Report, k: int, n: int, profile: RadiusProfile) -> None:
+    """The rows of W_n, read as the prefix of |W_n| digits of the word
+    whose profile is `profile`: W_n itself, or a longer W_{n_max}."""
+    observed = _classify_prefix(profile, kbonacci_sizes(k)[n], decomposition_cuts(k, n), 2)
     subject = {"k": k, "n": n}
     contained_formula = sum(counting.p_series(k, n - 1, FormulaMode.DERIVED)[n - k :])
     report.check("contained", subject, contained_formula, "Derived", observed.contained)
@@ -216,7 +229,6 @@ def verify_decomposition(k: int, n: int) -> Report:
                      "Derived", observed.bordering.get(b, 0))
     report.check("straddling", subject, counting.s_count(k, n), "Derived", observed.straddling)
     report.check("partition-total", subject, observed.occurrences, "Oracle", observed.total)
-    return report.finish()
 
 
 def _occurs_at(w: Word, element: Word, start: int, size: int) -> bool:
@@ -302,27 +314,53 @@ def _orbit(k: int, w: Word, count: int) -> list[Word]:
     return out
 
 
+def _first_descent(ds: bytes, k: int) -> int:
+    """The least i >= 1 at which ds[i] is not a multiple of k and
+    ds[i-1] >= ds[i], or len(ds) when there is none, for digits below
+    128. One big-int pass: the byte lane j of (x | H) - y - L, with x and
+    y the digits ds[j+1] and ds[j] and H and L 0x80 and 1 in each lane, is
+    127 + x - y, which stays within 0..254, so no lane borrows from the
+    next, and has its top bit set iff x > y. A mask keeps the top bits of
+    the lanes whose second digit is not a multiple of k."""
+    h = int.from_bytes(b"\x80" * (len(ds) - 1), "little")
+    x = int.from_bytes(ds[1:], "little")
+    y = int.from_bytes(ds[:-1], "little")
+    tops = bytes(0x80 if d % k else 0 for d in range(256))
+    bad = int.from_bytes(ds[1:].translate(tops), "little") & ~((x | h) - y - (h >> 7))
+    return (bad & -bad).bit_length() // 8 if bad else len(ds)
+
+
 def verify_lemmas(k: int, n_max: int) -> Report:
     """The word-core property battery: morphism identities, suffix law,
     forbidden/required digit patterns, sizes, and palindromic prefixes.
-    Each law is checked once on each word it applies to. Generated words
-    are byte words (see the words module), so the digit-pattern laws are
-    bytes operations."""
+    Each law is checked once on each word it applies to. Every W_n with
+    n <= n_max is the prefix of |W_n| digits of one generated W_{n_max},
+    and the per-n rows read those prefixes: each digit-pattern law finds
+    the first pair of W_{n_max} that breaks it, and the palindromic-prefix
+    cap reads its one profile. The morphism route is one chain
+    phi_k^n(0), n <= n_max, held against the prefixes; the prefix-chain
+    and size laws are checked on that chain, where they do not hold by
+    construction, and mod-k reduction reads one psi_k chain F_0 ..
+    F_{n_max}. A generated word's digits are bytes, at most n_max (see
+    the words module)."""
     require_k(k, 3)
     report = Report("lemmas", {"k": k, "n_max": n_max})
-    words = [word(k, n) for n in range(n_max + 1)]
+    w = word(k, n_max)
+    ds = w.digits
+    sizes = kbonacci_sizes(k)[: n_max + 1]
+    chain = _orbit(k, Word((0,)), n_max)
     sweep = {"k": k, "n_max": n_max}
 
-    # The morphism route, W_n = phi_k^n(0), as one chain beside the
-    # recurrence's words, and the fixed-point prefix chain.
     report.check("method-agreement", sweep, True, "Oracle",
-                 _orbit(k, Word((0,)), n_max) == words)
+                 all(len(p) == size and ds.startswith(p.digits) for p, size in zip(chain, sizes)))
     report.check("prefix-chain", sweep, True, "Oracle",
-                 all(b.digits.startswith(a.digits) for a, b in itertools.pairwise(words)))
+                 all(b.digits.startswith(a.digits) for a, b in itertools.pairwise(chain)))
     report.check("size-law", sweep, True, "Oracle",
-                 all(len(w) == kbonacci_number(k, n + k) for n, w in enumerate(words)))
+                 all(len(p) == kbonacci_number(k, n + k) for n, p in enumerate(chain)))
+    reduced = reduce_mod_k(k, w).digits
     report.check("mod-k-reduction", sweep, True, "Oracle",
-                 all(reduce_mod_k(k, w) == classical_word(k, n) for n, w in enumerate(words)))
+                 all(len(f) == size and reduced.startswith(f.digits)
+                     for f, size in zip(_classical_chain(k, n_max), sizes)))
 
     # phi_k(k ⊕ w) = k ⊕ phi_k(w), once on a word that holds every
     # two-digit word over 0..2k+1.
@@ -340,45 +378,44 @@ def verify_lemmas(k: int, n_max: int) -> Report:
     )
     report.check("power-commutation", {"k": k}, True, "Oracle", power_comm)
 
-    # Adjacency: a digit that is not a multiple of k follows a smaller
-    # one. The mask keeps the adjacent pairs whose second digit is such a
-    # digit, and only those are compared.
-    constrained = bytes(d % k != 0 for d in range(256))
-    for n, w in enumerate(words[1:], 1):
-        ds = w.digits
+    # The pair of digits at i, i + 1 lies in W_n iff i + 1 < |W_n|. No-00:
+    # no 0 follows a 0. Adjacency: a digit that is not a multiple of k
+    # follows a smaller one; `descent` is the second digit of the first
+    # pair that breaks it.
+    zeros = ds.find(bytes(2))
+    descent = _first_descent(ds, k)
+    for n, size in enumerate(sizes[1:], 1):
         subject = {"k": k, "n": n}
-        report.check("suffix-pair", subject, suffix_pair(k, n), "Derived", (ds[-2], ds[-1]))
+        report.check("suffix-pair", subject, suffix_pair(k, n), "Derived",
+                     (ds[size - 2], ds[size - 1]))
         report.check("last-digit", subject, True, "Oracle",
-                     max(ds) == n and ds.count(n) == 1 and ds[-1] == n)
-        report.check("no-00", subject, True, "Oracle", bytes(2) not in ds)
-        mask = ds[1:].translate(constrained)
-        report.check("adjacency", subject, True, "Oracle", all(map(
-            operator.lt, itertools.compress(ds, mask), itertools.compress(ds[1:], mask))))
+                     _all_below(ds[:size], n + 1) and ds.find(n, 0, size) == size - 1)
+        report.check("no-00", subject, True, "Oracle", not 0 <= zeros < size - 1)
+        report.check("adjacency", subject, True, "Oracle", descent >= size)
 
     # W_n n^{-1} is a palindrome on 2 <= n <= k-1.
     for n in range(2, min(k - 1, n_max) + 1):
         report.check("prefix-palindrome", {"k": k, "n": n}, True, "Oracle",
-                     is_palindrome(words[n].drop_last()))
+                     is_palindrome(Word._unchecked(ds[: sizes[n] - 1])))
     if k - 1 > n_max or n_max < 2:
         report.skip("prefix-palindrome", sweep, "range", "degenerate")
 
     # Palindromic prefixes of (i+1) W_{k+i} have max digit at most i+1.
+    # The prefix (i+1) W[:j+1] of (i+1) W is a palindrome iff W[j] = i+1
+    # and u = W[:j] is one, a palindromic prefix of W_{n_max}: the maximal
+    # palindrome at u's centre, j - 1, has length j, at most the longest.
+    # u is never empty, as W starts with 0, and the digit i+1 alone is
+    # capped, so the cap reads max(u) <= i+1.
+    palindromic = []
+    if n_max >= k:
+        profile = maximal_radii(w)
+        palindromic = [j for j in range(1, profile.longest + 1) if profile.lengths[j - 1] == j]
     for i in range(k - 1):
         if k + i > n_max:
             report.skip("palindromic-prefix-cap", {"k": k, "i": i}, "range", "degenerate")
             continue
-        # Read from the profile of W = W_{k+i} itself: the prefix
-        # (i+1) W[:j+1] is a palindrome iff W[j] = i+1 and u = W[:j] is
-        # one, that is, the maximal palindrome at u's centre, j - 1, has
-        # length j. u is never empty, as W starts with 0, and the digit
-        # i+1 alone is capped, so the cap reads max(u) <= i+1.
-        ds = words[k + i].digits
-        lengths = maximal_radii(words[k + i]).lengths
-        capped = all(
-            top <= i + 1
-            for j, (top, d) in enumerate(zip(itertools.accumulate(ds, max), ds[1:]), 1)
-            if d == i + 1 and lengths[j - 1] == j
-        )
+        capped = all(_all_below(ds[:j], i + 2) for j in palindromic
+                     if j < sizes[k + i] and ds[j] == i + 1)
         report.check("palindromic-prefix-cap", {"k": k, "i": i}, True, "Oracle", capped)
     return report.finish()
 
@@ -415,12 +452,17 @@ SUITES = {
 
 
 def _decomposition_sweep(k: int, n_max: int) -> Report:
+    """`verify_decomposition` for every n from k to n_max, from one
+    profile: every W_n is the prefix of |W_n| digits of W_{n_max}, and
+    `_classify_prefix` reads its clamped profile and its kept total."""
     report = Report("decomposition", {"k": k, "n_max": n_max})
-    for n in range(k, n_max + 1):
-        report.results.extend(verify_decomposition(k, n).results)
     if n_max < k:
         report.skip("decomposition", {"k": k, "n_max": n_max}, "n_max >= k",
                     "no n with k <= n <= n_max")
+        return report.finish()
+    profile = maximal_radii(word(k, n_max))
+    for n in range(k, n_max + 1):
+        _decomposition_rows(report, k, n, profile)
     return report.finish()
 
 

@@ -458,15 +458,23 @@ def word(k: int, n: int, method: GenMethod = GenMethod.RECURRENCE) -> Word:
 def classical_word(k: int, n: int) -> Word:
     """The classical k-bonacci word F_n over the alphabet {0, ..., k-1}."""
     _check_request(k, n)
-    # Iterate the finite-alphabet morphism psi_k: i -> 0(i+1) for
-    # i <= k-2, (k-1) -> 0, starting from the single digit 0. The digits
-    # of F_n are at most n, which stays below 100, so never reach the pad.
+    for f in _classical_chain(k, n):
+        pass
+    return f
+
+
+def _classical_chain(k: int, n: int) -> Iterator[Word]:
+    """F_0, F_1, ..., F_n, each the image of the one before under the
+    finite-alphabet morphism psi_k: i -> 0(i+1) for i <= k-2, (k-1) -> 0,
+    starting from the single digit 0. The digits of F_n are at most n,
+    which stays below 100, so never reach the pad."""
     digits = bytes(1)
     zeros = bytes(256)
     second = bytes(_SUCCESSOR[d] if d <= k - 2 else _PAD for d in range(256))
+    yield Word._unchecked(digits)
     for _ in range(n):
         digits = _two_slot_image(digits, zeros, second)
-    return Word._unchecked(digits)
+        yield Word._unchecked(digits)
 
 
 def suffix_pair(k: int, n: int) -> tuple[int, int]:

@@ -465,6 +465,33 @@ def test_prefix_counts_against_oracle(w, data):
     assert count_prefix_occurrences(Word._unchecked(w.digits), size) == expected
 
 
+@given(planned_words(cap=20), st.randoms(use_true_random=False))
+# A prefix that cuts a palindrome of the word: 0 1 0 0 1 has 1 0 0 1,
+# clamped to 0 0 in the prefix 0 1 0 0.
+@example(_planned((0, 1, 0), [[(2, 0)]]), random.Random(0))
+@settings(max_examples=100, deadline=None)
+def test_prefix_classifier_against_oracle(w, rng):
+    # Every prefix, classified from the one profile of the word against
+    # random valid cuts, buckets as the brute listing of the prefix's own
+    # occurrences: those of the word that end within it. A copy with no
+    # plan keeps the total of the whole word alone, so its proper
+    # prefixes sum their clamped profiles.
+    occurrences = list(brute_occurrences(w, 1))
+    profiles = maximal_radii(w), maximal_radii(Word._unchecked(w.digits))
+    for size in range(len(w) + 1):
+        cuts = tuple(sorted(rng.sample(range(1, size), rng.randint(0, size - 1)))) if size else ()
+        inside = [(s, m) for s, m in occurrences if s + m - 1 <= size]
+        buckets = brute_crossing(inside, cuts)
+        for min_len in (1, 2, 3):
+            kept = [b for (_, m), b in zip(inside, buckets) if m >= min_len]
+            for profile in profiles:
+                got = palindromes._classify_prefix(profile, size, cuts, min_len)
+                assert got.contained == kept.count("contained")
+                assert got.bordering == Counter(b for b in kept if type(b) is int)
+                assert got.straddling == kept.count("straddling")
+                assert got.occurrences == got.total == len(kept)
+
+
 def test_prefix_counts_domain():
     w = Word.parse("010")
     assert count_prefix_occurrences(w, 0) == 0 and count_prefix_occurrences(w, 3) == 1

@@ -1,16 +1,18 @@
 """Verification suites: verdicts, determinism, and the documented
 discrepancies with the printed formulas."""
 
+import ast
 import itertools
+import pathlib
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from kbona import palindromes, structure, verify
 from kbona.palindromes import count_occurrences
 from kbona.words import (
     DEFAULT_MAX_LEN,
     DomainError,
-    GenMethod,
     LengthGuardError,
     Word,
     kbonacci_number,
@@ -99,20 +101,66 @@ def test_empty_decomposition_sweep_is_skipped():
     assert report.results[0].subject == {"k": 4, "n_max": 2}
 
 
+def _calls(monkeypatch, name, *modules):
+    """Record the arguments of each call of <name>, bound in each of the
+    modules, the first of which defines it."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_decomposition_sweep_scans_each_word_once(monkeypatch):
-    scans = []
-    original = palindromes.maximal_radii
-
-    def counted(w):
-        scans.append(len(w))
-        return original(w)
-
-    monkeypatch.setattr(palindromes, "maximal_radii", counted)
+    # The sweep builds W_10 alone and one profile of it, whose plan build
+    # scans only the base W_3 whole; each W_n is its prefix.
+    words = _calls(monkeypatch, "word", verify)
+    builds = _calls(monkeypatch, "_planned_pass", palindromes)
+    scans = _calls(monkeypatch, "_whole_scan", palindromes)
     report = verify._decomposition_sweep(4, 10)
     assert report.ok
-    assert len(scans) == 7  # W_4 .. W_10
+    assert words == [(4, 10)]
+    assert [len(args[0]) for args in builds] == [kbonacci_number(4, 14)]
+    assert [len(args[0]) for args in scans] == [8]
     partition = [r for r in report.results if r.check_id == "partition-total"]
     assert len(partition) == 7 and all(r.verdict == verify.PASS for r in partition)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8])
+def test_decomposition_sweep_rows_equal_each_word_classified_alone(k):
+    # Below k the sweep is one Skipped row; from k on, each W_n read as a
+    # prefix of W_{n_max} gives the rows of W_n built and classified alone.
+    for n_max in sorted({0, 1, k - 2, k - 1, k, verify.default_n_max(k)}):
+        rows = verify._decomposition_sweep(k, n_max).results
+        if n_max < k:
+            assert [r.verdict for r in rows] == [verify.SKIPPED]
+            continue
+        alone = [r for n in range(k, n_max + 1) for r in verify.verify_decomposition(k, n).results]
+        assert rows == sorted(alone, key=verify.CheckResult.sort_key)
+
+
+def test_every_crossing_count_goes_through_one_classifier(monkeypatch):
+    # classify_crossing, verify_decomposition and the sweep each classify
+    # through _classify_prefix, which holds the one call of _bucket in src.
+    calls = _calls(monkeypatch, "_classify_prefix", palindromes, verify)
+    w = word(4, 9)
+    palindromes.classify_crossing(w, verify.decomposition_cuts(4, 9), 2)
+    verify.verify_decomposition(4, 9)
+    verify._decomposition_sweep(4, 9)
+    assert [args[1] for args in calls] == [len(w)] * 2 + [
+        kbonacci_number(4, n + 4) for n in range(4, 10)]
+    src = pathlib.Path(palindromes.__file__).parent
+    bucket_calls = [
+        path.name for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_bucket"
+    ]
+    assert bucket_calls == ["palindromes.py"]
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
@@ -178,6 +226,16 @@ def test_counts_suite_past_the_guard_names_its_one_word(monkeypatch):
     # word, where it named the first W_n past the guard, here W_11.
     monkeypatch.setenv("KBONA_MAX_LEN", str(kbonacci_number(3, 11 + 3) - 1))
     (report,) = verify.run_suites(3, 12, ["counts"])
+    assert [r.verdict for r in report.results] == [verify.SKIPPED]
+    assert report.results[0].actual.startswith("|W_12| = f_15 exceeds the length guard")
+
+
+@pytest.mark.parametrize("suite", ["decomposition", "lemmas"])
+def test_prefix_suites_past_the_guard_name_their_one_word(monkeypatch, suite):
+    # As for counts: each suite builds W_{n_max} alone, so its one Skipped
+    # row names that word, not the first W_n past the guard, here W_11.
+    monkeypatch.setenv("KBONA_MAX_LEN", str(kbonacci_number(3, 11 + 3) - 1))
+    (report,) = verify.run_suites(3, 12, [suite])
     assert [r.verdict for r in report.results] == [verify.SKIPPED]
     assert report.results[0].actual.startswith("|W_12| = f_15 exceeds the length guard")
 
@@ -372,18 +430,20 @@ def test_verify_lemmas():
     assert report.summary[verify.SKIPPED] > 0
 
 
-# One fault per lemma row, planted in the level-4 word (k=3) that
-# verify_lemmas reads: W_4 = 0102013010234 from the recurrence route of
-# `word`, or F_4 from `classical_word`.
+# One fault per lemma row, planted where its n = 4 row reads (k = 3,
+# n_max = 6). A per-n row reads the first |W_4| = 13 digits of the one
+# word W_6, and each fault sits past the first |W_3| = 7 of them, in
+# 0 1 0 2 3 4. A chain row reads phi_3^4(0) of the morphism chain
+# (`_orbit` from 0) or F_4 of the psi_3 chain (`_classical_chain`).
 LEMMA_FAULTS = [
-    ("method-agreement", "word", lambda ds: ds[:-1]),
-    ("prefix-chain", "word", lambda ds: bytes([1]) + ds[1:]),
-    ("size-law", "word", lambda ds: ds[:-1]),
-    ("mod-k-reduction", "classical_word", lambda ds: bytes([1]) + ds[1:]),
-    ("suffix-pair", "word", lambda ds: ds[:-2] + ds[-1:] + ds[-2:-1]),
-    ("last-digit", "word", lambda ds: ds[:-1] + bytes([5])),
-    ("no-00", "word", lambda ds: ds[:1] + bytes([0]) + ds[2:]),
-    ("adjacency", "word", lambda ds: ds[:2] + bytes([1]) + ds[3:]),
+    ("method-agreement", "word", lambda ds: ds[:7] + bytes([1]) + ds[8:]),
+    ("prefix-chain", "_orbit", lambda ds: bytes([1]) + ds[1:]),
+    ("size-law", "_orbit", lambda ds: ds[:-1]),
+    ("mod-k-reduction", "_classical_chain", lambda ds: bytes([1]) + ds[1:]),
+    ("suffix-pair", "word", lambda ds: ds[:11] + ds[12:13] + ds[11:12] + ds[13:]),
+    ("last-digit", "word", lambda ds: ds[:12] + bytes([5]) + ds[13:]),
+    ("no-00", "word", lambda ds: ds[:8] + bytes([0]) + ds[9:]),
+    ("adjacency", "word", lambda ds: ds[:9] + bytes([1]) + ds[10:]),
 ]
 
 
@@ -392,23 +452,29 @@ LEMMA_FAULTS = [
 def test_lemma_rows_fail_under_planted_faults(monkeypatch, check_id, target, plant):
     original = getattr(verify, target)
 
-    def faulty(k, n, *method):
-        w = original(k, n, *method)
-        return Word(plant(w.digits)) if n == 4 and GenMethod.MORPHISM not in method else w
+    def faulty(*args):
+        out = original(*args)
+        if target == "word":
+            return Word(plant(out.digits))
+        out = list(out)
+        if out[0] == Word((0,)):  # a chain from 0, not a commutation chain
+            out[4] = Word(plant(out[4].digits))
+        return out
 
     monkeypatch.setattr(verify, target, faulty)
-    rows = [r for r in verify.verify_lemmas(3, 6).results
-            if r.check_id == check_id and r.subject.get("n", 4) == 4]
-    assert [r.verdict for r in rows] == [verify.FAIL]
+    rows = [r for r in verify.verify_lemmas(3, 6).results if r.check_id == check_id]
+    assert [r.verdict for r in rows if r.subject.get("n", 4) == 4] == [verify.FAIL]
+    assert all(r.verdict == verify.PASS for r in rows if r.subject.get("n", 4) < 4)
 
 
 def test_prefix_cap_fails_on_a_palindromic_prefix_over_the_cap(monkeypatch):
-    # W_3 for k = 3 replaced by 2 1: 1 W_3 starts with the palindrome
-    # 1 2 1, whose 2 is above the cap i + 1 = 1. The row reads it from the
-    # profile of W_3 alone, where the palindrome 2 is followed by 1.
+    # W_6 for k = 3 with its first two digits replaced by 2 1: 1 W_3 then
+    # starts with the palindrome 1 2 1, whose 2 is above the cap i + 1 = 1.
+    # The row reads it from the profile of W_6, where the palindromic
+    # prefix 2 is followed by 1; no palindromic prefix is followed by 2.
     original = verify.word
     monkeypatch.setattr(verify, "word",
-                        lambda k, n: Word((2, 1)) if n == k else original(k, n))
+                        lambda k, n: Word(bytes([2, 1]) + original(k, n).digits[2:]))
     rows = {r.subject["i"]: r.verdict for r in verify.verify_lemmas(3, 6).results
             if r.check_id == "palindromic-prefix-cap"}
     assert rows == {0: verify.FAIL, 1: verify.PASS}
@@ -467,9 +533,67 @@ def test_lemma_battery_applies_the_morphism_66_times(monkeypatch):
     assert verify.verify_lemmas(7, 16).ok
     assert calls["apply_morphism"] <= 66
     # The two commutation words and the 0 that starts method-agreement's
-    # chain; palindromic-prefix-cap reads the profiles of W_{k+i} and
-    # builds no word.
+    # chain; palindromic-prefix-cap reads the profile of W_16 and builds
+    # no word.
     assert calls["Word"] <= 3
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
+def test_lemma_battery_builds_one_word_and_one_profile(monkeypatch, k):
+    # Every W_n the battery reads is a prefix of W_{n_max}; below k no
+    # palindromic-prefix-cap row runs, and no profile is built.
+    words = _calls(monkeypatch, "word", verify)
+    builds = _calls(monkeypatch, "_planned_pass", palindromes)
+    scans = _calls(monkeypatch, "_whole_scan", palindromes)
+    n = verify.default_n_max(k)
+    assert verify.verify_lemmas(k, n).ok
+    assert words == [(k, n)]
+    assert [len(args[0]) for args in builds] == [kbonacci_number(k, n + k)]
+    assert [len(args[0]) for args in scans] == [kbonacci_number(k, 2 * k - 1)]
+    words.clear(), builds.clear(), scans.clear()
+    assert verify.verify_lemmas(k, k - 1).ok
+    assert words == [(k, k - 1)] and builds == scans == []
+
+
+def _law_verdicts(k: int, n_max: int) -> dict:
+    """Each per-n and per-i lemma law evaluated directly on its own word,
+    each W_n built alone, as the verdict its row should carry."""
+    out = {}
+    for n in range(1, n_max + 1):
+        ds = word(k, n).digits
+        pairs = list(zip(ds, ds[1:]))
+        out["suffix-pair", n] = (ds[-2], ds[-1]) == verify.suffix_pair(k, n)
+        out["last-digit", n] = max(ds) == n and ds.count(n) == 1 and ds[-1] == n
+        out["no-00", n] = (0, 0) not in pairs
+        out["adjacency", n] = all(a < b for a, b in pairs if b % k)
+        if 2 <= n <= k - 1:
+            out["prefix-palindrome", n] = ds[:-1] == ds[:-1][::-1]
+    for i in range(k - 1):
+        if k + i <= n_max:
+            # Every palindromic prefix of (i+1) W_{k+i}, ending in i+1.
+            ds = bytes([i + 1]) + word(k, k + i).digits
+            out["palindromic-prefix-cap", i] = all(
+                max(ds[:end]) <= i + 1 for end in range(1, len(ds) + 1)
+                if ds[end - 1] == i + 1 and ds[:end] == ds[:end][::-1])
+    return {key: verify.PASS if holds else verify.FAIL for key, holds in out.items()}
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8])
+def test_lemma_rows_equal_each_law_on_its_own_word(k):
+    for n_max in sorted({0, 1, k - 2, k - 1, k, verify.default_n_max(k)}):
+        rows = {(r.check_id, r.subject.get("n", r.subject.get("i"))): r.verdict
+                for r in verify.verify_lemmas(k, n_max).results
+                if r.verdict != verify.SKIPPED and r.subject.keys() & {"n", "i"}}
+        assert rows == _law_verdicts(k, n_max)
+
+
+@given(st.lists(st.integers(0, 127), min_size=1, max_size=80), st.integers(3, 8))
+@example([0, 1, 0, 2, 0, 1, 3], 3)
+@example([127, 1, 0, 127, 127], 3)
+def test_first_descent_against_a_scan(digits, k):
+    ds = bytes(digits)
+    expected = next((i for i in range(1, len(ds)) if ds[i] % k and ds[i - 1] >= ds[i]), len(ds))
+    assert verify._first_descent(ds, k) == expected
 
 
 def _guard_below_w26_k8(monkeypatch):

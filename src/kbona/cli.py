@@ -27,6 +27,7 @@ from .words import (
     LengthGuardError,
     Word,
     _pieces,
+    _plan_pieces,
     word,
 )
 
@@ -44,20 +45,25 @@ def _emit_json(k: int, subcommand: str, results: list[dict[str, Any]], out) -> N
 
 
 def _cmd_gen(args, out) -> int:
-    w = word(args.k, args.n, GenMethod(args.method))
-    k = args.k if args.mod_k else 0
+    sep = {"plain": "", "spaced": " ", "json": ", "}[args.format]
     # The text is written a piece at a time, so no rendering of the whole
-    # word is held; a plain refusal comes before the first piece.
+    # word is held, and every error comes before the first write. The
+    # recurrence renders from the block plan and never builds W_n; the
+    # morphism, the independent route, builds W_n and renders its digits.
+    if args.method == GenMethod.MORPHISM.value:
+        w = word(args.k, args.n, GenMethod.MORPHISM)
+        pieces = _pieces(w.digits, sep, args.k if args.mod_k else 0)
+    else:
+        pieces = _plan_pieces(args.k, args.n, sep, args.mod_k)
     if args.format == "json":
         # The envelope with an empty digits list, split where the digits go.
         head, tail = json.dumps(
             {"k": args.k, "subcommand": "gen",
              "results": [{"n": args.n, "mod_k": bool(args.mod_k), "digits": []}]},
             sort_keys=True).split("[]")
-        pieces = chain([head, "["], _pieces(w.digits, ", ", k), ["]", tail, "\n"])
+        pieces = chain([head, "["], pieces, ["]", tail, "\n"])
     else:
-        sep = "" if args.format == "plain" else " "
-        pieces = chain(_pieces(w.digits, sep, k), ["\n"])
+        pieces = chain(pieces, ["\n"])
     for piece in pieces:
         out.write(piece)
     return 0

@@ -28,13 +28,16 @@ and the peak is about |W_{m-1}| + |W_m| bytes. The blocks of each level
 come from one function, `_block_levels`, and `word` keeps them on the
 word as its block plan, from which `palindromes` builds the radius
 profile. Text is rendered by one renderer, `_pieces`, in pieces of
-`_PIECE` digits: `to_plain` and `to_spaced` join its pieces, and
-`kbona gen` writes each piece as it is made, so no rendering of a whole
-long word is ever held.
+`_PIECE` digits: `to_plain` and `to_spaced` join its pieces. `kbona gen`
+renders W_n from the block plan instead, by `_plan_pieces`: each leaf
+node s ⊕ W_m of at most `_PIECE` digits is rendered by `_pieces` once
+and written again by reference wherever the plan repeats it, so W_n is
+never built and no rendering of a whole long word is ever held.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 import os
@@ -227,6 +230,10 @@ class Word:
         return f"Word({self.to_spaced()!r})"
 
 
+def _plain_refusal() -> DomainError:
+    return DomainError("plain format is ambiguous for digits > 9; use spaced or json")
+
+
 def _pieces(ds: bytes | tuple[int, ...], sep: str, k: int = 0) -> Iterator[str]:
     """The decimal text of the digit store ds, digits separated by sep,
     in pieces of _PIECE digits; every piece but the last ends with sep,
@@ -240,9 +247,7 @@ def _pieces(ds: bytes | tuple[int, ...], sep: str, k: int = 0) -> Iterator[str]:
     if not sep:
         below = bytes(x for x in range(256) if x % k < 10) if k else _bytes_below(10)
         if type(ds) is not bytes or ds.translate(None, below):
-            raise DomainError(
-                "plain format is ambiguous for digits > 9; use spaced or json"
-            )
+            raise _plain_refusal()
     table = _mod_table(k) if k else None
     gap = sep.encode("ascii")
     for start in range(0, len(ds), _PIECE):
@@ -453,6 +458,51 @@ def word(k: int, n: int, method: GenMethod = GenMethod.RECURRENCE) -> Word:
     base = kbonacci_sizes(k)[min(n, k - 1)]
     object.__setattr__(w, "_plan", (base, _block_levels(k)[k - 1 : n]))
     return w
+
+
+def _plan_pieces(k: int, n: int, sep: str, mod_k: bool) -> Iterator[str]:
+    """The text of W_n, digits separated by sep and reduced mod k with
+    mod_k, as _pieces renders word(k, n).digits, but read from the block
+    plan so that W_n is never built. Checks the request and refuses the
+    plain format (the largest digit of W_n is n, or min(n, k - 1) after
+    reduction) when called, before the first piece.
+
+    A node (m, s) stands for s ⊕ W_m, with s taken mod k under mod_k: it
+    is node (m - 1, s) followed by each block (|W_i|, t) of level m as
+    node (i, s + t). A node of at most _PIECE digits is a leaf, rendered
+    by _pieces from the shifted prefix of W_L, the largest word of at
+    most _PIECE digits, the first time it is reached; every later use
+    yields the same text again."""
+    _check_request(k, n)
+    if not sep and (min(n, k - 1) if mod_k else n) > 9:
+        raise _plain_refusal()
+    return _plan_walk(k, n, sep, k if mod_k else 0)
+
+
+def _plan_walk(k: int, n: int, sep: str, mod: int) -> Iterator[str]:
+    sizes = kbonacci_sizes(k)
+    levels = _block_levels(k)
+    level_of = {size: i for i, size in enumerate(sizes)}
+    leaf = bisect.bisect_right(sizes, _PIECE) - 1
+    small = _word_digits(k, min(n, leaf))
+    texts: dict[tuple[int, int], str] = {}
+    stack = [(n, 0)]
+    while stack:
+        m, s = stack.pop()
+        if m > leaf:
+            # Pushed in reverse, the children come off in text order.
+            stack.extend(
+                (level_of[size], (s + t) % mod if mod else s + t)
+                for size, t in reversed(levels[m - 1])
+            )
+            stack.append((m - 1, s))
+            continue
+        text = texts.get((m, s))
+        if text is None:
+            ds = small[: sizes[m]]
+            text = texts[m, s] = "".join(_pieces(
+                ds.translate(_shift_table(s)) if s else ds, sep, mod)) + sep
+        yield text[: len(text) - len(sep)] if not stack else text
 
 
 def classical_word(k: int, n: int) -> Word:

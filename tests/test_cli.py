@@ -112,6 +112,58 @@ def test_gen_holds_the_word_once():
     assert peak <= 2.5 * kbonacci_number(3, 25)
 
 
+def test_gen_renders_from_the_plan_without_building_the_word():
+    # The recurrence reads W_25 from its block plan: only the leaf texts
+    # and W_17, the largest word inside one piece, are held, so the peak
+    # stays far below the 1.7 bytes per digit of building W_25.
+    class Discard:
+        def write(self, text):
+            return len(text)
+
+        def flush(self):
+            pass
+
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(Discard()):
+            code = main(["gen", "--k", "3", "--n", "25"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 0.5 * kbonacci_number(3, 28)
+
+
+@pytest.mark.parametrize("method", ["recurrence", "morphism"])
+@pytest.mark.parametrize("fmt", ["plain", "spaced", "json"])
+def test_gen_writes_nothing_before_an_error(run, method, fmt):
+    # Each case sets the guard, since the run fixture keeps what it sets.
+    refusals = [
+        ("100", "|W_12| = f_15 exceeds the length guard 100 (k=3)"),
+        ("abc", "KBONA_MAX_LEN must be an integer, got 'abc'"),
+    ]
+    if fmt == "plain":
+        refusals.append((str(words.DEFAULT_MAX_LEN),
+                         "plain format is ambiguous for digits > 9; use spaced or json"))
+    for guard, message in refusals:
+        code, out, err = run("gen", "--k", "3", "--n", "12", "--format", fmt,
+                             "--method", method, env={"KBONA_MAX_LEN": guard})
+        assert (code, out, err) == (2, "", f"error: {message}\n"), message
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_gen_methods_write_the_same_bytes(run, k):
+    # The recurrence renders from the block plan and the morphism from the
+    # digits of W_n: the two routes share only the leaf renderer.
+    for n in range(3 * k + 3):
+        for fmt in ("plain", "spaced", "json"):
+            for mod_k in ([], ["--mod-k"]):
+                argv = ["gen", "--k", str(k), "--n", str(n), "--format", fmt, *mod_k]
+                recurrence = run(*argv, "--method", "recurrence")
+                assert recurrence == run(*argv, "--method", "morphism"), argv
+                assert recurrence[0] == (2 if fmt == "plain" and not mod_k and n > 9 else 0)
+
+
 def test_gen_methods(run):
     for method in ("morphism", "recurrence"):
         code, out, _ = run("gen", "--k", "3", "--n", "5", "--method", method,

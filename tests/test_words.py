@@ -475,6 +475,30 @@ def test_renderings_match_str_join(top, data):
                     next(words._pieces(w.digits, "", k))
 
 
+@pytest.mark.parametrize("piece", [1, 5, 64])
+def test_plan_pieces_match_rendered_digits(piece):
+    # Pieces of 1, 5 and 64 digits put W_n inside one leaf for small n,
+    # and leaf edges and shifted leaves, mod k or not, past it. Words
+    # past 2^13 digits are left out, which still reaches n = k + 3 for
+    # every k. A refused plain format is refused before the first piece.
+    with mock.patch.object(words, "_PIECE", piece):
+        for k in range(2, 11):
+            for n in range(3 * k + 3):
+                if kbonacci_number(k, n + k) > 1 << 13:
+                    break
+                ds = word(k, n).digits
+                for sep in ("", " ", ", "):
+                    for mod_k in (False, True):
+                        try:
+                            expected = "".join(words._pieces(ds, sep, k if mod_k else 0))
+                        except DomainError:
+                            with pytest.raises(DomainError, match="plain format"):
+                                words._plan_pieces(k, n, sep, mod_k)
+                            continue
+                        got = "".join(words._plan_pieces(k, n, sep, mod_k))
+                        assert got == expected, (k, n, sep, mod_k)
+
+
 def test_generation_copies_each_digit_once_per_level():
     # Each level is one join of views of the level before it, so the peak
     # is about |W_19| + |W_20| + |W_13| (the shifted block): 1.51 bytes

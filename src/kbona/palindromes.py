@@ -3,35 +3,29 @@
 Everything here works over arbitrary nonnegative-integer digits.
 
 - `maximal_radii` gives the maximal palindrome length at each of the
-  2|w| - 1 centres. Manacher's scan (`_expand`) is the one scan that
-  compares digits: `_whole_scan` runs it over every centre of a word,
-  in linear time, over a byte or a tuple store alike. The profile
-  carries its longest length and its total, the sum of the lengths,
-  which the scan keeps as it writes: from the 1 at each digit and what
-  `_expand` adds to each length it rewrites. The profile is computed
+  2|w| - 1 centres. Manacher's scan, `_whole_scan`, runs over every
+  centre of a word in linear time, over a byte or a tuple store alike.
+  The profile carries its longest length and its total, the sum of the
+  lengths, which the scan keeps as it writes. The profile is computed
   once per word and kept on it (`Word._radii`) as a read-only view, at
   8 bytes per digit for as long as the word lives, so every caller
   shares one scan.
 - A generated word carries its block plan (`Word._plan`): each level
   appends to the word before it blocks that are prefixes of that word,
-  some shifted. `_planned_pass` scans only the base whole and builds
-  each level in place, in the one profile array, on four facts. A
-  one-to-one relabelling of digits keeps every palindrome, so a shifted
-  block whose source digits stay below 256 - shift has its source's
-  palindromes. A prefix's profile is the clamp: centre c of the prefix
-  of l digits holds min(m, 2l - 1 - c), m its length in the longer word,
-  so only the centres within the longest length of the block's end
-  differ from the source's. Only the centres at a block edge can
-  change: a palindrome that reaches neither edge of its block has
-  unequal digits either side, inside the block, so only the centres
-  whose palindrome reaches an edge, and the gap at each cut, are
-  expanded, by `_expand`. Totals add: a level's total is its blocks'
-  totals plus what `_expand` adds, and the profile keeps the total of
-  each prefix the build passes. Each block's digits are checked against
-  its source first, by `_checked_levels`, once per word (`_plan_levels`
-  keeps the result on it for `enumerate_maximal` and `distinct_factors`),
-  and a word whose digits fail any check is scanned whole, so the
-  profile is the whole scan's whatever the plan says.
+  some shifted. `_checked_levels` checks each block against its source
+  once per word (`_plan_levels` keeps the result on it), and a word
+  that fails a check takes the path of a word with no plan. One walker,
+  `_patched_levels`, serves the profile, maximal and distinct builds. A
+  one-to-one relabelling keeps every palindrome, so a block's centre
+  holds its source's palindrome unless that palindrome reaches an edge
+  of the source. Per level the walker yields the blocks and the patched
+  centres, those centres with the gap at each cut and the word's own
+  palindromic suffixes, each with its palindrome before and after it is
+  extended inside the level. `_planned_pass` scans only the base whole, copies
+  each block's profile and writes the patches, and a level's total is
+  its blocks' totals plus what the patches add. `_planned_maximal`
+  slices only the patched centres and the gaps, and `_planned_factors`
+  walks each patched palindrome down, reading no profile but the base's.
 - `count_occurrences` counts from the profile by arithmetic: a centre of
   maximal length m holds (m - min_len + 2) // 2 occurrences, and since
   the parity of m is fixed by the centre's, those terms add up to one
@@ -40,32 +34,24 @@ Everything here works over arbitrary nonnegative-integer digits.
   back to zero. `count_prefix_occurrences` counts a prefix the same way,
   from the total the plan build kept for it or from the clamped profile.
 - `enumerate_maximal` gives the distinct maximal palindromes, one per
-  centre. A generated word counts them per prefix from its block plan:
-  a block's centre holds its source centre's palindrome, shifted,
-  unless that palindrome reaches an edge of the source, so only those
-  centres and the gap at each cut are sliced from the digit store, and
-  the rest of the source's count is copied and shifted. Any other word
-  slices one at every centre.
+  centre: a generated word from its block plan, any other word by
+  slicing one at every centre.
 - `classify_crossing` buckets occurrences as contained / bordering /
   straddling relative to a block decomposition, given as a tuple of
   cut after-positions, per centre: an occurrence of length L at centre
   c crosses the cut after position p iff L >= |c - (2p - 1)| + 2. Only
   the centres within the profile's longest length - 2 of a cut can cross
-  one, so it reads only those cut windows: it takes their span count
-  out of the count from the total, which leaves the contained
-  occurrences of every other centre, and buckets them one at a time.
+  one, so it reads only those cut windows and buckets one at a time
+  only the centres that cross the cut nearest them; the count from the
+  total holds every other centre's occurrences as contained.
   `_classify_prefix` does this for any prefix of a word, from the
   clamped profile and the prefix's kept total, so the decomposition
   sweep classifies every W_n from one profile of W_{n_max}; the whole
   word and `count_prefix_occurrences` are its other callers.
 - `distinct_factors` keeps each distinct palindrome with its first end
-  in one dict, and builds it for a generated word from its block plan:
-  the base's centres walked from its whole scan, each shifted block's
-  copy of what its source holds, and the palindromes that cross a cut,
-  each a palindromic suffix or prefix of a block next to the cut
-  extended outward. No profile but the base's is read. A word with no
-  plan, or whose digits fail a block's check, walks its whole profile,
-  which costs the whole scan and a Python step per centre.
+  in one dict: a generated word from its block plan, any other word by
+  walking its whole profile, which costs the whole scan and a Python
+  step per centre.
 """
 
 from __future__ import annotations
@@ -73,12 +59,13 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_right
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import compress, count, repeat
-from operator import eq, floordiv, ge, sub
+from itertools import chain, compress, count, repeat
+from operator import floordiv, ge, sub
 from types import MappingProxyType
 
-from .words import DomainError, Word, _all_below, _shift_table
+from .words import _PIECE, DomainError, Word, _all_below, _shift_table
 
 
 @dataclass(frozen=True)
@@ -118,29 +105,24 @@ def is_palindrome(w: Word) -> bool:
     return w.digits == w.digits[::-1]
 
 
-def _expand(ds: bytes | tuple[int, ...], lengths: array, centres, tally: list[int]) -> None:
-    """Manacher's scan over the given centres of ds, in increasing order:
-    every centre of a word scanned whole (`_whole_scan`), or those at a
-    block edge of a planned level. Every other centre already holds its
-    maximal length in `lengths`, and a given one the length of a
-    palindrome at it. Folds into `tally`, [longest, total], the longest
-    length it expands to and what each length it rewrites adds to the
-    total.
+def _whole_scan(ds: bytes | tuple[int, ...], lengths: array) -> list[int]:
+    """Manacher's scan of every centre of ds into the first 2|ds| - 1
+    entries of `lengths`, and its [longest, total]; linear time.
 
-    (mid, right) is the scanned palindrome that reaches furthest right,
-    ending at digit `right`. A centre c inside it holds the palindrome of
-    length min(mirror, 2*right - c + 1), where mirror is the maximal
+    (mid, right) is the palindrome scanned so far that reaches furthest
+    right, ending at digit `right`. Centre c starts from the palindrome
+    that takes no comparison, 1 at a digit and 0 at a gap, or, inside
+    (mid, right), from min(mirror, 2*right - c + 1), where mirror is the
     length at 2*mid - c, which has c's parity: as long as the mirror's,
-    cut off at `right`. The expansion starts from there. When the
-    mirror's palindrome ends inside (mid, right), its first comparison
-    fails, and otherwise every comparison that succeeds moves `right` on,
-    so the scan stays linear.
+    cut off at `right`. When the mirror's palindrome ends inside
+    (mid, right), its first comparison fails, and otherwise every
+    comparison that succeeds moves `right` on, so the scan stays linear.
     """
     last = len(ds) - 1
     mid = right = -1
-    longest = grown = 0
-    for c in centres:
-        old = m = lengths[c]
+    longest = total = 0
+    for c in range(2 * last + 1):
+        m = 1 - c % 2
         if c <= 2 * right:
             m = min(lengths[2 * mid - c], 2 * right - c + 1)
         # The occurrence of length m at c spans digits a..b, 0-based.
@@ -150,26 +132,12 @@ def _expand(ds: bytes | tuple[int, ...], lengths: array, centres, tally: list[in
             a -= 1
             b += 1
         m = lengths[c] = b - a + 1
-        grown += m - old
+        total += m
         if m > longest:
             longest = m
         if b > right:
             mid, right = c, b
-    tally[0] = max(tally[0], longest)
-    tally[1] += grown
-
-
-def _whole_scan(ds: bytes | tuple[int, ...], lengths: array) -> list[int]:
-    """Manacher's scan of every centre of ds into the first 2|ds| - 1
-    entries of `lengths`, and its [longest, total]. Each entry is first
-    set to the palindrome at its centre that takes no comparison, 1 at a
-    digit and 0 at a gap."""
-    n = len(ds)
-    lengths[0 : 2 * n - 1 : 2] = array("i", (1,)) * n
-    lengths[1 : 2 * n - 1 : 2] = array("i", (0,)) * (n - 1)
-    tally = [0, n]
-    _expand(ds, lengths, range(2 * n - 1), tally)
-    return tally
+    return [longest, total]
 
 
 def maximal_radii(w: Word) -> RadiusProfile:
@@ -215,40 +183,27 @@ def _planned_pass(ds: bytes, base: int, levels: list[tuple], lengths: array) -> 
     """Write the profile of ds into `lengths` from its checked block
     plan and return its [longest, total] and its `totals`.
 
-    `_whole_scan` scans the base, the first `base` digits. Each level
-    appends to the word built so far the blocks of `levels`, and is
-    built in place on the facts in the module docstring:
-    each block's profile is copied from its source's, view to view, and
-    clamped at its palindromic suffixes (`_suffix_centres`). The centres
-    whose palindrome reaches a block edge, these and the palindromic
-    prefixes, and the gap at each cut are expanded by `_expand`, bounded
-    at the level's end. A level's total is its blocks' totals, kept per
-    prefix length, plus what `_expand` adds.
+    `_whole_scan` scans the base, the first `base` digits. Each level of
+    `_patched_levels` is built in place: each block's profile is copied
+    from its source's, view to view, and its patched centres written. A
+    level's total is its blocks' own totals, each its source's clamped
+    and kept per prefix length, plus what the patches add.
     """
     tally = _whole_scan(ds[:base], lengths)
     out = memoryview(lengths)
     totals = {base: tally[1]}
-    suffixes = {}
-    for size, blocks, end in levels:
-        longest = tally[0]
-        # The centres of the word's palindromic prefixes: each one starts
-        # every block at least as long as it.
-        prefixes = tuple(compress(count(), map(eq, out[: min(longest, 2 * size - 1)], count(1))))
-        # The word built so far: its palindromic suffixes may grow.
-        marks = set(_suffix_centres(out, size, longest, suffixes))
-        for start, length, _ in blocks:
-            first, e = 2 * start, 2 * length - 1
-            out[first : first + e] = out[:e]
-            for c in _suffix_centres(out, length, longest, suffixes):
-                out[first + c] = e - c
-                marks.add(first + c)
-            marks.update(first + c for c in prefixes if c < length)
-            marks.add(first - 1)
+    for _, blocks, end, patches in _patched_levels(ds, levels, tally[0]):
+        for start, length, _, _ in blocks:
+            e = 2 * length - 1
+            out[2 * start : 2 * start + e] = out[:e]
             total = totals.get(length)
             if total is None:
-                total = totals[length] = sum(out[first : first + e])
+                total = totals[length] = sum(map(min, out[:e], range(e, 0, -1)))
             tally[1] += total
-        _expand(memoryview(ds)[:end], lengths, sorted(marks), tally)
+        for c, held, m in patches:
+            out[c] = m
+            tally[1] += m - held
+        tally[0] = max(tally[0], *(m for _, _, m in patches))
         totals[end] = tally[1]
     return tally, totals
 
@@ -259,12 +214,13 @@ def _checked_levels(ds: bytes | tuple[int, ...], plan: tuple) -> list[tuple] | N
     blocks (start, length, shift), each the prefix of that length
     shifted by that much, up to digit `end`. Or None when ds does not
     follow the plan: a store that is not bytes, a block that is not a
-    prefix shifted one to one, below 256 - shift, as one `startswith`
+    prefix shifted one to one, below 256 - shift, as `startswith`
     finds, or a plan that ends short of ds or past it."""
     base, levels = plan
     if type(ds) is not bytes:
         return None
     view = memoryview(ds)
+    piece = _PIECE // 4  # a shifted block's check copies two pieces at most
     checked = []
     size = base
     for level in levels:
@@ -274,10 +230,12 @@ def _checked_levels(ds: bytes | tuple[int, ...], plan: tuple) -> list[tuple] | N
             if not 0 < length <= size:
                 return None
             if shift:
-                source = ds[:length]
-                if not (_all_below(source, 256 - shift)
-                        and ds.startswith(source.translate(_shift_table(shift)), start)):
-                    return None
+                table = _shift_table(shift)
+                for lo in range(0, length, piece):
+                    source = ds[lo : min(lo + piece, length)]
+                    if not (_all_below(source, 256 - shift)
+                            and ds.startswith(source.translate(table), start + lo)):
+                        return None
             elif not ds.startswith(view[:length], start):
                 return None
             blocks.append((start, length, shift))
@@ -287,19 +245,62 @@ def _checked_levels(ds: bytes | tuple[int, ...], plan: tuple) -> list[tuple] | N
     return checked if size == len(ds) else None
 
 
-def _suffix_centres(out: memoryview, length: int, longest: int, cache: dict) -> tuple[int, ...]:
-    """The centres of the palindromic suffixes of the prefix of `length`
-    digits, read from `out`, the profile of a word of which it is a
-    prefix and whose longest palindrome is `longest`: centre c of the
-    prefix holds at most e - c, e = 2 * length - 1, and a palindrome
-    that reaches its last digit holds at least that in the word. Only a
-    centre within `longest` of e can; cached by length."""
-    centres = cache.get(length)
-    if centres is None:
-        e = 2 * length - 1
-        lo = max(e - longest, 0)
-        centres = cache[length] = tuple(compress(count(lo), map(ge, out[lo:e], range(e - lo, 0, -1))))
-    return centres
+def _patched_levels(ds: bytes, levels: list[tuple], longest: int) -> Iterator[tuple]:
+    """The levels of ds's checked block plan, each as (size, blocks, end,
+    patches), from the digits alone, given `longest`, the length of the
+    base's longest palindrome. Each block is (start, length, shift,
+    edges), its patched centres counted from its start.
+
+    A level appends to the word U of its first `size` digits the blocks,
+    each a prefix of U relabelled one to one. A block's centre holds its
+    source's palindrome unless that palindrome reaches an edge of the
+    source, so the patched centres, whose palindrome may differ from the
+    copy, are the palindromic prefixes of U and each source's palindromic
+    suffixes, in each block, U's own palindromic suffixes and the gap at
+    each cut. `patches` holds each as (centre, before, after): the length
+    of its palindrome before and after it is extended by digit compares
+    inside the level. A palindromic prefix or suffix is found by a slice
+    compare per length, up to that of the longest palindrome so far, and
+    the suffixes of a level's word are the patched palindromes that end
+    at its end.
+    """
+    suffixes = {}
+
+    def suffix_lengths(length):
+        found = suffixes.get(length)
+        if found is None:
+            found = suffixes[length] = [
+                m for m in range(1, min(length, longest) + 1)
+                if (p := ds[length - m : length]) == p[::-1]]
+        return found
+
+    prefixes, searched = [], 0
+    for size, blocks, end in levels:
+        bound = min(size, longest)
+        prefixes += [m for m in range(searched + 1, bound + 1) if (p := ds[:m]) == p[::-1]]
+        searched = bound
+        held = [(2 * size - 1 - m, m) for m in suffix_lengths(size)]
+        edged = []
+        for start, length, shift in blocks:
+            first, e = 2 * start, 2 * length - 1
+            # A whole block that is a palindrome is a suffix, not a prefix.
+            edges = [m - 1 for m in prefixes if m < length]
+            edges += [e - m for m in suffix_lengths(length)]
+            edged.append((start, length, shift, edges))
+            held.append((first - 1, 0))
+            held += [(first + c, min(c + 1, e - c)) for c in edges]
+        patches = []
+        for c, m in held:
+            # The palindrome of length m at c spans digits a..b, 0-based.
+            a = (c - m + 1) // 2
+            b = a + m - 1
+            while a > 0 and b < end - 1 and ds[a - 1] == ds[b + 1]:
+                a -= 1
+                b += 1
+            patches.append((c, m, b - a + 1))
+        longest = max(longest, *(m for _, _, m in patches))
+        suffixes[end] = [m for c, _, m in patches if c + m == 2 * end - 1]
+        yield size, edged, end, patches
 
 
 def _span_count(ms: memoryview | array | list[int], first: int, min_len: int, total: int) -> int:
@@ -375,20 +376,15 @@ def _planned_maximal(ds: bytes, base: int, levels: list[tuple], profile: RadiusP
 
     `held[l]` counts the palindromes at the centres of the prefix of l
     digits, each maximal in ds, so it may reach past the prefix. A level
-    adds to the count of the word before it each block's centres and the
-    gap at its cut. A block of `length` digits shifted by s relabels its
-    source prefix one to one, so its centre c holds the source's
-    palindrome at c shifted by s, unless that palindrome reaches an edge
-    of the source: inside it, its next digits out are unequal, and they
-    are in the block too. Those centres are the word's palindromic
-    prefixes, c with m = c + 1, and the source's palindromic suffixes in
-    the final profile (`_suffix_centres`). They are sliced from the block,
-    and their source palindromes taken out of the copied count before the
-    shift. A prefix that is no level end, such as one inside the base, is
-    counted from the longest held prefix below it, slicing the centres
-    between.
+    of `_patched_levels` adds to the count of the word before it each
+    block's centres and the gap at its cut. A block's centre holds its
+    source's palindrome, shifted, unless it is one of the block's edges:
+    those are sliced from the block, and their source palindromes taken
+    out of the copied count before the shift. A prefix that is no level
+    end, such as one inside the base, is counted from the longest held
+    prefix below it, slicing the centres between.
     """
-    lengths, longest = profile.lengths, profile.longest
+    lengths = profile.lengths
 
     def factor(c):
         m = lengths[c]
@@ -403,14 +399,11 @@ def _planned_maximal(ds: bytes, base: int, levels: list[tuple], profile: RadiusP
         return found
 
     held = {0: Counter()}
-    prefixes = tuple(compress(count(), map(eq, lengths[:longest], count(1))))
-    suffixes = {}
-    for size, blocks, end in levels:
+    base_longest = max(lengths[: 2 * base - 1], default=0)
+    for size, blocks, end, _ in _patched_levels(ds, levels, base_longest):
         level = held_at(size).copy()
-        for start, length, shift in blocks:
-            first, e = 2 * start, 2 * length - 1
-            edges = {c for c in prefixes if c < e}
-            edges.update(_suffix_centres(lengths, length, longest, suffixes))
+        for start, length, shift, edges in blocks:
+            first = 2 * start
             copied = held_at(length) - Counter(map(factor, edges))
             if shift:
                 table = _shift_table(shift)
@@ -438,27 +431,28 @@ def distinct_factors(w: Word, min_len: int) -> set[Word]:
     levels = _plan_levels(w)
     if levels is None:
         found = {}
-        _add_centred(ds, maximal_radii(w).lengths, found)
+        lengths = maximal_radii(w).lengths
+        _add_centred(ds, compress(enumerate(lengths), lengths), found)
     else:
         found = _planned_factors(ds, w._plan[0], levels)
     return {Word._unchecked(p) for p in found if len(p) >= min_len}
 
 
-def _add_centred(ds: bytes | tuple[int, ...], lengths: memoryview | array, found: dict) -> None:
+def _add_centred(ds: bytes | tuple[int, ...], spans: Iterable[tuple[int, int]],
+                 found: dict) -> None:
     """Add to `found` the palindromes, slices of ds, centred at each
-    centre of `lengths`, the profile of ds, each with its first end, the
-    0-based index of the last digit of its first occurrence: the maximal
-    one of length m at c, then m - 2, ..., down to the first one `found`
-    holds. The centres go in increasing order, and a palindrome's first
-    end is its first centre's, so each end is the first. `found` holds
-    every centred factor of each palindrome it holds, so the walk down
-    may stop there."""
-    for c, m in compress(enumerate(lengths), lengths):
+    centre c of the pairs (c, m) in `spans`, each with its first end, the
+    0-based index of the last digit of its first occurrence: the one of
+    length m at c, then m - 2, ..., down to the first one `found` holds
+    with an end no later. `found` holds every centred factor of each
+    palindrome it holds, each with an end no later, so the walk down may
+    stop there."""
+    for c, m in spans:
         a = (c - m + 1) // 2
         b = a + m - 1
         while a <= b:
             p = ds[a : b + 1]
-            if p in found:
+            if found.get(p, b + 1) <= b:
                 break
             found[p] = b
             a += 1
@@ -470,50 +464,28 @@ def _planned_factors(ds: bytes, base: int, levels: list[tuple]) -> dict:
     checked block plan.
 
     The base's centres are walked by `_add_centred`, from `_whole_scan`
-    of the base alone. Each level appends to the word built so far the
-    blocks of `levels`. An unshifted block is a prefix of that word and
-    adds nothing. A block of `length` digits at `start`
-    shifted by s relabels its source one to one, so it holds p shifted
-    by s, first ending at start + e, for every (p, e) with e < length;
-    where `found` already holds it, the smaller end stays. Every other
-    palindrome of the level crosses a cut between two blocks, the word
-    built so far being the first: centred in a block, nearer its right
-    edge or on the cut, it is a palindromic suffix of the block to the
-    cut's left, the empty one included, extended outward; nearer its
-    left edge, a palindromic prefix of the block to its right. Neither
-    is longer than its block or the longest palindrome so far. Each is
-    extended by digit compares inside the level, and every extension
-    holds both digits at the cut.
+    of the base alone. Per level of `_patched_levels`, an unshifted
+    block is a prefix of the word before it and adds nothing; a block of
+    `length` digits at `start` shifted by s relabels its source one to
+    one, so it holds p shifted by s, first ending at start + e, for
+    every (p, e) with e < length, and where `found` already holds it,
+    the smaller end stays. Every other palindrome of the level crosses a
+    cut, so it lies centred in a patched centre's palindrome, which
+    `_add_centred` walks down.
     """
     head = ds[:base]
     lengths = array("i", (0,)) * max(2 * len(head) - 1, 0)
     longest = _whole_scan(head, lengths)[0]
     found = {}
-    _add_centred(head, lengths, found)
-    for _, blocks, end in levels:
-        for start, length, shift in blocks:
+    _add_centred(head, compress(enumerate(lengths), lengths), found)
+    for _, blocks, _, patches in _patched_levels(ds, levels, longest):
+        for start, length, shift, _ in blocks:
             if shift:
                 table = _shift_table(shift)
                 copies = [(p.translate(table), e + start) for p, e in found.items() if e < length]
                 for p, e in copies:
                     found[p] = min(found.get(p, e), e)
-        edges = (0, *(start for start, _, _ in blocks), end)
-        for left, cut, right in zip(edges, edges[1:], edges[2:]):
-            # Only a palindrome whose next digits out are equal extends.
-            spans = [(cut - m, cut - 1) for m in range(min(cut - left, longest) + 1)
-                     if m < cut and ds[cut - m - 1] == ds[cut]]
-            spans += [(cut, cut + m - 1) for m in range(1, min(right - cut, longest) + 1)
-                      if cut + m < end and ds[cut + m] == ds[cut - 1]]
-            for a, b in spans:
-                p = ds[a : b + 1]
-                if p != p[::-1]:
-                    continue
-                while a > 0 and b < end - 1 and ds[a - 1] == ds[b + 1]:
-                    a -= 1
-                    b += 1
-                    p = ds[a : b + 1]
-                    found[p] = min(found.get(p, b), b)
-                longest = max(longest, b - a + 1)
+        _add_centred(ds, ((c, m) for c, _, m in patches), found)
     return found
 
 
@@ -571,12 +543,13 @@ def _classify_prefix(profile: RadiusProfile, size: int, cuts: tuple[int, ...],
     `RadiusProfile.totals` (or summed when it is not kept) less the
     tail's, plus the tail's. The cut after position p is centre
     g = 2p - 1, and an occurrence of length L at centre c crosses it iff
-    L >= |c - g| + 2. So a centre further than reach = longest - 2 from
-    every cut holds only contained occurrences. The centres in the merged
-    windows [g - reach, g + reach] are taken out of the count, each
-    window by one span count of its lengths, clamped where it reaches
-    the tail, and bucketed one at a time by `_bucket`, so only the
-    windows and the tail are read.
+    L >= |c - g| + 2, so a centre crosses a cut iff its length, clamped
+    where it reaches the tail, crosses the cut centre nearest it. Only
+    the centres within reach = longest - 2 of a cut can, so only the
+    window of each cut centre g is read: the centres within reach of g
+    and nearer it than any other cut centre. A centre there that crosses
+    g is taken out of the count and bucketed by `_bucket`; every other
+    centre holds only contained occurrences, which stay in the count.
     """
     lengths = profile.lengths
     e = max(2 * size - 1, 0)
@@ -589,16 +562,23 @@ def _classify_prefix(profile: RadiusProfile, size: int, cuts: tuple[int, ...],
                    + _span_count(tail, head, min_len, tail_total))
     counts = CrossingCounts(contained=occurrences, occurrences=occurrences)
     reach = max(profile.longest - 2, 0)
-    done = 0
-    for p in cuts:
-        lo = max(2 * p - 1 - reach, done)
-        done = min(2 * p + reach, e)
-        window = lengths[lo:done]
-        if done > head:
-            window = list(map(min, window, range(e - lo, e - done, -1)))
-        counts.contained -= _span_count(window, lo, min_len, sum(window))
-        for c in compress(count(lo), map(ge, window, repeat(min_len))):
-            _bucket(counts, cuts, c, window[c - lo], min_len)
+    gs = [2 * p - 1 for p in cuts]
+    lo = 0
+    for g, after in zip(gs, gs[1:] + [2 * e]):
+        # The centres within reach of g and no nearer the next cut centre.
+        lo = max(g - reach, lo)
+        hi = min(g + reach + 1, (g + after) // 2 + 1, e)
+        window = lengths[lo:hi]
+        if hi > head:
+            window = list(map(min, window, range(e - lo, e - hi, -1)))
+        # |c - g| + 2 at each c in the window.
+        least = chain(range(g - lo + 2, 2, -1), range(2, hi - g + 2))
+        for c in compress(count(lo), map(ge, window, least)):
+            m = window[c - lo]
+            if m >= min_len:
+                counts.contained -= (m - min_len) // 2 + 1
+                _bucket(counts, cuts, c, m, min_len)
+        lo = hi
     return counts
 
 

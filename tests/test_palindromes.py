@@ -379,6 +379,21 @@ def test_distinct_plan_build_memory():
     assert peak < 0.1 * len(w)
 
 
+def test_distinct_plan_build_checks_shifted_blocks_in_pieces():
+    # W_22 (k=3), 755,476 digits, whose last block is W_19 shifted by 3,
+    # 121,415 digits: its check holds two copies of one piece of 16,384
+    # digits at most, about 0.05 bytes per digit, where two copies of
+    # the source would take 0.32.
+    w = word(3, 22)
+    tracemalloc.start()
+    try:
+        distinct_factors(w, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * len(w)
+
+
 def test_maximal_plan_build_equals_comprehension(monkeypatch):
     # Every W_n of up to 2^16 digits for k = 3..8, counted from its plan,
     # against one slice per centre of a copy with no plan.

@@ -163,6 +163,20 @@ def test_every_crossing_count_goes_through_one_classifier(monkeypatch):
     assert bucket_calls == ["palindromes.py"]
 
 
+@pytest.mark.parametrize("k, crossing", [(3, 6), (4, 10), (5, 15), (6, 21), (7, 22)])
+def test_decomposition_sweep_buckets_only_crossing_centres(monkeypatch, k, crossing):
+    # Of the centres within reach of a cut, only those whose clamped
+    # length crosses the cut centre nearest them are bucketed one at a
+    # time; every other one holds only contained occurrences. The sweep
+    # bucketed 75, 282, 772, 1,756 and 2,541 centres for k = 3..7 when
+    # every centre within reach was bucketed.
+    calls = _calls(monkeypatch, "_bucket", palindromes)
+    assert verify._decomposition_sweep(k, verify.default_n_max(k)).ok
+    assert len(calls) == crossing
+    for _, cuts, c, m, _ in calls:
+        assert any(m >= abs(c - (2 * p - 1)) + 2 for p in cuts)
+
+
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
 def test_decomposition_cuts_are_running_sums_of_block_lengths(k):
     for n in range(k, 13):

@@ -19,7 +19,7 @@ from typing import Any
 
 from . import counting, structure, verify
 from .counting import FormulaMode
-from .palindromes import count_occurrences
+from .palindromes import count_occurrences, count_prefix_occurrences
 from .words import (
     DigitOverflowError,
     DomainError,
@@ -28,6 +28,7 @@ from .words import (
     Word,
     _pieces,
     _plan_pieces,
+    kbonacci_sizes,
     word,
 )
 
@@ -71,15 +72,19 @@ def _cmd_gen(args, out) -> int:
 
 def _cmd_count(args, out) -> int:
     mode = FormulaMode(args.mode)
-    rows = []
+    rows: list[dict[str, Any]] = [
+        {"n": n, "p": p} for n, p in enumerate(counting.p_series(args.k, args.n_max, mode))]
     mismatch = False
-    for n, p in enumerate(counting.p_series(args.k, args.n_max, mode)):
-        row: dict[str, Any] = {"n": n, "p": p}
-        if args.oracle:
-            row["oracle"] = count_occurrences(word(args.k, n), 2)
-            if row["oracle"] != row["p"]:
-                mismatch = True
-        rows.append(row)
+    if args.oracle:
+        # Every W_n is the prefix of |W_n| digits of W_{n_max}, counted from
+        # its one profile; W_{n_max} itself is counted whole.
+        w = word(args.k, args.n_max)
+        sizes = kbonacci_sizes(args.k)[: args.n_max]
+        oracles = [count_prefix_occurrences(w, size) for size in sizes]
+        oracles.append(count_occurrences(w, 2))
+        for row, oracle in zip(rows, oracles):
+            row["oracle"] = oracle
+            mismatch |= oracle != row["p"]
     if args.format == "json":
         _emit_json(args.k, "count", rows, out)
     else:

@@ -4,35 +4,37 @@ Everything here works over arbitrary nonnegative-integer digits.
 
 - `maximal_radii` gives the maximal palindrome length at each of the
   2|w| - 1 centres. Manacher's scan, `_whole_scan`, runs over every
-  centre of a word in linear time, over a byte or a tuple store alike.
-  The profile carries its longest length and its total, the sum of the
-  lengths, which the scan keeps as it writes. The profile is computed
-  once per word and kept on it (`Word._radii`) as a read-only view, at
-  8 bytes per digit for as long as the word lives, so every caller
-  shares one scan.
+  centre of the word's base in linear time, over a byte or a tuple store
+  alike. The profile carries its longest length and its total, the sum
+  of the lengths, kept as it is built. It is computed once per word and
+  kept on it (`Word._radii`), read-only, so every caller shares one
+  build.
 - A generated word carries its block plan (`Word._plan`): each level
   appends to the word before it blocks that are prefixes of that word,
   some shifted. `_checked_levels` checks each block against its source
   once per word (`_plan_levels` keeps the result on it), and a word
-  that fails a check takes the path of a word with no plan. One walker,
-  `_patched_levels`, serves the profile, maximal and distinct builds. A
-  one-to-one relabelling keeps every palindrome, so a block's centre
-  holds its source's palindrome unless that palindrome reaches an edge
-  of the source. Per level the walker yields the blocks and the patched
-  centres, those centres with the gap at each cut and the word's own
-  palindromic suffixes, each with its palindrome before and after it is
-  extended inside the level. `_planned_pass` scans only the base whole, copies
-  each block's profile and writes the patches, and a level's total is
-  its blocks' totals plus what the patches add. `_planned_maximal`
-  slices only the patched centres and the gaps, and `_planned_factors`
-  walks each patched palindrome down, reading no profile but the base's.
+  that fails a check takes the path of a word with no plan, whose base
+  is the whole word. A one-to-one relabelling keeps every palindrome,
+  so a block's centre holds its source's palindrome unless that
+  palindrome reaches an edge of the source. One walker,
+  `_patched_levels`, runs once per word: per level it yields the blocks
+  and the patched centres, those centres with the gap at each cut and
+  the word's own palindromic suffixes, each with its palindrome before
+  and after it is extended inside the level. The profile's lengths, a
+  `ResolvedLengths`, keep the base's scan, the walker's levels and the
+  latest length of each patched centre, and no entry per centre: a
+  centre resolves to its patch, to the base, or to its source centre,
+  and a slice block by block by C-level copies. A level's total is its
+  blocks' totals plus what the patches add. `_planned_maximal` slices
+  only the patched centres and the gaps, and `_planned_factors` walks
+  each patched palindrome down, both from the levels the profile keeps.
 - `count_occurrences` counts from the profile by arithmetic: a centre of
   maximal length m holds (m - min_len + 2) // 2 occurrences, and since
   the parity of m is fixed by the centre's, those terms add up to one
   sum over the lengths (`_span_count`), which is the profile's total;
   only a min_len above 2 reads the lengths, to put the negative terms
   back to zero. `count_prefix_occurrences` counts a prefix the same way,
-  from the total the plan build kept for it or from the clamped profile.
+  from the total the profile kept for it or from the clamped profile.
 - `enumerate_maximal` gives the distinct maximal palindromes, one per
   centre: a generated word from its block plan, any other word by
   slicing one at every centre.
@@ -57,11 +59,11 @@ Everything here works over arbitrary nonnegative-integer digits.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import chain, compress, count, repeat
+from itertools import chain, compress, count, islice, repeat
 from operator import floordiv, ge, sub
 from types import MappingProxyType
 
@@ -74,31 +76,126 @@ class RadiusProfile:
 
     Center index c (0-based) is the digit at position c/2 when c is even
     and the gap between positions (c-1)/2 and (c+1)/2 when c is odd, both
-    in 0-based digit coordinates. `lengths` is a read-only `memoryview`
-    of the scan's own 4-byte `array("i")`, which a length overflows only
-    past 2^31 digits. `longest` is its maximum and `total` its sum (both
-    0 for the empty word), which the scan keeps as it writes, so no
-    caller needs a pass over the lengths for either. A generated word's
-    profile is built from its block plan, any other word's by
-    Manacher's scan over every centre; both give the same lengths,
-    longest and total.
+    in 0-based digit coordinates. `lengths` is a `ResolvedLengths`, which
+    holds an entry for each centre of the word's base alone and resolves
+    every other centre through the word's block plan. `longest` is its
+    maximum and `total` its sum (both 0 for the empty word), kept as the
+    profile is built, so no caller needs a pass over the lengths for
+    either.
 
     `totals` maps a prefix length l to the total of the prefix's own
     profile, the word's clamped, centre c < 2l - 1 holding
-    min(m, 2l - 1 - c): for every prefix a plan build passes (the base,
-    each block's source and each level's end, so every W_i with i <= n
-    of a generated W_n with n >= k), and for the whole word alone when
-    it was scanned whole. It is read-only, like the lengths.
+    min(m, 2l - 1 - c): for the base and every prefix that a level
+    passes (each block's source and each level's end, so every W_i with
+    i <= n of a generated W_n with n >= k). It is read-only, like the
+    lengths.
 
     `maximal_radii` computes the profile once per word and keeps it on
-    the word, at 8 bytes per digit for as long as the word lives; the
-    view is read-only because every caller shares it.
+    the word; it is read-only because every caller shares it.
     """
 
-    lengths: memoryview
+    lengths: ResolvedLengths
     longest: int
     total: int
     totals: MappingProxyType
+
+
+class ResolvedLengths(Sequence):
+    """The maximal palindrome lengths of a word's centres, resolved
+    through its checked block plan, read-only.
+
+    It holds `_base`, the whole scan of the base's centres (for a word
+    with no plan, or one whose digits fail a check, the base is the whole
+    word), `_levels`, the levels of `_patched_levels`, and `_patched`,
+    each patched centre with its length after the last level that
+    patched it. Every centre past the base is the gap before a block,
+    which is patched, or a centre of a block, which holds its source's
+    palindrome unless it is patched. So centre c resolves to its patched
+    length, else its base length, else to centre c - 2 start of the block
+    at `start` that holds it, a centre of a shorter prefix: one step per
+    level at most.
+
+    A slice resolves a run of centres region by region (the base, or a
+    block with the gap before it): the base's run is copied from `_base`,
+    a block's run from the run of its source, and the patches in the run
+    are written over it. A source run is copied from the slice itself
+    when the slice holds it already, as it does for every whole block of
+    a slice from 0, from `_base` when no patch lies below its end, and is
+    resolved into place the same way otherwise. A slice of r centres is
+    one `array("i")` of r entries, built by C-level copies and a Python
+    step per region and per patch it meets. Iteration reads the word in
+    slices of `_PIECE` centres, so a full read holds one piece at a time.
+    """
+
+    __slots__ = ("_base", "_levels", "_patched", "_firsts", "_keys", "_plain", "_centres",
+                 "__weakref__")
+
+    def __init__(self, base: array, levels: list[tuple], patched: dict, centres: int):
+        self._base = base
+        self._levels = levels
+        self._patched = patched
+        # The gap before each block, whose centres follow it, and the
+        # patched centres, each list closed by the word's end.
+        self._firsts = [2 * start - 1 for _, blocks, _, _ in levels for start, *_ in blocks]
+        self._firsts.append(centres)
+        self._keys = sorted(patched) + [centres]
+        # The centres below this are in the base and below every patch.
+        self._plain = min(len(base), self._keys[0])
+        self._centres = centres
+
+    def __len__(self) -> int:
+        return self._centres
+
+    def __iter__(self) -> Iterator[int]:
+        return chain.from_iterable(
+            self[lo : lo + _PIECE] for lo in range(0, self._centres, _PIECE))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            run = range(self._centres)[index]
+            if not run:
+                return array("i")
+            lo, hi = min(run[0], run[-1]), max(run[0], run[-1]) + 1
+            out = array("i", (0,)) * (hi - lo)
+            self._resolve(out, 0, lo, hi)
+            return out if run.step == 1 else out[run.start - lo :: run.step]
+        c = range(self._centres)[index]
+        firsts = self._firsts
+        while (m := self._patched.get(c)) is None:
+            if c < len(self._base):
+                return self._base[c]
+            c -= firsts[bisect_right(firsts, c) - 1] + 1
+        return m
+
+    def _resolve(self, out: array, at: int, lo: int, hi: int) -> None:
+        """Write the lengths of the centres lo..hi-1 into out[at:], one
+        region (the base, or a block with the gap before it) at a time,
+        each region's patches written before the next region reads it."""
+        base, firsts, keys, patched = self._base, self._firsts, self._keys, self._patched
+        i = bisect_right(firsts, lo) - 1  # -1: lo is in the base
+        j = bisect_left(keys, lo)
+        c = lo
+        while c < hi:
+            if i < 0:
+                end = min(hi, len(base))
+                out[at + c - lo : at + end - lo] = base[c:end]
+            else:
+                first = firsts[i]
+                end = min(hi, firsts[i + 1])
+                # The block's n centres from a on map to its source's from src.
+                a = max(c, first + 1)
+                src, n, dst = a - first - 1, end - a, at + a - lo
+                if src >= lo:  # out holds the source's run already
+                    out[dst : dst + n] = out[at + src - lo : at + src - lo + n]
+                elif src + n <= self._plain:
+                    out[dst : dst + n] = base[src : src + n]
+                else:
+                    self._resolve(out, dst, src, src + n)
+            while keys[j] < end:
+                out[at + keys[j] - lo] = patched[keys[j]]
+                j += 1
+            c = end
+            i += 1
 
 
 def is_palindrome(w: Word) -> bool:
@@ -141,27 +238,42 @@ def _whole_scan(ds: bytes | tuple[int, ...], lengths: array) -> list[int]:
 
 
 def maximal_radii(w: Word) -> RadiusProfile:
-    """Maximal palindrome length at every centre; linear time,
-    digit-equality only (alphabet unbounded).
+    """Maximal palindrome length at every centre; linear time in the
+    base, digit-equality only (alphabet unbounded).
 
-    A word that carries a block plan (`Word._plan`) is built level by
-    level from it by `_planned_pass`; any other word, and one whose
-    digits fail the plan's checks, is scanned whole by `_whole_scan`,
-    Manacher's scan over every centre. Both give the same profile. The
-    profile is kept on the word, and a later call returns it.
+    `_whole_scan`, Manacher's scan over every centre, scans the base:
+    W_{k-1} of a word that carries a block plan (`Word._plan`), and the
+    whole of any other word or of one whose digits fail the plan's
+    checks. The walker, `_patched_levels`, runs once over the plan's
+    levels; the profile keeps its levels and the latest length of each
+    patched centre, and resolves every other centre through them. A
+    level's total is its blocks' totals, each its source's clamped and
+    kept per prefix length, plus what the patches add. The profile is
+    kept on the word, and a later call returns it.
     """
     profile = getattr(w, "_radii", None)
     if profile is not None:
         return profile
     ds = w.digits
-    lengths = array("i", (0,)) * max(2 * len(ds) - 1, 0)
     levels = _plan_levels(w)
-    if levels is None:
-        tally = _whole_scan(ds, lengths)
-        totals = {len(ds): tally[1]}
-    else:
-        tally, totals = _planned_pass(ds, w._plan[0], levels, lengths)
-    profile = RadiusProfile(memoryview(lengths).toreadonly(), *tally, MappingProxyType(totals))
+    size = len(ds) if levels is None else w._plan[0]
+    base = array("i", (0,)) * max(2 * size - 1, 0)
+    longest, total = _whole_scan(ds[:size], base)
+    walked = [] if levels is None else list(_patched_levels(ds, levels, longest))
+    # A later level's patch of a centre replaces an earlier one's.
+    patched = {c: m for *_, patches in walked for c, _, m in patches}
+    lengths = ResolvedLengths(base, walked, patched, max(2 * len(ds) - 1, 0))
+    totals = {size: total}
+    for _, blocks, end, patches in walked:
+        for _, length, _, _ in blocks:
+            if length not in totals:
+                e = 2 * length - 1
+                totals[length] = sum(map(min, lengths[:e], range(e, 0, -1)))
+            total += totals[length]
+        total += sum(m - held for _, held, m in patches)
+        longest = max(longest, *(m for _, _, m in patches))
+        totals[end] = total
+    profile = RadiusProfile(lengths, longest, total, MappingProxyType(totals))
     object.__setattr__(w, "_radii", profile)
     return profile
 
@@ -177,35 +289,6 @@ def _plan_levels(w: Word) -> list[tuple] | None:
         levels = None if plan is None else _checked_levels(w.digits, plan)
         object.__setattr__(w, "_levels", levels)
         return levels
-
-
-def _planned_pass(ds: bytes, base: int, levels: list[tuple], lengths: array) -> tuple:
-    """Write the profile of ds into `lengths` from its checked block
-    plan and return its [longest, total] and its `totals`.
-
-    `_whole_scan` scans the base, the first `base` digits. Each level of
-    `_patched_levels` is built in place: each block's profile is copied
-    from its source's, view to view, and its patched centres written. A
-    level's total is its blocks' own totals, each its source's clamped
-    and kept per prefix length, plus what the patches add.
-    """
-    tally = _whole_scan(ds[:base], lengths)
-    out = memoryview(lengths)
-    totals = {base: tally[1]}
-    for _, blocks, end, patches in _patched_levels(ds, levels, tally[0]):
-        for start, length, _, _ in blocks:
-            e = 2 * length - 1
-            out[2 * start : 2 * start + e] = out[:e]
-            total = totals.get(length)
-            if total is None:
-                total = totals[length] = sum(map(min, out[:e], range(e, 0, -1)))
-            tally[1] += total
-        for c, held, m in patches:
-            out[c] = m
-            tally[1] += m - held
-        tally[0] = max(tally[0], *(m for _, _, m in patches))
-        totals[end] = tally[1]
-    return tally, totals
 
 
 def _checked_levels(ds: bytes | tuple[int, ...], plan: tuple) -> list[tuple] | None:
@@ -303,20 +386,19 @@ def _patched_levels(ds: bytes, levels: list[tuple], longest: int) -> Iterator[tu
         yield size, edged, end, patches
 
 
-def _span_count(ms: memoryview | array | list[int], first: int, min_len: int, total: int) -> int:
-    """Occurrences of length >= min_len at the centres first, first + 1,
-    ... whose maximal lengths are ms, of sum total. A centre of maximal
+def _span_count(first: int, end: int, min_len: int, total: int, ms: Iterable[int]) -> int:
+    """Occurrences of length >= min_len at the centres first..end-1,
+    whose maximal lengths are ms, of sum total. A centre of maximal
     length m holds the lengths m, m-2, ... >= min_len,
     (m - min_len + 2) // 2 of them. A digit (even c) has odd lengths and
     a gap (odd c) even ones, so m - min_len is odd exactly at the centres
-    c of min_len's parity, and the terms add up to one sum over ms. A
-    term below zero, at m < min_len - 2, is put back to zero by a pass
-    over ms, which only a min_len above 2 needs."""
+    c of min_len's parity, and the terms add up to one sum over the
+    centres. A term below zero, at m < min_len - 2, is put back to zero
+    by a pass over ms, which only a min_len above 2 reads."""
     low = min_len - 2
-    end = first + len(ms)
     # The c in [first, end) with c - min_len even.
     odd = (end - min_len + 1) // 2 - (first - min_len + 1) // 2
-    total = (total - len(ms) * low - odd) // 2
+    total = (total - (end - first) * low - odd) // 2
     if low > 0:
         total += sum(map(floordiv, map(sub, repeat(low + 1), filter(low.__gt__, ms)), repeat(2)))
     return total
@@ -332,15 +414,15 @@ def count_occurrences(w: Word, min_len: int) -> int:
     least min_len."""
     _require_min_len(min_len)
     profile = maximal_radii(w)
-    return _span_count(profile.lengths, 0, min_len, profile.total)
+    return _span_count(0, len(profile.lengths), min_len, profile.total, profile.lengths)
 
 
 def count_prefix_occurrences(w: Word, size: int) -> int:
     """Number of palindromic occurrences of length at least 2 in the
     prefix of w of `size` digits, from w's profile by `_classify_prefix`
     with no cuts: the prefix's own profile is w's clamped, and its total
-    is in `RadiusProfile.totals` for every prefix that the plan build
-    passes, or else summed from the clamp."""
+    is in `RadiusProfile.totals` for every prefix that a level of the
+    plan passes, or else summed from the clamp."""
     if not 0 <= size <= len(w):
         raise DomainError(f"prefix size must be in 0..{len(w)}, got {size}")
     return _classify_prefix(maximal_radii(w), size, (), 2).occurrences
@@ -357,22 +439,21 @@ def enumerate_maximal(w: Word, min_len: int) -> set[Word]:
     built."""
     _require_min_len(min_len)
     ds = w.digits
-    profile = maximal_radii(w)
-    levels = _plan_levels(w)
-    if levels is None:
+    lengths = maximal_radii(w).lengths
+    if _plan_levels(w) is None:
         slices = {
             ds[(c + 1 - m) // 2 : (c + 1 + m) // 2]
-            for c, m in enumerate(profile.lengths) if m >= min_len
+            for c, m in enumerate(lengths) if m >= min_len
         }
     else:
-        held = _planned_maximal(ds, w._plan[0], levels, profile)
-        slices = [p for p in held if len(p) >= min_len]
+        slices = [p for p in _planned_maximal(ds, lengths) if len(p) >= min_len]
     return set(map(Word._unchecked, slices))
 
 
-def _planned_maximal(ds: bytes, base: int, levels: list[tuple], profile: RadiusProfile) -> Counter:
-    """How many centres of ds, with profile `profile`, hold each maximal
-    palindrome, counted from the checked block plan.
+def _planned_maximal(ds: bytes, lengths: ResolvedLengths) -> Counter:
+    """How many centres of ds, whose profile's lengths are `lengths`,
+    hold each maximal palindrome, counted from the levels of the checked
+    block plan that the profile keeps.
 
     `held[l]` counts the palindromes at the centres of the prefix of l
     digits, each maximal in ds, so it may reach past the prefix. A level
@@ -384,7 +465,6 @@ def _planned_maximal(ds: bytes, base: int, levels: list[tuple], profile: RadiusP
     end, such as one inside the base, is counted from the longest held
     prefix below it, slicing the centres between.
     """
-    lengths = profile.lengths
 
     def factor(c):
         m = lengths[c]
@@ -399,8 +479,7 @@ def _planned_maximal(ds: bytes, base: int, levels: list[tuple], profile: RadiusP
         return found
 
     held = {0: Counter()}
-    base_longest = max(lengths[: 2 * base - 1], default=0)
-    for size, blocks, end, _ in _patched_levels(ds, levels, base_longest):
+    for size, blocks, end, _ in lengths._levels:
         level = held_at(size).copy()
         for start, length, shift, edges in blocks:
             first = 2 * start
@@ -418,23 +497,16 @@ def _planned_maximal(ds: bytes, base: int, levels: list[tuple], profile: RadiusP
 def distinct_factors(w: Word, min_len: int) -> set[Word]:
     """The set of distinct palindromic factors of length >= min_len.
 
-    A generated word builds them from its block plan by
-    `_planned_factors`. Any other word, and one whose digits fail a
-    block's check, walks its whole `maximal_radii` profile by
-    `_add_centred`, which costs the whole scan and a Python step per
-    centre: parsed W_17 for k=5 (103,519 digits) takes about 0.21 s on a
-    2-vCPU Xeon VM, where the plan build of the generated word takes
-    1.4 ms.
+    They are built by `_planned_factors` from the word's
+    `maximal_radii` profile: its base and the levels of its block plan.
+    A word with no plan, or one whose digits fail a block's check, is
+    all base, and walks its whole profile by `_add_centred`, which costs
+    the whole scan and a Python step per centre: parsed W_17 for k=5
+    (103,519 digits) takes about 0.21 s on a 2-vCPU Xeon VM, where the
+    plan build of the generated word takes 1.4 ms.
     """
     _require_min_len(min_len)
-    ds = w.digits
-    levels = _plan_levels(w)
-    if levels is None:
-        found = {}
-        lengths = maximal_radii(w).lengths
-        _add_centred(ds, compress(enumerate(lengths), lengths), found)
-    else:
-        found = _planned_factors(ds, w._plan[0], levels)
+    found = _planned_factors(w.digits, maximal_radii(w).lengths)
     return {Word._unchecked(p) for p in found if len(p) >= min_len}
 
 
@@ -459,12 +531,13 @@ def _add_centred(ds: bytes | tuple[int, ...], spans: Iterable[tuple[int, int]],
             b -= 1
 
 
-def _planned_factors(ds: bytes, base: int, levels: list[tuple]) -> dict:
-    """The palindromes of ds with their first ends, built from its
-    checked block plan.
+def _planned_factors(ds: bytes | tuple[int, ...], lengths: ResolvedLengths) -> dict:
+    """The palindromes of ds with their first ends, built from the base
+    and the levels of its checked block plan that its profile's
+    `lengths` keeps.
 
-    The base's centres are walked by `_add_centred`, from `_whole_scan`
-    of the base alone. Per level of `_patched_levels`, an unshifted
+    The base's centres are walked by `_add_centred`, from the base's
+    whole scan. Per level of `_patched_levels`, an unshifted
     block is a prefix of the word before it and adds nothing; a block of
     `length` digits at `start` shifted by s relabels its source one to
     one, so it holds p shifted by s, first ending at start + e, for
@@ -473,12 +546,10 @@ def _planned_factors(ds: bytes, base: int, levels: list[tuple]) -> dict:
     cut, so it lies centred in a patched centre's palindrome, which
     `_add_centred` walks down.
     """
-    head = ds[:base]
-    lengths = array("i", (0,)) * max(2 * len(head) - 1, 0)
-    longest = _whole_scan(head, lengths)[0]
+    base = lengths._base
     found = {}
-    _add_centred(head, compress(enumerate(lengths), lengths), found)
-    for _, blocks, _, patches in _patched_levels(ds, levels, longest):
+    _add_centred(ds, compress(enumerate(base), base), found)
+    for _, blocks, _, patches in lengths._levels:
         for start, length, shift, _ in blocks:
             if shift:
                 table = _shift_table(shift)
@@ -539,10 +610,11 @@ def _classify_prefix(profile: RadiusProfile, size: int, cuts: tuple[int, ...],
     The prefix's own profile is the clamp: centre c < e = 2 size - 1
     holds min(m, e - c), which is m except at the centres within the
     word's longest length of e, the tail. The count of all occurrences
-    is the span count of the rest, from the prefix's total in
-    `RadiusProfile.totals` (or summed when it is not kept) less the
-    tail's, plus the tail's. The cut after position p is centre
-    g = 2p - 1, and an occurrence of length L at centre c crosses it iff
+    is the span count of the prefix's own lengths (`own`), from the
+    prefix's total in `RadiusProfile.totals`, or summed from them when it
+    is not kept; only that sum and a min_len above 2 read them, the tail
+    as one slice. The cut after position p is centre g = 2p - 1, and an
+    occurrence of length L at centre c crosses it iff
     L >= |c - g| + 2, so a centre crosses a cut iff its length, clamped
     where it reaches the tail, crosses the cut centre nearest it. Only
     the centres within reach = longest - 2 of a cut can, so only the
@@ -554,12 +626,13 @@ def _classify_prefix(profile: RadiusProfile, size: int, cuts: tuple[int, ...],
     lengths = profile.lengths
     e = max(2 * size - 1, 0)
     head = max(e - profile.longest, 0)
-    tail = array("i", map(min, lengths[head:e], range(e - head, 0, -1)))
-    tail_total = sum(tail)
+
+    def own() -> Iterator[int]:
+        yield from islice(lengths, head)
+        yield from map(min, lengths[head:e], range(e - head, 0, -1))
+
     total = profile.totals.get(size)
-    head_total = sum(lengths[:head]) if total is None else total - tail_total
-    occurrences = (_span_count(lengths[:head], 0, min_len, head_total)
-                   + _span_count(tail, head, min_len, tail_total))
+    occurrences = _span_count(0, e, min_len, sum(own()) if total is None else total, own())
     counts = CrossingCounts(contained=occurrences, occurrences=occurrences)
     reach = max(profile.longest - 2, 0)
     gs = [2 * p - 1 for p in cuts]

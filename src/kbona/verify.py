@@ -409,7 +409,7 @@ def verify_lemmas(k: int, n_max: int) -> Report:
     palindromic = []
     if n_max >= k:
         profile = maximal_radii(w)
-        palindromic = [j for j in range(1, profile.longest + 1) if profile.lengths[j - 1] == j]
+        palindromic = [j for j, m in enumerate(profile.lengths[: profile.longest], 1) if m == j]
     for i in range(k - 1):
         if k + i > n_max:
             report.skip("palindromic-prefix-cap", {"k": k, "i": i}, "range", "degenerate")

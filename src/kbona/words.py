@@ -111,14 +111,16 @@ class Word:
     docstring); indexing and iterating either yields ints.
 
     `_radii` holds the word's radius profile once `maximal_radii` has
-    scanned it, and is unset before: the profile is computed once per
-    word, is read-only, and costs 8 bytes per digit for as long as the
-    word lives. `_plan` is set on a word that `word` generates by the
-    recurrence, and unset on every other: it is the block plan the word
-    was joined from, (|W_j|, levels) with j = min(n, k - 1), where level
-    m = k..n lists the blocks W_m appends to W_{m-1}, each as (prefix
-    length, shift), from which `maximal_radii` builds the profile, and
-    `enumerate_maximal` and `distinct_factors` their sets of palindromes.
+    built it, and is unset before: the profile is computed once per
+    word, is read-only, and lives as long as the word. It keeps the
+    whole scan of the word's base, 8 bytes per digit of the base, and
+    resolves every other centre through the plan. `_plan` is set on a
+    word that `word` generates by the recurrence, and unset on every
+    other: it is the block plan the word was joined from, (|W_j|,
+    levels) with j = min(n, k - 1), where level m = k..n lists the
+    blocks W_m appends to W_{m-1}, each as (prefix length, shift), from
+    which `maximal_radii` builds the profile, and `enumerate_maximal`
+    and `distinct_factors` their sets of palindromes.
     `_levels` holds the plan once its blocks have been checked against
     the digits, or None when they fail a check, and is unset before: a
     plan is checked once per word.

@@ -14,9 +14,11 @@ import pytest
 
 from kbona import cli, counting, verify, words
 from kbona.cli import main
-from kbona.palindromes import count_occurrences
+from kbona.palindromes import count_occurrences, count_prefix_occurrences
 from kbona.verify import default_n_max
 from kbona.words import Word, kbonacci_number, reduce_mod_k, word
+
+from oracles import brute_count
 
 
 @pytest.fixture
@@ -247,13 +249,41 @@ def test_verify_exits_1_on_a_planted_fail(run, monkeypatch):
 
 
 def test_count_oracle_exits_1_on_a_planted_mismatch(run, monkeypatch):
-    # The scan reads one more at W_4, the 13-digit word for k = 3.
-    monkeypatch.setattr(cli, "count_occurrences",
-                        lambda w, min_len: count_occurrences(w, min_len) + (len(w) == 13))
+    # The scan reads one more at W_4, the prefix of 13 digits of W_5 for
+    # k = 3, and one more at W_5 itself, counted whole.
+    monkeypatch.setattr(cli, "count_prefix_occurrences",
+                        lambda w, size: count_prefix_occurrences(w, size) + (size == 13))
     code, out, _ = run("count", "--k", "3", "--n-max", "5", "--oracle")
     assert code == 1
     rows = [line.split("\t") for line in out.strip().splitlines()[1:]]
     assert [r for r in rows if r[1] != r[2]] == [["4", "4", "5"]]
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "count_occurrences",
+                        lambda w, min_len: count_occurrences(w, min_len) + (len(w) == 24))
+    code, out, _ = run("count", "--k", "3", "--n-max", "5", "--oracle")
+    assert code == 1
+    rows = [line.split("\t") for line in out.strip().splitlines()[1:]]
+    assert [r for r in rows if r[1] != r[2]] == [["5", "9", "10"]]
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_count_oracle_equals_brute_counts(run, k):
+    # Every P(n), read from the one W_{n_max}, equals the brute count of
+    # W_n built alone, in plain and JSON output.
+    n_max = k + 4
+    series = counting.p_series(k, n_max, counting.FormulaMode.DERIVED)
+    brute = [brute_count(word(k, n), 2) for n in range(n_max + 1)]
+    assert brute == series
+    code, out, _ = run("count", "--k", str(k), "--n-max", str(n_max), "--oracle")
+    assert code == 0
+    assert out == "n\tp\toracle\n" + "".join(
+        f"{n}\t{p}\t{b}\n" for n, (p, b) in enumerate(zip(series, brute)))
+    code, out, _ = run("count", "--k", str(k), "--n-max", str(n_max), "--oracle",
+                       "--format", "json")
+    assert code == 0
+    assert out == json.dumps({"k": k, "subcommand": "count", "results": [
+        {"n": n, "oracle": b, "p": p} for n, (p, b) in enumerate(zip(series, brute))]},
+        sort_keys=True) + "\n"
 
 
 def test_verify_reports_every_suite_when_one_raises(run, monkeypatch):

@@ -1,10 +1,13 @@
 """Palindrome engine vs brute-force oracles, plus the engine's own
 consistency laws."""
 
+import functools
 import random
 import tracemalloc
 import weakref
+from array import array
 from collections import Counter
+from collections.abc import Sequence
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -50,9 +53,12 @@ def test_is_palindrome_examples():
 
 def test_radii_examples():
     profile = maximal_radii(Word.parse("0102010"))
-    # A read-only view of the scan's 4-byte array, not a tuple.
+    # A read-only sequence of one length per centre, not a tuple: a
+    # lookup is an int, and a slice a new 4-byte array of its own.
     lengths = profile.lengths
-    assert lengths.format == "i" and lengths.itemsize == 4 and lengths.readonly
+    assert isinstance(lengths, Sequence) and not isinstance(lengths, tuple)
+    assert len(lengths) == 13 and lengths[6] == 7 and lengths[-1] == 1
+    assert lengths[1:4] == array("i", [0, 3, 0]) and lengths[9:2:-3] == array("i", [0, 7, 0])
     assert list(profile.lengths[0::2]) == [1, 3, 1, 7, 1, 3, 1]
     assert all(v == 0 for v in profile.lengths[1::2])
     assert profile.longest == 7 and profile.total == 17
@@ -78,10 +84,10 @@ def _count_calls(monkeypatch, name):
 
 def test_profile_is_kept_on_the_word(monkeypatch):
     # One profile build serves every caller on one word, in scan-long's
-    # order: a generated word is built once from its plan, whose whole
-    # scan reads only the base W_2, and a parsed word is scanned whole
-    # once.
-    builds = _count_calls(monkeypatch, "_planned_pass")
+    # order: a generated word is built once from its plan, whose walker
+    # runs once and whose whole scan reads only the base W_2, and a
+    # parsed word is scanned whole once.
+    builds = _count_calls(monkeypatch, "_patched_levels")
     passes = _count_calls(monkeypatch, "_whole_scan")
     w = word(3, 8)
     profile = maximal_radii(w)
@@ -123,7 +129,7 @@ def test_derived_words_are_scanned_afresh(text):
 def test_profile_lives_as_long_as_its_word():
     w = word(3, 6)
     profile = maximal_radii(w)
-    store = weakref.ref(profile.lengths.obj)
+    store = weakref.ref(profile.lengths)
     assert store() is not None
     del w, profile
     assert store() is None
@@ -174,7 +180,7 @@ def _whole_profile(w: Word):
 
 
 def _same_profile(a, b) -> bool:
-    return (bytes(a.lengths), a.longest, a.total) == (bytes(b.lengths), b.longest, b.total)
+    return (list(a.lengths), a.longest, a.total) == (list(b.lengths), b.longest, b.total)
 
 
 def _sweep_words():
@@ -188,11 +194,10 @@ def _sweep_words():
 @pytest.mark.parametrize(
     "words", [_sweep_words, lambda: (word(3, 22), word(6, 20), word(8, 18))],
     ids=["up-to-2^16", "long"])
-def test_plan_build_equals_lane_pass(monkeypatch, words):
+def test_plan_build_equals_whole_scan(monkeypatch, words):
     # Every W_n of up to 2^16 digits for k = 3..8, and W_22 (k=3), W_20
     # (k=6) and W_18 (k=8): the whole scan of a generated word reads only
-    # its base, W_{k-1} or the word itself when shorter. The name, from
-    # the lane pass that the whole scan replaced, keeps the test's id.
+    # its base, W_{k-1} or the word itself when shorter.
     passes = _count_calls(monkeypatch, "_whole_scan")
     for w in words():
         passes.clear()
@@ -202,18 +207,19 @@ def test_plan_build_equals_lane_pass(monkeypatch, words):
 
 
 def test_plan_build_allocates_only_the_profile():
-    # The blocks' profiles are copied view to view, so the build holds
-    # little besides the profile's 4 bytes per centre: the last shifted
-    # block's digit check takes 2 |W_10| = 1,952 bytes, where a copy
-    # through an `array` slice would take 4 bytes per source centre.
-    w = word(6, 16)
+    # W_22 (k=3), 755,476 digits: the profile holds the base's lengths,
+    # the walker's levels and the patched centres, and the build's peak
+    # is the digit check of the last shifted block, two pieces of 16,384
+    # digits, with the profile about 0.06 bytes per digit, where an entry
+    # per centre would take 8.
+    w = word(3, 22)
     tracemalloc.start()
     try:
         maximal_radii(w)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 4.2 * len(maximal_radii(w).lengths)
+    assert peak < 0.1 * len(w)
 
 
 # Digits that no longer follow the word's plan: one digit of the last
@@ -229,10 +235,8 @@ changed_digits = pytest.mark.parametrize("change", [
 
 
 @changed_digits
-def test_plan_of_changed_digits_takes_the_lane_pass(monkeypatch, change):
-    # A word whose digits no longer follow its plan is scanned whole. The
-    # name, from the lane pass that the whole scan replaced, keeps the
-    # test's id.
+def test_plan_of_changed_digits_takes_the_whole_scan(monkeypatch, change):
+    # A word whose digits no longer follow its plan is scanned whole.
     w = word(4, 12)
     object.__setattr__(w, "digits", change(w.digits))
     passes = _count_calls(monkeypatch, "_whole_scan")
@@ -296,6 +300,49 @@ def test_plan_build_on_random_plans(w):
     assert passes == ([base] if one_to_one else [len(w)])
 
 
+@functools.lru_cache(maxsize=None)
+def _scanned(k: int, n: int) -> array:
+    """The lengths of every centre of W_n by the whole scan alone."""
+    ds = word(k, n).digits
+    out = array("i", (0,)) * (2 * len(ds) - 1)
+    palindromes._whole_scan(ds, out)
+    return out
+
+
+# Every (k, n) with k = 3..8 and |W_n| at most 2^16 digits.
+GENERATED = [(k, n) for k in range(3, 9)
+             for n, size in enumerate(kbonacci_sizes(k)) if size <= 1 << 16]
+
+
+@st.composite
+def generated_reads(draw):
+    """A generated word's (k, n) with some of its centres, each anywhere
+    or within 8 of the gap before a block of some level."""
+    k, n = draw(st.sampled_from(GENERATED))
+    last = 2 * kbonacci_sizes(k)[n] - 2
+    gaps = [2 * p - 1 for m in range(k, n + 1) for p in decomposition_cuts(k, m)]
+    near = st.builds(lambda g, d: min(max(g + d, 0), last),
+                     st.sampled_from(gaps or [0]), st.integers(-8, 8))
+    return k, n, draw(st.lists(st.one_of(st.integers(0, last), near), min_size=2, max_size=20))
+
+
+@given(generated_reads())
+@settings(max_examples=100, deadline=None)
+def test_resolved_lengths_equal_the_whole_scan(read):
+    # A lookup, a slice [lo, hi) of the pairs of drawn centres, and a
+    # full read each resolve through the plan to the whole scan's
+    # lengths of the same digits.
+    k, n, centres = read
+    lengths, expected = maximal_radii(word(k, n)).lengths, _scanned(k, n)
+    assert len(lengths) == len(expected)
+    for c in centres:
+        assert lengths[c] == expected[c], c
+    for lo, hi in zip(centres[::2], centres[1::2]):
+        lo, hi = min(lo, hi), max(lo, hi) + 1
+        assert lengths[lo:hi] == expected[lo:hi], (lo, hi)
+    assert list(lengths) == expected.tolist()
+
+
 def _centred_factors(palindromes, min_len: int) -> set[Word]:
     """Every palindrome of length >= min_len that shares its centre with
     one of the given ones and lies inside it."""
@@ -352,14 +399,14 @@ def test_distinct_of_changed_digits_walks_the_whole_profile(monkeypatch, change)
 
 
 def test_distinct_plan_build_scans_only_the_base(monkeypatch):
-    # The plan build reads no profile but the base's, W_{k-1}, whether or
-    # not the word's own profile is built.
+    # The plan build reads the word's own profile, whose build scans only
+    # the base, W_{k-1}, whole; once the profile is kept on the word, no
+    # call scans again.
     passes = _count_calls(monkeypatch, "_whole_scan")
     w = word(5, 14)
     distinct_factors(w, 2)
     assert passes == [w._plan[0]]
     maximal_radii(w)
-    passes.clear()
     distinct_factors(w, 2)
     assert passes == [w._plan[0]]
 
@@ -452,6 +499,20 @@ def test_plan_is_checked_once(monkeypatch):
     checks.clear()
     assert distinct_factors(w, 2) == _centred_factors(enumerate_maximal(w, 2), 2)
     assert checks == [len(w)] and w._levels is None
+
+
+def test_walker_runs_once_per_word(monkeypatch):
+    # The profile keeps the walker's levels and patches, and the maximal
+    # and distinct builds read them from it, whichever call comes first.
+    walks = _count_calls(monkeypatch, "_patched_levels")
+    reads = (maximal_radii, lambda w: enumerate_maximal(w, 2), lambda w: distinct_factors(w, 2))
+    for k, n in ((3, 12), (6, 16)):
+        for order in (reads, reads[::-1]):
+            w = word(k, n)
+            walks.clear()
+            for read in order:
+                read(w)
+            assert walks == [len(w)]
 
 
 def test_profile_keeps_the_total_of_each_prefix():
@@ -564,11 +625,10 @@ def planted_words(draw):
 # comparison fails.
 @example(Word.parse("6 5 0 1 0 2 0 1 0 3 0 1 0 2 0 1 0 5 7"))
 @settings(max_examples=400)
-def test_lane_pass_at_block_edges(w):
+def test_whole_scan_at_planted_palindrome_edges(w):
     # The whole scan, Manacher's over every centre, on small and large
     # alphabets, with word edges and the planted palindrome's ends within
-    # a few digits of each other. The name, from the lane pass that the
-    # whole scan replaced, keeps the test's id.
+    # a few digits of each other.
     profile, expected = maximal_radii(w), brute_radii(w)
     assert list(profile.lengths) == expected
     # The total adds what the expansion, a mirror copy included, adds to

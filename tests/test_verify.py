@@ -118,9 +118,10 @@ def _calls(monkeypatch, name, *modules):
 
 def test_decomposition_sweep_scans_each_word_once(monkeypatch):
     # The sweep builds W_10 alone and one profile of it, whose plan build
-    # scans only the base W_3 whole; each W_n is its prefix.
+    # walks the plan once and scans only the base W_3 whole; each W_n is
+    # its prefix.
     words = _calls(monkeypatch, "word", verify)
-    builds = _calls(monkeypatch, "_planned_pass", palindromes)
+    builds = _calls(monkeypatch, "_patched_levels", palindromes)
     scans = _calls(monkeypatch, "_whole_scan", palindromes)
     report = verify._decomposition_sweep(4, 10)
     assert report.ok
@@ -205,16 +206,16 @@ def test_structure_suite_builds_one_word(monkeypatch, k):
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
 def test_counts_suite_builds_one_profile(monkeypatch, k):
-    # Every W_n is a prefix of W_{n_max}, and the plan build of W_{n_max}
-    # keeps the total of each one's own profile.
+    # Every W_n is a prefix of W_{n_max}, and the plan build of W_{n_max},
+    # one walk of its plan, keeps the total of each one's own profile.
     builds = []
-    original = palindromes._planned_pass
+    original = palindromes._patched_levels
 
     def counted(ds, *args):
         builds.append(len(ds))
         return original(ds, *args)
 
-    monkeypatch.setattr(palindromes, "_planned_pass", counted)
+    monkeypatch.setattr(palindromes, "_patched_levels", counted)
     n = verify.default_n_max(k)
     (report,) = verify.run_suites(k, n, ["counts"])
     assert report.ok and report.summary[verify.PASS] > 0
@@ -557,7 +558,7 @@ def test_lemma_battery_builds_one_word_and_one_profile(monkeypatch, k):
     # Every W_n the battery reads is a prefix of W_{n_max}; below k no
     # palindromic-prefix-cap row runs, and no profile is built.
     words = _calls(monkeypatch, "word", verify)
-    builds = _calls(monkeypatch, "_planned_pass", palindromes)
+    builds = _calls(monkeypatch, "_patched_levels", palindromes)
     scans = _calls(monkeypatch, "_whole_scan", palindromes)
     n = verify.default_n_max(k)
     assert verify.verify_lemmas(k, n).ok

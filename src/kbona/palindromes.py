@@ -12,9 +12,9 @@ Everything here works over arbitrary nonnegative-integer digits.
 - A generated word carries its block plan (`Word._plan`): each level
   appends to the word before it blocks that are prefixes of that word,
   some shifted. `_checked_levels` checks each block against its source
-  once per word (`_plan_levels` keeps the result on it), and a word
-  that fails a check takes the path of a word with no plan, whose base
-  is the whole word. A one-to-one relabelling keeps every palindrome,
+  once per word, as its profile is built, and a word that fails a check
+  is a word with no plan: a plan with no levels, whose base is the
+  whole word. A one-to-one relabelling keeps every palindrome,
   so a block's centre holds its source's palindrome unless that
   palindrome reaches an edge of the source. One walker,
   `_patched_levels`, runs once per word: per level it yields the blocks
@@ -25,19 +25,23 @@ Everything here works over arbitrary nonnegative-integer digits.
   latest length of each patched centre, and no entry per centre: a
   centre resolves to its patch, to the base, or to its source centre,
   and a slice block by block by C-level copies. A level's total is its
-  blocks' totals plus what the patches add. `_planned_maximal` slices
-  only the patched centres and the gaps, and `_planned_factors` walks
-  each patched palindrome down, both from the levels the profile keeps.
+  blocks' totals plus what the patches add.
+- `_maximal_ends` builds the set of maximal palindromes from what the
+  profile keeps: the base's centres, each shifted block's copies of its
+  source's palindromes that reach no edge, and the patched centres.
+  `enumerate_maximal` returns it, and `distinct_factors` walks each of
+  its palindromes down, since every palindrome lies centred in the
+  maximal one at the centre of any of its occurrences. A word with no
+  plan slices one palindrome at every centre.
 - `count_occurrences` counts from the profile by arithmetic: a centre of
   maximal length m holds (m - min_len + 2) // 2 occurrences, and since
   the parity of m is fixed by the centre's, those terms add up to one
   sum over the lengths (`_span_count`), which is the profile's total;
   only a min_len above 2 reads the lengths, to put the negative terms
-  back to zero. `count_prefix_occurrences` counts a prefix the same way,
-  from the total the profile kept for it or from the clamped profile.
-- `enumerate_maximal` gives the distinct maximal palindromes, one per
-  centre: a generated word from its block plan, any other word by
-  slicing one at every centre.
+  back to zero. It counts the whole word as its own prefix, by
+  `_classify_prefix` with no cuts, as `count_prefix_occurrences` counts
+  a prefix, from the total the profile kept for it or from the clamped
+  profile.
 - `classify_crossing` buckets occurrences as contained / bordering /
   straddling relative to a block decomposition, given as a tuple of
   cut after-positions, per centre: an occurrence of length L at centre
@@ -49,18 +53,13 @@ Everything here works over arbitrary nonnegative-integer digits.
   `_classify_prefix` does this for any prefix of a word, from the
   clamped profile and the prefix's kept total, so the decomposition
   sweep classifies every W_n from one profile of W_{n_max}; the whole
-  word and `count_prefix_occurrences` are its other callers.
-- `distinct_factors` keeps each distinct palindrome with its first end
-  in one dict: a generated word from its block plan, any other word by
-  walking its whole profile, which costs the whole scan and a Python
-  step per centre.
+  word and the two counters are its other callers.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, islice, repeat
@@ -244,9 +243,10 @@ def maximal_radii(w: Word) -> RadiusProfile:
     `_whole_scan`, Manacher's scan over every centre, scans the base:
     W_{k-1} of a word that carries a block plan (`Word._plan`), and the
     whole of any other word or of one whose digits fail the plan's
-    checks. The walker, `_patched_levels`, runs once over the plan's
-    levels; the profile keeps its levels and the latest length of each
-    patched centre, and resolves every other centre through them. A
+    checks, which `_checked_levels` makes here, once per word. The
+    walker, `_patched_levels`, runs once over the plan's levels; the
+    profile keeps its levels and the latest length of each patched
+    centre, and resolves every other centre through them. A
     level's total is its blocks' totals, each its source's clamped and
     kept per prefix length, plus what the patches add. The profile is
     kept on the word, and a later call returns it.
@@ -255,8 +255,9 @@ def maximal_radii(w: Word) -> RadiusProfile:
     if profile is not None:
         return profile
     ds = w.digits
-    levels = _plan_levels(w)
-    size = len(ds) if levels is None else w._plan[0]
+    plan = getattr(w, "_plan", None)
+    levels = None if plan is None else _checked_levels(ds, plan)
+    size = len(ds) if levels is None else plan[0]
     base = array("i", (0,)) * max(2 * size - 1, 0)
     longest, total = _whole_scan(ds[:size], base)
     walked = [] if levels is None else list(_patched_levels(ds, levels, longest))
@@ -265,7 +266,7 @@ def maximal_radii(w: Word) -> RadiusProfile:
     lengths = ResolvedLengths(base, walked, patched, max(2 * len(ds) - 1, 0))
     totals = {size: total}
     for _, blocks, end, patches in walked:
-        for _, length, _, _ in blocks:
+        for _, length, _ in blocks:
             if length not in totals:
                 e = 2 * length - 1
                 totals[length] = sum(map(min, lengths[:e], range(e, 0, -1)))
@@ -276,19 +277,6 @@ def maximal_radii(w: Word) -> RadiusProfile:
     profile = RadiusProfile(lengths, longest, total, MappingProxyType(totals))
     object.__setattr__(w, "_radii", profile)
     return profile
-
-
-def _plan_levels(w: Word) -> list[tuple] | None:
-    """The levels of w's block plan as `_checked_levels` returns them,
-    or None when w has no plan or its digits fail a check. A plan is
-    checked once per word: the result is kept on it (`Word._levels`)."""
-    try:
-        return w._levels
-    except AttributeError:
-        plan = getattr(w, "_plan", None)
-        levels = None if plan is None else _checked_levels(w.digits, plan)
-        object.__setattr__(w, "_levels", levels)
-        return levels
 
 
 def _checked_levels(ds: bytes | tuple[int, ...], plan: tuple) -> list[tuple] | None:
@@ -331,8 +319,8 @@ def _checked_levels(ds: bytes | tuple[int, ...], plan: tuple) -> list[tuple] | N
 def _patched_levels(ds: bytes, levels: list[tuple], longest: int) -> Iterator[tuple]:
     """The levels of ds's checked block plan, each as (size, blocks, end,
     patches), from the digits alone, given `longest`, the length of the
-    base's longest palindrome. Each block is (start, length, shift,
-    edges), its patched centres counted from its start.
+    base's longest palindrome. Each block is (start, length, shift), as
+    `_checked_levels` gives it.
 
     A level appends to the word U of its first `size` digits the blocks,
     each a prefix of U relabelled one to one. A block's centre holds its
@@ -363,13 +351,11 @@ def _patched_levels(ds: bytes, levels: list[tuple], longest: int) -> Iterator[tu
         prefixes += [m for m in range(searched + 1, bound + 1) if (p := ds[:m]) == p[::-1]]
         searched = bound
         held = [(2 * size - 1 - m, m) for m in suffix_lengths(size)]
-        edged = []
-        for start, length, shift in blocks:
+        for start, length, _ in blocks:
             first, e = 2 * start, 2 * length - 1
             # A whole block that is a palindrome is a suffix, not a prefix.
             edges = [m - 1 for m in prefixes if m < length]
             edges += [e - m for m in suffix_lengths(length)]
-            edged.append((start, length, shift, edges))
             held.append((first - 1, 0))
             held += [(first + c, min(c + 1, e - c)) for c in edges]
         patches = []
@@ -383,12 +369,12 @@ def _patched_levels(ds: bytes, levels: list[tuple], longest: int) -> Iterator[tu
             patches.append((c, m, b - a + 1))
         longest = max(longest, *(m for _, _, m in patches))
         suffixes[end] = [m for c, _, m in patches if c + m == 2 * end - 1]
-        yield size, edged, end, patches
+        yield size, blocks, end, patches
 
 
-def _span_count(first: int, end: int, min_len: int, total: int, ms: Iterable[int]) -> int:
-    """Occurrences of length >= min_len at the centres first..end-1,
-    whose maximal lengths are ms, of sum total. A centre of maximal
+def _span_count(end: int, min_len: int, total: int, ms: Iterable[int]) -> int:
+    """Occurrences of length >= min_len at the centres 0..end-1, whose
+    maximal lengths are ms, of sum total. A centre of maximal
     length m holds the lengths m, m-2, ... >= min_len,
     (m - min_len + 2) // 2 of them. A digit (even c) has odd lengths and
     a gap (odd c) even ones, so m - min_len is odd exactly at the centres
@@ -396,9 +382,9 @@ def _span_count(first: int, end: int, min_len: int, total: int, ms: Iterable[int
     centres. A term below zero, at m < min_len - 2, is put back to zero
     by a pass over ms, which only a min_len above 2 reads."""
     low = min_len - 2
-    # The c in [first, end) with c - min_len even.
-    odd = (end - min_len + 1) // 2 - (first - min_len + 1) // 2
-    total = (total - (end - first) * low - odd) // 2
+    # The c in [0, end) with c - min_len even.
+    odd = (end + 1 - min_len % 2) // 2
+    total = (total - end * low - odd) // 2
     if low > 0:
         total += sum(map(floordiv, map(sub, repeat(low + 1), filter(low.__gt__, ms)), repeat(2)))
     return total
@@ -411,10 +397,10 @@ def _require_min_len(min_len: int) -> None:
 
 def count_occurrences(w: Word, min_len: int) -> int:
     """Number of palindromic occurrences (start, length) of length at
-    least min_len."""
+    least min_len: the whole word as its own prefix, by
+    `_classify_prefix` with no cuts."""
     _require_min_len(min_len)
-    profile = maximal_radii(w)
-    return _span_count(0, len(profile.lengths), min_len, profile.total, profile.lengths)
+    return _classify_prefix(maximal_radii(w), len(w), (), min_len).occurrences
 
 
 def count_prefix_occurrences(w: Word, size: int) -> int:
@@ -430,134 +416,74 @@ def count_prefix_occurrences(w: Word, size: int) -> int:
 
 def enumerate_maximal(w: Word, min_len: int) -> set[Word]:
     """The distinct factors that are the maximal palindrome at some
-    centre and reach min_len. The maximal palindrome of length m at
-    centre c spans the 0-based digits (c + 1 - m) / 2 .. (c - 1 + m) / 2.
-    A generated word counts them from its block plan
-    (`_planned_maximal`), slicing only the centres near the block edges;
-    any other word, and one whose digits fail a block's check, slices
-    one at every centre. The slices are deduplicated before any Word is
-    built."""
+    centre and reach min_len: the keys of `_maximal_ends`, each built
+    into a Word once."""
     _require_min_len(min_len)
-    ds = w.digits
-    lengths = maximal_radii(w).lengths
-    if _plan_levels(w) is None:
-        slices = {
-            ds[(c + 1 - m) // 2 : (c + 1 + m) // 2]
-            for c, m in enumerate(lengths) if m >= min_len
-        }
-    else:
-        slices = [p for p in _planned_maximal(ds, lengths) if len(p) >= min_len]
-    return set(map(Word._unchecked, slices))
-
-
-def _planned_maximal(ds: bytes, lengths: ResolvedLengths) -> Counter:
-    """How many centres of ds, whose profile's lengths are `lengths`,
-    hold each maximal palindrome, counted from the levels of the checked
-    block plan that the profile keeps.
-
-    `held[l]` counts the palindromes at the centres of the prefix of l
-    digits, each maximal in ds, so it may reach past the prefix. A level
-    of `_patched_levels` adds to the count of the word before it each
-    block's centres and the gap at its cut. A block's centre holds its
-    source's palindrome, shifted, unless it is one of the block's edges:
-    those are sliced from the block, and their source palindromes taken
-    out of the copied count before the shift. A prefix that is no level
-    end, such as one inside the base, is counted from the longest held
-    prefix below it, slicing the centres between.
-    """
-
-    def factor(c):
-        m = lengths[c]
-        return ds[(c + 1 - m) // 2 : (c + 1 + m) // 2]
-
-    def held_at(size):
-        found = held.get(size)
-        if found is None:
-            below = max(l for l in held if l < size)
-            between = range(max(2 * below - 1, 0), 2 * size - 1)
-            found = held[size] = held[below] + Counter(map(factor, between))
-        return found
-
-    held = {0: Counter()}
-    for size, blocks, end, _ in lengths._levels:
-        level = held_at(size).copy()
-        for start, length, shift, edges in blocks:
-            first = 2 * start
-            copied = held_at(length) - Counter(map(factor, edges))
-            if shift:
-                table = _shift_table(shift)
-                copied = {p.translate(table): n for p, n in copied.items()}
-            level.update(copied)
-            level.update(factor(first + c) for c in edges)
-            level[factor(first - 1)] += 1
-        held[end] = level
-    return held_at(len(ds))
+    ends = _maximal_ends(w.digits, maximal_radii(w).lengths)
+    return {Word._unchecked(p) for p in ends if len(p) >= min_len}
 
 
 def distinct_factors(w: Word, min_len: int) -> set[Word]:
     """The set of distinct palindromic factors of length >= min_len.
 
-    They are built by `_planned_factors` from the word's
-    `maximal_radii` profile: its base and the levels of its block plan.
-    A word with no plan, or one whose digits fail a block's check, is
-    all base, and walks its whole profile by `_add_centred`, which costs
-    the whole scan and a Python step per centre: parsed W_17 for k=5
-    (103,519 digits) takes about 0.21 s on a 2-vCPU Xeon VM, where the
-    plan build of the generated word takes 1.4 ms.
+    Every palindrome lies centred in the maximal palindrome at the centre
+    of any of its occurrences, so each maximal one of `_maximal_ends` is
+    walked down, a digit off each end at a time, to min_len or to the
+    first palindrome already held, whose centred factors are held with
+    it.
     """
     _require_min_len(min_len)
-    found = _planned_factors(w.digits, maximal_radii(w).lengths)
-    return {Word._unchecked(p) for p in found if len(p) >= min_len}
+    found = set()
+    for p in _maximal_ends(w.digits, maximal_radii(w).lengths):
+        while len(p) >= min_len and p not in found:
+            found.add(p)
+            p = p[1:-1]
+    return set(map(Word._unchecked, found))
 
 
-def _add_centred(ds: bytes | tuple[int, ...], spans: Iterable[tuple[int, int]],
-                 found: dict) -> None:
-    """Add to `found` the palindromes, slices of ds, centred at each
-    centre c of the pairs (c, m) in `spans`, each with its first end, the
-    0-based index of the last digit of its first occurrence: the one of
-    length m at c, then m - 2, ..., down to the first one `found` holds
-    with an end no later. `found` holds every centred factor of each
-    palindrome it holds, each with an end no later, so the walk down may
-    stop there."""
-    for c, m in spans:
-        a = (c - m + 1) // 2
-        b = a + m - 1
-        while a <= b:
-            p = ds[a : b + 1]
-            if found.get(p, b + 1) <= b:
-                break
-            found[p] = b
-            a += 1
-            b -= 1
+def _maximal_ends(ds: bytes | tuple[int, ...], lengths: ResolvedLengths) -> dict:
+    """Each maximal palindrome of ds, whose profile's lengths are
+    `lengths`, mapped to the least end (0-based index of its last digit)
+    of its occurrences as a centre's maximal palindrome that start past
+    digit 0, or to |ds| when every such occurrence starts at digit 0.
 
-
-def _planned_factors(ds: bytes | tuple[int, ...], lengths: ResolvedLengths) -> dict:
-    """The palindromes of ds with their first ends, built from the base
-    and the levels of its checked block plan that its profile's
-    `lengths` keeps.
-
-    The base's centres are walked by `_add_centred`, from the base's
-    whole scan. Per level of `_patched_levels`, an unshifted
-    block is a prefix of the word before it and adds nothing; a block of
-    `length` digits at `start` shifted by s relabels its source one to
-    one, so it holds p shifted by s, first ending at start + e, for
-    every (p, e) with e < length, and where `found` already holds it,
-    the smaller end stays. Every other palindrome of the level crosses a
-    cut, so it lies centred in a patched centre's palindrome, which
-    `_add_centred` walks down.
+    They are read from what the profile keeps: the base's centres at
+    their final lengths, then per level of the checked block plan each
+    shifted block's copies and the patched centres at their final
+    lengths. A block of `length` digits at `start` relabels its source
+    one to one, and a source centre that is no edge of the source holds
+    a palindrome p that starts past 0 and ends at some e <= length - 2,
+    so the block holds p shifted, ending at e + start; an unshifted
+    block holds p itself, later than its source does, and adds nothing.
+    Every other centre of a level is patched. A level's copies and
+    patches all end at or past the last digit of the word before it,
+    past every e the filter admits, so the filter reads the least ends
+    of the word before the level alone.
     """
-    base = lengths._base
-    found = {}
-    _add_centred(ds, compress(enumerate(base), base), found)
+    marker = len(ds)
+    ends = {}
+
+    def add(spans: Iterable[tuple[int, int]]) -> None:
+        for c, m in spans:
+            a = (c + 1 - m) // 2
+            p = ds[a : a + m]
+            e = a + m - 1 if a else marker
+            if ends.get(p, marker) >= e:
+                ends[p] = e
+
+    base = lengths[: len(lengths._base)]
+    add(compress(enumerate(base), base))
+    patched = lengths._patched
     for _, blocks, _, patches in lengths._levels:
-        for start, length, shift, _ in blocks:
+        for start, length, shift in blocks:
             if shift:
                 table = _shift_table(shift)
-                copies = [(p.translate(table), e + start) for p, e in found.items() if e < length]
+                copies = [(p.translate(table), e + start)
+                          for p, e in ends.items() if e <= length - 2]
                 for p, e in copies:
-                    found[p] = min(found.get(p, e), e)
-        _add_centred(ds, ((c, m) for c, _, m in patches), found)
-    return found
+                    ends[p] = min(ends.get(p, e), e)
+        add((c, patched[c]) for c, _, _ in patches if patched[c])
+    return ends
 
 
 @dataclass
@@ -632,7 +558,7 @@ def _classify_prefix(profile: RadiusProfile, size: int, cuts: tuple[int, ...],
         yield from map(min, lengths[head:e], range(e - head, 0, -1))
 
     total = profile.totals.get(size)
-    occurrences = _span_count(0, e, min_len, sum(own()) if total is None else total, own())
+    occurrences = _span_count(e, min_len, sum(own()) if total is None else total, own())
     counts = CrossingCounts(contained=occurrences, occurrences=occurrences)
     reach = max(profile.longest - 2, 0)
     gs = [2 * p - 1 for p in cuts]

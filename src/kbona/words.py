@@ -119,16 +119,14 @@ class Word:
     other: it is the block plan the word was joined from, (|W_j|,
     levels) with j = min(n, k - 1), where level m = k..n lists the
     blocks W_m appends to W_{m-1}, each as (prefix length, shift), from
-    which `maximal_radii` builds the profile, and `enumerate_maximal`
-    and `distinct_factors` their sets of palindromes.
-    `_levels` holds the plan once its blocks have been checked against
-    the digits, or None when they fail a check, and is unset before: a
-    plan is checked once per word.
+    which `maximal_radii` builds the profile, checking the blocks against
+    the digits once per word as it does, and `enumerate_maximal` and
+    `distinct_factors` their sets of palindromes from the profile.
     Equality, hashing, pickling and copying see the digits alone, so a
     copy carries neither a profile nor a plan.
     """
 
-    __slots__ = ("digits", "_radii", "_plan", "_levels")
+    __slots__ = ("digits", "_radii", "_plan")
 
     digits: bytes | tuple[int, ...]
 

@@ -354,7 +354,8 @@ def _centred_factors(palindromes, min_len: int) -> set[Word]:
 
 def test_distinct_plan_build_equals_whole_walk():
     # Every W_n of up to 2^16 digits for k = 3..8, built from its plan,
-    # against the walk of the whole profile of a copy with no plan.
+    # against a copy with no plan, whose every centre is sliced from the
+    # whole scan and walked down.
     for w in _sweep_words():
         assert distinct_factors(w, 1) == distinct_factors(Word._unchecked(w.digits), 1)
 
@@ -362,7 +363,7 @@ def test_distinct_plan_build_equals_whole_walk():
 def test_distinct_on_long_words():
     # W_22 (k=3), W_20 (k=6) and W_18 (k=8): every palindrome of length
     # >= 2 lies centred inside the maximal one at its centre, and the
-    # maximal ones come from the profile, not from the plan build's dict.
+    # walk down to the first palindrome already held loses none.
     for w in (word(3, 22), word(6, 20), word(8, 18)):
         assert distinct_factors(w, 2) == _centred_factors(enumerate_maximal(w, 2), 2)
 
@@ -389,8 +390,9 @@ def test_distinct_plan_build_on_random_plans(w, min_len):
 
 @changed_digits
 def test_distinct_of_changed_digits_walks_the_whole_profile(monkeypatch, change):
-    # A word whose digits no longer follow its plan falls back to the
-    # walk of its whole profile, which the whole scan builds.
+    # A word whose digits no longer follow its plan is a plan with no
+    # levels: every centre of its whole profile, which the whole scan
+    # builds, is sliced and walked down.
     w = word(4, 8)
     object.__setattr__(w, "digits", change(w.digits))
     passes = _count_calls(monkeypatch, "_whole_scan")
@@ -412,10 +414,10 @@ def test_distinct_plan_build_scans_only_the_base(monkeypatch):
 
 
 def test_distinct_plan_build_memory():
-    # W_23 (k=7), 7,805,695 digits: the build holds its dict of 524
-    # palindromes, the base's profile and the shifted blocks' digit
-    # checks, about 0.02 bytes per digit, where a profile of the word
-    # would take 8.
+    # W_23 (k=7), 7,805,695 digits: the build holds its 94 maximal
+    # palindromes, the 500 distinct ones, the profile and the shifted
+    # blocks' digit checks, about 0.03 bytes per digit, where a profile
+    # entry per centre would take 8.
     w = word(7, 23)
     tracemalloc.start()
     try:
@@ -442,13 +444,17 @@ def test_distinct_plan_build_checks_shifted_blocks_in_pieces():
 
 
 def test_maximal_plan_build_equals_comprehension(monkeypatch):
-    # Every W_n of up to 2^16 digits for k = 3..8, counted from its plan,
-    # against one slice per centre of a copy with no plan.
-    builds = _count_calls(monkeypatch, "_planned_maximal")
-    for w in _sweep_words():
+    # Every W_n of up to 2^16 digits for k = 3..8, built once from its
+    # plan, against one slice per centre of the whole scan's lengths.
+    builds = _count_calls(monkeypatch, "_maximal_ends")
+    for k, n in GENERATED:
+        w = word(k, n)
         builds.clear()
-        assert enumerate_maximal(w, 1) == enumerate_maximal(Word._unchecked(w.digits), 1)
+        got = enumerate_maximal(w, 1)
         assert builds == [len(w)]
+        ds = w.digits
+        assert got == {Word._unchecked(ds[(c + 1 - m) // 2 : (c + 1 + m) // 2])
+                       for c, m in enumerate(_scanned(k, n)) if m}
 
 
 @given(planned_words(cap=40), st.integers(1, 3))
@@ -466,6 +472,15 @@ def test_maximal_plan_build_equals_comprehension(monkeypatch):
 # holds 3 0 0 3, which runs past the source; the last centre of the
 # block 3 0 before it holds 3 0 3.
 @example(_planned((3, 0, 0, 3), [[(2, 0), (3, 0)]]), 1)
+# 0 1 0: the base's last centre, 1 alone in the base's scan, holds
+# 0 1 0 once the level extends it.
+@example(_planned((0, 1), [[(1, 0)]]), 1)
+# 0 1 1 2 1: the source 0 1's 1 reaches its last digit, so the 2 of the
+# shifted block is no copy of it; it is the centre of 1 2 1.
+@example(_planned((0, 1), [[(2, 1), (1, 1)]]), 1)
+# 0 1 0 over two levels: the 1 that ends the first level holds 1 alone
+# there, and 0 1 0 once the second level patches it again.
+@example(_planned((0,), [[(1, 1)], [(1, 0)]]), 1)
 # A shift past 255: the plan is refused and every centre sliced.
 @example(_planned((0, 255, 254), [[(3, 2)]]), 1)
 @settings(max_examples=300)
@@ -476,12 +491,12 @@ def test_maximal_plan_build_on_random_plans(w, min_len):
 @changed_digits
 def test_maximal_of_changed_digits_slices_every_centre(monkeypatch, change):
     # A word whose digits no longer follow its plan slices one palindrome
-    # at every centre of its whole profile.
+    # at every centre of its whole profile, which the whole scan builds.
     w = word(4, 8)
     object.__setattr__(w, "digits", change(w.digits))
-    builds = _count_calls(monkeypatch, "_planned_maximal")
+    passes = _count_calls(monkeypatch, "_whole_scan")
     assert enumerate_maximal(w, 1) == brute_maximal(w, 1)
-    assert builds == []
+    assert passes[-1] == len(w)
 
 
 def test_plan_is_checked_once(monkeypatch):
@@ -498,7 +513,7 @@ def test_plan_is_checked_once(monkeypatch):
     object.__setattr__(w, "digits", w.digits[:-1])
     checks.clear()
     assert distinct_factors(w, 2) == _centred_factors(enumerate_maximal(w, 2), 2)
-    assert checks == [len(w)] and w._levels is None
+    assert checks == [len(w)] and maximal_radii(w).lengths._levels == []
 
 
 def test_walker_runs_once_per_word(monkeypatch):

@@ -408,7 +408,7 @@ def test_pickle_and_copy_round_trip(w):
         for clone in (pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
             assert clone == w and hash(clone) == hash(w)
             assert type(clone.digits) is type(w.digits)
-            assert not any(hasattr(clone, a) for a in ("_radii", "_plan", "_levels"))
+            assert not any(hasattr(clone, a) for a in ("_radii", "_plan"))
             if scanned:
                 assert list(palindromes.maximal_radii(clone).lengths) == lengths
     with pytest.raises(AttributeError):

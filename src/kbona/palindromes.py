@@ -61,16 +61,15 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
 from itertools import chain, compress, count, islice, repeat
 from operator import floordiv, ge, sub
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .words import _PIECE, DomainError, Word, _all_below, _shift_table
 
 
-@dataclass(frozen=True)
-class RadiusProfile:
+class RadiusProfile(NamedTuple):
     """Maximal palindrome length for each of the 2|w| - 1 centers.
 
     Center index c (0-based) is the digit at position c/2 when c is even
@@ -486,7 +485,6 @@ def _maximal_ends(ds: bytes | tuple[int, ...], lengths: ResolvedLengths) -> dict
     return ends
 
 
-@dataclass
 class CrossingCounts:
     """Occurrence counts partitioned by cut-crossing behaviour.
 
@@ -498,10 +496,14 @@ class CrossingCounts:
     add up to those centres' span count, so it can be checked against it.
     """
 
-    contained: int = 0
-    bordering: dict[int, int] = field(default_factory=dict)
-    straddling: int = 0
-    occurrences: int = 0
+    __slots__ = ("contained", "bordering", "straddling", "occurrences")
+
+    def __init__(self, contained: int = 0, bordering: dict[int, int] | None = None,
+                 straddling: int = 0, occurrences: int = 0):
+        self.contained = contained
+        self.bordering = {} if bordering is None else bordering
+        self.straddling = straddling
+        self.occurrences = occurrences
 
     @property
     def total(self) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from . import counting
 from .palindromes import is_palindrome, maximal_radii
@@ -25,8 +25,7 @@ class PalFamily(enum.Enum):
     P4 = "p4"
 
 
-@dataclass(frozen=True)
-class PalClass:
+class PalClass(NamedTuple):
     """Membership token: family plus the parameters naming the element."""
 
     family: PalFamily
@@ -49,25 +48,28 @@ class PalClass:
         return "(" + ", ".join(parts) + ")"
 
 
-@dataclass(frozen=True)
-class StraddlingPair:
-    """A straddling palindrome split at the block boundary: left is the
-    suffix part before the cut, right the prefix part after it."""
-
+class _Parts(NamedTuple):
     left: Word
     right: Word
 
-    def __post_init__(self):
-        if len(self.left) == 0 or len(self.right) == 0:
+
+class StraddlingPair(_Parts):
+    """A straddling palindrome split at the block boundary: left is the
+    suffix part before the cut, right the prefix part after it."""
+
+    __slots__ = ()
+
+    def __new__(cls, left: Word, right: Word):
+        if len(left) == 0 or len(right) == 0:
             raise DomainError("both parts of a straddling pair must be nonempty")
+        return super().__new__(cls, left, right)
 
     @property
     def concatenation(self) -> Word:
         return self.left + self.right
 
 
-@dataclass(frozen=True)
-class LengthSet:
+class LengthSet(NamedTuple):
     lengths: frozenset[int]
 
 
@@ -127,7 +129,7 @@ def catalog_elements(
         if base.family is not family:
             continue
         for i in range(base.shift, i_max + 1):
-            out.append((shift_add(k * i, template), replace(base, shift=i)))
+            out.append((shift_add(k * i, template), base._replace(shift=i)))
     return out
 
 
@@ -214,5 +216,5 @@ def classify_palindrome(k: int, w: Word) -> set[PalClass]:
         if i < base.shift:
             continue
         if all(a == b + diff for a, b in zip(w.digits, template.digits)):
-            out.add(replace(base, shift=i))
+            out.add(base._replace(shift=i))
     return out

@@ -28,8 +28,7 @@ from __future__ import annotations
 import itertools
 import time
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from . import counting, structure
 from .counting import FormulaMode
@@ -71,8 +70,7 @@ RAISED = "suite-raised"
 MODES = ((FormulaMode.DERIVED, "Derived"), (FormulaMode.AS_STATED, "AsStated"))
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     subject: dict[str, Any]
     expected: Any
@@ -88,13 +86,18 @@ class CheckResult:
         )
 
 
-@dataclass
 class Report:
-    suite: str
-    params: dict[str, Any]
-    results: list[CheckResult] = field(default_factory=list)
-    wall_time: float = 0.0
-    started: float = field(default_factory=time.perf_counter, repr=False, compare=False)
+    """A suite's rows, timed from when the report is built (or from
+    `started`) to `finish`."""
+
+    __slots__ = ("suite", "params", "results", "wall_time", "started")
+
+    def __init__(self, suite: str, params: dict[str, Any], started: float | None = None):
+        self.suite = suite
+        self.params = params
+        self.results: list[CheckResult] = []
+        self.wall_time = 0.0
+        self.started = time.perf_counter() if started is None else started
 
     def check(
         self, check_id: str, subject: dict[str, Any], expected: Any, provenance: str, actual: Any

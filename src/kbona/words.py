@@ -22,17 +22,21 @@ views by it, the length guard compares one entry of it, and `verify`
 reads its decomposition cuts, its default sweep bound and each prefix
 W_{n2} of the structure suite's one word from it.
 
-A long word is held once. Generation builds each level W_m as one
-`b"".join` of views of W_{m-1}, so each digit is copied once per level
-and the peak is about |W_{m-1}| + |W_m| bytes. The blocks of each level
+A long word is held once. Generation builds W_L, the largest word of at
+most `_PIECE` digits, level by level, each level W_m one `b"".join` of
+views of W_{m-1}. Past W_L, the block plan is a straight-line program
+whose leaves are shifted prefixes of W_L: `_plan_leaves` walks it, node
+s ⊕ W_m being node s ⊕ W_{m-1} followed by level m's blocks, and makes
+each leaf once. W_n is one `b"".join` of its leaves, so each digit is
+written once and the peak is about |W_n| bytes. The blocks of each level
 come from one function, `_block_levels`, and `word` keeps them on the
 word as its block plan, from which `palindromes` builds the radius
 profile. Text is rendered by one renderer, `_pieces`, in pieces of
 `_PIECE` digits: `to_plain` and `to_spaced` join its pieces. `kbona gen`
-renders W_n from the block plan instead, by `_plan_pieces`: each leaf
-node s ⊕ W_m of at most `_PIECE` digits is rendered by `_pieces` once
-and written again by reference wherever the plan repeats it, so W_n is
-never built and no rendering of a whole long word is ever held.
+renders W_n from the same leaf walk instead, by `_plan_pieces`: each
+leaf is rendered by `_pieces` once and written again by reference
+wherever the plan repeats it, so W_n is never built and no rendering of
+a whole long word is ever held.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ import bisect
 import enum
 import functools
 import os
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 # Digits are conceptually machine-width; anything past 2**63 - 1 is treated
 # as arithmetic overflow rather than silently growing.
@@ -430,10 +434,19 @@ def _block_levels(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     )
 
 
+def _leaf_level(k: int) -> int:
+    """L, where W_L is the largest word of at most _PIECE digits."""
+    return bisect.bisect_right(kbonacci_sizes(k), _PIECE) - 1
+
+
 def _word_digits(k: int, n: int) -> bytes:
-    # W_m is one join of views of W_{m-1} and the shifted block, each view
-    # cut at its size: every digit is copied once per level. The digits
-    # are at most n, far below 256 (see the module docstring).
+    # Up to W_L, each level is one join of views of the level before it,
+    # each view cut at its size: every digit is copied once per level.
+    # Past W_L, W_n is one join of its plan's leaves (`bytes` hands each
+    # leaf's digits on as they are): every digit is written once. The
+    # digits are at most n, far below 256 (see the module docstring).
+    if n > _leaf_level(k):
+        return b"".join(_plan_leaves(k, n, 0, bytes))
     prev = bytes(1)
     for level in _block_levels(k)[:n]:
         view = memoryview(prev)
@@ -462,17 +475,11 @@ def word(k: int, n: int, method: GenMethod = GenMethod.RECURRENCE) -> Word:
 
 def _plan_pieces(k: int, n: int, sep: str, mod_k: bool) -> Iterator[str]:
     """The text of W_n, digits separated by sep and reduced mod k with
-    mod_k, as _pieces renders word(k, n).digits, but read from the block
-    plan so that W_n is never built. Checks the request and refuses the
-    plain format (the largest digit of W_n is n, or min(n, k - 1) after
-    reduction) when called, before the first piece.
-
-    A node (m, s) stands for s ⊕ W_m, with s taken mod k under mod_k: it
-    is node (m - 1, s) followed by each block (|W_i|, t) of level m as
-    node (i, s + t). A node of at most _PIECE digits is a leaf, rendered
-    by _pieces from the shifted prefix of W_L, the largest word of at
-    most _PIECE digits, the first time it is reached; every later use
-    yields the same text again."""
+    mod_k, as _pieces renders word(k, n).digits, but rendered leaf by leaf
+    from the block plan (`_plan_leaves`, shifts taken mod k under mod_k)
+    so that W_n is never built. Checks the request and refuses the plain
+    format (the largest digit of W_n is n, or min(n, k - 1) after
+    reduction) when called, before the first piece."""
     _check_request(k, n)
     if not sep and (min(n, k - 1) if mod_k else n) > 9:
         raise _plain_refusal()
@@ -480,29 +487,47 @@ def _plan_pieces(k: int, n: int, sep: str, mod_k: bool) -> Iterator[str]:
 
 
 def _plan_walk(k: int, n: int, sep: str, mod: int) -> Iterator[str]:
+    # Each leaf's text ends with sep, so the last one is yielded without.
+    texts = _plan_leaves(k, n, mod, lambda ds: "".join(_pieces(ds, sep, mod)) + sep)
+    text = next(texts)
+    for after in texts:
+        yield text
+        text = after
+    yield text[: len(text) - len(sep)]
+
+
+def _plan_leaves(k: int, n: int, mod: int, make: Callable[[bytes], object]) -> Iterator:
+    """make(ds) for each leaf of W_n's block plan in order, ds the leaf's
+    digits: each leaf's is made the first time it is reached, and every
+    later use yields the same object again.
+
+    A node (m, s) stands for s ⊕ W_m, with s taken mod `mod` when it is
+    nonzero: it is node (m - 1, s) followed by each block (|W_i|, t) of
+    level m as node (i, s + t). A node with m <= L, W_L the largest word
+    of at most _PIECE digits, is a leaf, whose digits are the prefix of
+    W_L of |W_m| digits shifted by s."""
     sizes = kbonacci_sizes(k)
     levels = _block_levels(k)
     level_of = {size: i for i, size in enumerate(sizes)}
-    leaf = bisect.bisect_right(sizes, _PIECE) - 1
+    leaf = _leaf_level(k)
     small = _word_digits(k, min(n, leaf))
-    texts: dict[tuple[int, int], str] = {}
+    made = {}
     stack = [(n, 0)]
     while stack:
         m, s = stack.pop()
         if m > leaf:
-            # Pushed in reverse, the children come off in text order.
+            # Pushed in reverse, the children come off in word order.
             stack.extend(
                 (level_of[size], (s + t) % mod if mod else s + t)
                 for size, t in reversed(levels[m - 1])
             )
             stack.append((m - 1, s))
             continue
-        text = texts.get((m, s))
-        if text is None:
+        out = made.get((m, s))
+        if out is None:
             ds = small[: sizes[m]]
-            text = texts[m, s] = "".join(_pieces(
-                ds.translate(_shift_table(s)) if s else ds, sep, mod)) + sep
-        yield text[: len(text) - len(sep)] if not stack else text
+            out = made[m, s] = make(ds.translate(_shift_table(s)) if s else ds)
+        yield out
 
 
 def classical_word(k: int, n: int) -> Word:

@@ -442,3 +442,15 @@ def test_gen_into_a_closed_pipe_exits_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert "Traceback" not in err, err
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # The result records are NamedTuples and slotted classes, so start-up
+    # imports neither module (inspect comes in with dataclasses).
+    root = Path(__file__).resolve().parent.parent
+    probe = "import sys, kbona.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
+    ).stdout
+    assert out.strip() == "[]"

@@ -191,19 +191,33 @@ def _sweep_words():
             n += 1
 
 
+# W_22 (k=3), W_20 (k=6) and W_18 (k=8): 1.93 M digits together.
+LONG = [(3, 22), (6, 20), (8, 18)]
+
+
+@functools.lru_cache(maxsize=None)
+def _planless(k: int, n: int) -> Word:
+    """A copy of W_n's digits with no plan, kept for the session: it keeps
+    the profile of its own whole scan, so the tests that read the long
+    words scan each one whole once."""
+    return Word._unchecked(word(k, n).digits)
+
+
 @pytest.mark.parametrize(
-    "words", [_sweep_words, lambda: (word(3, 22), word(6, 20), word(8, 18))],
+    "pairs", [lambda: ((w, Word._unchecked(w.digits)) for w in _sweep_words()),
+              lambda: ((word(k, n), _planless(k, n)) for k, n in LONG)],
     ids=["up-to-2^16", "long"])
-def test_plan_build_equals_whole_scan(monkeypatch, words):
-    # Every W_n of up to 2^16 digits for k = 3..8, and W_22 (k=3), W_20
-    # (k=6) and W_18 (k=8): the whole scan of a generated word reads only
-    # its base, W_{k-1} or the word itself when shorter.
+def test_plan_build_equals_whole_scan(monkeypatch, pairs):
+    # Every W_n of up to 2^16 digits for k = 3..8, and the long words:
+    # the whole scan of a generated word reads only its base, W_{k-1} or
+    # the word itself when shorter, and its profile is the whole scan's
+    # of a copy with no plan.
     passes = _count_calls(monkeypatch, "_whole_scan")
-    for w in words():
+    for w, planless in pairs():
         passes.clear()
         profile = maximal_radii(w)
         assert passes == [w._plan[0]]
-        assert _same_profile(profile, _whole_profile(w))
+        assert _same_profile(profile, maximal_radii(planless))
 
 
 def test_plan_build_allocates_only_the_profile():
@@ -361,11 +375,11 @@ def test_distinct_plan_build_equals_whole_walk():
 
 
 def test_distinct_on_long_words():
-    # W_22 (k=3), W_20 (k=6) and W_18 (k=8): every palindrome of length
-    # >= 2 lies centred inside the maximal one at its centre, and the
-    # walk down to the first palindrome already held loses none.
-    for w in (word(3, 22), word(6, 20), word(8, 18)):
-        assert distinct_factors(w, 2) == _centred_factors(enumerate_maximal(w, 2), 2)
+    # The long words built from their plans, against the copies with no
+    # plan, whose every centre is sliced from the whole scan and walked
+    # down.
+    for k, n in LONG:
+        assert distinct_factors(word(k, n), 2) == distinct_factors(_planless(k, n), 2)
 
 
 @given(planned_words(cap=40), st.integers(1, 3))

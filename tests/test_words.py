@@ -499,15 +499,28 @@ def test_plan_pieces_match_rendered_digits(piece):
                         assert got == expected, (k, n, sep, mod_k)
 
 
+@pytest.mark.parametrize("piece", [1, 5, 64])
+def test_leaf_joins_match_the_morphism(piece):
+    # Leaves of 1, 5 and 64 digits put every W_n past the first few
+    # levels on the leaf path, with leaves of one digit, of every shift,
+    # and the level joins below them; the morphism route reads no plan.
+    with mock.patch.object(words, "_PIECE", piece):
+        for k in range(2, 11):
+            w, n = Word((0,)), 0
+            while len(w) <= 1 << 16:
+                assert words._word_digits(k, n) == w.digits, (k, n)
+                w, n = apply_morphism(k, w), n + 1
+
+
 def test_generation_copies_each_digit_once_per_level():
-    # Each level is one join of views of the level before it, so the peak
-    # is about |W_19| + |W_20| + |W_13| (the shifted block): 1.51 bytes
-    # per digit for k = 7.
+    # Past W_L, the word is one join of its plan's leaves, each made
+    # once, so the peak is W_23 itself, about 7.8 M digits, and the few
+    # leaves: 1.04 bytes per digit for k = 7.
     tracemalloc.start()
     try:
-        ds = words._word_digits(7, 20)
+        ds = words._word_digits(7, 23)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(ds) == kbonacci_number(7, 27)
-    assert peak <= 1.6 * len(ds)
+    assert len(ds) == kbonacci_number(7, 30)
+    assert peak <= 1.1 * len(ds)

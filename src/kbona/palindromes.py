@@ -11,12 +11,13 @@ Everything here works over arbitrary nonnegative-integer digits.
   build.
 - A generated word carries its block plan (`Word._plan`): each level
   appends to the word before it blocks that are prefixes of that word,
-  some shifted. `_checked_levels` checks each block against its source
-  once per word, as its profile is built, and a word that fails a check
-  is a word with no plan: a plan with no levels, whose base is the
-  whole word. A one-to-one relabelling keeps every palindrome,
-  so a block's centre holds its source's palindrome unless that
-  palindrome reaches an edge of the source. One walker,
+  some shifted, as `words._block_levels` gives them. Only `word`
+  attaches a plan, to the digits it joined from it, so the plan is
+  trusted and never compared with the digits; a word with no plan is
+  scanned whole, as a plan with no levels whose base is the whole word.
+  A one-to-one relabelling keeps every palindrome, so a block's centre
+  holds its source's palindrome unless that palindrome reaches an edge
+  of the source. One walker,
   `_patched_levels`, runs once per word: per level it yields the blocks
   and the patched centres, those centres with the gap at each cut and
   the word's own palindromic suffixes, each with its palindrome before
@@ -66,7 +67,7 @@ from operator import floordiv, ge, sub
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .words import _PIECE, DomainError, Word, _all_below, _shift_table
+from .words import _PIECE, DomainError, Word, _shift_table
 
 
 class RadiusProfile(NamedTuple):
@@ -100,18 +101,17 @@ class RadiusProfile(NamedTuple):
 
 class ResolvedLengths(Sequence):
     """The maximal palindrome lengths of a word's centres, resolved
-    through its checked block plan, read-only.
+    through its block plan, read-only.
 
     It holds `_base`, the whole scan of the base's centres (for a word
-    with no plan, or one whose digits fail a check, the base is the whole
-    word), `_levels`, the levels of `_patched_levels`, and `_patched`,
-    each patched centre with its length after the last level that
-    patched it. Every centre past the base is the gap before a block,
-    which is patched, or a centre of a block, which holds its source's
-    palindrome unless it is patched. So centre c resolves to its patched
-    length, else its base length, else to centre c - 2 start of the block
-    at `start` that holds it, a centre of a shorter prefix: one step per
-    level at most.
+    with no plan, the base is the whole word), `_levels`, the levels of
+    `_patched_levels`, and `_patched`, each patched centre with its
+    length after the last level that patched it. Every centre past the
+    base is the gap before a block, which is patched, or a centre of a
+    block, which holds its source's palindrome unless it is patched. So
+    centre c resolves to its patched length, else its base length, else
+    to centre c - 2 start of the block at `start` that holds it, a
+    centre of a shorter prefix: one step per level at most.
 
     A slice resolves a run of centres region by region (the base, or a
     block with the gap before it): the base's run is copied from `_base`,
@@ -239,27 +239,24 @@ def maximal_radii(w: Word) -> RadiusProfile:
     """Maximal palindrome length at every centre; linear time in the
     base, digit-equality only (alphabet unbounded).
 
-    `_whole_scan`, Manacher's scan over every centre, scans the base:
-    W_{k-1} of a word that carries a block plan (`Word._plan`), and the
-    whole of any other word or of one whose digits fail the plan's
-    checks, which `_checked_levels` makes here, once per word. The
-    walker, `_patched_levels`, runs once over the plan's levels; the
-    profile keeps its levels and the latest length of each patched
-    centre, and resolves every other centre through them. A
-    level's total is its blocks' totals, each its source's clamped and
-    kept per prefix length, plus what the patches add. The profile is
-    kept on the word, and a later call returns it.
+    A word that carries a block plan (`Word._plan`) is built from it,
+    which is trusted as it is: `_whole_scan`, Manacher's scan over every
+    centre, scans only the base, W_{k-1}, and the walker,
+    `_patched_levels`, runs once over the plan's levels; the profile
+    keeps its levels and the latest length of each patched centre, and
+    resolves every other centre through them. A level's total is its
+    blocks' totals, each its source's clamped and kept per prefix
+    length, plus what the patches add. Any other word is scanned whole.
+    The profile is kept on the word, and a later call returns it.
     """
     profile = getattr(w, "_radii", None)
     if profile is not None:
         return profile
     ds = w.digits
-    plan = getattr(w, "_plan", None)
-    levels = None if plan is None else _checked_levels(ds, plan)
-    size = len(ds) if levels is None else plan[0]
+    size, levels = getattr(w, "_plan", (len(ds), ()))
     base = array("i", (0,)) * max(2 * size - 1, 0)
     longest, total = _whole_scan(ds[:size], base)
-    walked = [] if levels is None else list(_patched_levels(ds, levels, longest))
+    walked = list(_patched_levels(ds, levels, longest)) if levels else []
     # A later level's patch of a centre replaces an earlier one's.
     patched = {c: m for *_, patches in walked for c, _, m in patches}
     lengths = ResolvedLengths(base, walked, patched, max(2 * len(ds) - 1, 0))
@@ -278,48 +275,11 @@ def maximal_radii(w: Word) -> RadiusProfile:
     return profile
 
 
-def _checked_levels(ds: bytes | tuple[int, ...], plan: tuple) -> list[tuple] | None:
-    """The levels of the block plan (base, levels) of ds, each as
-    (size, blocks, end): it appends to the first `size` digits the
-    blocks (start, length, shift), each the prefix of that length
-    shifted by that much, up to digit `end`. Or None when ds does not
-    follow the plan: a store that is not bytes, a block that is not a
-    prefix shifted one to one, below 256 - shift, as `startswith`
-    finds, or a plan that ends short of ds or past it."""
-    base, levels = plan
-    if type(ds) is not bytes:
-        return None
-    view = memoryview(ds)
-    piece = _PIECE // 4  # a shifted block's check copies two pieces at most
-    checked = []
-    size = base
-    for level in levels:
-        blocks = []
-        start = size
-        for length, shift in level:
-            if not 0 < length <= size:
-                return None
-            if shift:
-                table = _shift_table(shift)
-                for lo in range(0, length, piece):
-                    source = ds[lo : min(lo + piece, length)]
-                    if not (_all_below(source, 256 - shift)
-                            and ds.startswith(source.translate(table), start + lo)):
-                        return None
-            elif not ds.startswith(view[:length], start):
-                return None
-            blocks.append((start, length, shift))
-            start += length
-        checked.append((size, blocks, start))
-        size = start
-    return checked if size == len(ds) else None
-
-
-def _patched_levels(ds: bytes, levels: list[tuple], longest: int) -> Iterator[tuple]:
-    """The levels of ds's checked block plan, each as (size, blocks, end,
+def _patched_levels(ds: bytes, levels: Iterable[tuple], longest: int) -> Iterator[tuple]:
+    """The levels of ds's block plan, each as (size, blocks, end,
     patches), from the digits alone, given `longest`, the length of the
-    base's longest palindrome. Each block is (start, length, shift), as
-    `_checked_levels` gives it.
+    base's longest palindrome. Each level is (size, blocks, end), with
+    each block (start, length, shift), as `words._block_levels` gives it.
 
     A level appends to the word U of its first `size` digits the blocks,
     each a prefix of U relabelled one to one. A block's centre holds its
@@ -447,7 +407,7 @@ def _maximal_ends(ds: bytes | tuple[int, ...], lengths: ResolvedLengths) -> dict
     digit 0, or to |ds| when every such occurrence starts at digit 0.
 
     They are read from what the profile keeps: the base's centres at
-    their final lengths, then per level of the checked block plan each
+    their final lengths, then per level of the block plan each
     shifted block's copies and the patched centres at their final
     lengths. A block of `length` digits at `start` relabels its source
     one to one, and a source centre that is no edge of the source holds

@@ -2,10 +2,12 @@
 computed value (a linear-time scan of the actual word, a crossing
 classification, or a direct property execution). The scan of a
 generated word is built from the block plan it was joined from, and is
-still the radius profile of the actual word: every digit is compared,
-each block with one `startswith` against its source, and a word whose
-digits do not follow the plan is scanned whole, by Manacher's scan over
-every centre.
+the radius profile of the actual word because the word's digits are
+that plan's join. Whether the plan is W_n is answered apart from any
+scan: the lemma battery's `method-agreement` row compares each W_n it
+reads with phi_k^n(0), and the tests compare the plan's leaf joins with the
+morphism, each plan build with Manacher's scan of a copy with no plan,
+and the text of long words with pinned digests.
 
 Each suite builds one word. W^(k) is the fixed point of phi_k, so every
 W_n with n <= n_max is the prefix of |W_n| digits of W_{n_max}: the
@@ -177,9 +179,9 @@ def verify_counts(k: int, n_max: int) -> Report:
     oracle is one plan build of W_{n_max}, of which every W_n is a
     prefix: the build keeps the total of each W_n's own profile, from
     which P(n) is arithmetic (`count_prefix_occurrences`). It is the
-    profile of the actual word, every digit compared (see the module
-    docstring): the plan tells it where to copy, never what the digits
-    are. Past the length guard, the LengthGuardError names W_{n_max}."""
+    profile of the actual word, whose digits are the plan's join (see
+    the module docstring). Past the length guard, the LengthGuardError
+    names W_{n_max}."""
     report = Report("counts", {"k": k, "n_max": n_max})
     series = {mode: counting.p_series(k, n_max, mode) for mode, _ in MODES}
     w = word(k, n_max)

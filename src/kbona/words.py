@@ -31,7 +31,9 @@ each leaf once. W_n is one `b"".join` of its leaves, so each digit is
 written once and the peak is about |W_n| bytes. The blocks of each level
 come from one function, `_block_levels`, and `word` keeps them on the
 word as its block plan, from which `palindromes` builds the radius
-profile. Text is rendered by one renderer, `_pieces`, in pieces of
+profile. Only `word` attaches a plan, to the digits it joined from that
+plan, so the plan is read as the word and never compared with the
+digits. Text is rendered by one renderer, `_pieces`, in pieces of
 `_PIECE` digits: `to_plain` and `to_spaced` join its pieces. `kbona gen`
 renders W_n from the same leaf walk instead, by `_plan_pieces`: each
 leaf is rendered by `_pieces` once and written again by reference
@@ -121,13 +123,12 @@ class Word:
     resolves every other centre through the plan. `_plan` is set on a
     word that `word` generates by the recurrence, and unset on every
     other: it is the block plan the word was joined from, (|W_j|,
-    levels) with j = min(n, k - 1), where level m = k..n lists the
-    blocks W_m appends to W_{m-1}, each as (prefix length, shift), from
-    which `maximal_radii` builds the profile, checking the blocks against
-    the digits once per word as it does, and `enumerate_maximal` and
-    `distinct_factors` their sets of palindromes from the profile.
-    Equality, hashing, pickling and copying see the digits alone, so a
-    copy carries neither a profile nor a plan.
+    levels) with j = min(n, k - 1) and levels k..n of `_block_levels`,
+    from which `maximal_radii` builds the profile, and
+    `enumerate_maximal` and `distinct_factors` their sets of palindromes
+    from the profile. The digits are the plan's join, so the plan is
+    trusted as it is. Equality, hashing, pickling and copying see the
+    digits alone, so a copy carries neither a profile nor a plan.
     """
 
     __slots__ = ("digits", "_radii", "_plan")
@@ -417,21 +418,27 @@ def _check_request(k: int, n: int) -> None:
 
 
 @functools.lru_cache(maxsize=256)
-def _block_levels(k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The blocks that W_m appends to W_{m-1}, for m = 1, 2, ... up to
-    the last W_m in the size table, each as (|W_i|, shift): the prefix
-    of that length shifted by that much. Entry m - 1 is level m, and
-    every word of one k shares these tuples.
+def _block_levels(k: int) -> tuple[tuple[int, tuple[tuple[int, int, int], ...], int], ...]:
+    """The block plan of every W_m up to the last in the size table: level
+    m as (size, blocks, end), where W_m appends to W_{m-1}, its first
+    `size` digits, the blocks (start, length, shift), each the prefix of
+    that length shifted by that much, up to digit `end`. Entry m - 1 is
+    level m, and every word of one k shares these tuples.
 
     Block recurrence: W_0 = 0; W_m = W_{m-1} ... W_0 m for m < k, where
     the digit m is m ⊕ W_0; W_m = W_{m-1} ... W_{m-k+1} (k ⊕ W_{m-k}) for
     m >= k. Each W_i with i < m is a prefix of W_{m-1}."""
     sizes = kbonacci_sizes(k)
-    return tuple(
-        (*((sizes[i], 0) for i in range(m - 2, max(m - k, -1), -1)),
-         (sizes[max(m - k, 0)], min(m, k)))
-        for m in range(1, len(sizes))
-    )
+    levels, size = [], sizes[0]
+    for m in range(1, len(sizes)):
+        blocks, end = [], size
+        for i, shift in (*((i, 0) for i in range(m - 2, max(m - k, -1), -1)),
+                         (max(m - k, 0), min(m, k))):
+            blocks.append((end, sizes[i], shift))
+            end += sizes[i]
+        levels.append((size, tuple(blocks), end))
+        size = end
+    return tuple(levels)
 
 
 def _leaf_level(k: int) -> int:
@@ -448,12 +455,12 @@ def _word_digits(k: int, n: int) -> bytes:
     if n > _leaf_level(k):
         return b"".join(_plan_leaves(k, n, 0, bytes))
     prev = bytes(1)
-    for level in _block_levels(k)[:n]:
+    for _, blocks, _ in _block_levels(k)[:n]:
         view = memoryview(prev)
         prev = b"".join([
             view,
-            *(prev[:size].translate(_shift_table(shift)) if shift else view[:size]
-              for size, shift in level),
+            *(prev[:length].translate(_shift_table(shift)) if shift else view[:length]
+              for _, length, shift in blocks),
         ])
         del view  # W_{m-1} is freed here, not during the next level
     return prev
@@ -502,9 +509,9 @@ def _plan_leaves(k: int, n: int, mod: int, make: Callable[[bytes], object]) -> I
     later use yields the same object again.
 
     A node (m, s) stands for s ⊕ W_m, with s taken mod `mod` when it is
-    nonzero: it is node (m - 1, s) followed by each block (|W_i|, t) of
-    level m as node (i, s + t). A node with m <= L, W_L the largest word
-    of at most _PIECE digits, is a leaf, whose digits are the prefix of
+    nonzero: it is node (m - 1, s) followed by each block (start, |W_i|,
+    t) of level m as node (i, s + t). A node with m <= L, W_L the
+    largest word of at most _PIECE digits, is a leaf, whose digits are the prefix of
     W_L of |W_m| digits shifted by s."""
     sizes = kbonacci_sizes(k)
     levels = _block_levels(k)
@@ -518,8 +525,8 @@ def _plan_leaves(k: int, n: int, mod: int, make: Callable[[bytes], object]) -> I
         if m > leaf:
             # Pushed in reverse, the children come off in word order.
             stack.extend(
-                (level_of[size], (s + t) % mod if mod else s + t)
-                for size, t in reversed(levels[m - 1])
+                (level_of[length], (s + t) % mod if mod else s + t)
+                for _, length, t in reversed(levels[m - 1][1])
             )
             stack.append((m - 1, s))
             continue

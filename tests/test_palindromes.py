@@ -184,7 +184,7 @@ def _same_profile(a, b) -> bool:
 
 
 def _sweep_words():
-    for k in range(3, 9):
+    for k in range(2, 11):
         n = 0
         while len(w := word(k, n)) <= 1 << 16:
             yield w
@@ -208,10 +208,10 @@ def _planless(k: int, n: int) -> Word:
               lambda: ((word(k, n), _planless(k, n)) for k, n in LONG)],
     ids=["up-to-2^16", "long"])
 def test_plan_build_equals_whole_scan(monkeypatch, pairs):
-    # Every W_n of up to 2^16 digits for k = 3..8, and the long words:
+    # Every W_n of up to 2^16 digits for k = 2..10, and the long words:
     # the whole scan of a generated word reads only its base, W_{k-1} or
-    # the word itself when shorter, and its profile is the whole scan's
-    # of a copy with no plan.
+    # the word itself when shorter, and its profile, built from the plan
+    # as it is trusted, is the whole scan's of a copy with no plan.
     passes = _count_calls(monkeypatch, "_whole_scan")
     for w, planless in pairs():
         passes.clear()
@@ -223,9 +223,8 @@ def test_plan_build_equals_whole_scan(monkeypatch, pairs):
 def test_plan_build_allocates_only_the_profile():
     # W_22 (k=3), 755,476 digits: the profile holds the base's lengths,
     # the walker's levels and the patched centres, and the build's peak
-    # is the digit check of the last shifted block, two pieces of 16,384
-    # digits, with the profile about 0.06 bytes per digit, where an entry
-    # per centre would take 8.
+    # is that profile, 27.7 kB or about 0.04 bytes per digit, where an
+    # entry per centre would take 8.
     w = word(3, 22)
     tracemalloc.start()
     try:
@@ -236,9 +235,10 @@ def test_plan_build_allocates_only_the_profile():
     assert peak < 0.1 * len(w)
 
 
-# Digits that no longer follow the word's plan: one digit of the last
-# block or of the base changed, one digit fewer or more, or a digit past
-# 255, which puts the word in the tuple store.
+# W_n's digits changed: one digit of the last block or of the base
+# changed, one digit fewer or more, or a digit past 255, which puts the
+# word in the tuple store. A word made from them outside `word` carries
+# no plan.
 changed_digits = pytest.mark.parametrize("change", [
     lambda ds: ds[:-3] + bytes([ds[-3] ^ 1]) + ds[-2:],
     lambda ds: bytes([ds[0] + 1]) + ds[1:],
@@ -250,25 +250,45 @@ changed_digits = pytest.mark.parametrize("change", [
 
 @changed_digits
 def test_plan_of_changed_digits_takes_the_whole_scan(monkeypatch, change):
-    # A word whose digits no longer follow its plan is scanned whole.
-    w = word(4, 12)
-    object.__setattr__(w, "digits", change(w.digits))
+    # A word made outside `word` is scanned whole, to the brute lengths.
+    w = Word._unchecked(change(word(4, 12).digits))
     passes = _count_calls(monkeypatch, "_whole_scan")
     assert _same_profile(maximal_radii(w), _whole_profile(w))
     assert passes[-1] == len(w)
+    assert list(maximal_radii(w).lengths) == brute_radii(w)
 
 
 def _planned(base, levels) -> Word:
     """The word joined from a block plan: base digits, then per level the
     blocks (length, shift), each the prefix of that length shifted by
-    that much, a digit past 255 - shift becoming 0, as the plan reads
-    them; the word carries the plan."""
+    that much, a digit past 255 - shift becoming 0. The word carries the
+    plan, in the form `word` attaches, only when no shifted digit passes
+    255, as no generated digit does; else it carries none."""
     ds = bytes(base)
+    plan, wraps = [], False
     for level in levels:
-        ds += b"".join(ds[:length].translate(_shift_table(shift)) for length, shift in level)
+        size, blocks = len(ds), []
+        for length, shift in level:
+            wraps |= max(ds[:length]) >= 256 - shift
+            blocks.append((len(ds), length, shift))
+            ds += ds[:length].translate(_shift_table(shift))
+        plan.append((size, tuple(blocks), len(ds)))
     w = Word._unchecked(ds)
-    object.__setattr__(w, "_plan", (len(base), tuple(map(tuple, levels))))
+    if not wraps:
+        object.__setattr__(w, "_plan", (len(base), tuple(plan)))
     return w
+
+
+def _scans(read, w):
+    """read(w), and the digit count of each whole scan it makes."""
+    with pytest.MonkeyPatch.context() as mp:
+        passes = _count_calls(mp, "_whole_scan")
+        return read(w), passes
+
+
+def _base(w: Word) -> int:
+    """The digits the whole scan of w reads: its plan's base, else all."""
+    return getattr(w, "_plan", (len(w),))[0]
 
 
 @st.composite
@@ -298,20 +318,15 @@ def planned_words(draw, cap=None):
 # the shifted 0.
 @example(_planned((0, 1), [[(1, 0), (1, 1)]]))
 # A shift past 255: 255 254 shifted by 2 is 0 0, a palindrome its source
-# is not, so the plan is refused.
+# is not, so the word carries no plan and is scanned whole.
 @example(_planned((0, 255, 254), [[(3, 2)]]))
 @settings(max_examples=300)
 def test_plan_build_on_random_plans(w):
-    base, levels = w._plan
-    one_to_one = all(
-        max(w.digits[:length]) < 256 - shift for level in levels for length, shift in level)
-    with pytest.MonkeyPatch.context() as mp:
-        passes = _count_calls(mp, "_whole_scan")
-        profile = maximal_radii(w)
+    profile, passes = _scans(maximal_radii, w)
     assert _same_profile(profile, _whole_profile(w))
-    # The plan is checked before its base is scanned, so a refused plan
-    # scans the word whole and nothing else.
-    assert passes == ([base] if one_to_one else [len(w)])
+    # A word with a plan scans its base whole, and one without scans
+    # the word whole and nothing else.
+    assert passes == [_base(w)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -357,17 +372,8 @@ def test_resolved_lengths_equal_the_whole_scan(read):
     assert list(lengths) == expected.tolist()
 
 
-def _centred_factors(palindromes, min_len: int) -> set[Word]:
-    """Every palindrome of length >= min_len that shares its centre with
-    one of the given ones and lies inside it."""
-    return {
-        Word(p.digits[i : len(p) - i])
-        for p in palindromes for i in range((len(p) - min_len) // 2 + 1)
-    }
-
-
 def test_distinct_plan_build_equals_whole_walk():
-    # Every W_n of up to 2^16 digits for k = 3..8, built from its plan,
+    # Every W_n of up to 2^16 digits for k = 2..10, built from its plan,
     # against a copy with no plan, whose every centre is sliced from the
     # whole scan and walked down.
     for w in _sweep_words():
@@ -395,20 +401,21 @@ def test_distinct_on_long_words():
 @example(_planned((0, 1, 0, 1), [[(1, 0)]]), 1)
 @example(_planned((0, 1, 0, 2), [[(4, 0)]]), 1)
 # A shift past 255: 255 254 shifted by 2 is 0 0, a palindrome its source
-# is not, so the plan is refused and the whole profile walked.
+# is not, so the word carries no plan and its whole profile is walked.
 @example(_planned((0, 255, 254), [[(3, 2)]]), 1)
 @settings(max_examples=300)
 def test_distinct_plan_build_on_random_plans(w, min_len):
-    assert distinct_factors(w, min_len) == brute_distinct(w, min_len)
+    got, passes = _scans(lambda w: distinct_factors(w, min_len), w)
+    assert got == brute_distinct(w, min_len)
+    assert passes == [_base(w)]
 
 
 @changed_digits
 def test_distinct_of_changed_digits_walks_the_whole_profile(monkeypatch, change):
-    # A word whose digits no longer follow its plan is a plan with no
-    # levels: every centre of its whole profile, which the whole scan
-    # builds, is sliced and walked down.
-    w = word(4, 8)
-    object.__setattr__(w, "digits", change(w.digits))
+    # A word made outside `word` is a plan with no levels: every centre
+    # of its whole profile, which the whole scan builds, is sliced and
+    # walked down.
+    w = Word._unchecked(change(word(4, 8).digits))
     passes = _count_calls(monkeypatch, "_whole_scan")
     assert distinct_factors(w, 1) == brute_distinct(w, 1)
     assert passes[-1] == len(w)
@@ -429,9 +436,8 @@ def test_distinct_plan_build_scans_only_the_base(monkeypatch):
 
 def test_distinct_plan_build_memory():
     # W_23 (k=7), 7,805,695 digits: the build holds its 94 maximal
-    # palindromes, the 500 distinct ones, the profile and the shifted
-    # blocks' digit checks, about 0.03 bytes per digit, where a profile
-    # entry per centre would take 8.
+    # palindromes, the 500 distinct ones and the profile, about 0.03
+    # bytes per digit, where a profile entry per centre would take 8.
     w = word(7, 23)
     tracemalloc.start()
     try:
@@ -442,11 +448,11 @@ def test_distinct_plan_build_memory():
     assert peak < 0.1 * len(w)
 
 
-def test_distinct_plan_build_checks_shifted_blocks_in_pieces():
-    # W_22 (k=3), 755,476 digits, whose last block is W_19 shifted by 3,
-    # 121,415 digits: its check holds two copies of one piece of 16,384
-    # digits at most, about 0.05 bytes per digit, where two copies of
-    # the source would take 0.32.
+def test_distinct_plan_build_memory_at_k3():
+    # W_22 (k=3), 755,476 digits: the build holds its maximal and
+    # distinct palindromes and the profile, 29.4 kB at its peak or about
+    # 0.04 bytes per digit, where a copy of its last block, W_19 shifted
+    # by 3, would take 0.16.
     w = word(3, 22)
     tracemalloc.start()
     try:
@@ -495,39 +501,24 @@ def test_maximal_plan_build_equals_comprehension(monkeypatch):
 # 0 1 0 over two levels: the 1 that ends the first level holds 1 alone
 # there, and 0 1 0 once the second level patches it again.
 @example(_planned((0,), [[(1, 1)], [(1, 0)]]), 1)
-# A shift past 255: the plan is refused and every centre sliced.
+# A shift past 255: the word carries no plan, so it is scanned whole and
+# every centre sliced.
 @example(_planned((0, 255, 254), [[(3, 2)]]), 1)
 @settings(max_examples=300)
 def test_maximal_plan_build_on_random_plans(w, min_len):
-    assert enumerate_maximal(w, min_len) == brute_maximal(w, min_len)
+    got, passes = _scans(lambda w: enumerate_maximal(w, min_len), w)
+    assert got == brute_maximal(w, min_len)
+    assert passes == [_base(w)]
 
 
 @changed_digits
 def test_maximal_of_changed_digits_slices_every_centre(monkeypatch, change):
-    # A word whose digits no longer follow its plan slices one palindrome
-    # at every centre of its whole profile, which the whole scan builds.
-    w = word(4, 8)
-    object.__setattr__(w, "digits", change(w.digits))
+    # A word made outside `word` slices one palindrome at every centre
+    # of its whole profile, which the whole scan builds.
+    w = Word._unchecked(change(word(4, 8).digits))
     passes = _count_calls(monkeypatch, "_whole_scan")
     assert enumerate_maximal(w, 1) == brute_maximal(w, 1)
     assert passes[-1] == len(w)
-
-
-def test_plan_is_checked_once(monkeypatch):
-    # The profile, the maximal set and the distinct set of one word read
-    # one check of its plan; a word whose digits fail it keeps the
-    # refusal.
-    checks = _count_calls(monkeypatch, "_checked_levels")
-    w = word(5, 12)
-    maximal_radii(w)
-    enumerate_maximal(w, 2)
-    distinct_factors(w, 2)
-    assert checks == [len(w)]
-    w = word(5, 12)
-    object.__setattr__(w, "digits", w.digits[:-1])
-    checks.clear()
-    assert distinct_factors(w, 2) == _centred_factors(enumerate_maximal(w, 2), 2)
-    assert checks == [len(w)] and maximal_radii(w).lengths._levels == []
 
 
 def test_walker_runs_once_per_word(monkeypatch):

@@ -26,7 +26,15 @@ Everything here works over arbitrary nonnegative-integer digits.
   latest length of each patched centre, and no entry per centre: a
   centre resolves to its patch, to the base, or to its source centre,
   and a slice block by block by C-level copies. A level's total is its
-  blocks' totals plus what the patches add.
+  blocks' totals plus what the patches add. One builder,
+  `_build_profile`, makes the profile from a digit source, read only by
+  `len`, index and slice, and a plan: `maximal_radii` passes a word's
+  digits and plan, and the lengths suite passes `words._PlanDigits`,
+  which reads by rule the digits of a W_n that is never built.
+- `_length_set` gives the lengths of a word's palindromes from its
+  profile: a palindrome of length m at a centre holds one of length
+  m - 2 there, so they are every length up to the longest at a digit
+  centre and at a gap centre, both read from the base and the patches.
 - `_maximal_ends` builds the set of maximal palindromes from what the
   profile keeps: the base's centres, each shifted block's copies of its
   source's palindromes that reach no edge, and the patched centres.
@@ -239,21 +247,33 @@ def maximal_radii(w: Word) -> RadiusProfile:
     """Maximal palindrome length at every centre; linear time in the
     base, digit-equality only (alphabet unbounded).
 
-    A word that carries a block plan (`Word._plan`) is built from it,
-    which is trusted as it is: `_whole_scan`, Manacher's scan over every
-    centre, scans only the base, W_{k-1}, and the walker,
-    `_patched_levels`, runs once over the plan's levels; the profile
-    keeps its levels and the latest length of each patched centre, and
-    resolves every other centre through them. A level's total is its
-    blocks' totals, each its source's clamped and kept per prefix
-    length, plus what the patches add. Any other word is scanned whole.
-    The profile is kept on the word, and a later call returns it.
+    A word that carries a block plan (`Word._plan`) is built from it by
+    `_build_profile`, which trusts the plan as it is; any other word is
+    scanned whole. The profile is kept on the word, and a later call
+    returns it.
     """
     profile = getattr(w, "_radii", None)
-    if profile is not None:
-        return profile
-    ds = w.digits
-    size, levels = getattr(w, "_plan", (len(ds), ()))
+    if profile is None:
+        profile = _build_profile(w.digits, getattr(w, "_plan", (len(w.digits), ())))
+        object.__setattr__(w, "_radii", profile)
+    return profile
+
+
+def _build_profile(ds, plan: tuple) -> RadiusProfile:
+    """The radius profile of the digits ds, read as `len(ds)`, `ds[i]`
+    and `ds[a:b]` only, from their block plan (size, levels): a digit
+    store with no levels is scanned whole, and `words._PlanDigits` reads
+    a W_n that is never built.
+
+    `_whole_scan`, Manacher's scan over every centre, scans only the
+    base, the first `size` digits (W_{k-1} of a generated word), and the
+    walker, `_patched_levels`, runs once over the plan's levels; the
+    profile keeps its levels and the latest length of each patched
+    centre, and resolves every other centre through them. A level's
+    total is its blocks' totals, each its source's clamped and kept per
+    prefix length, plus what the patches add.
+    """
+    size, levels = plan
     base = array("i", (0,)) * max(2 * size - 1, 0)
     longest, total = _whole_scan(ds[:size], base)
     walked = list(_patched_levels(ds, levels, longest)) if levels else []
@@ -270,9 +290,24 @@ def maximal_radii(w: Word) -> RadiusProfile:
         total += sum(m - held for _, held, m in patches)
         longest = max(longest, *(m for _, _, m in patches))
         totals[end] = total
-    profile = RadiusProfile(lengths, longest, total, MappingProxyType(totals))
-    object.__setattr__(w, "_radii", profile)
-    return profile
+    return RadiusProfile(lengths, longest, total, MappingProxyType(totals))
+
+
+def _length_set(lengths: ResolvedLengths) -> frozenset[int]:
+    """The lengths >= 2 of the palindromes of the word whose profile's
+    lengths these are. A palindrome of length m at a centre holds one of
+    length m - 2 there, so they are 3, 5, .. up to the longest at a
+    digit centre and 2, 4, .. up to the longest at a gap centre. Both
+    maxima are read from the base's lengths and the patched centres
+    alone: every other centre copies the centre 2 start before it, for
+    the block at `start` that holds it, so one of its own parity. A base
+    length that a later patch replaced is no longer than the patch."""
+    base, patched = lengths._base, lengths._patched
+    odd, even = (
+        max(chain(base[parity::2], (m for c, m in patched.items() if c % 2 == parity)),
+            default=0)
+        for parity in (0, 1))
+    return frozenset(chain(range(3, odd + 1, 2), range(2, even + 1, 2)))
 
 
 def _patched_levels(ds: bytes, levels: Iterable[tuple], longest: int) -> Iterator[tuple]:

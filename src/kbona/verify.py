@@ -9,12 +9,13 @@ reads with phi_k^n(0), and the tests compare the plan's leaf joins with the
 morphism, each plan build with Manacher's scan of a copy with no plan,
 and the text of long words with pinned digests.
 
-Each suite builds one word. W^(k) is the fixed point of phi_k, so every
-W_n with n <= n_max is the prefix of |W_n| digits of W_{n_max}: the
-counts, decomposition and lemma suites build W_{n_max} once and read
-each W_n as that prefix, its profile as the clamp of W_{n_max}'s one
-profile (`palindromes._classify_prefix`); the structure suite reads
-each W_n2 as a prefix of its W_n, and the lengths suite reads W_{3k+2}.
+Each suite builds at most one word. W^(k) is the fixed point of phi_k,
+so every W_n with n <= n_max is the prefix of |W_n| digits of
+W_{n_max}: the counts, decomposition and lemma suites build W_{n_max}
+once and read each W_n as that prefix, its profile as the clamp of
+W_{n_max}'s one profile (`palindromes._classify_prefix`); the structure
+suite reads each W_n2 as a prefix of its W_n. The lengths suite builds
+no word: it reads the profile of W_{3k+2} from its block plan.
 
 Every row of a report is written by one of two Report methods, which
 also keep the suite's clock. Report.check holds the verdict rule: Pass
@@ -36,9 +37,10 @@ from . import counting, structure
 from .counting import FormulaMode
 from .palindromes import (
     RadiusProfile,
+    _build_profile,
     _classify_prefix,
+    _length_set,
     count_prefix_occurrences,
-    distinct_factors,
     enumerate_maximal,
     is_palindrome,
     maximal_radii,
@@ -47,9 +49,11 @@ from .words import (
     DomainError,
     LengthGuardError,
     Word,
+    _PlanDigits,
     _all_below,
     _check_request,
     _classical_chain,
+    _plan,
     apply_morphism,
     kbonacci_number,
     kbonacci_sizes,
@@ -427,13 +431,19 @@ def verify_lemmas(k: int, n_max: int) -> Report:
 
 def verify_lengths(k: int) -> Report:
     """Distinct palindrome lengths observed in W_{3k+2} vs the admissible
-    length sets in both modes. W_{3k+2} is held to the length guard of
-    `word`: the default admits W_26 for k=8 (64.5 M digits), and a longer
-    word raises LengthGuardError."""
+    length sets in both modes. W_{3k+2} is not built: its profile is
+    built from its block plan, reading through `words._PlanDigits` only
+    the digits the build compares, and the lengths come from the
+    longest palindrome at a digit centre and at a gap centre
+    (`palindromes._length_set`). The suite still holds W_{3k+2} to the
+    length guard of `word`, so that its output does not change: the
+    default admits W_26 for k=8 (64.5 M digits), and a longer word
+    raises LengthGuardError."""
     require_k(k, 3)
-    report = Report("lengths", {"k": k, "n": 3 * k + 2})
-    w = word(k, 3 * k + 2)
-    observed = frozenset(len(p) for p in distinct_factors(w, 2))
+    n = 3 * k + 2
+    report = Report("lengths", {"k": k, "n": n})
+    _check_request(k, n)
+    observed = _length_set(_build_profile(_PlanDigits(k, n), _plan(k, n)).lengths)
     allowed = {mode: structure.allowed_lengths(k, mode).lengths for mode, _ in MODES}
     for mode, provenance in MODES:
         report.check("allowed-lengths", {"k": k, "mode": mode.value}, allowed[mode], provenance,

@@ -25,10 +25,15 @@ W_{n2} of the structure suite's one word from it.
 A long word is held once. Generation builds W_L, the largest word of at
 most `_PIECE` digits, level by level, each level W_m one `b"".join` of
 views of W_{m-1}. Past W_L, the block plan is a straight-line program
-whose leaves are shifted prefixes of W_L: `_plan_leaves` walks it, node
-s ⊕ W_m being node s ⊕ W_{m-1} followed by level m's blocks, and makes
-each leaf once. W_n is one `b"".join` of its leaves, so each digit is
-written once and the peak is about |W_n| bytes. The blocks of each level
+whose leaves are shifted prefixes of W_L. One walker, `regions`, walks
+it for the digits lo..hi-1 of the fixed point, node s ⊕ W_m being node
+s ⊕ W_{m-1} followed by level m's blocks, and enters only the nodes
+that meet them. `_plan_leaves` is its walk over all of W_n, and makes
+each leaf once: W_n is one `b"".join` of its leaves, so each digit is
+written once and the peak is about |W_n| bytes. `digits_at` joins a cut
+of each leaf of a run, so any digits of W_n are read by rule without
+building W_n, and `_PlanDigits` reads W_n so, in chunks it keeps, for a
+radius profile built without the word. The blocks of each level
 come from one function, `_block_levels`, and `word` keeps them on the
 word as its block plan, from which `palindromes` builds the radius
 profile. Only `word` attaches a plan, to the digits it joined from that
@@ -446,6 +451,20 @@ def _leaf_level(k: int) -> int:
     return bisect.bisect_right(kbonacci_sizes(k), _PIECE) - 1
 
 
+@functools.lru_cache(maxsize=16)
+def _leaf_digits(k: int, leaf: int) -> bytes:
+    """W_L, for leaf = L: every leaf of a plan is a shifted prefix of it.
+    `digits_at` reads it for every run; `_plan_leaves` builds its own
+    once per word and lets it go, so generation holds no W_L after it."""
+    return _word_digits(k, leaf)
+
+
+def _plan(k: int, n: int) -> tuple:
+    """The block plan of W_n that `word` attaches: (|W_j|, levels k..n
+    of `_block_levels`) with j = min(n, k - 1)."""
+    return kbonacci_sizes(k)[min(n, k - 1)], _block_levels(k)[k - 1 : n]
+
+
 def _word_digits(k: int, n: int) -> bytes:
     # Up to W_L, each level is one join of views of the level before it,
     # each view cut at its size: every digit is copied once per level.
@@ -475,8 +494,7 @@ def word(k: int, n: int, method: GenMethod = GenMethod.RECURRENCE) -> Word:
             w = apply_morphism(k, w)
         return w
     w = Word._unchecked(_word_digits(k, n))
-    base = kbonacci_sizes(k)[min(n, k - 1)]
-    object.__setattr__(w, "_plan", (base, _block_levels(k)[k - 1 : n]))
+    object.__setattr__(w, "_plan", _plan(k, n))
     return w
 
 
@@ -505,36 +523,116 @@ def _plan_walk(k: int, n: int, sep: str, mod: int) -> Iterator[str]:
 
 def _plan_leaves(k: int, n: int, mod: int, make: Callable[[bytes], object]) -> Iterator:
     """make(ds) for each leaf of W_n's block plan in order, ds the leaf's
-    digits: each leaf's is made the first time it is reached, and every
-    later use yields the same object again.
-
-    A node (m, s) stands for s ⊕ W_m, with s taken mod `mod` when it is
-    nonzero: it is node (m - 1, s) followed by each block (start, |W_i|,
-    t) of level m as node (i, s + t). A node with m <= L, W_L the
-    largest word of at most _PIECE digits, is a leaf, whose digits are the prefix of
-    W_L of |W_m| digits shifted by s."""
+    digits, its shift taken mod `mod` when that is nonzero: the leaves
+    are the regions of all of W_n, and each (level, shift) is made the
+    first time it is reached, and every later use yields the same object
+    again."""
     sizes = kbonacci_sizes(k)
-    levels = _block_levels(k)
-    level_of = {size: i for i, size in enumerate(sizes)}
-    leaf = _leaf_level(k)
-    small = _word_digits(k, min(n, leaf))
+    small = _word_digits(k, min(n, _leaf_level(k)))
     made = {}
-    stack = [(n, 0)]
-    while stack:
-        m, s = stack.pop()
-        if m > leaf:
-            # Pushed in reverse, the children come off in word order.
-            stack.extend(
-                (level_of[length], (s + t) % mod if mod else s + t)
-                for _, length, t in reversed(levels[m - 1][1])
-            )
-            stack.append((m - 1, s))
-            continue
+    for _, m, s in regions(k, 0, sizes[n]):
+        if mod:
+            s %= mod
         out = made.get((m, s))
         if out is None:
             ds = small[: sizes[m]]
             out = made[m, s] = make(ds.translate(_shift_table(s)) if s else ds)
         yield out
+
+
+def regions(k: int, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
+    """The leaves of the block plan that hold the digits lo..hi-1 of the
+    fixed point W^(k), in order, each as (dst, m, s): s ⊕ W_m with
+    m <= L, the prefix of W_L of |W_m| digits shifted by s, starting at
+    digit dst. The first leaf may start before lo and the last end past
+    hi; an empty range has none.
+
+    The walk starts from the shortest W_n that holds the range. A node
+    (dst, m, s) stands for s ⊕ W_m at digit dst: past L it is node
+    (dst, m - 1, s) followed by each block (start, |W_i|, t) of level m
+    as node (dst + start, i, s + t), and a child that misses the range
+    is not entered."""
+    sizes = kbonacci_sizes(k)
+    if not 0 <= lo <= hi <= sizes[-1]:
+        raise DomainError(f"digit range [{lo}, {hi}) is outside 0..{sizes[-1]} (k={k})")
+    levels = _block_levels(k)
+    leaf = _leaf_level(k)
+    stack = [(0, bisect.bisect_left(sizes, hi), 0)] if lo < hi else []
+    while stack:
+        dst, m, s = stack.pop()
+        if m <= leaf:
+            yield dst, m, s
+            continue
+        # Pushed in reverse, the children come off in word order.
+        for start, length, t in reversed(levels[m - 1][1]):
+            if dst + start < hi and lo < dst + start + length:
+                stack.append((dst + start, bisect.bisect_left(sizes, length), s + t))
+        if lo < dst + sizes[m - 1]:
+            stack.append((dst, m - 1, s))
+
+
+def digits_at(k: int, lo: int, hi: int) -> bytes:
+    """The digits lo..hi-1 (0-based) of the fixed point W^(k), so of every
+    W_n that holds them, read from the block plan's leaves (`regions`)
+    without building W_n: one join of a cut of each leaf."""
+    small = _leaf_digits(k, _leaf_level(k))
+    sizes = kbonacci_sizes(k)
+    pieces = []
+    for dst, m, s in regions(k, lo, hi):
+        ds = small[max(lo - dst, 0) : min(hi - dst, sizes[m])]
+        pieces.append(ds.translate(_shift_table(s)) if s else ds)
+    return b"".join(pieces)
+
+
+# A _PlanDigits reads and keeps its digits in chunks of 2^_CHUNK_BITS:
+# the digits a profile build compares lie near block edges, a few
+# hundred at each, so a chunk is about one edge's reads.
+_CHUNK_BITS = 10
+_CHUNK_MASK = (1 << _CHUNK_BITS) - 1
+
+
+class _PlanDigits:
+    """The digits of W_n read by rule, for a radius profile built from
+    W_n's plan without W_n: `len(ds)`, `ds[i]` and `ds[a:b]` (step 1),
+    as on `word(k, n).digits`. Each chunk of 2^_CHUNK_BITS digits is read
+    by `digits_at` when first touched and kept, so an index costs one
+    dict lookup once its chunk is held, and a slice joins the chunks it
+    spans."""
+
+    __slots__ = ("_k", "_size", "_chunks")
+
+    def __init__(self, k: int, n: int):
+        self._k = k
+        self._size = kbonacci_sizes(k)[n]
+        self._chunks = {}
+
+    def __len__(self) -> int:
+        return self._size
+
+    def __getitem__(self, index):
+        try:
+            return self._chunks[index >> _CHUNK_BITS][index & _CHUNK_MASK]
+        except (KeyError, TypeError):
+            pass
+        run = range(self._size)[index]
+        if type(run) is int:
+            return self._chunk(run >> _CHUNK_BITS)[run & _CHUNK_MASK]
+        if run.step != 1:
+            raise DomainError("a plan's digits are read in slices of step 1")
+        if not run:
+            return b""
+        first, last = run.start >> _CHUNK_BITS, (run.stop - 1) >> _CHUNK_BITS
+        at = run.start - (first << _CHUNK_BITS)
+        if first == last:
+            return self._chunk(first)[at : at + len(run)]
+        return b"".join(map(self._chunk, range(first, last + 1)))[at : at + len(run)]
+
+    def _chunk(self, j: int) -> bytes:
+        chunk = self._chunks.get(j)
+        if chunk is None:
+            lo = j << _CHUNK_BITS
+            chunk = self._chunks[j] = digits_at(self._k, lo, min(lo + (1 << _CHUNK_BITS), self._size))
+        return chunk
 
 
 def classical_word(k: int, n: int) -> Word:

@@ -12,7 +12,7 @@ from collections.abc import Sequence
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from kbona import palindromes
+from kbona import palindromes, words
 from kbona.palindromes import (
     classify_crossing,
     count_occurrences,
@@ -843,3 +843,27 @@ def test_classify_crossing_invalid_cuts():
             classify_crossing(w, cuts, 2)
     with pytest.raises(DomainError):
         classify_crossing(Word(), (1,), 1)
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_plan_read_profile_equals_the_built_words(k):
+    # W_{3k+2} read by rule through its plan, never built, gives the
+    # built word's profile, and its two maxima the lengths of the built
+    # word's distinct palindromes.
+    n = 3 * k + 2
+    w = word(k, n)
+    built = maximal_radii(w)
+    read = palindromes._build_profile(words._PlanDigits(k, n), words._plan(k, n))
+    assert (read.longest, read.total, dict(read.totals)) == \
+        (built.longest, built.total, dict(built.totals))
+    assert read.lengths._patched == built.lengths._patched
+    assert palindromes._length_set(read.lengths) == {len(p) for p in distinct_factors(w, 2)}
+
+
+@given(st.one_of(random_digits, st.lists(st.integers(0, 2), max_size=60)))
+@example([0, 0])
+@example([0, 1, 0])
+def test_length_set_of_a_planless_word(digits):
+    w = Word(digits)
+    assert palindromes._length_set(maximal_radii(w).lengths) == \
+        {len(p) for p in brute_distinct(w, 2)}

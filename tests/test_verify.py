@@ -4,6 +4,7 @@ discrepancies with the printed formulas."""
 import ast
 import itertools
 import pathlib
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -637,6 +638,21 @@ def test_verify_lengths(monkeypatch):
     _guard_below_w26_k8(monkeypatch)
     with pytest.raises(LengthGuardError):
         verify.verify_lengths(8)
+
+
+def test_lengths_suite_builds_no_word(monkeypatch):
+    # W_23 for k = 7 (7.8 M digits) is read through its plan: the suite
+    # builds no word, and its peak is the profile and the digits it
+    # reads, under 1 MiB where the built word alone takes 7.8 MB.
+    words = _calls(monkeypatch, "word", verify)
+    tracemalloc.start()
+    try:
+        report = verify.verify_lengths(7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok and words == []
+    assert peak < 1 << 20
 
 
 def test_reports_deterministic():

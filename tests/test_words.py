@@ -7,7 +7,7 @@ import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kbona import counting, palindromes, structure, verify, words
 from kbona.words import (
@@ -524,3 +524,82 @@ def test_generation_copies_each_digit_once_per_level():
         tracemalloc.stop()
     assert len(ds) == kbonacci_number(7, 30)
     assert peak <= 1.1 * len(ds)
+
+
+def _largest_n(k: int, cap: int = 1 << 20) -> int:
+    """The largest n with |W_n| <= cap."""
+    return max(n for n, size in enumerate(words.kbonacci_sizes(k)) if size <= cap)
+
+
+@st.composite
+def digit_ranges(draw):
+    """(k, n, lo, hi) for a W_n of at most 2^20 digits, k = 2..10: a
+    range anywhere in W_n, or one within a few digits of a chunk edge of
+    the plan reader or of a leaf edge of the block plan."""
+    k = draw(st.integers(2, 10))
+    n = draw(st.integers(0, _largest_n(k)))
+    size = words.kbonacci_sizes(k)[n]
+    if draw(st.booleans()):
+        lo = draw(st.integers(0, size))
+        return k, n, lo, draw(st.integers(lo, size))
+    leaves = [dst for dst, _, _ in words.regions(k, 0, size)]
+    chunks = range(0, size, 1 << words._CHUNK_BITS)
+    edge = draw(st.sampled_from(leaves + list(chunks)))
+    lo = draw(st.integers(max(edge - 40, 0), min(edge, size)))
+    return k, n, lo, draw(st.integers(lo, min(edge + 40, size)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(digit_ranges())
+@example((3, 22, 35888, 35893))  # across the end of the first leaf, W_17
+@example((7, 20, 1023, 1025))  # across a chunk edge
+def test_digits_at_equals_a_slice_of_the_built_word(case):
+    k, n, lo, hi = case
+    assert words.digits_at(k, lo, hi) == word(k, n).digits[lo:hi]
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_regions_tile_the_word(k):
+    # The leaves of the whole of the largest W_n of at most 2^20 digits
+    # follow one another and join to phi_k^n(0), which reads no plan:
+    # every block of every level and its shift is checked.
+    n = _largest_n(k)
+    ds = word(k, n, GenMethod.MORPHISM).digits
+    small = words._word_digits(k, words._leaf_level(k))
+    at, joined = 0, []
+    for dst, m, s in words.regions(k, 0, len(ds)):
+        assert dst == at and m <= words._leaf_level(k)
+        at += words.kbonacci_sizes(k)[m]
+        joined.append(small[: words.kbonacci_sizes(k)[m]].translate(words._shift_table(s)))
+    assert b"".join(joined) == ds
+    assert words.digits_at(k, 0, len(ds)) == ds
+    assert list(words.regions(k, 5, 5)) == [] and words.digits_at(k, 5, 5) == b""
+    for lo, hi in ((-1, 2), (3, 2), (0, words.kbonacci_sizes(k)[-1] + 1)):
+        with pytest.raises(DomainError):
+            words.digits_at(k, lo, hi)
+
+
+@pytest.mark.parametrize("k, n", [(3, 13), (5, 16), (8, 20)])
+def test_plan_reader_reads_the_built_word(k, n):
+    # Every digit and slice around each chunk edge, read in a fresh
+    # reader and again from the chunks it keeps, as the built word holds
+    # them; the reader keeps only the chunks it was asked for.
+    ds = word(k, n).digits
+    for reader in (words._PlanDigits(k, n),) * 2:
+        assert len(reader) == len(ds)
+        for edge in range(0, len(ds) + 1, 1 << words._CHUNK_BITS):
+            for i in range(max(edge - 2, 0), min(edge + 2, len(ds))):
+                assert reader[i] == ds[i] and reader[i - len(ds)] == ds[i]
+            for lo in range(max(edge - 3, 0), edge + 3):
+                for hi in range(lo, min(edge + 3, len(ds)) + 1):
+                    assert reader[lo:hi] == ds[lo:hi], (lo, hi)
+        assert reader[: len(ds) + 5] == ds and reader[-3:] == ds[-3:]
+    assert reader[(1 << words._CHUNK_BITS) * 3 + 7 : (1 << words._CHUNK_BITS) * 5 - 1] == \
+        ds[(1 << words._CHUNK_BITS) * 3 + 7 : (1 << words._CHUNK_BITS) * 5 - 1]
+    with pytest.raises(IndexError):
+        reader[len(ds)]
+    with pytest.raises(DomainError):
+        reader[::2]
+    fresh = words._PlanDigits(k, n)
+    fresh[5], fresh[2100:2103]
+    assert sorted(fresh._chunks) == [0, 2]

@@ -5,10 +5,10 @@ Everything here works over arbitrary nonnegative-integer digits.
 - `maximal_radii` gives the maximal palindrome length at each of the
   2|w| - 1 centres. Manacher's scan, `_whole_scan`, runs over every
   centre of the word's base in linear time, over a byte or a tuple store
-  alike. The profile carries its longest length and its total, the sum
-  of the lengths, kept as it is built. It is computed once per word and
-  kept on it (`Word._radii`), read-only, so every caller shares one
-  build.
+  alike. The profile carries its longest length and the total, the sum
+  of the lengths, of each prefix its plan passes, the whole word
+  included, kept as it is built. It is computed once per word and kept
+  on it (`Word._radii`), read-only, so every caller shares one build.
 - A generated word carries its block plan (`Word._plan`): each level
   appends to the word before it blocks that are prefixes of that word,
   some shifted, as `words._block_levels` gives them. Only `word`
@@ -18,19 +18,20 @@ Everything here works over arbitrary nonnegative-integer digits.
   A one-to-one relabelling keeps every palindrome, so a block's centre
   holds its source's palindrome unless that palindrome reaches an edge
   of the source. One walker,
-  `_patched_levels`, runs once per word: per level it yields the blocks
+  `_patched_levels`, runs once per word: per level it gives the blocks
   and the patched centres, those centres with the gap at each cut and
   the word's own palindromic suffixes, each with its palindrome before
-  and after it is extended inside the level. The profile's lengths, a
-  `ResolvedLengths`, keep the base's scan, the walker's levels and the
-  latest length of each patched centre, and no entry per centre: a
-  centre resolves to its patch, to the base, or to its source centre,
-  and a slice block by block by C-level copies. A level's total is its
-  blocks' totals plus what the patches add. One builder,
-  `_build_profile`, makes the profile from a digit source, read only by
-  `len`, index and slice, and a plan: `maximal_radii` passes a word's
-  digits and plan, and the lengths suite passes `words._PlanDigits`,
-  which reads by rule the digits of a W_n that is never built.
+  and after it is extended inside the level. It reads the palindromic
+  prefixes and suffixes from centre lengths, so it reads digits only to
+  extend. The profile's lengths, a `ResolvedLengths`, keep the base's
+  scan, the walker's levels and the latest length of each patched
+  centre, and no entry per centre: one resolver copies a run of centres
+  block by block from its source's, and a centre is a run of one. A
+  level's total is its blocks' totals plus what the patches add. One
+  builder, `_build_profile`, makes the profile from a digit source and
+  a plan, slicing only the base: `maximal_radii` passes a word's digits
+  and plan, and the lengths suite passes `words._PlanDigits`, which
+  reads by rule the digits of a W_n that is never built.
 - `_length_set` gives the lengths of a word's palindromes from its
   profile: a palindrome of length m at a centre holds one of length
   m - 2 there, so they are every length up to the longest at a digit
@@ -68,7 +69,7 @@ Everything here works over arbitrary nonnegative-integer digits.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, compress, count, islice, repeat
 from operator import floordiv, ge, sub
@@ -86,16 +87,16 @@ class RadiusProfile(NamedTuple):
     in 0-based digit coordinates. `lengths` is a `ResolvedLengths`, which
     holds an entry for each centre of the word's base alone and resolves
     every other centre through the word's block plan. `longest` is its
-    maximum and `total` its sum (both 0 for the empty word), kept as the
-    profile is built, so no caller needs a pass over the lengths for
-    either.
+    maximum (0 for the empty word), kept as the profile is built, so no
+    caller needs a pass over the lengths for it.
 
     `totals` maps a prefix length l to the total of the prefix's own
     profile, the word's clamped, centre c < 2l - 1 holding
     min(m, 2l - 1 - c): for the base and every prefix that a level
     passes (each block's source and each level's end, so every W_i with
-    i <= n of a generated W_n with n >= k). It is read-only, like the
-    lengths.
+    i <= n of a generated W_n with n >= k). The whole word is one of
+    them, so `totals[len(w)]` is the sum of the lengths. It is
+    read-only, like the lengths.
 
     `maximal_radii` computes the profile once per word and keeps it on
     the word; it is read-only because every caller shares it.
@@ -103,7 +104,6 @@ class RadiusProfile(NamedTuple):
 
     lengths: ResolvedLengths
     longest: int
-    total: int
     totals: MappingProxyType
 
 
@@ -119,18 +119,20 @@ class ResolvedLengths(Sequence):
     block, which holds its source's palindrome unless it is patched. So
     centre c resolves to its patched length, else its base length, else
     to centre c - 2 start of the block at `start` that holds it, a
-    centre of a shorter prefix: one step per level at most.
+    centre of a shorter prefix.
 
-    A slice resolves a run of centres region by region (the base, or a
-    block with the gap before it): the base's run is copied from `_base`,
-    a block's run from the run of its source, and the patches in the run
-    are written over it. A source run is copied from the slice itself
-    when the slice holds it already, as it does for every whole block of
-    a slice from 0, from `_base` when no patch lies below its end, and is
-    resolved into place the same way otherwise. A slice of r centres is
-    one `array("i")` of r entries, built by C-level copies and a Python
-    step per region and per patch it meets. Iteration reads the word in
-    slices of `_PIECE` centres, so a full read holds one piece at a time.
+    `_resolve` is that rule, and every read goes through it: a single
+    centre is a slice of one. A slice resolves a run of centres region
+    by region (the base, or a block with the gap before it): the base's
+    run is copied from `_base`, a block's run from the run of its source,
+    and the patches in the run are written over it. A source run is
+    copied from the slice itself when the slice holds it already, as it
+    does for every whole block of a slice from 0, from `_base` when no
+    patch lies below its end, and is resolved into place the same way
+    otherwise. A slice of r centres is one `array("i")` of r entries,
+    built by C-level copies and a Python step per region and per patch
+    it meets. Iteration reads the word in slices of `_PIECE` centres, so
+    a full read holds one piece at a time.
     """
 
     __slots__ = ("_base", "_levels", "_patched", "_firsts", "_keys", "_plain", "_centres",
@@ -166,12 +168,7 @@ class ResolvedLengths(Sequence):
             self._resolve(out, 0, lo, hi)
             return out if run.step == 1 else out[run.start - lo :: run.step]
         c = range(self._centres)[index]
-        firsts = self._firsts
-        while (m := self._patched.get(c)) is None:
-            if c < len(self._base):
-                return self._base[c]
-            c -= firsts[bisect_right(firsts, c) - 1] + 1
-        return m
+        return self[c : c + 1][0]
 
     def _resolve(self, out: array, at: int, lo: int, hi: int) -> None:
         """Write the lengths of the centres lo..hi-1 into out[at:], one
@@ -260,25 +257,23 @@ def maximal_radii(w: Word) -> RadiusProfile:
 
 
 def _build_profile(ds, plan: tuple) -> RadiusProfile:
-    """The radius profile of the digits ds, read as `len(ds)`, `ds[i]`
-    and `ds[a:b]` only, from their block plan (size, levels): a digit
-    store with no levels is scanned whole, and `words._PlanDigits` reads
-    a W_n that is never built.
+    """The radius profile of the digits ds, from their block plan (size,
+    levels), reading ds by `len(ds)`, one slice `ds[:size]` and `ds[i]`
+    only: a digit store with no levels is scanned whole, and
+    `words._PlanDigits` reads a W_n that is never built.
 
     `_whole_scan`, Manacher's scan over every centre, scans only the
     base, the first `size` digits (W_{k-1} of a generated word), and the
-    walker, `_patched_levels`, runs once over the plan's levels; the
-    profile keeps its levels and the latest length of each patched
-    centre, and resolves every other centre through them. A level's
-    total is its blocks' totals, each its source's clamped and kept per
-    prefix length, plus what the patches add.
+    walker, `_patched_levels`, runs once over the plan's levels and hands
+    over its levels and the latest length of each patched centre; the
+    profile keeps both and resolves every other centre through them. A
+    level's total is its blocks' totals, each its source's clamped and
+    kept per prefix length, plus what the patches add.
     """
     size, levels = plan
     base = array("i", (0,)) * max(2 * size - 1, 0)
     longest, total = _whole_scan(ds[:size], base)
-    walked = list(_patched_levels(ds, levels, longest)) if levels else []
-    # A later level's patch of a centre replaces an earlier one's.
-    patched = {c: m for *_, patches in walked for c, _, m in patches}
+    walked, patched = _patched_levels(ds, levels, base, longest) if levels else ([], {})
     lengths = ResolvedLengths(base, walked, patched, max(2 * len(ds) - 1, 0))
     totals = {size: total}
     for _, blocks, end, patches in walked:
@@ -290,7 +285,7 @@ def _build_profile(ds, plan: tuple) -> RadiusProfile:
         total += sum(m - held for _, held, m in patches)
         longest = max(longest, *(m for _, _, m in patches))
         totals[end] = total
-    return RadiusProfile(lengths, longest, total, MappingProxyType(totals))
+    return RadiusProfile(lengths, longest, MappingProxyType(totals))
 
 
 def _length_set(lengths: ResolvedLengths) -> frozenset[int]:
@@ -310,11 +305,14 @@ def _length_set(lengths: ResolvedLengths) -> frozenset[int]:
     return frozenset(chain(range(3, odd + 1, 2), range(2, even + 1, 2)))
 
 
-def _patched_levels(ds: bytes, levels: Iterable[tuple], longest: int) -> Iterator[tuple]:
+def _patched_levels(ds, levels: Iterable[tuple], base: array, longest: int) -> tuple:
     """The levels of ds's block plan, each as (size, blocks, end,
-    patches), from the digits alone, given `longest`, the length of the
-    base's longest palindrome. Each level is (size, blocks, end), with
-    each block (start, length, shift), as `words._block_levels` gives it.
+    patches), and the patched centres, each mapped to its length after
+    the last level that patched it. `base` is the whole scan of the
+    base's centres and `longest` its longest length. Each level is
+    (size, blocks, end), with each block (start, length, shift), as
+    `words._block_levels` gives it, and starts where the one before it
+    ends.
 
     A level appends to the word U of its first `size` digits the blocks,
     each a prefix of U relabelled one to one. A block's centre holds its
@@ -324,32 +322,35 @@ def _patched_levels(ds: bytes, levels: Iterable[tuple], longest: int) -> Iterato
     suffixes, in each block, U's own palindromic suffixes and the gap at
     each cut. `patches` holds each as (centre, before, after): the length
     of its palindrome before and after it is extended by digit compares
-    inside the level. A palindromic prefix or suffix is found by a slice
-    compare per length, up to that of the longest palindrome so far, and
-    the suffixes of a level's word are the patched palindromes that end
-    at its end.
+    inside the level, the only digits the walker reads.
+
+    Both kinds of edge are read from centre lengths. A palindromic prefix
+    of m digits is centre m - 1 reaching digit 0: within the base, a
+    centre c of the base's scan with base[c] >= c + 1, and past it, a
+    patch whose palindrome reached digit 0, c + 1 == m. The palindromic
+    suffixes of a level's end are its patches that reach that end, and
+    those of any other prefix P of U are the centres c of P whose length
+    in U reaches P's end, read from one slice of U's own
+    `ResolvedLengths`, built from the levels walked so far when such a
+    length is first met: at the first level, for a generated plan.
     """
+    walked, patched = [], {}
+    prefixes = list(compress(count(1), map(ge, base, count(1))))
     suffixes = {}
-
-    def suffix_lengths(length):
-        found = suffixes.get(length)
-        if found is None:
-            found = suffixes[length] = [
-                m for m in range(1, min(length, longest) + 1)
-                if (p := ds[length - m : length]) == p[::-1]]
-        return found
-
-    prefixes, searched = [], 0
     for size, blocks, end in levels:
-        bound = min(size, longest)
-        prefixes += [m for m in range(searched + 1, bound + 1) if (p := ds[:m]) == p[::-1]]
-        searched = bound
-        held = [(2 * size - 1 - m, m) for m in suffix_lengths(size)]
+        missing = {size, *(length for _, length, _ in blocks)}.difference(suffixes)
+        if missing:
+            lengths = ResolvedLengths(base, walked, patched, 2 * size - 1)
+            for length in missing:
+                e = 2 * length - 1
+                window = lengths[e - min(length, longest) : e]
+                suffixes[length] = list(compress(count(1), map(ge, reversed(window), count(1))))
+        held = [(2 * size - 1 - m, m) for m in suffixes[size]]
         for start, length, _ in blocks:
             first, e = 2 * start, 2 * length - 1
             # A whole block that is a palindrome is a suffix, not a prefix.
-            edges = [m - 1 for m in prefixes if m < length]
-            edges += [e - m for m in suffix_lengths(length)]
+            edges = [m - 1 for m in prefixes[: bisect_left(prefixes, length)]]
+            edges += [e - m for m in suffixes[length]]
             held.append((first - 1, 0))
             held += [(first + c, min(c + 1, e - c)) for c in edges]
         patches = []
@@ -361,9 +362,16 @@ def _patched_levels(ds: bytes, levels: Iterable[tuple], longest: int) -> Iterato
                 a -= 1
                 b += 1
             patches.append((c, m, b - a + 1))
+            # A later level's patch of a centre replaces an earlier one's.
+            patched[c] = b - a + 1
+            # Every palindromic prefix of U is held already; a longer one
+            # is met once, at the first level whose word holds it.
+            if not a and b >= size:
+                insort(prefixes, b + 1)
         longest = max(longest, *(m for _, _, m in patches))
         suffixes[end] = [m for c, _, m in patches if c + m == 2 * end - 1]
-        yield size, blocks, end, patches
+        walked.append((size, blocks, end, patches))
+    return walked, patched
 
 
 def _span_count(end: int, min_len: int, total: int, ms: Iterable[int]) -> int:

@@ -22,28 +22,30 @@ views by it, the length guard compares one entry of it, and `verify`
 reads its decomposition cuts, its default sweep bound and each prefix
 W_{n2} of the structure suite's one word from it.
 
-A long word is held once. Generation builds W_L, the largest word of at
-most `_PIECE` digits, level by level, each level W_m one `b"".join` of
-views of W_{m-1}. Past W_L, the block plan is a straight-line program
-whose leaves are shifted prefixes of W_L. One walker, `regions`, walks
-it for the digits lo..hi-1 of the fixed point, node s ⊕ W_m being node
-s ⊕ W_{m-1} followed by level m's blocks, and enters only the nodes
-that meet them. `_plan_leaves` is its walk over all of W_n, and makes
-each leaf once: W_n is one `b"".join` of its leaves, so each digit is
-written once and the peak is about |W_n| bytes. `digits_at` joins a cut
-of each leaf of a run, so any digits of W_n are read by rule without
-building W_n, and `_PlanDigits` reads W_n so, in chunks it keeps, for a
-radius profile built without the word. The blocks of each level
-come from one function, `_block_levels`, and `word` keeps them on the
-word as its block plan, from which `palindromes` builds the radius
-profile. Only `word` attaches a plan, to the digits it joined from that
-plan, so the plan is read as the word and never compared with the
-digits. Text is rendered by one renderer, `_pieces`, in pieces of
-`_PIECE` digits: `to_plain` and `to_spaced` join its pieces. `kbona gen`
-renders W_n from the same leaf walk instead, by `_plan_pieces`: each
-leaf is rendered by `_pieces` once and written again by reference
-wherever the plan repeats it, so W_n is never built and no rendering of
-a whole long word is ever held.
+A long word is held once. W_L, the largest word of at most `_PIECE`
+digits, is built once per k by `_leaf_digits`, the only code that joins
+levels, each level W_m one `b"".join` of views of W_{m-1}, and is kept.
+Past W_L, the block plan is a straight-line program whose leaves are
+shifted prefixes of W_L. One walker, `regions`, walks it for the digits
+lo..hi-1 of the fixed point, node s ⊕ W_m being node s ⊕ W_{m-1}
+followed by level m's blocks, and enters only the nodes that meet them.
+One leaf walk, `_plan_leaves`, makes each of those leaves from W_L, cut
+to [lo, hi), once, and yields it again wherever the plan repeats it.
+`digits_at` is the join of that walk, so each digit is written once, and
+W_n is `digits_at` over all of it: a cut of W_L for n <= L, and one join
+of |W_n| bytes past it. `_PlanDigits` reads W_n by rule for a radius
+profile built without the word: a slice is one `digits_at`, and an index
+reads a chunk that it keeps. The blocks of each level come from one
+function, `_block_levels`, and `word` keeps them on the word as its
+block plan, from which `palindromes` builds the radius profile. Only
+`word` attaches a plan, to the digits it joined from that plan, so the
+plan is read as the word and never compared with the digits. Text is
+rendered by one renderer, `_pieces`, in pieces of `_PIECE` digits:
+`to_plain` and `to_spaced` join its pieces. `kbona gen` renders W_n from
+the same leaf walk instead, by `_plan_pieces`: each leaf is rendered by
+`_pieces` once and written again by reference wherever the plan repeats
+it, so W_n is never built and no rendering of a whole long word is ever
+held.
 """
 
 from __future__ import annotations
@@ -453,10 +455,20 @@ def _leaf_level(k: int) -> int:
 
 @functools.lru_cache(maxsize=16)
 def _leaf_digits(k: int, leaf: int) -> bytes:
-    """W_L, for leaf = L: every leaf of a plan is a shifted prefix of it.
-    `digits_at` reads it for every run; `_plan_leaves` builds its own
-    once per word and lets it go, so generation holds no W_L after it."""
-    return _word_digits(k, leaf)
+    """W_L, for leaf = L, built once per (k, L) and kept: every leaf of a
+    plan is a shifted cut of it. Each level W_m is one join of views of
+    W_{m-1}, each view cut at its size, so every digit is copied once
+    per level; this is the only place that joins levels."""
+    prev = bytes(1)
+    for _, blocks, _ in _block_levels(k)[:leaf]:
+        view = memoryview(prev)
+        prev = b"".join([
+            view,
+            *(prev[:length].translate(_shift_table(shift)) if shift else view[:length]
+              for _, length, shift in blocks),
+        ])
+        del view  # W_{m-1} is freed here, not during the next level
+    return prev
 
 
 def _plan(k: int, n: int) -> tuple:
@@ -466,23 +478,10 @@ def _plan(k: int, n: int) -> tuple:
 
 
 def _word_digits(k: int, n: int) -> bytes:
-    # Up to W_L, each level is one join of views of the level before it,
-    # each view cut at its size: every digit is copied once per level.
-    # Past W_L, W_n is one join of its plan's leaves (`bytes` hands each
-    # leaf's digits on as they are): every digit is written once. The
-    # digits are at most n, far below 256 (see the module docstring).
-    if n > _leaf_level(k):
-        return b"".join(_plan_leaves(k, n, 0, bytes))
-    prev = bytes(1)
-    for _, blocks, _ in _block_levels(k)[:n]:
-        view = memoryview(prev)
-        prev = b"".join([
-            view,
-            *(prev[:length].translate(_shift_table(shift)) if shift else view[:length]
-              for _, length, shift in blocks),
-        ])
-        del view  # W_{m-1} is freed here, not during the next level
-    return prev
+    # One join of the leaves of W_n: a cut of W_L for n <= L, and W_L
+    # itself for n = L. The digits are at most n, far below 256 (see the
+    # module docstring).
+    return digits_at(k, 0, kbonacci_sizes(k)[n])
 
 
 def word(k: int, n: int, method: GenMethod = GenMethod.RECURRENCE) -> Word:
@@ -513,7 +512,8 @@ def _plan_pieces(k: int, n: int, sep: str, mod_k: bool) -> Iterator[str]:
 
 def _plan_walk(k: int, n: int, sep: str, mod: int) -> Iterator[str]:
     # Each leaf's text ends with sep, so the last one is yielded without.
-    texts = _plan_leaves(k, n, mod, lambda ds: "".join(_pieces(ds, sep, mod)) + sep)
+    texts = _plan_leaves(k, 0, kbonacci_sizes(k)[n], mod,
+                         lambda ds: "".join(_pieces(ds, sep, mod)) + sep)
     text = next(texts)
     for after in texts:
         yield text
@@ -521,22 +521,24 @@ def _plan_walk(k: int, n: int, sep: str, mod: int) -> Iterator[str]:
     yield text[: len(text) - len(sep)]
 
 
-def _plan_leaves(k: int, n: int, mod: int, make: Callable[[bytes], object]) -> Iterator:
-    """make(ds) for each leaf of W_n's block plan in order, ds the leaf's
-    digits, its shift taken mod `mod` when that is nonzero: the leaves
-    are the regions of all of W_n, and each (level, shift) is made the
-    first time it is reached, and every later use yields the same object
-    again."""
+def _plan_leaves(k: int, lo: int, hi: int, mod: int, make: Callable[[bytes], object]) -> Iterator:
+    """make(ds) for each leaf of the block plan that holds the digits
+    lo..hi-1 of the fixed point (`regions`), in order: ds is the leaf's
+    digits cut to [lo, hi), a cut of W_L (`_leaf_digits`) shifted by the
+    leaf's shift, taken mod `mod` when that is nonzero. Each (shift, cut)
+    is made the first time it is reached, and every later use yields the
+    same object again."""
+    small = _leaf_digits(k, _leaf_level(k))
     sizes = kbonacci_sizes(k)
-    small = _word_digits(k, min(n, _leaf_level(k)))
     made = {}
-    for _, m, s in regions(k, 0, sizes[n]):
+    for dst, m, s in regions(k, lo, hi):
         if mod:
             s %= mod
-        out = made.get((m, s))
+        key = s, max(lo - dst, 0), min(hi - dst, sizes[m])
+        out = made.get(key)
         if out is None:
-            ds = small[: sizes[m]]
-            out = made[m, s] = make(ds.translate(_shift_table(s)) if s else ds)
+            ds = small[key[1] : key[2]]
+            out = made[key] = make(ds.translate(_shift_table(s)) if s else ds)
         yield out
 
 
@@ -573,20 +575,14 @@ def regions(k: int, lo: int, hi: int) -> Iterator[tuple[int, int, int]]:
 
 def digits_at(k: int, lo: int, hi: int) -> bytes:
     """The digits lo..hi-1 (0-based) of the fixed point W^(k), so of every
-    W_n that holds them, read from the block plan's leaves (`regions`)
-    without building W_n: one join of a cut of each leaf."""
-    small = _leaf_digits(k, _leaf_level(k))
-    sizes = kbonacci_sizes(k)
-    pieces = []
-    for dst, m, s in regions(k, lo, hi):
-        ds = small[max(lo - dst, 0) : min(hi - dst, sizes[m])]
-        pieces.append(ds.translate(_shift_table(s)) if s else ds)
-    return b"".join(pieces)
+    W_n that holds them, read from the block plan without building W_n:
+    one join of the leaves of `_plan_leaves`."""
+    return b"".join(_plan_leaves(k, lo, hi, 0, bytes))
 
 
-# A _PlanDigits reads and keeps its digits in chunks of 2^_CHUNK_BITS:
-# the digits a profile build compares lie near block edges, a few
-# hundred at each, so a chunk is about one edge's reads.
+# A _PlanDigits keeps the digits it is asked for one at a time in chunks
+# of 2^_CHUNK_BITS: the digits a profile build compares lie near block
+# edges, a few hundred at each, so a chunk is about one edge's reads.
 _CHUNK_BITS = 10
 _CHUNK_MASK = (1 << _CHUNK_BITS) - 1
 
@@ -594,10 +590,10 @@ _CHUNK_MASK = (1 << _CHUNK_BITS) - 1
 class _PlanDigits:
     """The digits of W_n read by rule, for a radius profile built from
     W_n's plan without W_n: `len(ds)`, `ds[i]` and `ds[a:b]` (step 1),
-    as on `word(k, n).digits`. Each chunk of 2^_CHUNK_BITS digits is read
-    by `digits_at` when first touched and kept, so an index costs one
-    dict lookup once its chunk is held, and a slice joins the chunks it
-    spans."""
+    as on `word(k, n).digits`. A slice is one `digits_at` call. An index
+    reads the chunk of 2^_CHUNK_BITS digits that holds it by `digits_at`
+    when first touched and keeps it, so a later index there costs one
+    dict lookup."""
 
     __slots__ = ("_k", "_size", "_chunks")
 
@@ -616,23 +612,16 @@ class _PlanDigits:
             pass
         run = range(self._size)[index]
         if type(run) is int:
-            return self._chunk(run >> _CHUNK_BITS)[run & _CHUNK_MASK]
+            j = run >> _CHUNK_BITS
+            chunk = self._chunks.get(j)
+            if chunk is None:
+                lo = j << _CHUNK_BITS
+                hi = min(lo + (1 << _CHUNK_BITS), self._size)
+                chunk = self._chunks[j] = digits_at(self._k, lo, hi)
+            return chunk[run & _CHUNK_MASK]
         if run.step != 1:
             raise DomainError("a plan's digits are read in slices of step 1")
-        if not run:
-            return b""
-        first, last = run.start >> _CHUNK_BITS, (run.stop - 1) >> _CHUNK_BITS
-        at = run.start - (first << _CHUNK_BITS)
-        if first == last:
-            return self._chunk(first)[at : at + len(run)]
-        return b"".join(map(self._chunk, range(first, last + 1)))[at : at + len(run)]
-
-    def _chunk(self, j: int) -> bytes:
-        chunk = self._chunks.get(j)
-        if chunk is None:
-            lo = j << _CHUNK_BITS
-            chunk = self._chunks[j] = digits_at(self._k, lo, min(lo + (1 << _CHUNK_BITS), self._size))
-        return chunk
+        return digits_at(self._k, run.start, run.stop) if run else b""
 
 
 def classical_word(k: int, n: int) -> Word:

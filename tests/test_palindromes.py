@@ -61,12 +61,12 @@ def test_radii_examples():
     assert lengths[1:4] == array("i", [0, 3, 0]) and lengths[9:2:-3] == array("i", [0, 7, 0])
     assert list(profile.lengths[0::2]) == [1, 3, 1, 7, 1, 3, 1]
     assert all(v == 0 for v in profile.lengths[1::2])
-    assert profile.longest == 7 and profile.total == 17
+    assert profile.longest == 7 and profile.totals[7] == 17
     profile = maximal_radii(Word.parse("33"))
     assert list(profile.lengths) == [1, 2, 1]
-    assert profile.longest == 2 and profile.total == 4
+    assert profile.longest == 2 and profile.totals[2] == 4
     profile = maximal_radii(Word())
-    assert list(profile.lengths) == [] and profile.longest == profile.total == 0
+    assert list(profile.lengths) == [] and profile.longest == profile.totals[0] == 0
 
 
 def _count_calls(monkeypatch, name):
@@ -179,8 +179,13 @@ def _whole_profile(w: Word):
     return maximal_radii(Word._unchecked(w.digits))
 
 
+def _total(profile) -> int:
+    """The total of a whole word's profile, kept under its length."""
+    return profile.totals[(len(profile.lengths) + 1) // 2]
+
+
 def _same_profile(a, b) -> bool:
-    return (list(a.lengths), a.longest, a.total) == (list(b.lengths), b.longest, b.total)
+    return (list(a.lengths), a.longest, _total(a)) == (list(b.lengths), b.longest, _total(b))
 
 
 def _sweep_words():
@@ -205,13 +210,16 @@ def _planless(k: int, n: int) -> Word:
 
 @pytest.mark.parametrize(
     "pairs", [lambda: ((w, Word._unchecked(w.digits)) for w in _sweep_words()),
-              lambda: ((word(k, n), _planless(k, n)) for k, n in LONG)],
-    ids=["up-to-2^16", "long"])
+              lambda: ((word(k, n), _planless(k, n)) for k, n in LONG),
+              lambda: ((word(k, k), Word._unchecked(word(k, k).digits)) for k in range(11, 17))],
+    ids=["up-to-2^16", "long", "large-k"])
 def test_plan_build_equals_whole_scan(monkeypatch, pairs):
-    # Every W_n of up to 2^16 digits for k = 2..10, and the long words:
-    # the whole scan of a generated word reads only its base, W_{k-1} or
-    # the word itself when shorter, and its profile, built from the plan
-    # as it is trusted, is the whole scan's of a copy with no plan.
+    # Every W_n of up to 2^16 digits for k = 2..10, the long words, and
+    # W_k for k = 11..16, whose longest palindrome is nearly the whole
+    # word: the whole scan of a generated word reads only its base,
+    # W_{k-1} or the word itself when shorter, and its profile, built
+    # from the plan as it is trusted, is the whole scan's of a copy with
+    # no plan.
     passes = _count_calls(monkeypatch, "_whole_scan")
     for w, planless in pairs():
         passes.clear()
@@ -320,6 +328,10 @@ def planned_words(draw, cap=None):
 # A shift past 255: 255 254 shifted by 2 is 0 0, a palindrome its source
 # is not, so the word carries no plan and is scanned whole.
 @example(_planned((0, 255, 254), [[(3, 2)]]))
+# Palindromic prefixes longer than the base: 0 0 and 0 0 0 0 are met as
+# patches that reach digit 0, and the block 0 0 0 holds 0 0 at its
+# centre 1, which reaches past the block in 0^7.
+@example(_planned((0,), [[(1, 0)], [(2, 0)], [(3, 0)]]))
 @settings(max_examples=300)
 def test_plan_build_on_random_plans(w):
     profile, passes = _scans(maximal_radii, w)
@@ -609,7 +621,7 @@ def test_radii_against_oracle(digits):
     profile, expected = maximal_radii(w), brute_radii(w)
     assert list(profile.lengths) == expected
     assert profile.longest == max(expected, default=0)
-    assert profile.total == sum(expected)
+    assert profile.totals[len(w)] == sum(expected)
 
 
 @given(random_digits, st.integers(min_value=1, max_value=5))
@@ -654,7 +666,7 @@ def test_whole_scan_at_planted_palindrome_edges(w):
     # The total adds what the expansion, a mirror copy included, adds to
     # the 1 at each digit.
     assert profile.longest == max(expected, default=0)
-    assert profile.total == sum(expected)
+    assert profile.totals[len(w)] == sum(expected)
 
 
 @given(random_digits, st.integers(min_value=1, max_value=3))
@@ -802,7 +814,7 @@ def test_radii_linear_on_periodic_words():
         object.__setattr__(w, "digits", _CountedDigits(digits, 8 * n))
         profile = maximal_radii(w)
         assert list(profile.lengths) == expected
-        assert profile.total == sum(expected)
+        assert profile.totals[len(w)] == sum(expected)
 
 
 def test_classify_crossing_walks_only_cut_windows(monkeypatch):
@@ -854,10 +866,37 @@ def test_plan_read_profile_equals_the_built_words(k):
     w = word(k, n)
     built = maximal_radii(w)
     read = palindromes._build_profile(words._PlanDigits(k, n), words._plan(k, n))
-    assert (read.longest, read.total, dict(read.totals)) == \
-        (built.longest, built.total, dict(built.totals))
+    assert (read.longest, dict(read.totals)) == (built.longest, dict(built.totals))
     assert read.lengths._patched == built.lengths._patched
     assert palindromes._length_set(read.lengths) == {len(p) for p in distinct_factors(w, 2)}
+
+
+class _ReadLog:
+    """A digit store that records the slices read from it."""
+
+    def __init__(self, ds):
+        self.ds, self.slices = ds, []
+
+    def __len__(self):
+        return len(self.ds)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            self.slices.append((i.start, i.stop, i.step))
+        return self.ds[i]
+
+
+def test_plan_build_slices_only_the_base():
+    # W_16 for k=16, whose palindromic prefixes and suffixes run nearly
+    # the whole word: the walker reads them from centre lengths, so the
+    # build's one slice is the base's, W_15, and every other read is a
+    # digit compare of the extension loop.
+    k = n = 16
+    w = word(k, n)
+    ds = _ReadLog(w.digits)
+    profile = palindromes._build_profile(ds, w._plan)
+    assert ds.slices == [(None, w._plan[0], None)]
+    assert _same_profile(profile, _whole_profile(w))
 
 
 @given(st.one_of(random_digits, st.lists(st.integers(0, 2), max_size=60)))

@@ -512,6 +512,20 @@ def test_leaf_joins_match_the_morphism(piece):
                 w, n = apply_morphism(k, w), n + 1
 
 
+def test_leaf_word_is_built_once_per_k():
+    # word, digits_at and _plan_pieces all cut their leaves from one W_L
+    # per (k, L), and W_L is the digits of word(k, L) itself.
+    k = 5
+    leaf = words._leaf_level(k)
+    words._leaf_digits.cache_clear()
+    assert word(k, 3).digits == word(k, 3, GenMethod.MORPHISM).digits
+    assert word(k, leaf).digits is words._leaf_digits(k, leaf)
+    ds = word(k, leaf + 3).digits
+    assert words.digits_at(k, 1000, 200_000) == ds[1000:200_000]
+    assert "".join(words._plan_pieces(k, leaf + 3, " ", False)) == word(k, leaf + 3).to_spaced()
+    assert words._leaf_digits.cache_info().misses == 1
+
+
 def test_generation_copies_each_digit_once_per_level():
     # Past W_L, the word is one join of its plan's leaves, each made
     # once, so the peak is W_23 itself, about 7.8 M digits, and the few
@@ -583,7 +597,8 @@ def test_regions_tile_the_word(k):
 def test_plan_reader_reads_the_built_word(k, n):
     # Every digit and slice around each chunk edge, read in a fresh
     # reader and again from the chunks it keeps, as the built word holds
-    # them; the reader keeps only the chunks it was asked for.
+    # them. Only an index keeps a chunk: a slice is read by rule each
+    # time and kept nowhere.
     ds = word(k, n).digits
     for reader in (words._PlanDigits(k, n),) * 2:
         assert len(reader) == len(ds)
@@ -602,4 +617,6 @@ def test_plan_reader_reads_the_built_word(k, n):
         reader[::2]
     fresh = words._PlanDigits(k, n)
     fresh[5], fresh[2100:2103]
+    assert sorted(fresh._chunks) == [0]
+    fresh[2101]
     assert sorted(fresh._chunks) == [0, 2]

@@ -81,7 +81,7 @@ def _cmd_count(args, out) -> int:
         w = word(args.k, args.n_max)
         sizes = kbonacci_sizes(args.k)[: args.n_max]
         oracles = [count_prefix_occurrences(w, size) for size in sizes]
-        oracles.append(count_occurrences(w, 2))
+        oracles.append(count_occurrences(w))
         for row, oracle in zip(rows, oracles):
             row["oracle"] = oracle
             mismatch |= oracle != row["p"]

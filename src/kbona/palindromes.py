@@ -43,15 +43,17 @@ Everything here works over arbitrary nonnegative-integer digits.
   its palindromes down, since every palindrome lies centred in the
   maximal one at the centre of any of its occurrences. A word with no
   plan slices one palindrome at every centre.
+- Every count, set and classification is of the palindromes of length
+  at least 2, the paper's; `count_occurrences`, `classify_crossing` and
+  `distinct_factors` take that floor as their last argument and refuse
+  any other.
 - `count_occurrences` counts from the profile by arithmetic: a centre of
-  maximal length m holds (m - min_len + 2) // 2 occurrences, and since
-  the parity of m is fixed by the centre's, those terms add up to one
-  sum over the lengths (`_span_count`), which is the profile's total;
-  only a min_len above 2 reads the lengths, to put the negative terms
-  back to zero. It counts the whole word as its own prefix, by
-  `_classify_prefix` with no cuts, as `count_prefix_occurrences` counts
-  a prefix, from the total the profile kept for it or from the clamped
-  profile.
+  maximal length m holds m // 2 occurrences, (m - 1) / 2 at a digit,
+  whose lengths are odd, and m / 2 at a gap, whose lengths are even, so
+  they add up to half of the profile's total less one per digit. It
+  counts the whole word as its own prefix, by `_classify_prefix` with
+  no cuts, as `count_prefix_occurrences` counts a prefix, from the total
+  the profile kept for it or from the clamped profile.
 - `classify_crossing` buckets occurrences as contained / bordering /
   straddling relative to a block decomposition, given as a tuple of
   cut after-positions, per centre: an occurrence of length L at centre
@@ -71,8 +73,8 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right, insort
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain, compress, count, islice, repeat
-from operator import floordiv, ge, sub
+from itertools import chain, compress, count, islice
+from operator import ge
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -374,35 +376,21 @@ def _patched_levels(ds, levels: Iterable[tuple], base: array, longest: int) -> t
     return walked, patched
 
 
-def _span_count(end: int, min_len: int, total: int, ms: Iterable[int]) -> int:
-    """Occurrences of length >= min_len at the centres 0..end-1, whose
-    maximal lengths are ms, of sum total. A centre of maximal
-    length m holds the lengths m, m-2, ... >= min_len,
-    (m - min_len + 2) // 2 of them. A digit (even c) has odd lengths and
-    a gap (odd c) even ones, so m - min_len is odd exactly at the centres
-    c of min_len's parity, and the terms add up to one sum over the
-    centres. A term below zero, at m < min_len - 2, is put back to zero
-    by a pass over ms, which only a min_len above 2 reads."""
-    low = min_len - 2
-    # The c in [0, end) with c - min_len even.
-    odd = (end + 1 - min_len % 2) // 2
-    total = (total - end * low - odd) // 2
-    if low > 0:
-        total += sum(map(floordiv, map(sub, repeat(low + 1), filter(low.__gt__, ms)), repeat(2)))
-    return total
+def _require_floor(min_len: int) -> None:
+    """Refuse a floor other than 2. `count_occurrences`,
+    `classify_crossing` and `distinct_factors` count from length 2 only
+    and keep `min_len` for the callers that pass that 2, as
+    `perfbench/worker.py` does."""
+    if min_len != 2:
+        raise DomainError(f"palindromes are counted from length 2 only, got min_len={min_len}")
 
 
-def _require_min_len(min_len: int) -> None:
-    if min_len < 1:
-        raise DomainError(f"min_len must be >= 1, got {min_len}")
-
-
-def count_occurrences(w: Word, min_len: int) -> int:
+def count_occurrences(w: Word, min_len: int = 2) -> int:
     """Number of palindromic occurrences (start, length) of length at
-    least min_len: the whole word as its own prefix, by
+    least 2, the only min_len: the whole word as its own prefix, by
     `_classify_prefix` with no cuts."""
-    _require_min_len(min_len)
-    return _classify_prefix(maximal_radii(w), len(w), (), min_len).occurrences
+    _require_floor(min_len)
+    return _classify_prefix(maximal_radii(w), len(w), ()).occurrences
 
 
 def count_prefix_occurrences(w: Word, size: int) -> int:
@@ -413,31 +401,31 @@ def count_prefix_occurrences(w: Word, size: int) -> int:
     plan passes, or else summed from the clamp."""
     if not 0 <= size <= len(w):
         raise DomainError(f"prefix size must be in 0..{len(w)}, got {size}")
-    return _classify_prefix(maximal_radii(w), size, (), 2).occurrences
+    return _classify_prefix(maximal_radii(w), size, ()).occurrences
 
 
-def enumerate_maximal(w: Word, min_len: int) -> set[Word]:
-    """The distinct factors that are the maximal palindrome at some
-    centre and reach min_len: the keys of `_maximal_ends`, each built
+def enumerate_maximal(w: Word) -> set[Word]:
+    """The distinct factors of length at least 2 that are the maximal
+    palindrome at some centre: the keys of `_maximal_ends`, each built
     into a Word once."""
-    _require_min_len(min_len)
     ends = _maximal_ends(w.digits, maximal_radii(w).lengths)
-    return {Word._unchecked(p) for p in ends if len(p) >= min_len}
+    return {Word._unchecked(p) for p in ends if len(p) >= 2}
 
 
-def distinct_factors(w: Word, min_len: int) -> set[Word]:
-    """The set of distinct palindromic factors of length >= min_len.
+def distinct_factors(w: Word, min_len: int = 2) -> set[Word]:
+    """The set of distinct palindromic factors of length at least 2, the
+    only min_len.
 
     Every palindrome lies centred in the maximal palindrome at the centre
     of any of its occurrences, so each maximal one of `_maximal_ends` is
-    walked down, a digit off each end at a time, to min_len or to the
+    walked down, a digit off each end at a time, to length 2 or to the
     first palindrome already held, whose centred factors are held with
     it.
     """
-    _require_min_len(min_len)
+    _require_floor(min_len)
     found = set()
     for p in _maximal_ends(w.digits, maximal_radii(w).lengths):
-        while len(p) >= min_len and p not in found:
+        while len(p) >= 2 and p not in found:
             found.add(p)
             p = p[1:-1]
     return set(map(Word._unchecked, found))
@@ -496,7 +484,8 @@ class CrossingCounts:
     is crossed. occurrences is the plain count of the same occurrences,
     from the profile's total apart from the bucket arithmetic, and
     `total` equals it only if the buckets of the centres near the cuts
-    add up to those centres' span count, so it can be checked against it.
+    add up to m // 2 at each of those centres of length m, so it can be
+    checked against it.
     """
 
     __slots__ = ("contained", "bordering", "straddling", "occurrences")
@@ -513,9 +502,9 @@ class CrossingCounts:
         return self.contained + sum(self.bordering.values()) + self.straddling
 
 
-def classify_crossing(w: Word, cuts: tuple[int, ...], min_len: int) -> CrossingCounts:
-    """Assign every palindromic occurrence of length >= min_len to exactly
-    one bucket relative to the block decomposition.
+def classify_crossing(w: Word, cuts: tuple[int, ...], min_len: int = 2) -> CrossingCounts:
+    """Assign every palindromic occurrence of length at least 2, the only
+    min_len, to exactly one bucket relative to the block decomposition.
 
     Each cut is an after-position p (1-based), strictly increasing with
     0 < p < |w|: the cut falls between positions p and p+1. Block b spans
@@ -524,27 +513,26 @@ def classify_crossing(w: Word, cuts: tuple[int, ...], min_len: int) -> CrossingC
 
     The word is classified as its own whole prefix, by `_classify_prefix`.
     """
-    _require_min_len(min_len)
+    _require_floor(min_len)
     prev = 0
     for p in cuts:
         if not prev < p < len(w):
             raise DomainError(f"cut positions {cuts} invalid for |w|={len(w)}")
         prev = p
-    return _classify_prefix(maximal_radii(w), len(w), cuts, min_len)
+    return _classify_prefix(maximal_radii(w), len(w), cuts)
 
 
-def _classify_prefix(profile: RadiusProfile, size: int, cuts: tuple[int, ...],
-                     min_len: int) -> CrossingCounts:
+def _classify_prefix(profile: RadiusProfile, size: int, cuts: tuple[int, ...]) -> CrossingCounts:
     """`classify_crossing` of the prefix of `size` digits of the word
     whose profile is `profile`, for valid cuts of the prefix.
 
     The prefix's own profile is the clamp: centre c < e = 2 size - 1
     holds min(m, e - c), which is m except at the centres within the
     word's longest length of e, the tail. The count of all occurrences
-    is the span count of the prefix's own lengths (`own`), from the
-    prefix's total in `RadiusProfile.totals`, or summed from them when it
-    is not kept; only that sum and a min_len above 2 read them, the tail
-    as one slice. The cut after position p is centre g = 2p - 1, and an
+    is half the prefix's own total less one per digit, as in
+    `count_occurrences`: the total is the prefix's in
+    `RadiusProfile.totals`, or else the sum of its own lengths, the tail
+    read as one slice. The cut after position p is centre g = 2p - 1, and an
     occurrence of length L at centre c crosses it iff
     L >= |c - g| + 2, so a centre crosses a cut iff its length, clamped
     where it reaches the tail, crosses the cut centre nearest it. Only
@@ -557,13 +545,12 @@ def _classify_prefix(profile: RadiusProfile, size: int, cuts: tuple[int, ...],
     lengths = profile.lengths
     e = max(2 * size - 1, 0)
     head = max(e - profile.longest, 0)
-
-    def own() -> Iterator[int]:
-        yield from islice(lengths, head)
-        yield from map(min, lengths[head:e], range(e - head, 0, -1))
-
     total = profile.totals.get(size)
-    occurrences = _span_count(e, min_len, sum(own()) if total is None else total, own())
+    if total is None:
+        total = sum(islice(lengths, head)) + sum(map(min, lengths[head:e], range(e - head, 0, -1)))
+    # A centre of length m holds m // 2 occurrences: (m - 1) / 2 at each
+    # of the `size` digits, whose lengths are odd, and m / 2 at a gap.
+    occurrences = (total - size) // 2
     counts = CrossingCounts(contained=occurrences, occurrences=occurrences)
     reach = max(profile.longest - 2, 0)
     gs = [2 * p - 1 for p in cuts]
@@ -578,16 +565,16 @@ def _classify_prefix(profile: RadiusProfile, size: int, cuts: tuple[int, ...],
         # |c - g| + 2 at each c in the window.
         least = chain(range(g - lo + 2, 2, -1), range(2, hi - g + 2))
         for c in compress(count(lo), map(ge, window, least)):
+            # A centre that crosses g has m >= |c - g| + 2 >= 2.
             m = window[c - lo]
-            if m >= min_len:
-                counts.contained -= (m - min_len) // 2 + 1
-                _bucket(counts, cuts, c, m, min_len)
+            counts.contained -= m // 2
+            _bucket(counts, cuts, c, m)
         lo = hi
     return counts
 
 
-def _bucket(counts: CrossingCounts, cuts: tuple[int, ...], c: int, m: int, min_len: int) -> None:
-    """Bucket the lengths m, m-2, ... >= min_len at centre c by the blocks
+def _bucket(counts: CrossingCounts, cuts: tuple[int, ...], c: int, m: int) -> None:
+    """Bucket the lengths m, m-2, ... >= 2 at centre c by the blocks
     of their first and last digits: contained when both are in one block,
     else straddling when the last is in the final block, else bordering,
     keyed by the first digit's block. Each step down moves the first
@@ -596,10 +583,10 @@ def _bucket(counts: CrossingCounts, cuts: tuple[int, ...], c: int, m: int, min_l
     block leaves every shorter one at c there too."""
     final = len(cuts)
     length = m
-    while length >= min_len:
+    while length >= 2:
         first = (c - length + 1) // 2
         last = (c + length - 1) // 2
-        run = (length - min_len) // 2 + 1
+        run = length // 2
         bf = bisect_right(cuts, first)
         bl = bisect_right(cuts, last)
         if bf == bl:

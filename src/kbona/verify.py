@@ -227,7 +227,7 @@ def verify_decomposition(k: int, n: int) -> Report:
 def _decomposition_rows(report: Report, k: int, n: int, profile: RadiusProfile) -> None:
     """The rows of W_n, read as the prefix of |W_n| digits of the word
     whose profile is `profile`: W_n itself, or a longer W_{n_max}."""
-    observed = _classify_prefix(profile, kbonacci_sizes(k)[n], decomposition_cuts(k, n), 2)
+    observed = _classify_prefix(profile, kbonacci_sizes(k)[n], decomposition_cuts(k, n))
     subject = {"k": k, "n": n}
     contained_formula = sum(counting.p_series(k, n - 1, FormulaMode.DERIVED)[n - k :])
     report.check("contained", subject, contained_formula, "Derived", observed.contained)
@@ -262,7 +262,7 @@ def verify_structure(k: int, n: int) -> Report:
     w = word(k, n)
     sizes = kbonacci_sizes(k)
 
-    for pal in enumerate_maximal(w, 2):
+    for pal in enumerate_maximal(w):
         report.check("maximal-classifies", {"k": k, "n": n, "word": pal}, True, "Derived",
                      bool(structure.classify_palindrome(k, pal)))
 

@@ -128,7 +128,7 @@ def test_criterion_5_structure_completeness():
     started = time.perf_counter()
     ok = True
     for k, n in [(3, 10), (4, 12), (5, 15)]:
-        for pal in enumerate_maximal(word(k, n), 2):
+        for pal in enumerate_maximal(word(k, n)):
             if not classify_palindrome(k, pal):
                 ok = False
     concats = {p.concatenation.to_plain() for p in maximal_straddling_words(4, 9)}
@@ -186,7 +186,7 @@ def test_criterion_8_engine_oracle_equivalence():
                 ln -= 2
         if count_occurrences(w, 2) != expected_count:
             ok = False
-        if enumerate_maximal(w, 2) != brute_maximal(w, 2):
+        if enumerate_maximal(w) != brute_maximal(w, 2):
             ok = False
         if {p.digits for p in distinct_factors(w, 2)} != expected_distinct:
             ok = False

@@ -210,6 +210,26 @@ def test_structure_classify(run):
         ]
 
 
+def test_structure_listing_with_digits_past_255(run):
+    # The p4 element for i = 40 at k = 10 is the pair 400 400, which
+    # keeps the word in the tuple store.
+    code, out, _ = run("structure", "--k", "10", "--i-max", "40", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["results"][-1] == {"class": "(p4, i=40, kk)", "digits": [400, 400]}
+
+
+def test_verify_lemmas_with_digits_past_255(run):
+    # At k = 42, power commutation shifts 0 1 ... 6 by up to 6k = 252,
+    # which sends digits past 255 through the tuple store of shift_add
+    # and apply_morphism.
+    code, out, _ = run("verify", "--k", "42", "--suite", "lemmas")
+    assert code == 0
+    assert "suite lemmas: pass=85 fail=0 " in out
+    code, out, _ = run("verify", "--k", "42", "--suite", "lemmas", "--format", "json")
+    rows = json.loads(out)["results"][0]["results"]
+    assert [r["verdict"] for r in rows if r["check"] == "power-commutation"] == ["Pass"]
+
+
 def test_lengths(run):
     code, out, _ = run("lengths", "--k", "3")
     assert code == 0
@@ -259,7 +279,7 @@ def test_count_oracle_exits_1_on_a_planted_mismatch(run, monkeypatch):
     assert [r for r in rows if r[1] != r[2]] == [["4", "4", "5"]]
     monkeypatch.undo()
     monkeypatch.setattr(cli, "count_occurrences",
-                        lambda w, min_len: count_occurrences(w, min_len) + (len(w) == 24))
+                        lambda w: count_occurrences(w) + (len(w) == 24))
     code, out, _ = run("count", "--k", "3", "--n-max", "5", "--oracle")
     assert code == 1
     rows = [line.split("\t") for line in out.strip().splitlines()[1:]]

@@ -1,19 +1,23 @@
 """Palindrome engine vs brute-force oracles, plus the engine's own
 consistency laws."""
 
+import ast
 import functools
+import hashlib
 import random
 import tracemalloc
 import weakref
 from array import array
 from collections import Counter
 from collections.abc import Sequence
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kbona import palindromes, words
 from kbona.palindromes import (
+    CrossingCounts,
     classify_crossing,
     count_occurrences,
     count_prefix_occurrences,
@@ -43,6 +47,19 @@ from oracles import (
 )
 
 random_digits = st.lists(st.integers(min_value=0, max_value=19), max_size=60)
+
+
+def test_oracles_import_only_word_from_the_engine():
+    # The brute oracles stay independent of the engine: of kbona they
+    # import the Word type alone.
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= {f"{node.module}.{alias.name}" for alias in node.names}
+    assert {name for name in imported if name.split(".")[0] == "kbona"} == {"kbona.words.Word"}
 
 
 def test_is_palindrome_examples():
@@ -94,7 +111,7 @@ def test_profile_is_kept_on_the_word(monkeypatch):
     assert maximal_radii(w) is profile
     assert count_occurrences(w, 2) == brute_count(w, 2)
     assert classify_crossing(w, decomposition_cuts(3, 8), 2).total == brute_count(w, 2)
-    assert enumerate_maximal(w, 2) == brute_maximal(w, 2)
+    assert enumerate_maximal(w) == brute_maximal(w, 2)
     assert builds == [len(w)] and passes == [4]
     # An equal word built apart has its own profile.
     twin = Word.parse(w.to_plain())
@@ -139,17 +156,16 @@ def test_enumerate_examples():
     # The maximal palindromes of length >= 2 of 0102013 are 010 at
     # positions 1..3 and 10201 at 2..6.
     w = Word.parse("0102013")
-    assert enumerate_maximal(w, 2) == {w.factor(1, 3), w.factor(2, 6)}
-    assert enumerate_maximal(Word.parse("33"), 2) == {Word.parse("33")}
-    assert enumerate_maximal(Word.parse("012"), 2) == set()
+    assert enumerate_maximal(w) == {w.factor(1, 3), w.factor(2, 6)}
+    assert enumerate_maximal(Word.parse("33")) == {Word.parse("33")}
+    assert enumerate_maximal(Word.parse("012")) == set()
     # A digit past 255 keeps the word in the tuple store; its byte-range
     # factors come back as canonical byte words, equal to the oracle's.
     w = Word((300, 1, 300, 2, 300, 1, 300, 7, 7, 1000, 7, 7))
     assert type(w.digits) is tuple
-    for min_len in (1, 2, 3):
-        assert enumerate_maximal(w, min_len) == brute_maximal(w, min_len)
-    assert Word((300, 1, 300, 2, 300, 1, 300)) in enumerate_maximal(w, 2)
-    assert Word((7, 7)) in enumerate_maximal(w, 2)
+    assert enumerate_maximal(w) == brute_maximal(w, 2)
+    assert Word((300, 1, 300, 2, 300, 1, 300)) in enumerate_maximal(w)
+    assert Word((7, 7)) in enumerate_maximal(w)
 
 
 def test_count_examples():
@@ -164,13 +180,12 @@ def test_distinct_examples():
     assert distinct_factors(Word.parse("111"), 2) == {Word.parse("11"), Word.parse("111")}
     assert Word((3, 3)) in distinct_factors(word(3, 5), 2)
     # The empty word has no factor; a unary word has exactly one
-    # palindrome of each length.
-    assert distinct_factors(Word(), 1) == set()
+    # palindrome of each length from 2.
+    assert distinct_factors(Word()) == set()
     n = 5000
-    for min_len in (1, 2):
-        got = distinct_factors(Word((0,) * n), min_len)
-        assert sorted(map(len, got)) == list(range(min_len, n + 1))
-        assert all(p.digits.count(0) == len(p) for p in got)
+    got = distinct_factors(Word((0,) * n))
+    assert sorted(map(len, got)) == list(range(2, n + 1))
+    assert all(p.digits.count(0) == len(p) for p in got)
 
 
 def _whole_profile(w: Word):
@@ -389,7 +404,27 @@ def test_distinct_plan_build_equals_whole_walk():
     # against a copy with no plan, whose every centre is sliced from the
     # whole scan and walked down.
     for w in _sweep_words():
-        assert distinct_factors(w, 1) == distinct_factors(Word._unchecked(w.digits), 1)
+        assert distinct_factors(w) == distinct_factors(Word._unchecked(w.digits))
+
+
+@pytest.mark.parametrize("k, n, count, distinct, digest", [
+    (3, 22, 339387, 63, "dce4eb4cd8e43fe2"),
+    (6, 20, 1723364, 247, "00d8756d8a407a18"),
+])
+def test_benchmark_scan_calls_keep_their_results(k, n, count, distinct, digest):
+    # The three calls of the benchmark's scan-long workload, made as
+    # perfbench/worker.py makes them, with the floor 2 passed by
+    # position, give what they gave when the floor was a parameter. No
+    # palindrome of these words crosses a cut: the formulas give 0 for
+    # every bordering and straddling count at this n.
+    w = word(k, n)
+    assert palindromes.count_occurrences(w, 2) == count
+    crossing = palindromes.classify_crossing(w, decomposition_cuts(k, n), 2)
+    assert (crossing.contained, crossing.bordering, crossing.straddling) == (count, {}, 0)
+    assert crossing.occurrences == count
+    factors = sorted(p.digits for p in palindromes.distinct_factors(w, 2))
+    assert len(factors) == distinct
+    assert hashlib.sha256(repr(factors).encode()).hexdigest()[:16] == digest
 
 
 def test_distinct_on_long_words():
@@ -400,25 +435,25 @@ def test_distinct_on_long_words():
         assert distinct_factors(word(k, n), 2) == distinct_factors(_planless(k, n), 2)
 
 
-@given(planned_words(cap=40), st.integers(1, 3))
+@given(planned_words(cap=40))
 # The empty suffix at a cut: 0 0 is centred on the cut and lies in
 # neither block.
-@example(_planned((0,), [[(1, 0)]]), 1)
+@example(_planned((0,), [[(1, 0)]]))
 # A crossing palindrome that ends at the level's end: 0 1 0 extends the
 # base's suffix 1 over the cut to the last digit.
-@example(_planned((0, 1), [[(1, 0)]]), 1)
+@example(_planned((0, 1), [[(1, 0)]]))
 # Candidates as long as their bound, the longest palindrome so far, 3:
 # 0 1 0 1 0 extends the base's suffix 1 0 1, and 2 0 1 0 2 the block's
 # prefix 0 1 0.
-@example(_planned((0, 1, 0, 1), [[(1, 0)]]), 1)
-@example(_planned((0, 1, 0, 2), [[(4, 0)]]), 1)
+@example(_planned((0, 1, 0, 1), [[(1, 0)]]))
+@example(_planned((0, 1, 0, 2), [[(4, 0)]]))
 # A shift past 255: 255 254 shifted by 2 is 0 0, a palindrome its source
 # is not, so the word carries no plan and its whole profile is walked.
-@example(_planned((0, 255, 254), [[(3, 2)]]), 1)
+@example(_planned((0, 255, 254), [[(3, 2)]]))
 @settings(max_examples=300)
-def test_distinct_plan_build_on_random_plans(w, min_len):
-    got, passes = _scans(lambda w: distinct_factors(w, min_len), w)
-    assert got == brute_distinct(w, min_len)
+def test_distinct_plan_build_on_random_plans(w):
+    got, passes = _scans(distinct_factors, w)
+    assert got == brute_distinct(w, 2)
     assert passes == [_base(w)]
 
 
@@ -429,7 +464,7 @@ def test_distinct_of_changed_digits_walks_the_whole_profile(monkeypatch, change)
     # walked down.
     w = Word._unchecked(change(word(4, 8).digits))
     passes = _count_calls(monkeypatch, "_whole_scan")
-    assert distinct_factors(w, 1) == brute_distinct(w, 1)
+    assert distinct_factors(w) == brute_distinct(w, 2)
     assert passes[-1] == len(w)
 
 
@@ -482,44 +517,44 @@ def test_maximal_plan_build_equals_comprehension(monkeypatch):
     for k, n in GENERATED:
         w = word(k, n)
         builds.clear()
-        got = enumerate_maximal(w, 1)
+        got = enumerate_maximal(w)
         assert builds == [len(w)]
         ds = w.digits
         assert got == {Word._unchecked(ds[(c + 1 - m) // 2 : (c + 1 + m) // 2])
-                       for c, m in enumerate(_scanned(k, n)) if m}
+                       for c, m in enumerate(_scanned(k, n)) if m >= 2}
 
 
-@given(planned_words(cap=40), st.integers(1, 3))
+@given(planned_words(cap=40))
 # 0 0: a palindrome at the gap of a cut alone.
-@example(_planned((0,), [[(1, 0)]]), 1)
+@example(_planned((0,), [[(1, 0)]]))
 # 0 1 0 holds the block 1 at its centre, whose source 0 is the maximal
 # one at its own centre; the copy 1 is maximal nowhere.
-@example(_planned((0,), [[(1, 1), (1, 0)]]), 1)
+@example(_planned((0,), [[(1, 1), (1, 0)]]))
 # The block 4 5 is its source 0 1 shifted by 4.
-@example(_planned((0, 1), [[(2, 4)]]), 1)
+@example(_planned((0, 1), [[(2, 4)]]))
 # The block 1 6 7 relabels 0 5 6, but its 1 holds 6 1 6, where the 0 at
 # the word's start holds 0 alone.
-@example(_planned((0,), [[(1, 5), (1, 6)], [(3, 1)]]), 1)
+@example(_planned((0,), [[(1, 5), (1, 6)], [(3, 1)]]))
 # The last block, 3 0 0, ends in the gap of 0 0, where its source's gap
 # holds 3 0 0 3, which runs past the source; the last centre of the
 # block 3 0 before it holds 3 0 3.
-@example(_planned((3, 0, 0, 3), [[(2, 0), (3, 0)]]), 1)
+@example(_planned((3, 0, 0, 3), [[(2, 0), (3, 0)]]))
 # 0 1 0: the base's last centre, 1 alone in the base's scan, holds
 # 0 1 0 once the level extends it.
-@example(_planned((0, 1), [[(1, 0)]]), 1)
+@example(_planned((0, 1), [[(1, 0)]]))
 # 0 1 1 2 1: the source 0 1's 1 reaches its last digit, so the 2 of the
 # shifted block is no copy of it; it is the centre of 1 2 1.
-@example(_planned((0, 1), [[(2, 1), (1, 1)]]), 1)
+@example(_planned((0, 1), [[(2, 1), (1, 1)]]))
 # 0 1 0 over two levels: the 1 that ends the first level holds 1 alone
 # there, and 0 1 0 once the second level patches it again.
-@example(_planned((0,), [[(1, 1)], [(1, 0)]]), 1)
+@example(_planned((0,), [[(1, 1)], [(1, 0)]]))
 # A shift past 255: the word carries no plan, so it is scanned whole and
 # every centre sliced.
-@example(_planned((0, 255, 254), [[(3, 2)]]), 1)
+@example(_planned((0, 255, 254), [[(3, 2)]]))
 @settings(max_examples=300)
-def test_maximal_plan_build_on_random_plans(w, min_len):
-    got, passes = _scans(lambda w: enumerate_maximal(w, min_len), w)
-    assert got == brute_maximal(w, min_len)
+def test_maximal_plan_build_on_random_plans(w):
+    got, passes = _scans(enumerate_maximal, w)
+    assert got == brute_maximal(w, 2)
     assert passes == [_base(w)]
 
 
@@ -529,7 +564,7 @@ def test_maximal_of_changed_digits_slices_every_centre(monkeypatch, change):
     # of its whole profile, which the whole scan builds.
     w = Word._unchecked(change(word(4, 8).digits))
     passes = _count_calls(monkeypatch, "_whole_scan")
-    assert enumerate_maximal(w, 1) == brute_maximal(w, 1)
+    assert enumerate_maximal(w) == brute_maximal(w, 2)
     assert passes[-1] == len(w)
 
 
@@ -537,7 +572,7 @@ def test_walker_runs_once_per_word(monkeypatch):
     # The profile keeps the walker's levels and patches, and the maximal
     # and distinct builds read them from it, whichever call comes first.
     walks = _count_calls(monkeypatch, "_patched_levels")
-    reads = (maximal_radii, lambda w: enumerate_maximal(w, 2), lambda w: distinct_factors(w, 2))
+    reads = (maximal_radii, enumerate_maximal, distinct_factors)
     for k, n in ((3, 12), (6, 16)):
         for order in (reads, reads[::-1]):
             w = word(k, n)
@@ -584,20 +619,18 @@ def test_prefix_classifier_against_oracle(w, rng):
     # occurrences: those of the word that end within it. A copy with no
     # plan keeps the total of the whole word alone, so its proper
     # prefixes sum their clamped profiles.
-    occurrences = list(brute_occurrences(w, 1))
+    occurrences = list(brute_occurrences(w, 2))
     profiles = maximal_radii(w), maximal_radii(Word._unchecked(w.digits))
     for size in range(len(w) + 1):
         cuts = tuple(sorted(rng.sample(range(1, size), rng.randint(0, size - 1)))) if size else ()
         inside = [(s, m) for s, m in occurrences if s + m - 1 <= size]
         buckets = brute_crossing(inside, cuts)
-        for min_len in (1, 2, 3):
-            kept = [b for (_, m), b in zip(inside, buckets) if m >= min_len]
-            for profile in profiles:
-                got = palindromes._classify_prefix(profile, size, cuts, min_len)
-                assert got.contained == kept.count("contained")
-                assert got.bordering == Counter(b for b in kept if type(b) is int)
-                assert got.straddling == kept.count("straddling")
-                assert got.occurrences == got.total == len(kept)
+        for profile in profiles:
+            got = palindromes._classify_prefix(profile, size, cuts)
+            assert got.contained == buckets.count("contained")
+            assert got.bordering == Counter(b for b in buckets if type(b) is int)
+            assert got.straddling == buckets.count("straddling")
+            assert got.occurrences == got.total == len(buckets)
 
 
 def test_prefix_counts_domain():
@@ -609,9 +642,26 @@ def test_prefix_counts_domain():
 
 
 def test_min_len_domain():
-    for fn in (count_occurrences, enumerate_maximal, distinct_factors):
-        with pytest.raises(DomainError):
-            fn(Word.parse("010"), 0)
+    # Palindromes are counted from length 2 only: the three functions
+    # that keep min_len give the same with or without the 2 and refuse
+    # every other floor, and enumerate_maximal takes none.
+    w = word(3, 8)
+    cuts = decomposition_cuts(3, 8)
+    assert count_occurrences(w, 2) == count_occurrences(w) == brute_count(w, 2)
+    with_floor, without = classify_crossing(w, cuts, 2), classify_crossing(w, cuts)
+    assert with_floor.total == without.total == brute_count(w, 2)
+    for field in CrossingCounts.__slots__:
+        assert getattr(with_floor, field) == getattr(without, field)
+    assert distinct_factors(w, 2) == distinct_factors(w) == brute_distinct(w, 2)
+    for floor in (0, 1, 3):
+        for call in (lambda: count_occurrences(w, floor),
+                     lambda: classify_crossing(w, cuts, floor),
+                     lambda: distinct_factors(w, floor),
+                     lambda: count_occurrences(w, min_len=floor)):
+            with pytest.raises(DomainError, match="length 2"):
+                call()
+    with pytest.raises(TypeError):
+        enumerate_maximal(w, 2)
 
 
 @given(random_digits)
@@ -624,11 +674,11 @@ def test_radii_against_oracle(digits):
     assert profile.totals[len(w)] == sum(expected)
 
 
-@given(random_digits, st.integers(min_value=1, max_value=5))
+@given(random_digits)
 @settings(max_examples=300)
-def test_counts_against_oracle(digits, min_len):
+def test_counts_against_oracle(digits):
     w = Word(digits)
-    assert count_occurrences(w, min_len) == brute_count(w, min_len)
+    assert count_occurrences(w) == brute_count(w, 2)
 
 
 # Digit alphabets: sizes 1, 2, 3 and 255 in the byte store, its top
@@ -669,32 +719,28 @@ def test_whole_scan_at_planted_palindrome_edges(w):
     assert profile.totals[len(w)] == sum(expected)
 
 
-@given(random_digits, st.integers(min_value=1, max_value=3))
+@given(random_digits)
 @settings(max_examples=200)
-def test_maximal_against_oracle(digits, min_len):
+def test_maximal_against_oracle(digits):
     w = Word(digits)
-    assert enumerate_maximal(w, min_len) == brute_maximal(w, min_len)
+    assert enumerate_maximal(w) == brute_maximal(w, 2)
 
 
-@given(random_digits, st.integers(min_value=1, max_value=3))
+@given(random_digits)
 @settings(max_examples=200)
-def test_distinct_against_oracle(digits, min_len):
+def test_distinct_against_oracle(digits):
     w = Word(digits)
-    assert distinct_factors(w, min_len) == brute_distinct(w, min_len)
+    assert distinct_factors(w) == brute_distinct(w, 2)
 
 
 def _assert_against_one_enumeration(w):
-    """count_occurrences for min_len 1-5 and distinct_factors(w, 2)
-    against one brute enumeration of w: the occurrences of length >= m
-    are those of length >= 1 that are at least m long, and the distinct
-    factors of length >= 2 are the slices of those at least 2 long."""
-    occurrences = list(brute_occurrences(w, 1))
-    lengths = [length for _, length in occurrences]
-    for min_len in (1, 2, 3, 4, 5):
-        assert count_occurrences(w, min_len) == sum(1 for x in lengths if x >= min_len)
-    assert distinct_factors(w, 2) == {
-        Word(w.digits[start - 1 : start - 1 + length])
-        for start, length in occurrences if length >= 2
+    """count_occurrences and distinct_factors against one brute
+    enumeration of w's occurrences of length >= 2: their number, and
+    the distinct slices."""
+    occurrences = list(brute_occurrences(w, 2))
+    assert count_occurrences(w) == len(occurrences)
+    assert distinct_factors(w) == {
+        Word(w.digits[start - 1 : start - 1 + length]) for start, length in occurrences
     }
 
 
@@ -718,7 +764,7 @@ def test_engine_on_generated_words(k):
     for n in range(9):
         w = word(k, n)
         _assert_against_one_enumeration(w)
-        assert enumerate_maximal(w, 2) == brute_maximal(w, 2)
+        assert enumerate_maximal(w) == brute_maximal(w, 2)
 
 
 @given(random_digits, st.integers(min_value=0, max_value=7))
@@ -736,13 +782,12 @@ def test_shift_invariance(digits, d):
 @settings(max_examples=200)
 def test_count_consistency_with_maximal(digits):
     w = Word(digits)
-    for min_len in (1, 2, 3, 4, 5):
-        total = 0
-        for length in maximal_radii(w).lengths:
-            while length >= min_len:
-                total += 1
-                length -= 2
-        assert count_occurrences(w, min_len) == total
+    total = 0
+    for length in maximal_radii(w).lengths:
+        while length >= 2:
+            total += 1
+            length -= 2
+    assert count_occurrences(w) == total
 
 
 def test_radius_profile_invariants():
@@ -762,25 +807,20 @@ def _cuts_for(w, rng):
 def test_classify_crossing_against_oracle():
     # Alphabets of one or two digits give long palindromes that span
     # several cuts; up to len(w) - 1 cuts puts one between every digit.
-    # One brute listing per word, bucketed once, serves every min_len:
-    # the occurrences of length >= m are those listed at least m long.
     rng = random.Random(7)
     for _ in range(150):
         sigma = rng.choice((1, 2, 6))
         w = Word(rng.randrange(sigma) for _ in range(rng.randint(2, 80)))
         cuts = _cuts_for(w, rng)
-        occurrences = list(brute_occurrences(w, 1))
-        buckets = brute_crossing(occurrences, cuts)
-        for min_len in (1, 2, 3, 4, 5):
-            kept = [b for (_, length), b in zip(occurrences, buckets) if length >= min_len]
-            got = classify_crossing(w, cuts, min_len)
-            assert got.contained == kept.count("contained")
-            assert got.bordering == Counter(b for b in kept if type(b) is int)
-            assert 0 not in got.bordering.values()
-            assert got.straddling == kept.count("straddling")
-            assert got.occurrences == got.total == len(kept)
-            assert count_occurrences(w, min_len) == got.occurrences
-            assert enumerate_maximal(w, min_len) == brute_maximal(w, min_len)
+        buckets = brute_crossing(list(brute_occurrences(w, 2)), cuts)
+        got = classify_crossing(w, cuts)
+        assert got.contained == buckets.count("contained")
+        assert got.bordering == Counter(b for b in buckets if type(b) is int)
+        assert 0 not in got.bordering.values()
+        assert got.straddling == buckets.count("straddling")
+        assert got.occurrences == got.total == len(buckets)
+        assert count_occurrences(w) == got.occurrences
+        assert enumerate_maximal(w) == brute_maximal(w, 2)
 
 
 class _CountedDigits(tuple):
@@ -828,9 +868,9 @@ def test_classify_crossing_walks_only_cut_windows(monkeypatch):
     walked = []
     original = palindromes._bucket
 
-    def counted(counts, gaps, c, m, min_len):
+    def counted(counts, gaps, c, m):
         walked.append(c)
-        original(counts, gaps, c, m, min_len)
+        original(counts, gaps, c, m)
 
     monkeypatch.setattr(palindromes, "_bucket", counted)
     got = classify_crossing(w, cuts, 2)
@@ -844,7 +884,7 @@ def test_classify_crossing_single_block():
     assert got.contained == count_occurrences(w, 2)
     assert got.straddling == 0 and not got.bordering
     # No cuts is one block on any word, the empty one included.
-    got = classify_crossing(Word(), (), 1)
+    got = classify_crossing(Word(), ())
     assert got.total == got.occurrences == 0
 
 
@@ -853,8 +893,8 @@ def test_classify_crossing_invalid_cuts():
     for cuts in ((0,), (2, 2), (3, 1), (4,)):
         with pytest.raises(DomainError):
             classify_crossing(w, cuts, 2)
-    with pytest.raises(DomainError):
-        classify_crossing(Word(), (1,), 1)
+    with pytest.raises(DomainError, match="cut positions"):
+        classify_crossing(Word(), (1,))
 
 
 @pytest.mark.parametrize("k", range(3, 9))

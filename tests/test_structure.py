@@ -204,7 +204,7 @@ def test_classify_rejects_non_members():
 
 @pytest.mark.parametrize("k,n", [(3, 10), (4, 10), (5, 9)])
 def test_structure_completeness(k, n):
-    for pal in enumerate_maximal(word(k, n), 2):
+    for pal in enumerate_maximal(word(k, n)):
         assert classify_palindrome(k, pal), (k, n, pal)
 
 

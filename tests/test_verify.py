@@ -175,7 +175,7 @@ def test_decomposition_sweep_buckets_only_crossing_centres(monkeypatch, k, cross
     calls = _calls(monkeypatch, "_bucket", palindromes)
     assert verify._decomposition_sweep(k, verify.default_n_max(k)).ok
     assert len(calls) == crossing
-    for _, cuts, c, m, _ in calls:
+    for _, cuts, c, m in calls:
         assert any(m >= abs(c - (2 * p - 1)) + 2 for p in cuts)
 
 

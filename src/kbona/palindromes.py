@@ -3,42 +3,39 @@
 Everything here works over arbitrary nonnegative-integer digits.
 
 - `maximal_radii` gives the maximal palindrome length at each of the
-  2|w| - 1 centres. Manacher's scan, `_whole_scan`, runs over every
-  centre of the word's base in linear time, over a byte or a tuple store
-  alike. The profile carries its longest length and the total, the sum
-  of the lengths, of each prefix its plan passes, the whole word
-  included, kept as it is built. It is computed once per word and kept
-  on it (`Word._radii`), read-only, so every caller shares one build.
-- A generated word carries its block plan (`Word._plan`): each level
-  appends to the word before it blocks that are prefixes of that word,
-  some shifted, as `words._block_levels` gives them. Only `word`
-  attaches a plan, to the digits it joined from it, so the plan is
-  trusted and never compared with the digits; a word with no plan is
-  scanned whole, as a plan with no levels whose base is the whole word.
-  A one-to-one relabelling keeps every palindrome, so a block's centre
-  holds its source's palindrome unless that palindrome reaches an edge
-  of the source. One walker,
-  `_patched_levels`, runs once per word: per level it gives the blocks
-  and the patched centres, those centres with the gap at each cut and
-  the word's own palindromic suffixes, each with its palindrome before
-  and after it is extended inside the level. It reads the palindromic
-  prefixes and suffixes from centre lengths, so it reads digits only to
-  extend. The profile's lengths, a `ResolvedLengths`, keep the base's
-  scan, the walker's levels and the latest length of each patched
-  centre, and no entry per centre: one resolver copies a run of centres
-  block by block from its source's, and a centre is a run of one. A
+  2|w| - 1 centres, with its longest length and the total, the sum of
+  the lengths, of each prefix its plan passes, the whole word included.
+  It is computed once per word and kept on it (`Word._radii`),
+  read-only, so every caller shares one build.
+- A generated word carries its block plan (`Word._plan`), rooted at W_0
+  as the digits are: each level appends to the word before it blocks
+  that are prefixes of that word, some shifted, as `_block_levels` gives
+  them. Only `word` attaches a plan, to the digits it joined from it, so
+  the plan is trusted and never compared with the digits. Manacher's
+  scan, `_whole_scan`, reads only W_0 of it, and every centre of a word
+  with no plan, a plan with no levels, in linear time. A one-to-one
+  relabelling keeps every palindrome, so a block's centre holds its
+  source's palindrome unless that palindrome reaches an edge of the
+  source. One walker, `_patched_levels`, runs once per word: per level
+  it gives the blocks and the patched centres, those centres with the
+  gap at each cut and the word's own palindromic suffixes, each with its
+  palindrome before and after it is extended inside the level. It reads
+  the palindromic prefixes and suffixes from centre lengths, so it reads
+  digits only to extend. The profile's lengths, a `ResolvedLengths`,
+  keep the final lengths of the plan's kept prefix W_{min(n, k-1)}, the
+  levels past it and the latest length of each patched centre: one
+  resolver copies a run of centres block by block from its source's. A
   level's total is its blocks' totals plus what the patches add. One
-  builder, `_build_profile`, makes the profile from a digit source and
-  a plan, slicing only the base: `maximal_radii` passes a word's digits
-  and plan, and the lengths suite passes `words._PlanDigits`, which
-  reads by rule the digits of a W_n that is never built.
+  builder, `_build_profile`, makes the profile from a digit source and a
+  plan: `maximal_radii` passes a word's digits and plan, and the lengths
+  suite `words._PlanDigits`, the digits of a W_n that is never built.
 - `_length_set` gives the lengths of a word's palindromes from its
   profile: a palindrome of length m at a centre holds one of length
   m - 2 there, so they are every length up to the longest at a digit
-  centre and at a gap centre, both read from the base and the patches.
+  centre and at a gap centre, both read from the prefix and the patches.
 - `_maximal_ends` builds the set of maximal palindromes from what the
-  profile keeps: the base's centres, each shifted block's copies of its
-  source's palindromes that reach no edge, and the patched centres.
+  profile keeps: the prefix's centres, each shifted block's copies of
+  its source's palindromes that reach no edge, and the patched centres.
   `enumerate_maximal` returns it, and `distinct_factors` walks each of
   its palindromes down, since every palindrome lies centred in the
   maximal one at the centre of any of its occurrences. A word with no
@@ -87,18 +84,18 @@ class RadiusProfile(NamedTuple):
     Center index c (0-based) is the digit at position c/2 when c is even
     and the gap between positions (c-1)/2 and (c+1)/2 when c is odd, both
     in 0-based digit coordinates. `lengths` is a `ResolvedLengths`, which
-    holds an entry for each centre of the word's base alone and resolves
-    every other centre through the word's block plan. `longest` is its
-    maximum (0 for the empty word), kept as the profile is built, so no
-    caller needs a pass over the lengths for it.
+    holds an entry for each centre of the plan's kept prefix alone and
+    resolves every other centre through the word's block plan. `longest`
+    is its maximum (0 for the empty word), kept as the profile is built,
+    so no caller needs a pass over the lengths for it.
 
     `totals` maps a prefix length l to the total of the prefix's own
     profile, the word's clamped, centre c < 2l - 1 holding
-    min(m, 2l - 1 - c): for the base and every prefix that a level
-    passes (each block's source and each level's end, so every W_i with
-    i <= n of a generated W_n with n >= k). The whole word is one of
-    them, so `totals[len(w)]` is the sum of the lengths. It is
-    read-only, like the lengths.
+    min(m, 2l - 1 - c): for the digits before the plan's first level and
+    every prefix that a level passes (each block's source and each
+    level's end, so every W_i with i <= n of a generated W_n). The whole
+    word is one of them, so `totals[len(w)]` is the sum of the lengths.
+    It is read-only, like the lengths.
 
     `maximal_radii` computes the profile once per word and keeps it on
     the word; it is read-only because every caller shares it.
@@ -113,45 +110,48 @@ class ResolvedLengths(Sequence):
     """The maximal palindrome lengths of a word's centres, resolved
     through its block plan, read-only.
 
-    It holds `_base`, the whole scan of the base's centres (for a word
-    with no plan, the base is the whole word), `_levels`, the levels of
-    `_patched_levels`, and `_patched`, each patched centre with its
-    length after the last level that patched it. Every centre past the
-    base is the gap before a block, which is patched, or a centre of a
-    block, which holds its source's palindrome unless it is patched. So
-    centre c resolves to its patched length, else its base length, else
-    to centre c - 2 start of the block at `start` that holds it, a
-    centre of a shorter prefix.
+    It is built from `scan`, the whole scan of the digits before the
+    first of `levels`, the levels of `_patched_levels`, and `patched`,
+    each patched centre with its length after the last level that
+    patched it. Every centre past the scan is the gap before a block,
+    which is patched, or a centre of a block, which holds its source's
+    palindrome unless it is patched. So centre c resolves to its patched
+    length, else its scanned length, else to centre c - 2 start of the
+    block at `start` that holds it, a centre of a shorter prefix. It
+    keeps as `_base` the final lengths of the first `size` digits'
+    centres, resolved once, and only the levels past them.
 
-    `_resolve` is that rule, and every read goes through it: a single
+    `_resolve` is the rule, and every read goes through it: a single
     centre is a slice of one. A slice resolves a run of centres region
     by region (the base, or a block with the gap before it): the base's
     run is copied from `_base`, a block's run from the run of its source,
     and the patches in the run are written over it. A source run is
     copied from the slice itself when the slice holds it already, as it
-    does for every whole block of a slice from 0, from `_base` when no
-    patch lies below its end, and is resolved into place the same way
-    otherwise. A slice of r centres is one `array("i")` of r entries,
-    built by C-level copies and a Python step per region and per patch
-    it meets. Iteration reads the word in slices of `_PIECE` centres, so
-    a full read holds one piece at a time.
+    does for every whole block of a slice from 0, from `_base` when it
+    ends inside the base, whose lengths are final, and is resolved into
+    place the same way otherwise. A slice of r centres is one
+    `array("i")` of r entries, built by C-level copies and a Python step
+    per region and per patch it meets. Iteration reads `_PIECE` centres
+    at a time, so a full read holds one piece at a time.
     """
 
-    __slots__ = ("_base", "_levels", "_patched", "_firsts", "_keys", "_plain", "_centres",
-                 "__weakref__")
+    __slots__ = ("_base", "_levels", "_patched", "_firsts", "_keys", "_centres", "__weakref__")
 
-    def __init__(self, base: array, levels: list[tuple], patched: dict, centres: int):
-        self._base = base
-        self._levels = levels
-        self._patched = patched
+    def __init__(self, scan: array, levels: list[tuple], patched: dict, size: int):
+        centres = 2 * levels[-1][2] - 1 if levels else len(scan)
+        self._base, self._levels, self._patched, self._centres = scan, levels, patched, centres
         # The gap before each block, whose centres follow it, and the
         # patched centres, each list closed by the word's end.
-        self._firsts = [2 * start - 1 for _, blocks, _, _ in levels for start, *_ in blocks]
-        self._firsts.append(centres)
+        self._firsts = [2 * start - 1 for _, bs, _, _ in levels for start, *_ in bs] + [centres]
         self._keys = sorted(patched) + [centres]
-        # The centres below this are in the base and below every patch.
-        self._plain = min(len(base), self._keys[0])
-        self._centres = centres
+        if levels:
+            # The first `size` digits' centres at their final lengths,
+            # and only the gaps, patches and levels past them.
+            e = 2 * size - 1
+            self._base = self[:e]
+            self._firsts = self._firsts[bisect_left(self._firsts, e) :]
+            self._keys = self._keys[bisect_left(self._keys, e) :]
+            self._levels = [level for level in levels if level[0] >= size]
 
     def __len__(self) -> int:
         return self._centres
@@ -192,7 +192,7 @@ class ResolvedLengths(Sequence):
                 src, n, dst = a - first - 1, end - a, at + a - lo
                 if src >= lo:  # out holds the source's run already
                     out[dst : dst + n] = out[at + src - lo : at + src - lo + n]
-                elif src + n <= self._plain:
+                elif src + n <= len(base):
                     out[dst : dst + n] = base[src : src + n]
                 else:
                     self._resolve(out, dst, src, src + n)
@@ -243,13 +243,13 @@ def _whole_scan(ds: bytes | tuple[int, ...], lengths: array) -> list[int]:
 
 
 def maximal_radii(w: Word) -> RadiusProfile:
-    """Maximal palindrome length at every centre; linear time in the
-    base, digit-equality only (alphabet unbounded).
+    """Maximal palindrome length at every centre, digit-equality only
+    (alphabet unbounded).
 
     A word that carries a block plan (`Word._plan`) is built from it by
-    `_build_profile`, which trusts the plan as it is; any other word is
-    scanned whole. The profile is kept on the word, and a later call
-    returns it.
+    `_build_profile`, which trusts the plan as it is and scans only W_0;
+    any other word is scanned whole, in linear time. The profile is kept
+    on the word, and a later call returns it.
     """
     profile = getattr(w, "_radii", None)
     if profile is None:
@@ -260,24 +260,24 @@ def maximal_radii(w: Word) -> RadiusProfile:
 
 def _build_profile(ds, plan: tuple) -> RadiusProfile:
     """The radius profile of the digits ds, from their block plan (size,
-    levels), reading ds by `len(ds)`, one slice `ds[:size]` and `ds[i]`
-    only: a digit store with no levels is scanned whole, and
-    `words._PlanDigits` reads a W_n that is never built.
+    levels), reading ds by `len(ds)`, one slice and `ds[i]` only: a
+    digit store with no levels is scanned whole.
 
-    `_whole_scan`, Manacher's scan over every centre, scans only the
-    base, the first `size` digits (W_{k-1} of a generated word), and the
-    walker, `_patched_levels`, runs once over the plan's levels and hands
-    over its levels and the latest length of each patched centre; the
-    profile keeps both and resolves every other centre through them. A
+    `_whole_scan` scans only the digits before the first level (W_0 of a
+    generated word), and the walker, `_patched_levels`, runs once over
+    every level and hands over its levels and the latest length of each
+    patched centre. One `ResolvedLengths` keeps them, with the first
+    `size` digits' centres flat (W_{min(n, k-1)} of a generated W_n). A
     level's total is its blocks' totals, each its source's clamped and
     kept per prefix length, plus what the patches add.
     """
     size, levels = plan
-    base = array("i", (0,)) * max(2 * size - 1, 0)
-    longest, total = _whole_scan(ds[:size], base)
-    walked, patched = _patched_levels(ds, levels, base, longest) if levels else ([], {})
-    lengths = ResolvedLengths(base, walked, patched, max(2 * len(ds) - 1, 0))
-    totals = {size: total}
+    first = levels[0][0] if levels else size
+    scan = array("i", (0,)) * max(2 * first - 1, 0)
+    longest, total = _whole_scan(ds[:first], scan)
+    walked, patched = _patched_levels(ds, levels, scan, longest) if levels else ([], {})
+    lengths = ResolvedLengths(scan, walked, patched, size)
+    totals = {first: total}
     for _, blocks, end, patches in walked:
         for _, length, _ in blocks:
             if length not in totals:
@@ -295,10 +295,10 @@ def _length_set(lengths: ResolvedLengths) -> frozenset[int]:
     lengths these are. A palindrome of length m at a centre holds one of
     length m - 2 there, so they are 3, 5, .. up to the longest at a
     digit centre and 2, 4, .. up to the longest at a gap centre. Both
-    maxima are read from the base's lengths and the patched centres
-    alone: every other centre copies the centre 2 start before it, for
-    the block at `start` that holds it, so one of its own parity. A base
-    length that a later patch replaced is no longer than the patch."""
+    maxima are read from the kept prefix's final lengths and the patched
+    centres alone: every other centre copies the centre 2 start before
+    it, for the block at `start` that holds it, so one of its own
+    parity."""
     base, patched = lengths._base, lengths._patched
     odd, even = (
         max(chain(base[parity::2], (m for c, m in patched.items() if c % 2 == parity)),
@@ -311,10 +311,10 @@ def _patched_levels(ds, levels: Iterable[tuple], base: array, longest: int) -> t
     """The levels of ds's block plan, each as (size, blocks, end,
     patches), and the patched centres, each mapped to its length after
     the last level that patched it. `base` is the whole scan of the
-    base's centres and `longest` its longest length. Each level is
-    (size, blocks, end), with each block (start, length, shift), as
-    `words._block_levels` gives it, and starts where the one before it
-    ends.
+    digits before the first level and `longest` its longest length.
+    Each level is (size, blocks, end), with each block (start, length,
+    shift), as `words._block_levels` gives it, and starts where the one
+    before it ends.
 
     A level appends to the word U of its first `size` digits the blocks,
     each a prefix of U relabelled one to one. A block's centre holds its
@@ -342,7 +342,7 @@ def _patched_levels(ds, levels: Iterable[tuple], base: array, longest: int) -> t
     for size, blocks, end in levels:
         missing = {size, *(length for _, length, _ in blocks)}.difference(suffixes)
         if missing:
-            lengths = ResolvedLengths(base, walked, patched, 2 * size - 1)
+            lengths = ResolvedLengths(base, walked, patched, (len(base) + 1) // 2)
             for length in missing:
                 e = 2 * length - 1
                 window = lengths[e - min(length, longest) : e]
@@ -437,8 +437,8 @@ def _maximal_ends(ds: bytes | tuple[int, ...], lengths: ResolvedLengths) -> dict
     of its occurrences as a centre's maximal palindrome that start past
     digit 0, or to |ds| when every such occurrence starts at digit 0.
 
-    They are read from what the profile keeps: the base's centres at
-    their final lengths, then per level of the block plan each
+    They are read from what the profile keeps: the kept prefix's centres
+    at their final lengths, then per level past it each
     shifted block's copies and the patched centres at their final
     lengths. A block of `length` digits at `start` relabels its source
     one to one, and a source centre that is no edge of the source holds
@@ -461,8 +461,7 @@ def _maximal_ends(ds: bytes | tuple[int, ...], lengths: ResolvedLengths) -> dict
             if ends.get(p, marker) >= e:
                 ends[p] = e
 
-    base = lengths[: len(lengths._base)]
-    add(compress(enumerate(base), base))
+    add(compress(enumerate(lengths._base), lengths._base))
     patched = lengths._patched
     for _, blocks, _, patches in lengths._levels:
         for start, length, shift in blocks:

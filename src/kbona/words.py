@@ -37,9 +37,9 @@ of |W_n| bytes past it. `_PlanDigits` reads W_n by rule for a radius
 profile built without the word: a slice is one `digits_at`, and an index
 reads a chunk that it keeps. The blocks of each level come from one
 function, `_block_levels`, and `word` keeps them on the word as its
-block plan, from which `palindromes` builds the radius profile. Only
-`word` attaches a plan, to the digits it joined from that plan, so the
-plan is read as the word and never compared with the digits. Text is
+block plan, rooted at W_0, from which `palindromes` builds the radius
+profile. Only `word` attaches a plan, to the digits it joined from it,
+so the plan is read as the word and never compared with the digits. Text is
 rendered by one renderer, `_pieces`, in pieces of `_PIECE` digits:
 `to_plain` and `to_spaced` join its pieces. `kbona gen` renders W_n from
 the same leaf walk instead, by `_plan_pieces`: each leaf is rendered by
@@ -126,12 +126,12 @@ class Word:
     `_radii` holds the word's radius profile once `maximal_radii` has
     built it, and is unset before: the profile is computed once per
     word, is read-only, and lives as long as the word. It keeps the
-    whole scan of the word's base, 8 bytes per digit of the base, and
+    lengths of the plan's kept prefix, 8 bytes per digit of it, and
     resolves every other centre through the plan. `_plan` is set on a
     word that `word` generates by the recurrence, and unset on every
     other: it is the block plan the word was joined from, (|W_j|,
-    levels) with j = min(n, k - 1) and levels k..n of `_block_levels`,
-    from which `maximal_radii` builds the profile, and
+    levels 1..n of `_block_levels`), W_j = W_{min(n, k-1)} the kept
+    prefix, from which `maximal_radii` builds the profile, and
     `enumerate_maximal` and `distinct_factors` their sets of palindromes
     from the profile. The digits are the plan's join, so the plan is
     trusted as it is. Equality, hashing, pickling and copying see the
@@ -472,9 +472,9 @@ def _leaf_digits(k: int, leaf: int) -> bytes:
 
 
 def _plan(k: int, n: int) -> tuple:
-    """The block plan of W_n that `word` attaches: (|W_j|, levels k..n
-    of `_block_levels`) with j = min(n, k - 1)."""
-    return kbonacci_sizes(k)[min(n, k - 1)], _block_levels(k)[k - 1 : n]
+    """The block plan of W_n that `word` attaches: (|W_j|, levels 1..n of
+    `_block_levels`), W_j = W_{min(n, k-1)} the prefix the profile keeps."""
+    return kbonacci_sizes(k)[min(n, k - 1)], _block_levels(k)[:n]
 
 
 def _word_digits(k: int, n: int) -> bytes:

@@ -2,6 +2,7 @@
 consistency laws."""
 
 import ast
+import bisect
 import functools
 import hashlib
 import random
@@ -102,7 +103,7 @@ def _count_calls(monkeypatch, name):
 def test_profile_is_kept_on_the_word(monkeypatch):
     # One profile build serves every caller on one word, in scan-long's
     # order: a generated word is built once from its plan, whose walker
-    # runs once and whose whole scan reads only the base W_2, and a
+    # runs once and whose whole scan reads only W_0, one digit, and a
     # parsed word is scanned whole once.
     builds = _count_calls(monkeypatch, "_patched_levels")
     passes = _count_calls(monkeypatch, "_whole_scan")
@@ -112,12 +113,12 @@ def test_profile_is_kept_on_the_word(monkeypatch):
     assert count_occurrences(w, 2) == brute_count(w, 2)
     assert classify_crossing(w, decomposition_cuts(3, 8), 2).total == brute_count(w, 2)
     assert enumerate_maximal(w) == brute_maximal(w, 2)
-    assert builds == [len(w)] and passes == [4]
+    assert builds == [len(w)] and passes == [1]
     # An equal word built apart has its own profile.
     twin = Word.parse(w.to_plain())
     assert twin == w and hash(twin) == hash(w)
     assert maximal_radii(twin) is not profile
-    assert builds == [len(w)] and passes == [4, len(w)]
+    assert builds == [len(w)] and passes == [1, len(w)]
 
 
 def test_profile_is_read_only():
@@ -231,20 +232,46 @@ def _planless(k: int, n: int) -> Word:
 def test_plan_build_equals_whole_scan(monkeypatch, pairs):
     # Every W_n of up to 2^16 digits for k = 2..10, the long words, and
     # W_k for k = 11..16, whose longest palindrome is nearly the whole
-    # word: the whole scan of a generated word reads only its base,
-    # W_{k-1} or the word itself when shorter, and its profile, built
-    # from the plan as it is trusted, is the whole scan's of a copy with
-    # no plan.
+    # word: the whole scan of a generated word reads only W_0, one
+    # digit, and its profile, built from the plan as it is trusted, is
+    # the whole scan's of a copy with no plan, which is scanned whole.
     passes = _count_calls(monkeypatch, "_whole_scan")
     for w, planless in pairs():
         passes.clear()
         profile = maximal_radii(w)
-        assert passes == [w._plan[0]]
+        assert passes == [1]
         assert _same_profile(profile, maximal_radii(planless))
 
 
+def test_profile_holds_the_kept_prefix_flat():
+    # Every W_n of up to 2^16 digits for k = 3..10: the profile holds the
+    # final lengths of the first |W_j| digits' centres, j = min(n, k - 1),
+    # as the whole scan of a copy with no plan gives them, and the total
+    # of every W_m with m <= n, the sum of the whole scan clamped to W_m.
+    # A block's run whose source ends at the prefix's end, or one centre
+    # past it, reads as the whole scan's.
+    for k in range(3, 11):
+        sizes = kbonacci_sizes(k)
+        for n in range(bisect.bisect_right(sizes, 1 << 16)):
+            w = word(k, n)
+            profile = maximal_radii(w)
+            scanned = maximal_radii(Word._unchecked(w.digits)).lengths
+            kept = 2 * sizes[min(n, k - 1)] - 1
+            assert profile.lengths._base == scanned[:kept], (k, n)
+            for _, blocks, _ in w._plan[1]:
+                for start, length, _ in blocks:
+                    # The block's centres from lo on copy its source's
+                    # from lo - 2 start, 0 or 1.
+                    for lo in (2 * start, 2 * start + 1) if 2 * length - 1 > kept else ():
+                        assert profile.lengths[lo : lo + kept] == scanned[lo : lo + kept]
+            for size in sizes[: n + 1]:
+                e = 2 * size - 1
+                clamped = sum(map(min, scanned[:e], range(e, 0, -1)))
+                assert profile.totals[size] == clamped, (k, n, size)
+
+
 def test_plan_build_allocates_only_the_profile():
-    # W_22 (k=3), 755,476 digits: the profile holds the base's lengths,
+    # W_22 (k=3), 755,476 digits: the profile holds the lengths of W_2,
     # the walker's levels and the patched centres, and the build's peak
     # is that profile, 27.7 kB or about 0.04 bytes per digit, where an
     # entry per centre would take 8.
@@ -310,8 +337,10 @@ def _scans(read, w):
 
 
 def _base(w: Word) -> int:
-    """The digits the whole scan of w reads: its plan's base, else all."""
-    return getattr(w, "_plan", (len(w),))[0]
+    """The digits the whole scan of w reads: those before its plan's
+    first level, else all."""
+    size, levels = getattr(w, "_plan", (len(w), ()))
+    return levels[0][0] if levels else size
 
 
 @st.composite
@@ -470,15 +499,17 @@ def test_distinct_of_changed_digits_walks_the_whole_profile(monkeypatch, change)
 
 def test_distinct_plan_build_scans_only_the_base(monkeypatch):
     # The plan build reads the word's own profile, whose build scans only
-    # the base, W_{k-1}, whole; once the profile is kept on the word, no
-    # call scans again.
+    # the base, W_0, whole; once the profile is kept on the word, no call
+    # scans again. A copy with no plan is scanned whole.
     passes = _count_calls(monkeypatch, "_whole_scan")
     w = word(5, 14)
     distinct_factors(w, 2)
-    assert passes == [w._plan[0]]
+    assert passes == [1]
     maximal_radii(w)
     distinct_factors(w, 2)
-    assert passes == [w._plan[0]]
+    assert passes == [1]
+    distinct_factors(Word._unchecked(w.digits), 2)
+    assert passes == [1, len(w)]
 
 
 def test_distinct_plan_build_memory():
@@ -929,13 +960,13 @@ class _ReadLog:
 def test_plan_build_slices_only_the_base():
     # W_16 for k=16, whose palindromic prefixes and suffixes run nearly
     # the whole word: the walker reads them from centre lengths, so the
-    # build's one slice is the base's, W_15, and every other read is a
+    # build's one slice is the base's, W_0, and every other read is a
     # digit compare of the extension loop.
     k = n = 16
     w = word(k, n)
     ds = _ReadLog(w.digits)
     profile = palindromes._build_profile(ds, w._plan)
-    assert ds.slices == [(None, w._plan[0], None)]
+    assert ds.slices == [(None, 1, None)]
     assert _same_profile(profile, _whole_profile(w))
 
 

@@ -119,8 +119,8 @@ def _calls(monkeypatch, name, *modules):
 
 def test_decomposition_sweep_scans_each_word_once(monkeypatch):
     # The sweep builds W_10 alone and one profile of it, whose plan build
-    # walks the plan once and scans only the base W_3 whole; each W_n is
-    # its prefix.
+    # walks the plan once and scans only W_0, one digit, whole; each W_n
+    # is its prefix.
     words = _calls(monkeypatch, "word", verify)
     builds = _calls(monkeypatch, "_patched_levels", palindromes)
     scans = _calls(monkeypatch, "_whole_scan", palindromes)
@@ -128,7 +128,7 @@ def test_decomposition_sweep_scans_each_word_once(monkeypatch):
     assert report.ok
     assert words == [(4, 10)]
     assert [len(args[0]) for args in builds] == [kbonacci_number(4, 14)]
-    assert [len(args[0]) for args in scans] == [8]
+    assert [len(args[0]) for args in scans] == [1]
     partition = [r for r in report.results if r.check_id == "partition-total"]
     assert len(partition) == 7 and all(r.verdict == verify.PASS for r in partition)
 
@@ -556,7 +556,8 @@ def test_lemma_battery_applies_the_morphism_66_times(monkeypatch):
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6, 7])
 def test_lemma_battery_builds_one_word_and_one_profile(monkeypatch, k):
-    # Every W_n the battery reads is a prefix of W_{n_max}; below k no
+    # Every W_n the battery reads is a prefix of W_{n_max}, whose one
+    # profile scans only W_0, one digit, whole; below k no
     # palindromic-prefix-cap row runs, and no profile is built.
     words = _calls(monkeypatch, "word", verify)
     builds = _calls(monkeypatch, "_patched_levels", palindromes)
@@ -565,7 +566,7 @@ def test_lemma_battery_builds_one_word_and_one_profile(monkeypatch, k):
     assert verify.verify_lemmas(k, n).ok
     assert words == [(k, n)]
     assert [len(args[0]) for args in builds] == [kbonacci_number(k, n + k)]
-    assert [len(args[0]) for args in scans] == [kbonacci_number(k, 2 * k - 1)]
+    assert [len(args[0]) for args in scans] == [1]
     words.clear(), builds.clear(), scans.clear()
     assert verify.verify_lemmas(k, k - 1).ok
     assert words == [(k, k - 1)] and builds == scans == []

@@ -8,12 +8,13 @@ Everything here works over arbitrary nonnegative-integer digits.
   It is computed once per word and kept on it (`Word._radii`),
   read-only, so every caller shares one build.
 - A generated word carries its block plan (`Word._plan`), rooted at W_0
-  as the digits are: each level appends to the word before it blocks
-  that are prefixes of that word, some shifted, as `_block_levels` gives
-  them. Only `word` attaches a plan, to the digits it joined from it, so
-  the plan is trusted and never compared with the digits. Manacher's
-  scan, `_whole_scan`, reads only W_0 of it, and every centre of a word
-  with no plan, a plan with no levels, in linear time. A one-to-one
+  as the digits are: a chain, whose levels each append to the word
+  before them blocks, some shifted, as `_block_levels` gives them, each
+  W_0 or the word at the end of an earlier level. Only `word` attaches a
+  plan, to the digits it joined from it, so the plan is trusted and
+  never compared with the digits. Manacher's scan, `_whole_scan`, reads
+  only W_0 of it, and every centre of a word with no plan, a plan with
+  no levels, in linear time. A one-to-one
   relabelling keeps every palindrome, so a block's centre holds its
   source's palindrome unless that palindrome reaches an edge of the
   source. One walker, `_patched_levels`, runs once per word: per level
@@ -49,8 +50,8 @@ Everything here works over arbitrary nonnegative-integer digits.
   whose lengths are odd, and m / 2 at a gap, whose lengths are even, so
   they add up to half of the profile's total less one per digit. It
   counts the whole word as its own prefix, by `_classify_prefix` with
-  no cuts, as `count_prefix_occurrences` counts a prefix, from the total
-  the profile kept for it or from the clamped profile.
+  no cuts, as `count_prefix_occurrences` counts a prefix whose total the
+  profile keeps.
 - `classify_crossing` buckets occurrences as contained / bordering /
   straddling relative to a block decomposition, given as a tuple of
   cut after-positions, per centre: an occurrence of length L at centre
@@ -59,8 +60,8 @@ Everything here works over arbitrary nonnegative-integer digits.
   one, so it reads only those cut windows and buckets one at a time
   only the centres that cross the cut nearest them; the count from the
   total holds every other centre's occurrences as contained.
-  `_classify_prefix` does this for any prefix of a word, from the
-  clamped profile and the prefix's kept total, so the decomposition
+  `_classify_prefix` does this for each prefix whose total the profile
+  keeps, from the clamped profile, so the decomposition
   sweep classifies every W_n from one profile of W_{n_max}; the whole
   word and the two counters are its other callers.
 """
@@ -70,7 +71,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right, insort
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain, compress, count, islice
+from itertools import chain, compress, count
 from operator import ge
 from types import MappingProxyType
 from typing import NamedTuple
@@ -91,11 +92,10 @@ class RadiusProfile(NamedTuple):
 
     `totals` maps a prefix length l to the total of the prefix's own
     profile, the word's clamped, centre c < 2l - 1 holding
-    min(m, 2l - 1 - c): for the digits before the plan's first level and
-    every prefix that a level passes (each block's source and each
-    level's end, so every W_i with i <= n of a generated W_n). The whole
-    word is one of them, so `totals[len(w)]` is the sum of the lengths.
-    It is read-only, like the lengths.
+    min(m, 2l - 1 - c): for the plan's base and each level's end, so
+    every W_i with i <= n of a generated W_n, each block's source among
+    them. The whole word is one of them, so `totals[len(w)]` is the sum
+    of the lengths. It is read-only, like the lengths.
 
     `maximal_radii` computes the profile once per word and keeps it on
     the word; it is read-only because every caller shares it.
@@ -207,9 +207,10 @@ def is_palindrome(w: Word) -> bool:
     return w.digits == w.digits[::-1]
 
 
-def _whole_scan(ds: bytes | tuple[int, ...], lengths: array) -> list[int]:
-    """Manacher's scan of every centre of ds into the first 2|ds| - 1
-    entries of `lengths`, and its [longest, total]; linear time.
+def _whole_scan(ds, lengths: array) -> list[int]:
+    """Manacher's scan of the digits of ds whose centres `lengths` holds,
+    the first (len(lengths) + 1) // 2, into it, and its [longest, total];
+    linear time. It reads ds by `ds[i]` only, in place.
 
     (mid, right) is the palindrome scanned so far that reaches furthest
     right, ending at digit `right`. Centre c starts from the palindrome
@@ -220,7 +221,7 @@ def _whole_scan(ds: bytes | tuple[int, ...], lengths: array) -> list[int]:
     (mid, right), its first comparison fails, and otherwise every
     comparison that succeeds moves `right` on, so the scan stays linear.
     """
-    last = len(ds) - 1
+    last = (len(lengths) - 1) // 2
     mid = right = -1
     longest = total = 0
     for c in range(2 * last + 1):
@@ -260,30 +261,28 @@ def maximal_radii(w: Word) -> RadiusProfile:
 
 def _build_profile(ds, plan: tuple) -> RadiusProfile:
     """The radius profile of the digits ds, from their block plan (size,
-    levels), reading ds by `len(ds)`, one slice and `ds[i]` only: a
-    digit store with no levels is scanned whole.
+    levels), reading ds by `ds[i]` only: a digit store with no levels is
+    scanned whole.
 
-    `_whole_scan` scans only the digits before the first level (W_0 of a
+    The plan is a chain, as `word` attaches it: every block copies the
+    base, the digits before the first level, or the word at the end of
+    an earlier level. `_whole_scan` scans only the base (W_0 of a
     generated word), and the walker, `_patched_levels`, runs once over
     every level and hands over its levels and the latest length of each
     patched centre. One `ResolvedLengths` keeps them, with the first
     `size` digits' centres flat (W_{min(n, k-1)} of a generated W_n). A
-    level's total is its blocks' totals, each its source's clamped and
-    kept per prefix length, plus what the patches add.
+    level's total is its blocks' totals, each its source's kept total,
+    plus what the patches add.
     """
     size, levels = plan
     first = levels[0][0] if levels else size
     scan = array("i", (0,)) * max(2 * first - 1, 0)
-    longest, total = _whole_scan(ds[:first], scan)
-    walked, patched = _patched_levels(ds, levels, scan, longest) if levels else ([], {})
+    longest, total = _whole_scan(ds, scan)
+    walked, patched = _patched_levels(ds, levels, scan) if levels else ([], {})
     lengths = ResolvedLengths(scan, walked, patched, size)
     totals = {first: total}
     for _, blocks, end, patches in walked:
-        for _, length, _ in blocks:
-            if length not in totals:
-                e = 2 * length - 1
-                totals[length] = sum(map(min, lengths[:e], range(e, 0, -1)))
-            total += totals[length]
+        total += sum(totals[length] for _, length, _ in blocks)
         total += sum(m - held for _, held, m in patches)
         longest = max(longest, *(m for _, _, m in patches))
         totals[end] = total
@@ -307,14 +306,14 @@ def _length_set(lengths: ResolvedLengths) -> frozenset[int]:
     return frozenset(chain(range(3, odd + 1, 2), range(2, even + 1, 2)))
 
 
-def _patched_levels(ds, levels: Iterable[tuple], base: array, longest: int) -> tuple:
+def _patched_levels(ds, levels: Iterable[tuple], base: array) -> tuple:
     """The levels of ds's block plan, each as (size, blocks, end,
     patches), and the patched centres, each mapped to its length after
     the last level that patched it. `base` is the whole scan of the
-    digits before the first level and `longest` its longest length.
-    Each level is (size, blocks, end), with each block (start, length,
-    shift), as `words._block_levels` gives it, and starts where the one
-    before it ends.
+    digits before the first level. Each level is (size, blocks, end),
+    with each block (start, length, shift), as `words._block_levels`
+    gives it, and starts where the one before it ends; every block is
+    the base or the word at the end of an earlier level.
 
     A level appends to the word U of its first `size` digits the blocks,
     each a prefix of U relabelled one to one. A block's centre holds its
@@ -330,23 +329,14 @@ def _patched_levels(ds, levels: Iterable[tuple], base: array, longest: int) -> t
     of m digits is centre m - 1 reaching digit 0: within the base, a
     centre c of the base's scan with base[c] >= c + 1, and past it, a
     patch whose palindrome reached digit 0, c + 1 == m. The palindromic
-    suffixes of a level's end are its patches that reach that end, and
-    those of any other prefix P of U are the centres c of P whose length
-    in U reaches P's end, read from one slice of U's own
-    `ResolvedLengths`, built from the levels walked so far when such a
-    length is first met: at the first level, for a generated plan.
+    suffixes of the base are the centres c of its scan that reach its
+    end, base[c] >= len(base) - c, and those of a level's end are its
+    patches that reach that end; every block's source is one of them.
     """
     walked, patched = [], {}
     prefixes = list(compress(count(1), map(ge, base, count(1))))
-    suffixes = {}
+    suffixes = {(len(base) + 1) // 2: list(compress(count(1), map(ge, reversed(base), count(1))))}
     for size, blocks, end in levels:
-        missing = {size, *(length for _, length, _ in blocks)}.difference(suffixes)
-        if missing:
-            lengths = ResolvedLengths(base, walked, patched, (len(base) + 1) // 2)
-            for length in missing:
-                e = 2 * length - 1
-                window = lengths[e - min(length, longest) : e]
-                suffixes[length] = list(compress(count(1), map(ge, reversed(window), count(1))))
         held = [(2 * size - 1 - m, m) for m in suffixes[size]]
         for start, length, _ in blocks:
             first, e = 2 * start, 2 * length - 1
@@ -370,7 +360,6 @@ def _patched_levels(ds, levels: Iterable[tuple], base: array, longest: int) -> t
             # is met once, at the first level whose word holds it.
             if not a and b >= size:
                 insort(prefixes, b + 1)
-        longest = max(longest, *(m for _, _, m in patches))
         suffixes[end] = [m for c, _, m in patches if c + m == 2 * end - 1]
         walked.append((size, blocks, end, patches))
     return walked, patched
@@ -396,12 +385,13 @@ def count_occurrences(w: Word, min_len: int = 2) -> int:
 def count_prefix_occurrences(w: Word, size: int) -> int:
     """Number of palindromic occurrences of length at least 2 in the
     prefix of w of `size` digits, from w's profile by `_classify_prefix`
-    with no cuts: the prefix's own profile is w's clamped, and its total
-    is in `RadiusProfile.totals` for every prefix that a level of the
-    plan passes, or else summed from the clamp."""
-    if not 0 <= size <= len(w):
-        raise DomainError(f"prefix size must be in 0..{len(w)}, got {size}")
-    return _classify_prefix(maximal_radii(w), size, ()).occurrences
+    with no cuts. The prefix is one whose total the profile keeps
+    (`RadiusProfile.totals`): each W_m of a generated W_n with m <= n,
+    and the whole word; any other size raises DomainError."""
+    profile = maximal_radii(w)
+    if size not in profile.totals:
+        raise DomainError(f"no prefix total is kept for size {size}")
+    return _classify_prefix(profile, size, ()).occurrences
 
 
 def enumerate_maximal(w: Word) -> set[Word]:
@@ -523,17 +513,16 @@ def classify_crossing(w: Word, cuts: tuple[int, ...], min_len: int = 2) -> Cross
 
 def _classify_prefix(profile: RadiusProfile, size: int, cuts: tuple[int, ...]) -> CrossingCounts:
     """`classify_crossing` of the prefix of `size` digits of the word
-    whose profile is `profile`, for valid cuts of the prefix.
+    whose profile is `profile`, for valid cuts of the prefix and a size
+    whose total the profile keeps.
 
     The prefix's own profile is the clamp: centre c < e = 2 size - 1
     holds min(m, e - c), which is m except at the centres within the
     word's longest length of e, the tail. The count of all occurrences
-    is half the prefix's own total less one per digit, as in
-    `count_occurrences`: the total is the prefix's in
-    `RadiusProfile.totals`, or else the sum of its own lengths, the tail
-    read as one slice. The cut after position p is centre g = 2p - 1, and an
-    occurrence of length L at centre c crosses it iff
-    L >= |c - g| + 2, so a centre crosses a cut iff its length, clamped
+    is half the prefix's own total, `RadiusProfile.totals[size]`, less
+    one per digit, as in `count_occurrences`. The cut after position p
+    is centre g = 2p - 1, and an occurrence of length L at centre c
+    crosses it iff L >= |c - g| + 2, so a centre crosses a cut iff its length, clamped
     where it reaches the tail, crosses the cut centre nearest it. Only
     the centres within reach = longest - 2 of a cut can, so only the
     window of each cut centre g is read: the centres within reach of g
@@ -544,9 +533,7 @@ def _classify_prefix(profile: RadiusProfile, size: int, cuts: tuple[int, ...]) -
     lengths = profile.lengths
     e = max(2 * size - 1, 0)
     head = max(e - profile.longest, 0)
-    total = profile.totals.get(size)
-    if total is None:
-        total = sum(islice(lengths, head)) + sum(map(min, lengths[head:e], range(e - head, 0, -1)))
+    total = profile.totals[size]
     # A centre of length m holds m // 2 occurrences: (m - 1) / 2 at each
     # of the `size` digits, whose lengths are odd, and m / 2 at a gap.
     occurrences = (total - size) // 2

@@ -443,7 +443,7 @@ def verify_lengths(k: int) -> Report:
     n = 3 * k + 2
     report = Report("lengths", {"k": k, "n": n})
     _check_request(k, n)
-    observed = _length_set(_build_profile(_PlanDigits(k, n), _plan(k, n)).lengths)
+    observed = _length_set(_build_profile(_PlanDigits(k), _plan(k, n)).lengths)
     allowed = {mode: structure.allowed_lengths(k, mode).lengths for mode, _ in MODES}
     for mode, provenance in MODES:
         report.check("allowed-lengths", {"k": k, "mode": mode.value}, allowed[mode], provenance,

@@ -33,15 +33,16 @@ One leaf walk, `_plan_leaves`, makes each of those leaves from W_L, cut
 to [lo, hi), once, and yields it again wherever the plan repeats it.
 `digits_at` is the join of that walk, so each digit is written once, and
 W_n is `digits_at` over all of it: a cut of W_L for n <= L, and one join
-of |W_n| bytes past it. `_PlanDigits` reads W_n by rule for a radius
-profile built without the word: a slice is one `digits_at`, and an index
-reads a chunk that it keeps. The blocks of each level come from one
-function, `_block_levels`, and `word` keeps them on the word as its
+of |W_n| bytes past it. `_PlanDigits` reads the digits of W^(k) by
+index for a radius profile built without the word: an index reads a
+chunk by `digits_at` and keeps it. The blocks of each level come from
+one function, `_block_levels`, and `word` keeps them on the word as its
 block plan, rooted at W_0, from which `palindromes` builds the radius
-profile. Only `word` attaches a plan, to the digits it joined from it,
-so the plan is read as the word and never compared with the digits. Text is
-rendered by one renderer, `_pieces`, in pieces of `_PIECE` digits:
-`to_plain` and `to_spaced` join its pieces. `kbona gen` renders W_n from
+profile: a chain, whose every block copies W_0 or the word at the end
+of an earlier level. Only `word` attaches a plan, to the digits it
+joined from it, so the plan is read as the word and never compared with
+the digits. Text is rendered by one renderer, `_pieces`, in pieces of
+`_PIECE` digits: `to_plain` and `to_spaced` join its pieces. `kbona gen` renders W_n from
 the same leaf walk instead, by `_plan_pieces`: each leaf is rendered by
 `_pieces` once and written again by reference wherever the plan repeats
 it, so W_n is never built and no rendering of a whole long word is ever
@@ -588,40 +589,28 @@ _CHUNK_MASK = (1 << _CHUNK_BITS) - 1
 
 
 class _PlanDigits:
-    """The digits of W_n read by rule, for a radius profile built from
-    W_n's plan without W_n: `len(ds)`, `ds[i]` and `ds[a:b]` (step 1),
-    as on `word(k, n).digits`. A slice is one `digits_at` call. An index
-    reads the chunk of 2^_CHUNK_BITS digits that holds it by `digits_at`
-    when first touched and keeps it, so a later index there costs one
-    dict lookup."""
+    """The digits of the fixed point W^(k) read by rule, by `ds[i]` only,
+    for a radius profile built from a plan without its word: every W_n
+    is a prefix of W^(k), and the profile build reads no digit past its
+    word's end. An index reads the chunk of 2^_CHUNK_BITS digits that
+    holds it by `digits_at` when first touched and keeps it, so a later
+    index there costs one dict lookup."""
 
-    __slots__ = ("_k", "_size", "_chunks")
+    __slots__ = ("_k", "_chunks")
 
-    def __init__(self, k: int, n: int):
+    def __init__(self, k: int):
         self._k = k
-        self._size = kbonacci_sizes(k)[n]
         self._chunks = {}
 
-    def __len__(self) -> int:
-        return self._size
-
-    def __getitem__(self, index):
+    def __getitem__(self, index: int) -> int:
+        j = index >> _CHUNK_BITS
         try:
-            return self._chunks[index >> _CHUNK_BITS][index & _CHUNK_MASK]
-        except (KeyError, TypeError):
-            pass
-        run = range(self._size)[index]
-        if type(run) is int:
-            j = run >> _CHUNK_BITS
-            chunk = self._chunks.get(j)
-            if chunk is None:
-                lo = j << _CHUNK_BITS
-                hi = min(lo + (1 << _CHUNK_BITS), self._size)
-                chunk = self._chunks[j] = digits_at(self._k, lo, hi)
-            return chunk[run & _CHUNK_MASK]
-        if run.step != 1:
-            raise DomainError("a plan's digits are read in slices of step 1")
-        return digits_at(self._k, run.start, run.stop) if run else b""
+            return self._chunks[j][index & _CHUNK_MASK]
+        except KeyError:
+            lo = j << _CHUNK_BITS
+            hi = min(lo + (1 << _CHUNK_BITS), kbonacci_sizes(self._k)[-1])
+            chunk = self._chunks[j] = digits_at(self._k, lo, hi)
+            return chunk[index & _CHUNK_MASK]
 
 
 def classical_word(k: int, n: int) -> Word:

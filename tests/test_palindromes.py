@@ -88,12 +88,14 @@ def test_radii_examples():
 
 
 def _count_calls(monkeypatch, name):
-    """Record the digit count of each call of palindromes.<name>."""
+    """Record the digit count of each call of palindromes.<name>: for
+    `_whole_scan`, the digits it scans, those whose centres its lengths
+    hold, and for any other, the digits it is given."""
     calls = []
     original = getattr(palindromes, name)
 
     def counted(ds, *args):
-        calls.append(len(ds))
+        calls.append((len(args[0]) + 1) // 2 if name == "_whole_scan" else len(ds))
         return original(ds, *args)
 
     monkeypatch.setattr(palindromes, name, counted)
@@ -311,18 +313,22 @@ def test_plan_of_changed_digits_takes_the_whole_scan(monkeypatch, change):
 def _planned(base, levels) -> Word:
     """The word joined from a block plan: base digits, then per level the
     blocks (length, shift), each the prefix of that length shifted by
-    that much, a digit past 255 - shift becoming 0. The word carries the
-    plan, in the form `word` attaches, only when no shifted digit passes
-    255, as no generated digit does; else it carries none."""
+    that much, a digit past 255 - shift becoming 0. Each block is the
+    base or the word at the end of an earlier level, a chain as `word`
+    plans it. The word carries the plan, in the form `word` attaches,
+    only when no shifted digit passes 255, as no generated digit does;
+    else it carries none."""
     ds = bytes(base)
-    plan, wraps = [], False
+    plan, wraps, chain = [], False, {len(ds)}
     for level in levels:
         size, blocks = len(ds), []
         for length, shift in level:
+            assert length in chain, (length, sorted(chain))
             wraps |= max(ds[:length]) >= 256 - shift
             blocks.append((len(ds), length, shift))
             ds += ds[:length].translate(_shift_table(shift))
         plan.append((size, tuple(blocks), len(ds)))
+        chain.add(len(ds))
     w = Word._unchecked(ds)
     if not wraps:
         object.__setattr__(w, "_plan", (len(base), tuple(plan)))
@@ -346,36 +352,40 @@ def _base(w: Word) -> int:
 @st.composite
 def planned_words(draw, cap=None):
     """A random base of digits near 0 or near 255, and up to four levels
-    of up to four blocks, each at most as long as the word before its
-    level, with shifts 0 to 6. With a cap, no level starts once the word
-    has cap digits, which keeps it within the brute oracles' reach."""
+    of up to four blocks, each the base or the word at the end of an
+    earlier level, with shifts 0 to 6. With a cap, no level starts once
+    the word has cap digits, which keeps it within the brute oracles'
+    reach."""
     digit = st.one_of(st.integers(0, 3), st.integers(250, 255))
     base = draw(st.lists(digit, min_size=1, max_size=10))
-    levels, size = [], len(base)
+    levels, ends = [], [len(base)]
     for _ in range(draw(st.integers(0, 4))):
-        if cap is not None and size >= cap:
+        if cap is not None and ends[-1] >= cap:
             break
-        level = draw(st.lists(st.tuples(st.integers(1, size), st.integers(0, 6)),
+        level = draw(st.lists(st.tuples(st.sampled_from(ends), st.integers(0, 6)),
                               min_size=1, max_size=4))
         levels.append(level)
-        size += sum(length for length, _ in level)
+        ends.append(ends[-1] + sum(length for length, _ in level))
     return _planned(base, levels)
 
 
 @given(planned_words())
 # A block shorter than the longest palindrome, 0 1 0 1 0: the block 0 1
 # after it holds its source's 0 1 0 at the 1 cut to the 1 alone.
-@example(_planned((0, 1, 0, 1, 0), [[(2, 0)]]))
-# A palindrome over three blocks: 1 0 1 spans the base 0 1, the 0 and
-# the shifted 0.
-@example(_planned((0, 1), [[(1, 0), (1, 1)]]))
+@example(_planned((0, 1), [[(2, 0)], [(2, 0)]]))
+# A palindrome over three blocks: 1 0 1 spans the first level's 1, the
+# 0 and the shifted 0.
+@example(_planned((0,), [[(1, 1)], [(1, 0), (1, 1)]]))
+# A base whose palindromic suffixes, 1 and 1 1, are not its prefixes, 0
+# alone: the gap of 1 1 holds 0 1 1 0 once the block is appended.
+@example(_planned((0, 1, 1), [[(3, 0)]]))
 # A shift past 255: 255 254 shifted by 2 is 0 0, a palindrome its source
 # is not, so the word carries no plan and is scanned whole.
 @example(_planned((0, 255, 254), [[(3, 2)]]))
 # Palindromic prefixes longer than the base: 0 0 and 0 0 0 0 are met as
-# patches that reach digit 0, and the block 0 0 0 holds 0 0 at its
-# centre 1, which reaches past the block in 0^7.
-@example(_planned((0,), [[(1, 0)], [(2, 0)], [(3, 0)]]))
+# patches that reach digit 0, and the block 0 0 0 0 holds 0 0 at its
+# centre 1, which reaches past the block in 0^8.
+@example(_planned((0,), [[(1, 0)], [(2, 0)], [(4, 0)]]))
 @settings(max_examples=300)
 def test_plan_build_on_random_plans(w):
     profile, passes = _scans(maximal_radii, w)
@@ -469,12 +479,12 @@ def test_distinct_on_long_words():
 # neither block.
 @example(_planned((0,), [[(1, 0)]]))
 # A crossing palindrome that ends at the level's end: 0 1 0 extends the
-# base's suffix 1 over the cut to the last digit.
-@example(_planned((0, 1), [[(1, 0)]]))
-# Candidates as long as their bound, the longest palindrome so far, 3:
-# 0 1 0 1 0 extends the base's suffix 1 0 1, and 2 0 1 0 2 the block's
-# prefix 0 1 0.
-@example(_planned((0, 1, 0, 1), [[(1, 0)]]))
+# suffix 1 of the word before the level over the cut to the last digit.
+@example(_planned((0,), [[(1, 1)], [(1, 0)]]))
+# A suffix and a prefix as long as the longest palindrome so far, 3:
+# 0 1 0 1 0 extends the suffix 1 0 1 of the word before the last level,
+# and 2 0 1 0 2 the block's prefix 0 1 0.
+@example(_planned((0,), [[(1, 1)], [(2, 0)], [(1, 0)]]))
 @example(_planned((0, 1, 0, 2), [[(4, 0)]]))
 # A shift past 255: 255 254 shifted by 2 is 0 0, a palindrome its source
 # is not, so the word carries no plan and its whole profile is walked.
@@ -568,14 +578,14 @@ def test_maximal_plan_build_equals_comprehension(monkeypatch):
 @example(_planned((0,), [[(1, 5), (1, 6)], [(3, 1)]]))
 # The last block, 3 0 0, ends in the gap of 0 0, where its source's gap
 # holds 3 0 0 3, which runs past the source; the last centre of the
-# block 3 0 before it holds 3 0 3.
-@example(_planned((3, 0, 0, 3), [[(2, 0), (3, 0)]]))
-# 0 1 0: the base's last centre, 1 alone in the base's scan, holds
+# block 6 3 3 before it holds 3 3 3.
+@example(_planned((3, 0, 0), [[(3, 0)], [(3, 3), (3, 0)]]))
+# 0 1 0 1: the base's last centre, 1 alone in the base's scan, holds
 # 0 1 0 once the level extends it.
-@example(_planned((0, 1), [[(1, 0)]]))
-# 0 1 1 2 1: the source 0 1's 1 reaches its last digit, so the 2 of the
-# shifted block is no copy of it; it is the centre of 1 2 1.
-@example(_planned((0, 1), [[(2, 1), (1, 1)]]))
+@example(_planned((0, 1), [[(2, 0)]]))
+# 0 1 1 2 1 2: the source 0 1's 1 reaches its last digit, so the 2 of
+# the first shifted block is no copy of it; it is the centre of 1 2 1.
+@example(_planned((0, 1), [[(2, 1)], [(2, 1)]]))
 # 0 1 0 over two levels: the 1 that ends the first level holds 1 alone
 # there, and 0 1 0 once the second level patches it again.
 @example(_planned((0,), [[(1, 1)], [(1, 0)]]))
@@ -630,33 +640,30 @@ def test_profile_keeps_the_total_of_each_prefix():
 
 @given(planned_words(cap=40), st.data())
 def test_prefix_counts_against_oracle(w, data):
-    # From the kept totals where the plan build passed the prefix, else
-    # from the clamped profile; a copy with no plan clamps every proper
-    # prefix.
-    size = data.draw(st.integers(0, len(w)))
-    expected = brute_count(Word._unchecked(w.digits[:size]), 2)
-    assert count_prefix_occurrences(w, size) == expected
-    assert count_prefix_occurrences(Word._unchecked(w.digits), size) == expected
+    # A prefix whose total the profile keeps: the base or a level's end
+    # of a planned word, and the whole word of a copy with no plan.
+    for v in (w, Word._unchecked(w.digits)):
+        size = data.draw(st.sampled_from(sorted(maximal_radii(v).totals)))
+        assert count_prefix_occurrences(v, size) == brute_count(Word._unchecked(w.digits[:size]), 2)
 
 
 @given(planned_words(cap=20), st.randoms(use_true_random=False))
 # A prefix that cuts a palindrome of the word: 0 1 0 0 1 has 1 0 0 1,
-# clamped to 0 0 in the prefix 0 1 0 0.
-@example(_planned((0, 1, 0), [[(2, 0)]]), random.Random(0))
+# clamped to 0 0 in the prefix 0 1 0 0, the end of the third level.
+@example(_planned((0,), [[(1, 1)], [(1, 0)], [(1, 0)], [(1, 1)]]), random.Random(0))
 @settings(max_examples=100, deadline=None)
 def test_prefix_classifier_against_oracle(w, rng):
-    # Every prefix, classified from the one profile of the word against
-    # random valid cuts, buckets as the brute listing of the prefix's own
-    # occurrences: those of the word that end within it. A copy with no
-    # plan keeps the total of the whole word alone, so its proper
-    # prefixes sum their clamped profiles.
+    # Every prefix whose total the profile keeps, classified from the one
+    # profile of the word against random valid cuts, buckets as the brute
+    # listing of the prefix's own occurrences: those of the word that end
+    # within it. A copy with no plan keeps the total of the whole word
+    # alone.
     occurrences = list(brute_occurrences(w, 2))
-    profiles = maximal_radii(w), maximal_radii(Word._unchecked(w.digits))
-    for size in range(len(w) + 1):
-        cuts = tuple(sorted(rng.sample(range(1, size), rng.randint(0, size - 1)))) if size else ()
-        inside = [(s, m) for s, m in occurrences if s + m - 1 <= size]
-        buckets = brute_crossing(inside, cuts)
-        for profile in profiles:
+    for profile in maximal_radii(w), maximal_radii(Word._unchecked(w.digits)):
+        for size in sorted(profile.totals):
+            cuts = tuple(sorted(rng.sample(range(1, size), rng.randint(0, size - 1))))
+            inside = [(s, m) for s, m in occurrences if s + m - 1 <= size]
+            buckets = brute_crossing(inside, cuts)
             got = palindromes._classify_prefix(profile, size, cuts)
             assert got.contained == buckets.count("contained")
             assert got.bordering == Counter(b for b in buckets if type(b) is int)
@@ -665,11 +672,18 @@ def test_prefix_classifier_against_oracle(w, rng):
 
 
 def test_prefix_counts_domain():
-    w = Word.parse("010")
-    assert count_prefix_occurrences(w, 0) == 0 and count_prefix_occurrences(w, 3) == 1
-    for size in (-1, 4):
-        with pytest.raises(DomainError):
-            count_prefix_occurrences(w, size)
+    # Each size whose total the profile keeps counts, each W_m of W_n and
+    # the whole word, and any other size raises, naming it.
+    for w in word(3, 6), Word.parse("010"), Word():
+        totals = maximal_radii(w).totals
+        for size in range(-1, len(w) + 2):
+            if size in totals:
+                assert count_prefix_occurrences(w, size) == \
+                    brute_count(Word._unchecked(w.digits[:size]), 2)
+            else:
+                with pytest.raises(DomainError, match=f"for size {size}$"):
+                    count_prefix_occurrences(w, size)
+    assert sorted(maximal_radii(word(3, 6)).totals) == list(kbonacci_sizes(3)[:7])
 
 
 def test_min_len_domain():
@@ -936,20 +950,18 @@ def test_plan_read_profile_equals_the_built_words(k):
     n = 3 * k + 2
     w = word(k, n)
     built = maximal_radii(w)
-    read = palindromes._build_profile(words._PlanDigits(k, n), words._plan(k, n))
+    read = palindromes._build_profile(words._PlanDigits(k), words._plan(k, n))
     assert (read.longest, dict(read.totals)) == (built.longest, dict(built.totals))
     assert read.lengths._patched == built.lengths._patched
     assert palindromes._length_set(read.lengths) == {len(p) for p in distinct_factors(w, 2)}
 
 
 class _ReadLog:
-    """A digit store that records the slices read from it."""
+    """A digit store with no length that records the slices read from
+    it."""
 
     def __init__(self, ds):
         self.ds, self.slices = ds, []
-
-    def __len__(self):
-        return len(self.ds)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -957,16 +969,16 @@ class _ReadLog:
         return self.ds[i]
 
 
-def test_plan_build_slices_only_the_base():
+def test_plan_build_reads_no_slice():
     # W_16 for k=16, whose palindromic prefixes and suffixes run nearly
-    # the whole word: the walker reads them from centre lengths, so the
-    # build's one slice is the base's, W_0, and every other read is a
-    # digit compare of the extension loop.
+    # the whole word: the walker reads them from centre lengths, and the
+    # whole scan reads the base, W_0, in place, so every read is a digit
+    # compare, and none asks the store its length.
     k = n = 16
     w = word(k, n)
     ds = _ReadLog(w.digits)
     profile = palindromes._build_profile(ds, w._plan)
-    assert ds.slices == [(None, 1, None)]
+    assert ds.slices == []
     assert _same_profile(profile, _whole_profile(w))
 
 

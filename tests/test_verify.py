@@ -128,7 +128,7 @@ def test_decomposition_sweep_scans_each_word_once(monkeypatch):
     assert report.ok
     assert words == [(4, 10)]
     assert [len(args[0]) for args in builds] == [kbonacci_number(4, 14)]
-    assert [len(args[0]) for args in scans] == [1]
+    assert [(len(args[1]) + 1) // 2 for args in scans] == [1]
     partition = [r for r in report.results if r.check_id == "partition-total"]
     assert len(partition) == 7 and all(r.verdict == verify.PASS for r in partition)
 
@@ -566,7 +566,7 @@ def test_lemma_battery_builds_one_word_and_one_profile(monkeypatch, k):
     assert verify.verify_lemmas(k, n).ok
     assert words == [(k, n)]
     assert [len(args[0]) for args in builds] == [kbonacci_number(k, n + k)]
-    assert [len(args[0]) for args in scans] == [1]
+    assert [(len(args[1]) + 1) // 2 for args in scans] == [1]
     words.clear(), builds.clear(), scans.clear()
     assert verify.verify_lemmas(k, k - 1).ok
     assert words == [(k, k - 1)] and builds == scans == []

@@ -595,28 +595,25 @@ def test_regions_tile_the_word(k):
 
 @pytest.mark.parametrize("k, n", [(3, 13), (5, 16), (8, 20)])
 def test_plan_reader_reads_the_built_word(k, n):
-    # Every digit and slice around each chunk edge, read in a fresh
-    # reader and again from the chunks it keeps, as the built word holds
-    # them. Only an index keeps a chunk: a slice is read by rule each
-    # time and kept nowhere.
-    ds = word(k, n).digits
-    for reader in (words._PlanDigits(k, n),) * 2:
-        assert len(reader) == len(ds)
+    # Every digit around each chunk edge of W_{n+1}, past |W_n| too, read
+    # in a fresh reader and again from the chunks it keeps, as the built
+    # word holds them; the reader is the fixed point's, so it reads
+    # within the size table and refuses a digit past it.
+    ds = word(k, n + 1).digits
+    for reader in (words._PlanDigits(k),) * 2:
         for edge in range(0, len(ds) + 1, 1 << words._CHUNK_BITS):
             for i in range(max(edge - 2, 0), min(edge + 2, len(ds))):
-                assert reader[i] == ds[i] and reader[i - len(ds)] == ds[i]
-            for lo in range(max(edge - 3, 0), edge + 3):
-                for hi in range(lo, min(edge + 3, len(ds)) + 1):
-                    assert reader[lo:hi] == ds[lo:hi], (lo, hi)
-        assert reader[: len(ds) + 5] == ds and reader[-3:] == ds[-3:]
-    assert reader[(1 << words._CHUNK_BITS) * 3 + 7 : (1 << words._CHUNK_BITS) * 5 - 1] == \
-        ds[(1 << words._CHUNK_BITS) * 3 + 7 : (1 << words._CHUNK_BITS) * 5 - 1]
+                assert reader[i] == ds[i], i
+    assert sorted(reader._chunks) == list(range(((len(ds) - 1) >> words._CHUNK_BITS) + 1))
+    end = words.kbonacci_sizes(k)[-1]
+    assert reader[end - 1] == words.digits_at(k, end - 1, end)[0]
     with pytest.raises(IndexError):
-        reader[len(ds)]
+        reader[end]
     with pytest.raises(DomainError):
-        reader[::2]
-    fresh = words._PlanDigits(k, n)
-    fresh[5], fresh[2100:2103]
+        reader[-1]
+    fresh = words._PlanDigits(k)
+    fresh[5], fresh[1023]
     assert sorted(fresh._chunks) == [0]
     fresh[2101]
     assert sorted(fresh._chunks) == [0, 2]
+    assert fresh[2048] == ds[2048] and fresh[3071] == ds[3071]

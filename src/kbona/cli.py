@@ -23,12 +23,13 @@ from .palindromes import count_occurrences, count_prefix_occurrences
 from .words import (
     DigitOverflowError,
     DomainError,
-    GenMethod,
     LengthGuardError,
     Word,
     _pieces,
     _plan_pieces,
     kbonacci_sizes,
+    morphism_word,
+    reduce_mod_k,
     word,
 )
 
@@ -50,10 +51,12 @@ def _cmd_gen(args, out) -> int:
     # The text is written a piece at a time, so no rendering of the whole
     # word is held, and every error comes before the first write. The
     # recurrence renders from the block plan and never builds W_n; the
-    # morphism, the independent route, builds W_n and renders its digits.
-    if args.method == GenMethod.MORPHISM.value:
-        w = word(args.k, args.n, GenMethod.MORPHISM)
-        pieces = _pieces(w.digits, sep, args.k if args.mod_k else 0)
+    # morphism, the independent route, builds W_n and reduces it once.
+    if args.method == "morphism":
+        w = morphism_word(args.k, args.n)
+        if args.mod_k:
+            w = reduce_mod_k(args.k, w)
+        pieces = _pieces(w.digits, sep)
     else:
         pieces = _plan_pieces(args.k, args.n, sep, args.mod_k)
     if args.format == "json":
@@ -72,13 +75,14 @@ def _cmd_gen(args, out) -> int:
 
 def _cmd_count(args, out) -> int:
     mode = FormulaMode(args.mode)
+    # Built first, so a request past the length guard computes no series.
+    w = word(args.k, args.n_max) if args.oracle else None
     rows: list[dict[str, Any]] = [
         {"n": n, "p": p} for n, p in enumerate(counting.p_series(args.k, args.n_max, mode))]
     mismatch = False
     if args.oracle:
         # Every W_n is the prefix of |W_n| digits of W_{n_max}, counted from
         # its one profile; W_{n_max} itself is counted whole.
-        w = word(args.k, args.n_max)
         sizes = kbonacci_sizes(args.k)[: args.n_max]
         oracles = [count_prefix_occurrences(w, size) for size in sizes]
         oracles.append(count_occurrences(w))
@@ -187,8 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a k-bonacci word")
     add_common(p)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--method", choices=[m.value for m in GenMethod],
-                   default=GenMethod.RECURRENCE.value)
+    p.add_argument("--method", choices=["morphism", "recurrence"], default="recurrence")
     p.add_argument("--mod-k", action="store_true",
                    help="reduce digits mod k (the classical word)")
 
@@ -203,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="crossing classification of W_n")
     add_common(p, formats=("plain", "json"), default_format="plain")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--strict-paper", action="store_true")
 
     p = sub.add_parser("structure", help="palindrome catalog / classification")
     add_common(p, formats=("plain", "json"), default_format="plain")

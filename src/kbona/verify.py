@@ -28,6 +28,7 @@ check needed and why it did not run.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import time
 from bisect import bisect_left, bisect_right
@@ -52,8 +53,9 @@ from .words import (
     _PlanDigits,
     _all_below,
     _check_request,
-    _classical_chain,
+    _orbit,
     _plan,
+    _psi,
     apply_morphism,
     kbonacci_number,
     kbonacci_sizes,
@@ -185,10 +187,10 @@ def verify_counts(k: int, n_max: int) -> Report:
     which P(n) is arithmetic (`count_prefix_occurrences`). It is the
     profile of the actual word, whose digits are the plan's join (see
     the module docstring). Past the length guard, the LengthGuardError
-    names W_{n_max}."""
+    names W_{n_max}, and no series is computed."""
     report = Report("counts", {"k": k, "n_max": n_max})
-    series = {mode: counting.p_series(k, n_max, mode) for mode, _ in MODES}
     w = word(k, n_max)
+    series = {mode: counting.p_series(k, n_max, mode) for mode, _ in MODES}
     # scans[n] = palindromic occurrences in W_n
     scans = [count_prefix_occurrences(w, size) for size in kbonacci_sizes(k)[: n_max + 1]]
     for n, oracle in enumerate(scans):
@@ -315,14 +317,6 @@ def verify_structure(k: int, n: int) -> Report:
     return report.finish()
 
 
-def _orbit(k: int, w: Word, count: int) -> list[Word]:
-    """w, phi_k(w), ..., phi_k^count(w)."""
-    out = [w]
-    for _ in range(count):
-        out.append(apply_morphism(k, out[-1]))
-    return out
-
-
 def _first_descent(ds: bytes, k: int) -> int:
     """The least i >= 1 at which ds[i] is not a multiple of k and
     ds[i-1] >= ds[i], or len(ds) when there is none, for digits below
@@ -350,14 +344,15 @@ def verify_lemmas(k: int, n_max: int) -> Report:
     phi_k^n(0), n <= n_max, held against the prefixes; the prefix-chain
     and size laws are checked on that chain, where they do not hold by
     construction, and mod-k reduction reads one psi_k chain F_0 ..
-    F_{n_max}. A generated word's digits are bytes, at most n_max (see
-    the words module)."""
+    F_{n_max}, the other orbit of the same 0. A generated word's digits
+    are bytes, at most n_max (see the words module)."""
     require_k(k, 3)
     report = Report("lemmas", {"k": k, "n_max": n_max})
     w = word(k, n_max)
     ds = w.digits
     sizes = kbonacci_sizes(k)[: n_max + 1]
-    chain = _orbit(k, Word((0,)), n_max)
+    phi = functools.partial(apply_morphism, k)
+    chain = list(_orbit(phi, Word((0,)), n_max))
     sweep = {"k": k, "n_max": n_max}
 
     report.check("method-agreement", sweep, True, "Oracle",
@@ -369,20 +364,20 @@ def verify_lemmas(k: int, n_max: int) -> Report:
     reduced = reduce_mod_k(k, w).digits
     report.check("mod-k-reduction", sweep, True, "Oracle",
                  all(len(f) == size and reduced.startswith(f.digits)
-                     for f, size in zip(_classical_chain(k, n_max), sizes)))
+                     for f, size in zip(_orbit(_psi(k), chain[0], n_max), sizes)))
 
     # phi_k(k ⊕ w) = k ⊕ phi_k(w), once on a word that holds every
     # two-digit word over 0..2k+1.
     pairs = Word(itertools.chain.from_iterable(itertools.product(range(2 * k + 2), repeat=2)))
     report.check("shift-commutation", {"k": k}, True, "Oracle",
-                 apply_morphism(k, shift_add(k, pairs)) == shift_add(k, apply_morphism(k, pairs)))
+                 phi(shift_add(k, pairs)) == shift_add(k, phi(pairs)))
 
-    # phi_k^n(ki + j) = phi_k^n(j) ⊕ ki for 1 <= n <= 6 and i, j < 7: one
+    # phi_k^n(ki + j) = phi_k^n(j) ⊕ ki for n <= 6 and i, j < 7: one
     # chain of six powers of 0 1 ... 6, and one of each shift ki of it.
     base = Word(range(7))
-    powers = _orbit(k, base, 6)[1:]
+    powers = list(_orbit(phi, base, 6))
     power_comm = all(
-        _orbit(k, shift_add(k * i, base), 6)[1:] == [shift_add(k * i, p) for p in powers]
+        list(_orbit(phi, shift_add(k * i, base), 6)) == [shift_add(k * i, p) for p in powers]
         for i in range(7)
     )
     report.check("power-commutation", {"k": k}, True, "Oracle", power_comm)

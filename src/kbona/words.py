@@ -1,9 +1,10 @@
 """Core word machinery: k-bonacci numbers and k-bonacci words over the
 infinite alphabet of nonnegative integers.
 
-Two independent generation routes are provided (direct morphism iteration
-and the block recurrence); they must agree everywhere and the test suite
-holds them to that.
+Two independent routes generate W_n, one function each: `word` by the
+block recurrence, with its block plan, and `morphism_word` as the last
+word of the phi_k orbit of 0 (`_orbit`, which also iterates psi_k for
+`classical_word`). They must agree everywhere; the tests hold them to it.
 
 Digit store: `Word.digits` is a `bytes` object when every digit is below
 256, and a tuple of ints otherwise. The form depends only on the digits,
@@ -42,17 +43,16 @@ profile: a chain, whose every block copies W_0 or the word at the end
 of an earlier level. Only `word` attaches a plan, to the digits it
 joined from it, so the plan is read as the word and never compared with
 the digits. Text is rendered by one renderer, `_pieces`, in pieces of
-`_PIECE` digits: `to_plain` and `to_spaced` join its pieces. `kbona gen` renders W_n from
-the same leaf walk instead, by `_plan_pieces`: each leaf is rendered by
-`_pieces` once and written again by reference wherever the plan repeats
-it, so W_n is never built and no rendering of a whole long word is ever
-held.
+`_PIECE` digits, and reduces no digit: `to_plain` and `to_spaced` join
+its pieces. `kbona gen` renders W_n from the same leaf walk instead, by
+`_plan_pieces`: each leaf, reduced mod k there under --mod-k, is rendered
+by `_pieces` once and written again by reference wherever the plan
+repeats it, so W_n is never built and no whole rendering is ever held.
 """
 
 from __future__ import annotations
 
 import bisect
-import enum
 import functools
 import os
 from collections.abc import Callable, Iterable, Iterator
@@ -175,7 +175,7 @@ class Word:
         """Parse a word from text: either contiguous single digits
         ("0102013") or whitespace/comma separated integers ("45 46 45")."""
         text = text.strip()
-        if any(sep in text for sep in (" ", ",", "\t")):
+        if "," in text or any(map(str.isspace, text)):
             parts = text.replace(",", " ").split()
         else:
             parts = list(text)
@@ -247,21 +247,14 @@ def _plain_refusal() -> DomainError:
     return DomainError("plain format is ambiguous for digits > 9; use spaced or json")
 
 
-def _pieces(ds: bytes | tuple[int, ...], sep: str, k: int = 0) -> Iterator[str]:
-    """The decimal text of the digit store ds, digits separated by sep,
+def _pieces(ds: bytes | tuple[int, ...], sep: str) -> Iterator[str]:
+    """The decimal text of the digits of ds as they are, separated by sep,
     in pieces of _PIECE digits; every piece but the last ends with sep,
-    so the pieces concatenate to the whole text. With k, each digit is
-    reduced mod k as its piece is rendered. An empty sep is the plain
-    format, refused with DomainError before the first piece when a digit
-    (after reduction) exceeds 9, because the text would be ambiguous."""
-    if k and type(ds) is not bytes:
-        # A tuple store never comes from generation, so it is short.
-        ds, k = reduce_mod_k(k, Word._unchecked(ds)).digits, 0
-    if not sep:
-        below = bytes(x for x in range(256) if x % k < 10) if k else _bytes_below(10)
-        if type(ds) is not bytes or ds.translate(None, below):
-            raise _plain_refusal()
-    table = _mod_table(k) if k else None
+    so the pieces concatenate to the whole text. An empty sep is the
+    plain format, refused with DomainError before the first piece when a
+    digit exceeds 9, because the text would be ambiguous."""
+    if not sep and (type(ds) is not bytes or not _all_below(ds, 10)):
+        raise _plain_refusal()
     gap = sep.encode("ascii")
     for start in range(0, len(ds), _PIECE):
         piece = ds[start : start + _PIECE]
@@ -269,8 +262,6 @@ def _pieces(ds: bytes | tuple[int, ...], sep: str, k: int = 0) -> Iterator[str]:
         if type(piece) is not bytes:
             yield sep.join(map(str, piece)) + ("" if last else sep)
             continue
-        if table:
-            piece = piece.translate(table)
         # Each digit takes a slot of `width` columns and the separator;
         # the pad bytes left of a narrower digit's leading figure are
         # deleted.
@@ -283,11 +274,6 @@ def _pieces(ds: bytes | tuple[int, ...], sep: str, k: int = 0) -> Iterator[str]:
             del out[-len(gap) :]
         out = out.translate(None, b"\0")  # frees the padded buffer
         yield out.decode("ascii")
-
-
-class GenMethod(enum.Enum):
-    MORPHISM = "morphism"
-    RECURRENCE = "recurrence"
 
 
 def require_k(k: int, minimum: int = 2) -> None:
@@ -399,10 +385,9 @@ def reduce_mod_k(k: int, w: Word) -> Word:
 
 
 def _check_request(k: int, n: int) -> None:
-    """The checks word() and classical_word() make before generating,
-    and the one place that sets how many digits a word may have: the
-    KBONA_MAX_LEN environment variable (a positive integer) when set,
-    else DEFAULT_MAX_LEN."""
+    """The checks every generator makes first, and the one place that sets
+    how many digits a word may have: the KBONA_MAX_LEN environment
+    variable (a positive integer) when set, else DEFAULT_MAX_LEN."""
     require_k(k)
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
@@ -478,30 +463,37 @@ def _plan(k: int, n: int) -> tuple:
     return kbonacci_sizes(k)[min(n, k - 1)], _block_levels(k)[:n]
 
 
-def _word_digits(k: int, n: int) -> bytes:
-    # One join of the leaves of W_n: a cut of W_L for n <= L, and W_L
-    # itself for n = L. The digits are at most n, far below 256 (see the
-    # module docstring).
-    return digits_at(k, 0, kbonacci_sizes(k)[n])
-
-
-def word(k: int, n: int, method: GenMethod = GenMethod.RECURRENCE) -> Word:
-    """The finite k-bonacci word W_n over the infinite alphabet."""
+def word(k: int, n: int) -> Word:
+    """The finite k-bonacci word W_n over the infinite alphabet, by the
+    block recurrence: one join of the leaves of its plan, which it
+    carries (`_plan`). Its digits are at most n, far below 256."""
     _check_request(k, n)
-    if method is GenMethod.MORPHISM:
-        w = Word((0,))
-        for _ in range(n):
-            w = apply_morphism(k, w)
-        return w
-    w = Word._unchecked(_word_digits(k, n))
+    w = Word._unchecked(digits_at(k, 0, kbonacci_sizes(k)[n]))
     object.__setattr__(w, "_plan", _plan(k, n))
     return w
+
+
+def morphism_word(k: int, n: int) -> Word:
+    """W_n = phi_k^n(0), the last word of the phi_k orbit of 0, under the
+    length guard of `word`; it carries no plan."""
+    _check_request(k, n)
+    for w in _orbit(functools.partial(apply_morphism, k), Word._unchecked(bytes(1)), n):
+        pass
+    return w
+
+
+def _orbit(image: Callable[[Word], Word], w: Word, count: int) -> Iterator[Word]:
+    """w, image(w), ..., image^count(w), each made when it is reached."""
+    yield w
+    for _ in range(count):
+        w = image(w)
+        yield w
 
 
 def _plan_pieces(k: int, n: int, sep: str, mod_k: bool) -> Iterator[str]:
     """The text of W_n, digits separated by sep and reduced mod k with
     mod_k, as _pieces renders word(k, n).digits, but rendered leaf by leaf
-    from the block plan (`_plan_leaves`, shifts taken mod k under mod_k)
+    from the block plan (`_plan_leaves`, leaves reduced mod k under mod_k)
     so that W_n is never built. Checks the request and refuses the plain
     format (the largest digit of W_n is n, or min(n, k - 1) after
     reduction) when called, before the first piece."""
@@ -514,7 +506,7 @@ def _plan_pieces(k: int, n: int, sep: str, mod_k: bool) -> Iterator[str]:
 def _plan_walk(k: int, n: int, sep: str, mod: int) -> Iterator[str]:
     # Each leaf's text ends with sep, so the last one is yielded without.
     texts = _plan_leaves(k, 0, kbonacci_sizes(k)[n], mod,
-                         lambda ds: "".join(_pieces(ds, sep, mod)) + sep)
+                         lambda ds: "".join(_pieces(ds, sep)) + sep)
     text = next(texts)
     for after in texts:
         yield text
@@ -526,9 +518,9 @@ def _plan_leaves(k: int, lo: int, hi: int, mod: int, make: Callable[[bytes], obj
     """make(ds) for each leaf of the block plan that holds the digits
     lo..hi-1 of the fixed point (`regions`), in order: ds is the leaf's
     digits cut to [lo, hi), a cut of W_L (`_leaf_digits`) shifted by the
-    leaf's shift, taken mod `mod` when that is nonzero. Each (shift, cut)
-    is made the first time it is reached, and every later use yields the
-    same object again."""
+    leaf's shift, then reduced mod `mod` when that is nonzero. Each
+    (shift, cut) is made the first time it is reached, and every later
+    use yields the same object again."""
     small = _leaf_digits(k, _leaf_level(k))
     sizes = kbonacci_sizes(k)
     made = {}
@@ -539,7 +531,8 @@ def _plan_leaves(k: int, lo: int, hi: int, mod: int, make: Callable[[bytes], obj
         out = made.get(key)
         if out is None:
             ds = small[key[1] : key[2]]
-            out = made[key] = make(ds.translate(_shift_table(s)) if s else ds)
+            ds = ds.translate(_shift_table(s)) if s else ds
+            out = made[key] = make(ds.translate(_mod_table(mod)) if mod else ds)
         yield out
 
 
@@ -614,25 +607,20 @@ class _PlanDigits:
 
 
 def classical_word(k: int, n: int) -> Word:
-    """The classical k-bonacci word F_n over the alphabet {0, ..., k-1}."""
+    """The classical k-bonacci word F_n = psi_k^n(0) over {0, ..., k-1},
+    the last word of the psi_k orbit of 0."""
     _check_request(k, n)
-    for f in _classical_chain(k, n):
+    for f in _orbit(_psi(k), Word._unchecked(bytes(1)), n):
         pass
     return f
 
 
-def _classical_chain(k: int, n: int) -> Iterator[Word]:
-    """F_0, F_1, ..., F_n, each the image of the one before under the
-    finite-alphabet morphism psi_k: i -> 0(i+1) for i <= k-2, (k-1) -> 0,
-    starting from the single digit 0. The digits of F_n are at most n,
-    which stays below 100, so never reach the pad."""
-    digits = bytes(1)
+def _psi(k: int) -> Callable[[Word], Word]:
+    """psi_k: i -> 0(i+1) for i <= k-2, (k-1) -> 0, on words over
+    {0, ..., k-1}, whose byte digits never reach the pad."""
     zeros = bytes(256)
     second = bytes(_SUCCESSOR[d] if d <= k - 2 else _PAD for d in range(256))
-    yield Word._unchecked(digits)
-    for _ in range(n):
-        digits = _two_slot_image(digits, zeros, second)
-        yield Word._unchecked(digits)
+    return lambda f: Word._unchecked(_two_slot_image(f.digits, zeros, second))
 
 
 def suffix_pair(k: int, n: int) -> tuple[int, int]:

@@ -175,6 +175,11 @@ def test_decompose(run):
     code, out, err = run("decompose", "--k", "4", "--n", "3")
     assert code == 2 and out == ""
     assert err == "error: decomposition requires n >= k, got n=3\n"
+    # Decomposition rows are Derived or Oracle, never AsStated, so there
+    # is no strict mode to ask for.
+    code, out, err = run("decompose", "--k", "4", "--n", "6", "--strict-paper")
+    assert code == 2 and out == ""
+    assert err.endswith("kbona: error: unrecognized arguments: --strict-paper\n")
 
 
 def test_structure_listing(run):
@@ -202,6 +207,9 @@ def test_structure_classify(run):
     code, out, _ = run("structure", "--k", "3", "--classify", "101")
     assert code == 0
     assert out == "(no catalog membership)\n"
+    # Digits on separate lines are separated digits.
+    code, lines, _ = run("structure", "--k", "3", "--classify", "3\n4\n3")
+    assert code == 0 and lines == run("structure", "--k", "3", "--classify", "343")[1]
     for text, classes in (("343", ["(p1, i=1, n=2)", "(p3, i=1, m=1, double)"]), ("101", [])):
         code, out, _ = run("structure", "--k", "3", "--classify", text, "--format", "json")
         assert code == 0
@@ -284,6 +292,16 @@ def test_count_oracle_exits_1_on_a_planted_mismatch(run, monkeypatch):
     assert code == 1
     rows = [line.split("\t") for line in out.strip().splitlines()[1:]]
     assert [r for r in rows if r[1] != r[2]] == [["5", "9", "10"]]
+
+
+def test_count_oracle_checks_the_guard_before_the_series(run, monkeypatch):
+    calls = []
+    series = counting.p_series
+    monkeypatch.setattr(counting, "p_series", lambda *args: calls.append(args) or series(*args))
+    code, out, err = run("count", "--k", "3", "--n-max", "1000000", "--oracle")
+    assert code == 2 and out == ""
+    assert err.startswith("error: |W_1000000| = f_1000003 exceeds the length guard")
+    assert calls == []
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])

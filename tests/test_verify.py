@@ -9,7 +9,7 @@ import tracemalloc
 import pytest
 from hypothesis import example, given, strategies as st
 
-from kbona import palindromes, structure, verify
+from kbona import counting, palindromes, structure, verify
 from kbona.palindromes import count_occurrences
 from kbona.words import (
     DEFAULT_MAX_LEN,
@@ -92,6 +92,11 @@ def test_verify_decomposition_examples():
 def test_decomposition_sweep(k, n_max):
     report = verify._decomposition_sweep(k, n_max)
     assert report.ok and report.strict_ok()
+    # No row is AsStated, so none can be a documented discrepancy: a strict
+    # mode would decide nothing here.
+    assert {r.provenance for r in report.results} <= {"Derived", "Oracle"}
+    assert {r.provenance for r in verify.verify_decomposition(k, n_max).results} <= {
+        "Derived", "Oracle"}
 
 
 def test_empty_decomposition_sweep_is_skipped():
@@ -244,6 +249,18 @@ def test_counts_suite_past_the_guard_names_its_one_word(monkeypatch):
     (report,) = verify.run_suites(3, 12, ["counts"])
     assert [r.verdict for r in report.results] == [verify.SKIPPED]
     assert report.results[0].actual.startswith("|W_12| = f_15 exceeds the length guard")
+
+
+def test_counts_suite_checks_the_guard_before_the_series(monkeypatch):
+    # W_{10^6} is far past the guard: the suite's one Skipped row comes
+    # before any P(n) is computed.
+    calls = []
+    series = counting.p_series
+    monkeypatch.setattr(counting, "p_series", lambda *args: calls.append(args) or series(*args))
+    (report,) = verify.run_suites(3, 10**6, ["counts"])
+    assert [r.verdict for r in report.results] == [verify.SKIPPED]
+    assert report.results[0].actual.startswith("|W_1000000| = f_1000003 exceeds")
+    assert calls == []
 
 
 @pytest.mark.parametrize("suite", ["decomposition", "lemmas"])
@@ -449,13 +466,14 @@ def test_verify_lemmas():
 # One fault per lemma row, planted where its n = 4 row reads (k = 3,
 # n_max = 6). A per-n row reads the first |W_4| = 13 digits of the one
 # word W_6, and each fault sits past the first |W_3| = 7 of them, in
-# 0 1 0 2 3 4. A chain row reads phi_3^4(0) of the morphism chain
-# (`_orbit` from 0) or F_4 of the psi_3 chain (`_classical_chain`).
+# 0 1 0 2 3 4. A chain row reads phi_3^4(0) of the morphism chain or F_4
+# of the psi_3 chain, both orbits of 0 (`_orbit`); the fault is planted in
+# each orbit of 0, and each row reads one of them.
 LEMMA_FAULTS = [
     ("method-agreement", "word", lambda ds: ds[:7] + bytes([1]) + ds[8:]),
     ("prefix-chain", "_orbit", lambda ds: bytes([1]) + ds[1:]),
     ("size-law", "_orbit", lambda ds: ds[:-1]),
-    ("mod-k-reduction", "_classical_chain", lambda ds: bytes([1]) + ds[1:]),
+    ("mod-k-reduction", "_orbit", lambda ds: bytes([1]) + ds[1:]),
     ("suffix-pair", "word", lambda ds: ds[:11] + ds[12:13] + ds[11:12] + ds[13:]),
     ("last-digit", "word", lambda ds: ds[:12] + bytes([5]) + ds[13:]),
     ("no-00", "word", lambda ds: ds[:8] + bytes([0]) + ds[9:]),

@@ -14,12 +14,12 @@ from kbona.words import (
     MAX_DIGIT,
     DigitOverflowError,
     DomainError,
-    GenMethod,
     LengthGuardError,
     Word,
     apply_morphism,
     classical_word,
     kbonacci_number,
+    morphism_word,
     reduce_mod_k,
     shift_add,
     suffix_pair,
@@ -127,7 +127,7 @@ GUARD_ROWS = [
 def test_length_guard_at_the_machine_width(monkeypatch, guard, raised):
     monkeypatch.setenv("KBONA_MAX_LEN", str(guard))
     # Only the checks run: W_71 has f_74 digits.
-    monkeypatch.setattr(words, "_word_digits", lambda k, n: bytes(1))
+    monkeypatch.setattr(words, "digits_at", lambda k, lo, hi: bytes(1))
     for n, error in zip((71, 72, 500), raised):
         if error is None:
             word(3, n)
@@ -146,8 +146,11 @@ def test_size_law(k):
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_generation_methods_agree(k):
+    # The morphism route carries no plan; the recurrence carries one.
     for n in range(11):
-        assert word(k, n, GenMethod.MORPHISM) == word(k, n, GenMethod.RECURRENCE)
+        by_morphism, by_recurrence = morphism_word(k, n), word(k, n)
+        assert by_morphism == by_recurrence
+        assert not hasattr(by_morphism, "_plan") and hasattr(by_recurrence, "_plan")
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -269,6 +272,16 @@ def test_word_slicing_is_one_based():
         w.factor(0, 3)
 
 
+def test_parse_splits_on_any_whitespace_or_comma():
+    expected = Word((3, 4, 13))
+    for text in ("3 4 13", "3,4,13", "3\t4\t13", "3\n4\n13", "3\r\n4\r\n13\r\n",
+                 " 3 ,\n 4,\v13 "):
+        assert Word.parse(text) == expected, text
+    # With no separator, each character is one digit.
+    assert Word.parse("0102013") == Word((0, 1, 0, 2, 0, 1, 3))
+    assert Word.parse("343\n") == Word((3, 4, 3))
+
+
 def test_word_meets_only_words():
     assert Word.parse(" \t ") == Word()
     assert not Word((1,)) == (1,)
@@ -280,6 +293,8 @@ def test_length_guard(monkeypatch):
     monkeypatch.setenv("KBONA_MAX_LEN", "50")
     with pytest.raises(LengthGuardError):
         word(3, 10)
+    with pytest.raises(LengthGuardError):
+        morphism_word(3, 10)
     with pytest.raises(LengthGuardError):
         classical_word(3, 10)
     monkeypatch.setenv("KBONA_MAX_LEN", "10000")
@@ -467,12 +482,13 @@ def test_renderings_match_str_join(top, data):
             else:
                 with pytest.raises(DomainError):
                     w.to_plain()
-            assert "".join(words._pieces(w.digits, ", ", k)) == ", ".join(map(str, reduced))
+            ds_mod_k = reduce_mod_k(k, w).digits
+            assert "".join(words._pieces(ds_mod_k, ", ")) == ", ".join(map(str, reduced))
             if all(d <= 9 for d in reduced):
-                assert "".join(words._pieces(w.digits, "", k)) == "".join(map(str, reduced))
+                assert "".join(words._pieces(ds_mod_k, "")) == "".join(map(str, reduced))
             else:
                 with pytest.raises(DomainError):
-                    next(words._pieces(w.digits, "", k))
+                    next(words._pieces(ds_mod_k, ""))
 
 
 @pytest.mark.parametrize("piece", [1, 5, 64])
@@ -486,11 +502,12 @@ def test_plan_pieces_match_rendered_digits(piece):
             for n in range(3 * k + 3):
                 if kbonacci_number(k, n + k) > 1 << 13:
                     break
-                ds = word(k, n).digits
+                w = word(k, n)
                 for sep in ("", " ", ", "):
                     for mod_k in (False, True):
+                        ds = (reduce_mod_k(k, w) if mod_k else w).digits
                         try:
-                            expected = "".join(words._pieces(ds, sep, k if mod_k else 0))
+                            expected = "".join(words._pieces(ds, sep))
                         except DomainError:
                             with pytest.raises(DomainError, match="plain format"):
                                 words._plan_pieces(k, n, sep, mod_k)
@@ -508,7 +525,7 @@ def test_leaf_joins_match_the_morphism(piece):
         for k in range(2, 11):
             w, n = Word((0,)), 0
             while len(w) <= 1 << 16:
-                assert words._word_digits(k, n) == w.digits, (k, n)
+                assert word(k, n).digits == w.digits, (k, n)
                 w, n = apply_morphism(k, w), n + 1
 
 
@@ -518,7 +535,7 @@ def test_leaf_word_is_built_once_per_k():
     k = 5
     leaf = words._leaf_level(k)
     words._leaf_digits.cache_clear()
-    assert word(k, 3).digits == word(k, 3, GenMethod.MORPHISM).digits
+    assert word(k, 3).digits == morphism_word(k, 3).digits
     assert word(k, leaf).digits is words._leaf_digits(k, leaf)
     ds = word(k, leaf + 3).digits
     assert words.digits_at(k, 1000, 200_000) == ds[1000:200_000]
@@ -532,7 +549,7 @@ def test_generation_copies_each_digit_once_per_level():
     # leaves: 1.04 bytes per digit for k = 7.
     tracemalloc.start()
     try:
-        ds = words._word_digits(7, 23)
+        ds = word(7, 23).digits
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -578,8 +595,8 @@ def test_regions_tile_the_word(k):
     # follow one another and join to phi_k^n(0), which reads no plan:
     # every block of every level and its shift is checked.
     n = _largest_n(k)
-    ds = word(k, n, GenMethod.MORPHISM).digits
-    small = words._word_digits(k, words._leaf_level(k))
+    ds = morphism_word(k, n).digits
+    small = word(k, words._leaf_level(k)).digits
     at, joined = 0, []
     for dst, m, s in words.regions(k, 0, len(ds)):
         assert dst == at and m <= words._leaf_level(k)

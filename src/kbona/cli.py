@@ -77,8 +77,15 @@ def _cmd_count(args, out) -> int:
     mode = FormulaMode(args.mode)
     # Built first, so a request past the length guard computes no series.
     w = word(args.k, args.n_max) if args.oracle else None
-    rows: list[dict[str, Any]] = [
-        {"n": n, "p": p} for n, p in enumerate(counting.p_series(args.k, args.n_max, mode))]
+    # P(n) >= P(n-1) + P(n-2) from P(2) = 1 (no increment is negative), so P(n) >= 10^((n-3)/5):
+    # a series too long to print (limit 0, none, before 3.10.7) is refused before it is computed.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    too_long = limit and args.n_max - 3 > 5 * limit
+    series = [] if too_long else counting.p_series(args.k, args.n_max, mode)
+    if too_long or limit and series[-1] >= 10**limit:
+        raise DomainError(f"P({args.n_max}) has more than {limit} digits, past the "
+                          "limit for printing an integer (sys.get_int_max_str_digits)")
+    rows: list[dict[str, Any]] = [{"n": n, "p": p} for n, p in enumerate(series)]
     mismatch = False
     if args.oracle:
         # Every W_n is the prefix of |W_n| digits of W_{n_max}, counted from

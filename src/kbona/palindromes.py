@@ -31,9 +31,9 @@ Everything here works over arbitrary nonnegative-integer digits.
   plan: `maximal_radii` passes a word's digits and plan, and the lengths
   suite `words._PlanDigits`, the digits of a W_n that is never built.
 - `_length_set` gives the lengths of a word's palindromes from its
-  profile: a palindrome of length m at a centre holds one of length
-  m - 2 there, so they are every length up to the longest at a digit
-  centre and at a gap centre, both read from the prefix and the patches.
+  profile, as `structure.length_set` gives the catalog's, by one rule,
+  `lengths_up_to`: every length >= 2 up to the longest of its parity,
+  here read from the prefix's centres and the patched centres.
 - `_maximal_ends` builds the set of maximal palindromes from what the
   profile keeps: the prefix's centres, each shifted block's copies of
   its source's palindromes that reach no edge, and the patched centres.
@@ -291,18 +291,19 @@ def _build_profile(ds, plan: tuple) -> RadiusProfile:
 
 def _length_set(lengths: ResolvedLengths) -> frozenset[int]:
     """The lengths >= 2 of the palindromes of the word whose profile's
-    lengths these are. A palindrome of length m at a centre holds one of
-    length m - 2 there, so they are 3, 5, .. up to the longest at a
-    digit centre and 2, 4, .. up to the longest at a gap centre. Both
-    maxima are read from the kept prefix's final lengths and the patched
-    centres alone: every other centre copies the centre 2 start before
-    it, for the block at `start` that holds it, so one of its own
+    lengths these are, read from the kept prefix's final lengths and the
+    patched centres alone: every other centre copies the centre 2 start
+    before it, for the block at `start` that holds it, so one of its own
     parity."""
-    base, patched = lengths._base, lengths._patched
-    odd, even = (
-        max(chain(base[parity::2], (m for c, m in patched.items() if c % 2 == parity)),
-            default=0)
-        for parity in (0, 1))
+    return lengths_up_to(chain(lengths._base, lengths._patched.values()))
+
+
+def lengths_up_to(longest: Iterable[int]) -> frozenset[int]:
+    """3, 5, .. up to the greatest odd of `longest`, palindrome lengths, and
+    2, 4, .. up to the greatest even: a palindrome of length m holds one of
+    length m - 2 at its centre."""
+    tops = set(longest)
+    odd, even = (max((m for m in tops if m % 2 == parity), default=0) for parity in (1, 0))
     return frozenset(chain(range(3, odd + 1, 2), range(2, even + 1, 2)))
 
 

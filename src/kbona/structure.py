@@ -1,6 +1,6 @@
 """The palindrome catalog: the four families of maximal palindromic
-factors, the maximal bordering/straddling words, admissible length sets,
-and a classifier from a palindrome back to its catalog membership.
+factors, maximal bordering/straddling words, length sets read from the
+templates' lengths, and a classifier of a palindrome's memberships.
 
 Every family element is a k*i digit shift of a small base template, so
 templates are materialized once per k and membership reduces to exact
@@ -14,7 +14,7 @@ import functools
 from typing import NamedTuple
 
 from . import counting
-from .palindromes import is_palindrome, maximal_radii
+from .palindromes import is_palindrome, lengths_up_to
 from .words import DomainError, Word, _check_request, kbonacci_sizes, require_k, shift_add, word
 
 
@@ -152,18 +152,11 @@ def maximal_straddling_words(k: int, n: int) -> list[StraddlingPair]:
     return pairs
 
 
-def _centered_sublengths(w: Word) -> set[int]:
-    """Lengths >= 2 of the palindromic centered subwords of a nonempty w
-    (read from the scan, not assumed): every length of the parity of |w|
-    up to the maximal palindrome at w's middle centre."""
-    return set(range(maximal_radii(w).lengths[len(w) - 1], 1, -2))
-
-
-_AS_STATED_MAX = {
-    PalFamily.P1: lambda k: 2 ** (k - 1) - 1,
-    PalFamily.P2: lambda k: 2**k - 3,
-    PalFamily.P3: lambda k: 3 * 2 ** (k - 2) - 1,
-    PalFamily.P4: lambda k: 3 * 2 ** (k - 1) - 1,
+_AS_STATED_LONGEST = {
+    PalFamily.P1: lambda k: (2 ** (k - 1) - 1,),
+    PalFamily.P2: lambda k: (2**k - 3,),
+    PalFamily.P3: lambda k: (3 * 2 ** (k - 2) - 1,),
+    PalFamily.P4: lambda k: (3 * 2 ** (k - 1) - 1, 2),
 }
 
 
@@ -172,19 +165,19 @@ def length_set(
     family: PalFamily,
     mode: counting.FormulaMode = counting.FormulaMode.DERIVED,
 ) -> LengthSet:
-    """Admissible palindrome lengths of one family. AS_STATED is the
-    printed set; DERIVED recomputes lengths from the actual templates."""
+    """Admissible palindrome lengths of one family, `lengths_up_to` its
+    printed longest (AS_STATED) or its templates' lengths, each template
+    checked to be a palindrome (DERIVED); no template is scanned."""
     require_k(k, 3)
     if mode is counting.FormulaMode.AS_STATED:
-        lengths = set(range(3, _AS_STATED_MAX[family](k) + 1, 2))
-        if family is PalFamily.P4:
-            lengths.add(2)
-    else:
-        lengths = set()
-        for template, base in _templates(k):
-            if base.family is family:
-                lengths |= _centered_sublengths(template)
-    return LengthSet(frozenset(lengths))
+        return LengthSet(lengths_up_to(_AS_STATED_LONGEST[family](k)))
+    longest = []
+    for template, base in _templates(k):
+        if base.family is family:
+            if not is_palindrome(template):
+                raise DomainError(f"template {base.describe()} is not a palindrome")
+            longest.append(len(template))
+    return LengthSet(lengths_up_to(longest))
 
 
 def allowed_lengths(
@@ -192,11 +185,7 @@ def allowed_lengths(
 ) -> LengthSet:
     """Union of the four family length sets: the palindrome lengths that
     occur (infinitely often) in the infinite word."""
-    require_k(k, 3)
-    lengths: frozenset[int] = frozenset()
-    for family in PalFamily:
-        lengths |= length_set(k, family, mode).lengths
-    return LengthSet(lengths)
+    return LengthSet(frozenset().union(*(length_set(k, f, mode).lengths for f in PalFamily)))
 
 
 def classify_palindrome(k: int, w: Word) -> set[PalClass]:

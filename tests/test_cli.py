@@ -7,12 +7,13 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from kbona import cli, counting, verify, words
+from kbona import cli, counting, palindromes, structure, verify, words
 from kbona.cli import main
 from kbona.palindromes import count_occurrences, count_prefix_occurrences
 from kbona.verify import default_n_max
@@ -198,6 +199,25 @@ def test_structure_listing(run):
             for r in payload["results"]] == lines
 
 
+def test_no_command_scans_a_word_whole_past_w0(run, monkeypatch):
+    # Every word a command builds carries its block plan, whose profile
+    # scans only W_0, one digit, and the length sets read the catalog
+    # templates' lengths, so no scan reads more than one digit. The
+    # templates are built afresh, so none holds a profile from before.
+    structure._build_templates.cache_clear()
+    scans = []
+    whole_scan = palindromes._whole_scan
+    monkeypatch.setattr(palindromes, "_whole_scan", lambda ds, lengths: scans.append(
+        (len(lengths) + 1) // 2) or whole_scan(ds, lengths))
+    for k in range(3, 9):
+        for argv in (["verify"], ["lengths"], ["structure", "--i-max", "2"],
+                     ["structure", "--classify", "0 1 0"], ["decompose", "--n", str(k + 5)],
+                     ["count", "--n-max", "12", "--oracle"]):
+            code, _, err = run(*argv, "--k", str(k))
+            assert code == 0 and err == "", (k, argv)
+    assert scans and set(scans) == {1}
+
+
 def test_structure_classify(run):
     code, out, _ = run("structure", "--k", "3", "--classify", "343")
     assert code == 0
@@ -302,6 +322,54 @@ def test_count_oracle_checks_the_guard_before_the_series(run, monkeypatch):
     assert code == 2 and out == ""
     assert err.startswith("error: |W_1000000| = f_1000003 exceeds the length guard")
     assert calls == []
+
+
+@pytest.fixture
+def int_str_limit_4300():
+    """The interpreter's default limit on the digits of a printed int."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_count_prints_p_up_to_the_int_str_limit(run, int_str_limit_4300):
+    # P(16249) for k = 3 has 4,300 digits, the most that may be printed.
+    p = counting.p_total(3, 16249)
+    code, out, err = run("count", "--k", "3", "--n-max", "16249")
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 16251 and lines[-1] == f"16249\t{p}"
+
+
+@pytest.mark.parametrize("k,n", [(3, 16250), (4, 15088), (8, 14324)])
+def test_count_refuses_a_p_too_long_to_print(run, int_str_limit_4300, k, n):
+    # The first n whose P(n) has more than 4,300 digits: exit 2, no row.
+    assert len(str(counting.p_total(k, n - 1))) <= 4300
+    for fmt in ("plain", "json"):
+        code, out, err = run("count", "--k", str(k), "--n-max", str(n), "--format", fmt)
+        assert code == 2 and out == ""
+        assert err == (f"error: P({n}) has more than 4300 digits, past the limit for "
+                       "printing an integer (sys.get_int_max_str_digits)\n")
+
+
+def test_count_refuses_a_long_series_before_computing_it(run, monkeypatch, int_str_limit_4300):
+    calls = []
+    series = counting.p_series
+    monkeypatch.setattr(counting, "p_series", lambda *args: calls.append(args) or series(*args))
+    start = time.perf_counter()
+    code, out, err = run("count", "--k", "3", "--n-max", "1000000", "--format", "json")
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == "" and err.startswith("error: P(1000000) has more than 4300")
+    assert calls == []
+
+
+@pytest.mark.parametrize("mode", list(counting.FormulaMode))
+def test_p_grows_at_least_as_fibonacci(mode):
+    # The bound the count refusal reads: P(n) >= P(n-1) + P(n-2), n >= 3.
+    for k in range(3, 41):
+        p = counting.p_series(k, 400, mode)
+        assert all(p[n] >= p[n - 1] + p[n - 2] for n in range(3, 401)), k
 
 
 @pytest.mark.parametrize("k", [3, 4, 5])

@@ -5,7 +5,9 @@ import pytest
 
 from kbona.counting import FormulaMode, border_max_length
 from kbona.palindromes import distinct_factors, enumerate_maximal, is_palindrome
+from kbona import structure
 from kbona.structure import (
+    PalClass,
     PalFamily,
     StraddlingPair,
     allowed_lengths,
@@ -16,6 +18,8 @@ from kbona.structure import (
     maximal_straddling_words,
 )
 from kbona.words import DomainError, Word, shift_add, word
+
+from oracles import brute_is_palindrome
 
 
 def plains(elements):
@@ -177,6 +181,28 @@ def test_allowed_lengths():
     assert sorted(allowed_lengths(3, FormulaMode.DERIVED).lengths) == [2, 3, 5, 7, 9]
     stated4 = allowed_lengths(4, FormulaMode.AS_STATED).lengths
     assert stated4 == frozenset({2}) | frozenset(range(3, 24, 2))
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_derived_lengths_are_the_templates_centred_palindromes(k):
+    # Brute: the lengths >= 2 of the palindromic factors centred in each
+    # family element, cut one digit off each end at a time.
+    for family in PalFamily:
+        brute = set()
+        for element, _ in catalog_elements(k, family, 1):
+            ds = element.digits
+            brute |= {len(ds) - 2 * i for i in range(len(ds) // 2)
+                      if brute_is_palindrome(ds[i : len(ds) - i])}
+        assert length_set(k, family, FormulaMode.DERIVED).lengths == brute, family
+
+
+def test_derived_lengths_refuse_a_template_that_is_no_palindrome(monkeypatch):
+    planted = ((Word.parse("0 1 0"), PalClass(PalFamily.P1, 0, n=2)),
+               (Word.parse("0 1 0 2"), PalClass(PalFamily.P1, 0, n=3)))
+    monkeypatch.setattr(structure, "_templates", lambda k: planted)
+    with pytest.raises(DomainError, match=r"template \(p1, i=0, n=3\) is not a palindrome"):
+        length_set(3, PalFamily.P1, FormulaMode.DERIVED)
+    assert length_set(3, PalFamily.P1, FormulaMode.AS_STATED).lengths == {3}
 
 
 @pytest.mark.parametrize("k", [3, 4])

@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 from . import counting
 from .palindromes import is_palindrome, lengths_up_to
-from .words import DomainError, Word, _check_request, kbonacci_sizes, require_k, shift_add, word
+from .words import (DigitOverflowError, DomainError, LengthGuardError, Word, _check_request,
+                    kbonacci_sizes, require_k, shift_add, word)
 
 
 class PalFamily(enum.Enum):
@@ -87,9 +88,13 @@ def maximal_bordering_word(k: int, n: int, j: int) -> Word:
 def _templates(k: int) -> tuple[tuple[Word, PalClass], ...]:
     """Base (shift 0) templates of all four families; the PalClass carries
     the minimal admissible shift. They are built once per k, but held to
-    the length guard on every call: W_{k-1} is the largest word they
-    read, so a guard lowered after the build still refuses them."""
-    _check_request(k, k - 1)
+    the length guard on every call, so a guard lowered after the build
+    still refuses them: the longest word the build makes is the P4
+    triple, 3|W_{k-1}| - 3 digits."""
+    guard = _check_request(k, k - 1)
+    if (longest := 3 * kbonacci_sizes(k)[k - 1] - 3) > guard:
+        raise LengthGuardError(
+            f"the P4 triple of {longest} digits exceeds the length guard {guard} (k={k})")
     return _build_templates(k)
 
 
@@ -111,7 +116,7 @@ def _build_templates(k: int) -> tuple[tuple[Word, PalClass], ...]:
         out.append((wm + wm + core, PalClass(PalFamily.P3, 1, m=m, variant="triple")))
     wk1 = word(k, k - 1)
     out.append((wk1 + wk1.drop_last(), PalClass(PalFamily.P4, 1, variant="double")))
-    triple = (wk1 + wk1 + wk1).drop_first(1).drop_last(2)
+    triple = wk1.drop_first(1) + wk1 + wk1.drop_last(2)
     out.append((triple, PalClass(PalFamily.P4, 1, variant="triple")))
     out.append((Word((0, 0)), PalClass(PalFamily.P4, 1, variant="kk")))
     return tuple(out)
@@ -198,12 +203,10 @@ def classify_palindrome(k: int, w: Word) -> set[PalClass]:
     for template, base in _templates(k):
         if len(template) != len(w):
             continue
-        diff = w.digits[0] - template.digits[0]
-        if diff < 0 or diff % k != 0:
-            continue
-        i = diff // k
-        if i < base.shift:
-            continue
-        if all(a == b + diff for a, b in zip(w.digits, template.digits)):
-            out.add(base._replace(shift=i))
+        i, r = divmod(w.digits[0] - template.digits[0], k)
+        try:
+            if not r and i >= base.shift and shift_add(k * i, template) == w:
+                out.add(base._replace(shift=i))
+        except DigitOverflowError:  # a shift past the machine width cannot equal w
+            pass
     return out

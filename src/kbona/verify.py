@@ -398,11 +398,12 @@ def verify_lemmas(k: int, n_max: int) -> Report:
         report.check("adjacency", subject, True, "Oracle", descent >= size)
 
     # W_n n^{-1} is a palindrome on 2 <= n <= k-1.
-    for n in range(2, min(k - 1, n_max) + 1):
+    for n in range(2, k):
+        if n > n_max:
+            report.skip("prefix-palindrome", {"k": k, "n": n}, f"n_max >= {n}", f"n_max={n_max}")
+            continue
         report.check("prefix-palindrome", {"k": k, "n": n}, True, "Oracle",
                      is_palindrome(Word._unchecked(ds[: sizes[n] - 1])))
-    if k - 1 > n_max or n_max < 2:
-        report.skip("prefix-palindrome", sweep, "range", "degenerate")
 
     # Palindromic prefixes of (i+1) W_{k+i} have max digit at most i+1.
     # The prefix (i+1) W[:j+1] of (i+1) W is a palindrome iff W[j] = i+1
@@ -416,7 +417,8 @@ def verify_lemmas(k: int, n_max: int) -> Report:
         palindromic = [j for j, m in enumerate(profile.lengths[: profile.longest], 1) if m == j]
     for i in range(k - 1):
         if k + i > n_max:
-            report.skip("palindromic-prefix-cap", {"k": k, "i": i}, "range", "degenerate")
+            report.skip("palindromic-prefix-cap", {"k": k, "i": i}, f"n_max >= {k + i}",
+                        f"n_max={n_max}")
             continue
         capped = all(_all_below(ds[:j], i + 2) for j in palindromic
                      if j < sizes[k + i] and ds[j] == i + 1)

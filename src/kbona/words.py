@@ -56,6 +56,7 @@ import bisect
 import functools
 import os
 from collections.abc import Callable, Iterable, Iterator
+from itertools import chain
 
 # Digits are conceptually machine-width; anything past 2**63 - 1 is treated
 # as arithmetic overflow rather than silently growing.
@@ -384,10 +385,10 @@ def reduce_mod_k(k: int, w: Word) -> Word:
     return Word._unchecked(tuple(x % k for x in ds))
 
 
-def _check_request(k: int, n: int) -> None:
+def _check_request(k: int, n: int) -> int:
     """The checks every generator makes first, and the one place that sets
-    how many digits a word may have: the KBONA_MAX_LEN environment
-    variable (a positive integer) when set, else DEFAULT_MAX_LEN."""
+    how many digits a word may have, which it returns: the KBONA_MAX_LEN
+    environment variable (a positive integer) when set, else DEFAULT_MAX_LEN."""
     require_k(k)
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
@@ -408,6 +409,7 @@ def _check_request(k: int, n: int) -> None:
             f"|W_{n}| = f_{n + k} exceeds the length guard {guard} (k={k})"
         )
     kbonacci_number(k, n + k)  # raises DigitOverflowError past the table
+    return guard
 
 
 @functools.lru_cache(maxsize=256)
@@ -500,18 +502,9 @@ def _plan_pieces(k: int, n: int, sep: str, mod_k: bool) -> Iterator[str]:
     _check_request(k, n)
     if not sep and (min(n, k - 1) if mod_k else n) > 9:
         raise _plain_refusal()
-    return _plan_walk(k, n, sep, k if mod_k else 0)
-
-
-def _plan_walk(k: int, n: int, sep: str, mod: int) -> Iterator[str]:
-    # Each leaf's text ends with sep, so the last one is yielded without.
-    texts = _plan_leaves(k, 0, kbonacci_sizes(k)[n], mod,
-                         lambda ds: "".join(_pieces(ds, sep)) + sep)
-    text = next(texts)
-    for after in texts:
-        yield text
-        text = after
-    yield text[: len(text) - len(sep)]
+    texts = _plan_leaves(k, 0, kbonacci_sizes(k)[n], k if mod_k else 0,
+                         lambda ds: "".join(_pieces(ds, sep)))
+    return chain([next(texts)], chain.from_iterable((sep, t) for t in texts))
 
 
 def _plan_leaves(k: int, lo: int, hi: int, mod: int, make: Callable[[bytes], object]) -> Iterator:

@@ -464,6 +464,27 @@ def test_max_len_env_guard(run):
         assert f"KBONA_MAX_LEN must be a positive integer, got {raw}" in err
 
 
+def test_catalog_guard_holds_for_its_longest_word(run, monkeypatch):
+    # At k=7 the longest word the catalog build makes is the P4 triple,
+    # 3|W_6| - 3 = 189 digits: no join of the build is longer, and a guard
+    # one below it refuses both commands that read the catalog.
+    joins, add = [], Word.__add__
+
+    def recorded(self, other):
+        joins.append(len(self) + len(other))
+        return add(self, other)
+
+    monkeypatch.setattr(Word, "__add__", recorded)
+    structure._build_templates.cache_clear()
+    structure._templates(7)
+    assert max(joins) == 189
+    for argv in (("lengths", "--k", "7"), ("structure", "--k", "7")):
+        code, out, err = run(*argv, env={"KBONA_MAX_LEN": "188"})
+        assert code == 2 and out == "", argv
+        assert "the P4 triple of 189 digits exceeds the length guard 188 (k=7)" in err
+        assert run(*argv, env={"KBONA_MAX_LEN": "189"})[0] == 0, argv
+
+
 def test_max_len_env_guard_holds_for_every_subcommand(run):
     # The catalog templates are cached per k. Building them under the
     # default guard first shows that a guard lowered later still holds.

@@ -2,6 +2,7 @@
 words, length sets, classification."""
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from kbona.counting import FormulaMode, border_max_length
 from kbona.palindromes import distinct_factors, enumerate_maximal, is_palindrome
@@ -17,7 +18,7 @@ from kbona.structure import (
     maximal_bordering_word,
     maximal_straddling_words,
 )
-from kbona.words import DomainError, Word, shift_add, word
+from kbona.words import MAX_DIGIT, DomainError, Word, shift_add, word
 
 from oracles import brute_is_palindrome
 
@@ -226,6 +227,55 @@ def test_classify_rejects_non_members():
     # 00 itself needs shift >= 1, so the unshifted word is not in the catalog
     assert classify_palindrome(3, Word.parse("00")) == set()
     assert classify_palindrome(3, Word()) == set()
+
+
+def per_digit_classes(k, w):
+    """The oracle for `classify_palindrome`: each template of w's length
+    at the shift its first digit names, compared digit by digit."""
+    out = set()
+    for template, base in structure._templates(k):
+        if len(template) != len(w):
+            continue
+        diff = w.digits[0] - template.digits[0]
+        if diff < 0 or diff % k != 0:
+            continue
+        i = diff // k
+        if i < base.shift:
+            continue
+        if all(a == b + diff for a, b in zip(w.digits, template.digits)):
+            out.add(base._replace(shift=i))
+    return out
+
+
+@st.composite
+def shifted_templates(draw):
+    """A catalog template at a shift k*i, i up to 100 so that digits pass
+    255 into the tuple store, and, half the time, with one digit and its
+    mirror changed, so that the word stays a palindrome."""
+    k = draw(st.integers(3, 10))
+    template, _ = draw(st.sampled_from(structure._templates(k)))
+    i = draw(st.integers(0, 4) | st.sampled_from([40, 100]))
+    ds = list(shift_add(k * i, template).digits)
+    if draw(st.booleans()):
+        p = draw(st.integers(0, len(ds) - 1))
+        ds[p] = ds[-1 - p] = draw(st.integers(0, ds[p] + k))
+    return k, Word(ds)
+
+
+@given(shifted_templates())
+@example((5, shift_add(500, Word.parse("0 1 0 2 0 1 0"))))
+@example((5, Word.parse("500 501 500 503 500 501 500")))
+def test_classify_matches_the_per_digit_matcher(case):
+    k, w = case
+    assert classify_palindrome(k, w) == per_digit_classes(k, w)
+
+
+def test_classify_reads_shifts_up_to_the_machine_width():
+    # The first digits name a shift of 1 0 2 0 1 whose 2 does not fit.
+    assert classify_palindrome(3, Word((MAX_DIGIT, 0, 0, 0, MAX_DIGIT))) == set()
+    i = (MAX_DIGIT - 1) // 3
+    top = classify_palindrome(3, Word((MAX_DIGIT - 1, MAX_DIGIT, MAX_DIGIT - 1)))
+    assert {c.describe() for c in top} == {f"(p1, i={i}, n=2)", f"(p3, i={i}, m=1, double)"}
 
 
 @pytest.mark.parametrize("k,n", [(3, 10), (4, 10), (5, 9)])

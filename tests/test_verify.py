@@ -590,6 +590,26 @@ def test_lemma_battery_builds_one_word_and_one_profile(monkeypatch, k):
     assert words == [(k, k - 1)] and builds == scans == []
 
 
+@pytest.mark.parametrize("k,n_max,prefix_ns,cap_is", [
+    (5, 3, [4], [0, 1, 2, 3]),
+    (4, 1, [2, 3], [0, 1, 2]),
+    (3, 0, [2], [0, 1]),
+    (16, None, [], list(range(1, 15))),
+])
+def test_lemma_skips_name_each_uncovered_row_and_the_n_max_it_needs(k, n_max, prefix_ns, cap_is):
+    # One Skipped row per n of 2..k-1 and per i of 0..k-2 that n_max does
+    # not reach, each naming the n_max it needs and the n_max given.
+    n_max = verify.default_n_max(k) if n_max is None else n_max
+    rows = verify.verify_lemmas(k, n_max).results
+    skipped = sorted(((r.check_id, r.subject, r.expected, r.actual)
+                      for r in rows if r.verdict == verify.SKIPPED),
+                     key=lambda row: (row[0], list(row[1].values())))
+    actual = f"n_max={n_max}"
+    assert skipped == (
+        [("palindromic-prefix-cap", {"k": k, "i": i}, f"n_max >= {k + i}", actual) for i in cap_is]
+        + [("prefix-palindrome", {"k": k, "n": n}, f"n_max >= {n}", actual) for n in prefix_ns])
+
+
 def _law_verdicts(k: int, n_max: int) -> dict:
     """Each per-n and per-i lemma law evaluated directly on its own word,
     each W_n built alone, as the verdict its row should carry."""
